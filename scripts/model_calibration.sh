@@ -21,7 +21,7 @@
 #
 # Knobs: AURORA_MODEL_INSTS (default 200000) scales run length;
 # AURORA_MODEL_OUT=<file> additionally writes the gap distribution as
-# a JSON fragment for scripts/bench_perf.sh.
+# JSON. Simulator speed is measured separately, by bench/perf/run.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

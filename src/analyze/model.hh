@@ -24,7 +24,8 @@
  * terms assume perfect overlap. The calibration harness
  * (`scripts/check.sh model`) holds the model to exactly that
  * contract: predicted bound >= simulated IPC on every fig4/fig9 job,
- * with the mean gap tracked in BENCH_perf.json.
+ * with a ceiling on the mean gap. Host-time cost is measured by
+ * bench/perf/run.sh.
  *
  * Everything here is a pure function of (MachineConfig,
  * WorkloadProfile): no clocks, no randomness, no environment reads —

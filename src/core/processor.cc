@@ -1,5 +1,6 @@
 #include "processor.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "audit.hh"
@@ -322,14 +323,66 @@ Processor::step()
         observer_->onRetire(now_, retired);
     issueStage();
     ifu_.tick(now_);
-    robOccupancy_.add(rob_.size());
-    mshrOccupancy_.add(lsu_.mshrs().inUse());
-    fpInstqOccupancy_.add(fpu_.instQueueSize());
-    fpLoadqOccupancy_.add(fpu_.loadQueueSize());
-    fpStoreqOccupancy_.add(fpu_.storeQueueSize());
+    sampleOccupancy(1);
     if (observer_)
         obsEmit(pre);
     ++now_;
+}
+
+void
+Processor::sampleOccupancy(Cycle cycles)
+{
+    robOccupancy_.add(rob_.size(), cycles);
+    mshrOccupancy_.add(lsu_.mshrs().inUse(), cycles);
+    fpInstqOccupancy_.add(fpu_.instQueueSize(), cycles);
+    fpLoadqOccupancy_.add(fpu_.loadQueueSize(), cycles);
+    fpStoreqOccupancy_.add(fpu_.storeQueueSize(), cycles);
+}
+
+Cycle
+Processor::nextEvent() const
+{
+    Cycle next = std::min({lsu_.nextEvent(now_), fpu_.nextEvent(now_),
+                           rob_.nextRetire(), ifu_.nextEvent(now_)});
+    // A Load stall ends when the issue head's sources become ready.
+    if (!ifu_.empty()) {
+        const Inst &head = ifu_.peek(0);
+        for (const RegIndex reg : {head.src_a, head.src_b}) {
+            const Cycle ready = scoreboard_.readyAt(reg);
+            if (ready > now_ && ready < next)
+                next = ready;
+        }
+    }
+    return next;
+}
+
+void
+Processor::skipIdle(Cycle limit)
+{
+    if (done())
+        return;
+    const Cycle until = std::min(nextEvent(), limit);
+    if (until <= now_)
+        return;
+    // Nothing the issue stage reads changes before `until`, so every
+    // cycle of the span charges what this cycle would.
+    std::optional<StallCause> cause;
+    if (!ifu_.exhausted()) {
+        cause = ifu_.empty() ? StallCause::ICache
+                             : issueCheck(ifu_.peek(0));
+        if (!cause)
+            return;
+    }
+    const Cycle span = until - now_;
+    fpu_.chargeIdle(now_, span);
+    if (cause)
+        stalls_[static_cast<std::size_t>(*cause)] += span;
+    else
+        tailCycles_ += span;
+    issueWidthCycles_[0] += span;
+    sampleOccupancy(span);
+    skippedCycles_ += span;
+    now_ = until;
 }
 
 WatchdogDiagnostic
@@ -392,7 +445,22 @@ Processor::run()
                 static_cast<double>(watchdog_.deadline_ms))
             throw WatchdogError(util::SimErrorCode::Timeout,
                                 snapshot());
+        const Cycle issuing_before = issuingCycles_;
         step();
+        // Event skipping, tried only after a cycle that issued nothing
+        // and never under an observer, which sees every cycle. The
+        // jump stops at the next cycle a check above could trip, so
+        // every trip lands on the same cycle with the same snapshot.
+        if (observer_ || issuingCycles_ != issuing_before)
+            continue;
+        Cycle limit = NEVER;
+        if (watchdog_.cycle_budget)
+            limit = watchdog_.cycle_budget;
+        if (watchdog_.stall_limit)
+            limit = std::min(limit, lastRetire_ + watchdog_.stall_limit);
+        if (deadline_armed)
+            limit = std::min(limit, (now_ + 1023) & ~Cycle{1023});
+        skipIdle(limit);
     }
     if (!drained_) {
         const Count releases_before = lsu_.mshrs().releases();

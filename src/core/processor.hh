@@ -193,6 +193,10 @@ class Processor
      * watchdog.cycle_budget — instead of hanging on a machine that
      * validates but cannot make progress.
      *
+     * Without an observer attached, spans in which no component can
+     * change state are advanced in one step (event skipping, see
+     * docs/microarchitecture.md); results are identical either way.
+     *
      * @return aggregated statistics.
      */
     RunResult run();
@@ -230,6 +234,12 @@ class Processor
     const StallCycles &stalls() const { return stalls_; }
     Cycle issuingCycles() const { return issuingCycles_; }
     Cycle tailCycles() const { return tailCycles_; }
+    /**
+     * Cycles run() advanced in bulk instead of through step(). Not
+     * part of RunResult: it describes the host-side method, not the
+     * simulated machine.
+     */
+    Cycle skippedCycles() const { return skippedCycles_; }
 
     /** Watchdog policy in force for run(). */
     const WatchdogConfig &watchdog() const { return watchdog_; }
@@ -289,6 +299,22 @@ class Processor
     /** The issue stage for the current cycle. */
     void issueStage();
 
+    /** Add the current occupancies to the histograms @p cycles times. */
+    void sampleOccupancy(Cycle cycles);
+
+    /**
+     * Earliest cycle >= now_ at which any component, or the issue
+     * head's operands, can change state (NEVER when none can).
+     */
+    Cycle nextEvent() const;
+
+    /**
+     * Event skipping: if no component can change state before
+     * min(nextEvent(), @p limit), advance now_ there in one step,
+     * charging every per-cycle counter exactly as step() would have.
+     */
+    void skipIdle(Cycle limit);
+
     MachineConfig config_;
     mem::Biu biu_;
     mem::PrefetchUnit prefetch_;
@@ -306,6 +332,7 @@ class Processor
     Count fpDispatched_ = 0;
     Cycle issuingCycles_ = 0;
     Cycle tailCycles_ = 0;
+    Cycle skippedCycles_ = 0;
     StallCycles stalls_{};
     std::array<Cycle, 3> issueWidthCycles_{};
     // Always-on per-cycle occupancy histograms (one unit-width bucket

@@ -1,5 +1,7 @@
 #include "fpu.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace aurora::fpu
@@ -45,6 +47,12 @@ Fpu::unitFor(trace::OpClass op)
     }
 }
 
+const FunctionalUnit &
+Fpu::unitFor(trace::OpClass op) const
+{
+    return const_cast<Fpu *>(this)->unitFor(op);
+}
+
 Cycle
 Fpu::regReadyAt(RegIndex reg) const
 {
@@ -54,11 +62,10 @@ Fpu::regReadyAt(RegIndex reg) const
     return fregReady_[reg];
 }
 
-bool
-Fpu::operandsReady(const QueuedOp &qop, Cycle now) const
+Cycle
+Fpu::operandsReadyAt(const QueuedOp &qop) const
 {
-    return regReadyAt(qop.fsrc_a) <= now &&
-           regReadyAt(qop.fsrc_b) <= now;
+    return std::max(regReadyAt(qop.fsrc_a), regReadyAt(qop.fsrc_b));
 }
 
 void
@@ -100,26 +107,58 @@ Fpu::dispatchStore(RegIndex fsrc, Cycle now)
     (void)now;
 }
 
+Fpu::Blocker
+Fpu::blocker(const QueuedOp &qop, Cycle now,
+             const FunctionalUnit *exclude_unit) const
+{
+    if (operandsReadyAt(qop) > now)
+        return Blocker::Operand;
+    const FunctionalUnit &unit = unitFor(qop.op);
+    if (&unit == exclude_unit || !unit.canIssue(now))
+        return Blocker::Unit;
+    if (rob_.full())
+        return Blocker::Rob;
+    return Blocker::None;
+}
+
+Count &
+Fpu::blockedCount(Blocker b)
+{
+    switch (b) {
+      case Blocker::Operand: return stats_.blocked_operand;
+      case Blocker::Unit: return stats_.blocked_unit;
+      case Blocker::Rob: return stats_.blocked_rob;
+      case Blocker::Bus: return stats_.blocked_bus;
+      default:
+        AURORA_PANIC("no counter for an unblocked op");
+    }
+}
+
+bool
+Fpu::inOrderHold(Cycle now) const
+{
+    if (config_.policy != IssuePolicy::InOrderComplete)
+        return false;
+    // §5.8: no instructions active in *multiple* functional units —
+    // successive operations may overlap only inside one pipelined
+    // unit (where completion order is preserved).
+    const FunctionalUnit &unit = unitFor(instQueue_.front().op);
+    const bool same_unit_stream =
+        &unit == lastUnit_ && unit.config().pipelined;
+    return now < lastCompletion_ && !same_unit_stream;
+}
+
 bool
 Fpu::tryIssue(const QueuedOp &qop, Cycle now,
               const FunctionalUnit *exclude_unit)
 {
-    if (!operandsReady(qop, now)) {
-        ++stats_.blocked_operand;
-        return false;
-    }
     FunctionalUnit &unit = unitFor(qop.op);
-    if (&unit == exclude_unit || !unit.canIssue(now)) {
-        ++stats_.blocked_unit;
-        return false;
-    }
-    if (rob_.full()) {
-        ++stats_.blocked_rob;
-        return false;
-    }
     const Cycle completion = now + unit.config().latency;
-    if (!buses_.canReserve(completion)) {
-        ++stats_.blocked_bus;
+    Blocker b = blocker(qop, now, exclude_unit);
+    if (b == Blocker::None && !buses_.canReserve(completion))
+        b = Blocker::Bus;
+    if (b != Blocker::None) {
+        ++blockedCount(b);
         return false;
     }
     unit.issue(now);
@@ -163,16 +202,10 @@ Fpu::tick(Cycle now)
 
     switch (config_.policy) {
       case IssuePolicy::InOrderComplete: {
-        // §5.8: no instructions active in *multiple* functional
-        // units — successive operations may overlap only inside one
-        // pipelined unit (where completion order is preserved).
-        FunctionalUnit &unit = unitFor(instQueue_.front().op);
-        const bool same_unit_stream =
-            &unit == lastUnit_ && unit.config().pipelined;
-        if (now < lastCompletion_ && !same_unit_stream)
+        if (inOrderHold(now))
             break;
         if (tryIssue(instQueue_.front(), now, nullptr)) {
-            lastUnit_ = &unit;
+            lastUnit_ = &unitFor(instQueue_.front().op);
             instQueue_.pop();
         }
         break;
@@ -204,6 +237,51 @@ Fpu::tick(Cycle now)
         break;
       }
     }
+}
+
+Cycle
+Fpu::nextEvent(Cycle now) const
+{
+    Cycle next = rob_.nextRetire();
+    if (!loadQueue_.empty())
+        next = std::min(next, loadQueue_.front());
+    if (!storeQueue_.empty()) {
+        // A store waiting on an unissued writer moves only once that
+        // writer issues, which the instruction-queue head covers.
+        const RegIndex src = storeQueue_.front();
+        if (src == NO_REG)
+            return now;
+        if (pendingWriters_[src] == 0)
+            next = std::min(next, fregReady_[src]);
+    }
+    if (instQueue_.empty())
+        return next;
+    if (inOrderHold(now))
+        return std::min(next, lastCompletion_);
+    const QueuedOp &head = instQueue_.front();
+    switch (blocker(head, now, nullptr)) {
+      case Blocker::Operand:
+        return std::min(next, operandsReadyAt(head));
+      case Blocker::Unit:
+        return std::min(next, unitFor(head.op).freeAt());
+      case Blocker::Rob:
+        // Only a retirement, already in next, frees a slot.
+        return next;
+      default:
+        // The head issues now or meets a result-bus conflict, whose
+        // slots move every cycle: either way, single-step.
+        return now;
+    }
+}
+
+void
+Fpu::chargeIdle(Cycle now, Cycle cycles)
+{
+    if (instQueue_.empty() || inOrderHold(now))
+        return;
+    const Blocker b = blocker(instQueue_.front(), now, nullptr);
+    AURORA_ASSERT(b != Blocker::None, "idle charge for an issuable op");
+    blockedCount(b) += cycles;
 }
 
 bool

@@ -76,6 +76,21 @@ class Fpu
     /** Advance one cycle: retire, drain queues, issue instructions. */
     void tick(Cycle now);
 
+    /**
+     * Earliest cycle >= @p now at which tick() changes more than the
+     * blocked_* counters: a reorder-buffer retirement, a load- or
+     * store-queue pop, or the instruction-queue head issuing or
+     * changing what blocks it. NEVER when nothing is pending.
+     */
+    Cycle nextEvent(Cycle now) const;
+
+    /**
+     * Charge the blocked_* counters for @p cycles idle ticks starting
+     * at @p now, exactly as that many tick() calls would. Valid only
+     * while now + cycles <= nextEvent(now).
+     */
+    void chargeIdle(Cycle now, Cycle cycles);
+
     /** Everything drained (end of simulation). */
     bool idle() const;
 
@@ -123,11 +138,39 @@ class Fpu
         RegIndex fdst = NO_REG;
     };
 
+    /** Why a queued op cannot issue (None: it can). */
+    enum class Blocker
+    {
+        None,
+        Operand,
+        Unit,
+        Rob,
+        Bus
+    };
+
     /** The unit executing @p op. */
     FunctionalUnit &unitFor(trace::OpClass op);
+    const FunctionalUnit &unitFor(trace::OpClass op) const;
 
-    /** Are both sources of @p qop readable at @p now? */
-    bool operandsReady(const QueuedOp &qop, Cycle now) const;
+    /** Cycle both sources of @p qop become readable. */
+    Cycle operandsReadyAt(const QueuedOp &qop) const;
+
+    /**
+     * The operand, unit or reorder-buffer hazard that stops @p qop
+     * issuing at @p now, checked in the order the blocked_* counters
+     * are charged. The result bus is checked last, at issue.
+     */
+    Blocker blocker(const QueuedOp &qop, Cycle now,
+                    const FunctionalUnit *exclude_unit) const;
+
+    /** The blocked_* counter charged for @p b. */
+    Count &blockedCount(Blocker b);
+
+    /**
+     * InOrderComplete only: the head may not start in another unit
+     * while an earlier operation is still completing.
+     */
+    bool inOrderHold(Cycle now) const;
 
     /**
      * Try to issue @p qop at @p now.

@@ -16,9 +16,7 @@ FunctionalUnit::FunctionalUnit(const FpUnitConfig &config,
 bool
 FunctionalUnit::canIssue(Cycle now) const
 {
-    if (config_.pipelined)
-        return lastIssue_ == NEVER || lastIssue_ < now;
-    return busyUntil_ <= now;
+    return freeAt() <= now;
 }
 
 Cycle

@@ -29,6 +29,15 @@ class FunctionalUnit
     /** Can an operation start at @p now? */
     bool canIssue(Cycle now) const;
 
+    /** First cycle canIssue() holds (0 before the first issue). */
+    Cycle
+    freeAt() const
+    {
+        if (config_.pipelined)
+            return lastIssue_ == NEVER ? 0 : lastIssue_ + 1;
+        return busyUntil_;
+    }
+
     /**
      * Start an operation at @p now (canIssue must hold).
      * @return completion cycle.

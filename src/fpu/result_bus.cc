@@ -17,7 +17,14 @@ ResultBusSchedule::ResultBusSchedule(unsigned buses)
 void
 ResultBusSchedule::advance(Cycle now)
 {
-    // Clear every slot that fell out of the past.
+    // Clear every slot that fell out of the past. A jump of a whole
+    // window or more (an idle span the processor skipped) clears them
+    // all in one pass.
+    if (now >= horizon_ + WINDOW) {
+        counts_.fill(0);
+        horizon_ = now;
+        return;
+    }
     while (horizon_ < now) {
         counts_[horizon_ % WINDOW] = 0;
         ++horizon_;

@@ -60,6 +60,22 @@ class Ifu
     /** Fetch up to fetch_width instructions into the buffer. */
     void tick(Cycle now);
 
+    /**
+     * Earliest cycle >= @p now at which tick() can change state:
+     * @p now itself while it can still fetch or pull from the trace,
+     * the end of a fetch block, or NEVER when only an issue (freeing
+     * buffer space) can restart it.
+     */
+    Cycle
+    nextEvent(Cycle now) const
+    {
+        if (now < resumeAt_)
+            return resumeAt_;
+        const bool can_pump = !haveNext_ && !done_;
+        const bool can_fetch = haveNext_ && !buffer_.full();
+        return can_pump || can_fetch ? now : NEVER;
+    }
+
     /// @name Issue-stage interface
     /// @{
     bool empty() const { return buffer_.empty(); }

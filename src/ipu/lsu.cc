@@ -33,6 +33,17 @@ Lsu::tick(Cycle now)
     }
 }
 
+Cycle
+Lsu::nextEvent(Cycle now) const
+{
+    Cycle next = mshrs_.nextReady();
+    if (!fills_.empty() && fills_.front().ready < next)
+        next = fills_.front().ready;
+    if (portBusyUntil_ > now && portBusyUntil_ < next)
+        next = portBusyUntil_;
+    return next;
+}
+
 bool
 Lsu::canAccept(Cycle now) const
 {

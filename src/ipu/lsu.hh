@@ -71,6 +71,13 @@ class Lsu
     void tick(Cycle now);
 
     /**
+     * Earliest cycle >= @p now at which tick() or canAccept() can
+     * change: an MSHR release, the head fill landing, or the data
+     * busses freeing. NEVER when nothing is pending.
+     */
+    Cycle nextEvent(Cycle now) const;
+
+    /**
      * Can a new memory operation start this cycle? Requires a free
      * MSHR and an idle cache port.
      */

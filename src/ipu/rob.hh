@@ -51,6 +51,15 @@ class ReorderBuffer
      */
     unsigned retire(Cycle now);
 
+    /**
+     * Earliest cycle retire() can pop an entry: the head's completion
+     * cycle, or NEVER when empty.
+     */
+    Cycle nextRetire() const
+    {
+        return slots_.empty() ? NEVER : slots_.front();
+    }
+
     /** Instructions retired in total. */
     Count retired() const { return retired_; }
 

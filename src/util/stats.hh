@@ -128,17 +128,22 @@ class Histogram
     {}
 
     /** Record one sample. */
+    void add(std::uint64_t x) { add(x, 1); }
+
+    /** Record @p times copies of sample @p x (0 is a no-op). */
     void
-    add(std::uint64_t x)
+    add(std::uint64_t x, Count times)
     {
-        ++n_;
-        sum_ += x;
+        if (times == 0)
+            return;
+        n_ += times;
+        sum_ += x * times;
         if (x > max_)
             max_ = x;
         if (x < buckets_.size())
-            ++buckets_[static_cast<std::size_t>(x)];
+            buckets_[static_cast<std::size_t>(x)] += times;
         else
-            ++overflow_;
+            overflow_ += times;
     }
 
     Count count() const { return n_; }

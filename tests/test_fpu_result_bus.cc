@@ -45,6 +45,26 @@ TEST(ResultBus, LongHorizonAdvance)
     EXPECT_TRUE(sched.canReserve(100005));
 }
 
+TEST(ResultBus, JumpBeyondWindowClearsEverySlot)
+{
+    // A skipped idle span can advance the clock by more than WINDOW
+    // cycles at once; no reservation may survive the jump.
+    ResultBusSchedule sched(1);
+    sched.advance(10);
+    for (Cycle t = 10; t < 10 + ResultBusSchedule::WINDOW; ++t)
+        sched.reserve(t);
+    const Cycle now = 10 + 3 * ResultBusSchedule::WINDOW + 7;
+    sched.advance(now);
+    for (Cycle t = now; t < now + ResultBusSchedule::WINDOW; ++t)
+        EXPECT_TRUE(sched.canReserve(t)) << "slot " << t;
+    sched.reserve(now + 5);
+    EXPECT_FALSE(sched.canReserve(now + 5));
+    EXPECT_TRUE(sched.canReserve(now + 6));
+    // Stepping on from there behaves as before.
+    sched.advance(now + 6);
+    EXPECT_TRUE(sched.canReserve(now + 5 + ResultBusSchedule::WINDOW));
+}
+
 TEST(ResultBus, SingleBusSerializesCompletions)
 {
     ResultBusSchedule sched(1);

@@ -44,6 +44,24 @@ testGrid(Count insts = 2000)
     return harness::suiteJobs(machine, trace::integerSuite(), insts);
 }
 
+/**
+ * A grid for faults that must land mid-grid. A shard beats only
+ * between jobs, so each job stays far below the 400 ms lease; twelve
+ * of them together outlast the lease and the 250 ms respawn throttle
+ * with margin, even on a fast host.
+ */
+std::vector<harness::SweepJob>
+longGrid()
+{
+    constexpr Count INSTS = 600'000;
+    auto grid = testGrid(INSTS);
+    const auto more = harness::suiteJobs(
+        core::parseMachineSpec("model=baseline"), trace::integerSuite(),
+        INSTS);
+    grid.insert(grid.end(), more.begin(), more.end());
+    return grid;
+}
+
 shard::SwarmConfig
 baseConfig(const std::string &tag)
 {
@@ -74,9 +92,9 @@ TEST(SwarmSupervision, KillShardFencesMigratesAndRecovers)
     config.fault_plans = {ShardFaultPlan{ShardFault::KillShard, 1},
                           std::nullopt};
     shard::Swarm swarm(config);
-    // Jobs long enough that the backlog outlives the respawn
+    // A grid long enough that the backlog outlives the respawn
     // throttle — the replacement worker must actually be needed.
-    const auto grid = testGrid(600'000);
+    const auto grid = longGrid();
     expectAllOk(swarm.runGrid(grid, {}), grid.size());
 
     const shard::SwarmStats &stats = swarm.stats();
@@ -117,9 +135,9 @@ TEST(SwarmSupervision, DropHeartbeatsIsFencedWhileResultsFlow)
     config.fault_plans = {
         ShardFaultPlan{ShardFault::DropHeartbeats, 0}, std::nullopt};
     shard::Swarm swarm(config);
-    // Jobs long enough that the silent shard cannot drain the whole
-    // grid inside one lease — the fence must catch it mid-flight.
-    const auto grid = testGrid(600'000);
+    // A grid long enough that the silent shard cannot drain it inside
+    // one lease — the fence must catch it mid-flight.
+    const auto grid = longGrid();
     expectAllOk(swarm.runGrid(grid, {}), grid.size());
     EXPECT_GE(swarm.stats().lease_expiries, 1u);
     EXPECT_EQ(swarm.stats().committed, grid.size());

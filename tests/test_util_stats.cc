@@ -105,6 +105,45 @@ TEST(Histogram, BucketsAndOverflow)
     EXPECT_NEAR(h.mean(), 114.0 / 6.0, 1e-12);
 }
 
+TEST(Histogram, BulkAddEqualsRepeatedAdds)
+{
+    Histogram bulk(4);
+    Histogram single(4);
+    // (sample, times) pairs, including overflow samples.
+    const std::pair<std::uint64_t, aurora::Count> runs[] = {
+        {2, 7}, {0, 3}, {9, 5}, {3, 1}, {1, 12}, {100, 2}};
+    for (const auto &[x, times] : runs) {
+        bulk.add(x, times);
+        for (aurora::Count i = 0; i < times; ++i)
+            single.add(x);
+    }
+    EXPECT_EQ(bulk.count(), single.count());
+    EXPECT_EQ(bulk.sum(), single.sum());
+    EXPECT_DOUBLE_EQ(bulk.mean(), single.mean());
+    EXPECT_EQ(bulk.maxSample(), single.maxSample());
+    EXPECT_EQ(bulk.overflow(), single.overflow());
+    for (std::size_t i = 0; i < bulk.numBuckets(); ++i)
+        EXPECT_EQ(bulk.bucket(i), single.bucket(i)) << "bucket " << i;
+    for (int pct = 0; pct <= 100; ++pct)
+        EXPECT_EQ(bulk.percentile(pct / 100.0),
+                  single.percentile(pct / 100.0))
+            << "p" << pct;
+}
+
+TEST(Histogram, BulkAddOfZeroTimesIsANoOp)
+{
+    Histogram h(4);
+    h.add(1);
+    h.add(200, 0);
+    h.add(2, 0);
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_EQ(h.sum(), 1u);
+    EXPECT_EQ(h.maxSample(), 1u);
+    EXPECT_EQ(h.overflow(), 0u);
+    EXPECT_EQ(h.bucket(2), 0u);
+    EXPECT_EQ(h.percentile(1.0), 1u);
+}
+
 TEST(FormatFixed, Decimals)
 {
     EXPECT_EQ(aurora::formatFixed(3.14159, 2), "3.14");
