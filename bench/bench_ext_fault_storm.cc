@@ -20,8 +20,8 @@
  *      which resume completes bit-identically at 1, 2 and 8 workers;
  *   6. a wedged machine under a wall-clock deadline becomes a Timeout
  *      outcome without blocking the rest of the grid;
- *   7. the sweep timeline records retry, timeout, and resume spans
- *      and exports them as a loadable trace-event artifact
+ *   7. the sweep's span log records retry, timeout, and resume spans
+ *      and exports them as a loadable causal trace-event artifact
  *      (AURORA_TIMELINE_OUT=path keeps it for Perfetto).
  *
  * Exits non-zero if any expectation fails, so scripts/check.sh can
@@ -46,7 +46,8 @@
 #include "core/watchdog.hh"
 #include "faultinject/faultinject.hh"
 #include "harness/journal.hh"
-#include "harness/sweep_trace.hh"
+#include "obs/ids.hh"
+#include "obs/trace.hh"
 #include "telemetry/json.hh"
 #include "trace/synthetic_workload.hh"
 #include "trace/trace_io.hh"
@@ -521,9 +522,16 @@ timelineStorm(Count insts)
                           std::to_string(::getpid()));
     fs::create_directories(dir);
 
-    // One timeline across both acts, so retry, timeout, and resume
-    // spans land in a single trace-event artifact.
-    SweepTimeline timeline;
+    // Act 2's grid names the trace; one span log across both acts,
+    // so retry, timeout, and resume spans land in a single causal
+    // trace-event artifact.
+    std::vector<SweepJob> grid;
+    for (const auto *name : {"espresso", "li"})
+        grid.push_back(
+            {baselineModel(), trace::profileByName(name), insts});
+    const std::uint64_t trace_id =
+        obs::traceIdForGrid(gridFingerprint(grid, STORM_SEED));
+    obs::SpanLog spans(obs::TraceContext{trace_id});
 
     // Act 1: two healthy tasks, one transiently flaky one (retry
     // recovers it), and one wedged machine under a short wall-clock
@@ -551,7 +559,7 @@ timelineStorm(Count insts)
     opts.base_seed = STORM_SEED;
     opts.workers = 4;
     opts.retries = 2;
-    opts.timeline = &timeline;
+    opts.span_log = &spans;
     SweepRunner runner(opts);
     const auto outcomes = runner.runTaskOutcomes(tasks);
     expect(outcomes[2].ok && outcomes[2].attempts == 2,
@@ -561,11 +569,8 @@ timelineStorm(Count insts)
            "timeline storm: wedged job timed out");
 
     // Act 2: a journaled mini-sweep run to completion, then resumed
-    // on the same timeline — every job replays as a resumed instant.
-    std::vector<SweepJob> grid;
-    for (const auto *name : {"espresso", "li"})
-        grid.push_back(
-            {baselineModel(), trace::profileByName(name), insts});
+    // into the same span log — every job replays as an instant.
+    // Its job ids continue after act 1's so every span id is unique.
     const std::string journal = (dir / "timeline.ajrn").string();
     {
         SweepOptions jopts;
@@ -578,16 +583,21 @@ timelineStorm(Count insts)
     ropts.base_seed = STORM_SEED;
     ropts.journal = journal;
     ropts.resume = true;
-    ropts.timeline = &timeline;
+    ropts.span_log = &spans;
+    ropts.span_job_base = tasks.size();
     SweepRunner replayer(ropts);
     replayer.runOutcomes(grid);
 
-    // The artifact must witness every span class the storm produced.
+    // The artifact must witness every attempt outcome the storm
+    // produced: ok = no error, timeout = a "[Timeout]" error,
+    // resumed = an instant.
     std::size_t retried = 0, timed_out = 0, resumed = 0;
-    for (const auto &span : timeline.spans()) {
-        retried += span.kind == SpanKind::Ok && span.attempt == 2;
-        timed_out += span.kind == SpanKind::TimedOut;
-        resumed += span.kind == SpanKind::Resumed;
+    for (const auto &span : spans.spans()) {
+        if (span.cat != "attempt")
+            continue;
+        retried += span.error.empty() && span.attempt == 2;
+        timed_out += span.error.rfind("[Timeout]", 0) == 0;
+        resumed += span.instant;
     }
     expect(retried == 1, "timeline records the retry span (attempt 2)");
     expect(timed_out == 1, "timeline records the timeout span");
@@ -604,7 +614,9 @@ timelineStorm(Count insts)
                                   .string();
     {
         std::ofstream os(artifact);
-        writeTimelineTrace(os, timeline, "fault storm sweep");
+        obs::writeGridTrace(os, spans.spans(), trace_id,
+                            "fault storm sweep", /*pid=*/0,
+                            spans.nowUs(), "bench_ext_fault_storm");
     }
     std::ifstream is(artifact);
     std::stringstream text;
@@ -617,7 +629,7 @@ timelineStorm(Count insts)
            "timeline artifact parses as a trace-event document" +
                (parse_error.empty() ? "" : " (" + parse_error + ")"));
     std::cout << "  timeline artifact: " << artifact << " ("
-              << timeline.size() << " spans)\n";
+              << spans.size() + 1 << " spans)\n";
 
     // The scratch dir (journal + default artifact location) goes;
     // an AURORA_TIMELINE_OUT artifact lives outside it and survives.

@@ -107,8 +107,8 @@ run_resume_drill() {
 # aurora_obs_check (well-formed JSON, schema discriminator, monotonic
 # trace timestamps, rectangular CSV). The fault-storm bench runs with
 # the preflight off so its wedged grid points reach the runtime
-# detectors and the timeline artifact gains retry/timeout/resume
-# spans.
+# detectors and the storm's trace artifact gains retry/timeout/resume
+# spans. Sweep traces are causal: both must close their parentage.
 run_obs() {
     echo "==== check: obs ===="
     cmake --preset release
@@ -136,17 +136,18 @@ run_obs() {
         --stats-json "${dir}/suite.json" > /dev/null
     "${check}" stats "${dir}/suite.json"
 
-    # Journaled sweep with the per-worker execution timeline.
+    # Journaled sweep with its causal trace, one track per worker.
     "${sim}" --bench int --insts "${insts}" --csv \
         --journal "${dir}/sweep.ajrn" \
         --sweep-trace "${dir}/sweep.json" > /dev/null
-    "${check}" trace "${dir}/sweep.json"
+    "${check}" trace "${dir}/sweep.json" | grep -q 'parentage closed'
 
-    # Fault-storm timeline artifact with retry/timeout/resume spans.
+    # Fault-storm trace artifact with retry/timeout/resume spans.
     AURORA_BENCH_INSTS=20000 AURORA_PREFLIGHT=0 \
         AURORA_TIMELINE_OUT="${dir}/fault_storm.json" \
         build/bench/bench_ext_fault_storm > /dev/null
-    "${check}" trace "${dir}/fault_storm.json"
+    "${check}" trace "${dir}/fault_storm.json" |
+        grep -q 'parentage closed'
 
     # Fleet chaos drill: a two-shard swarm grid with one shard
     # SIGKILLed mid-grid, causal tracing and the flight recorder on.

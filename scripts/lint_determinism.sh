@@ -2,7 +2,8 @@
 # Determinism lint: the simulation core must be a pure function of its
 # inputs, or golden stats, sweep replay, and journal resume all break.
 #
-# Bans, in src/core src/ipu src/fpu src/mem src/trace src/telemetry:
+# Bans, in every src/ directory that produces or carries results
+# (the DIRS list below):
 #   - wall-clock reads: std::chrono::system_clock, time(
 #   - libc randomness:  rand(, std::random_device
 #   - environment reads: getenv (env access belongs in util/env, so
@@ -18,7 +19,10 @@ cd "$(dirname "$0")/.."
 
 # src/telemetry is covered too: samplers and exporters take
 # timestamps as event payloads, they never read clocks themselves
-# (wall-clock sweep timelines live in src/harness, outside the core).
+# (sweep spans are stamped by obs::SpanLog's steady clock).
+# src/harness is covered because journal replay and derived job seeds
+# must be pure functions of the grid: the sweep engine times jobs,
+# deadlines, backoff, and spans with steady_clock only.
 # src/serve is covered because resumed grids must replay
 # bit-identically: the daemon may time things with steady_clock, but
 # nothing in the service layer may consult wall clocks, randomness, or
@@ -37,7 +41,7 @@ cd "$(dirname "$0")/.."
 # flight/span timestamps come from steady clocks only — a wall-clock
 # or random read there could leak back into golden-checked output.
 DIRS=(src/core src/ipu src/fpu src/mem src/trace src/telemetry
-      src/serve src/shard src/analyze src/cost src/obs)
+      src/harness src/serve src/shard src/analyze src/cost src/obs)
 STATUS=0
 
 # pattern -> human explanation. Word boundaries keep e.g.

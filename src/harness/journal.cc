@@ -237,16 +237,28 @@ gridFingerprint(const std::vector<SweepJob> &grid,
     w.u64(base_seed ? *base_seed : 0);
     w.u64(grid.size());
     for (const SweepJob &job : grid) {
-        const std::uint64_t mh = machineHash(job.machine);
-        w.u64(mh);
+        w.u64(machineHash(job.machine));
         w.str(job.profile.name);
         w.u64(job.profile.seed);
         w.u64(job.instructions);
-        w.u64(base_seed
-                  ? deriveJobSeed(*base_seed, mh, job.profile.name)
-                  : job.profile.seed);
+        w.u64(jobSeed(job, base_seed));
     }
     return util::fnv1a64(w.bytes());
+}
+
+JournalRecord
+runJob(const SweepJob &job, std::size_t index, SweepOptions policy)
+{
+    policy.workers = 1;
+    policy.preflight = false;
+    policy.span_job_base = index;
+    JournalRecord rec;
+    rec.job_index = index;
+    rec.machine_hash = machineHash(job.machine);
+    rec.seed = jobSeed(job, policy.base_seed);
+    rec.outcome = std::move(
+        SweepRunner(std::move(policy)).runOutcomes({job}).front());
+    return rec;
 }
 
 LoadedJournal

@@ -99,6 +99,19 @@ std::uint64_t gridFingerprint(
     const std::optional<std::uint64_t> &base_seed);
 
 /**
+ * Run grid job @p job (grid index @p index) on its own, returning
+ * the record a serial journaled SweepRunner would append for it —
+ * byte for byte. Takes @p policy's seed, retry, deadline, backoff,
+ * cancel, and span settings; forces one worker, no preflight (the
+ * grid's owner lints at admission), and span job ids offset by
+ * @p index. aurora_serve's worker pool and aurora_shardd
+ * both execute every job through here, which is what makes serial,
+ * serve, and shard results bit-identical by construction.
+ */
+JournalRecord runJob(const SweepJob &job, std::size_t index,
+                     SweepOptions policy);
+
+/**
  * Parse a journal file. Throws util::SimError (BadJournal) on a
  * missing/unreadable file, bad header, version mismatch, or mid-file
  * corruption; a torn tail record is dropped with a warning and

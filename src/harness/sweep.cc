@@ -14,7 +14,7 @@
 #include "core/audit.hh"
 #include "core/config_io.hh"
 #include "journal.hh"
-#include "sweep_trace.hh"
+#include "obs/trace.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -66,6 +66,14 @@ deriveJobSeed(std::uint64_t base_seed, std::uint64_t machine_hash,
     h = mix(h ^ machine_hash);
     h = mix(h ^ fnv1a(profile_name));
     return h ? h : 1;
+}
+
+std::uint64_t
+jobSeed(const SweepJob &job, const std::optional<std::uint64_t> &base_seed)
+{
+    return base_seed ? deriveJobSeed(*base_seed, machineHash(job.machine),
+                                     job.profile.name)
+                     : job.profile.seed;
 }
 
 double
@@ -282,26 +290,12 @@ gridTasks(const std::vector<SweepJob> &grid, const SweepOptions &options,
     for (const SweepJob &job : grid) {
         tasks.push_back([&options, &job, watchdog]() {
             trace::WorkloadProfile profile = job.profile;
-            if (options.base_seed)
-                profile.seed = deriveJobSeed(*options.base_seed,
-                                             machineHash(job.machine),
-                                             profile.name);
+            profile.seed = jobSeed(job, options.base_seed);
             return core::simulate(job.machine, profile,
                                   job.instructions, watchdog);
         });
     }
     return tasks;
-}
-
-/** Seed a grid job actually runs with (what the journal records). */
-std::uint64_t
-resolvedSeed(const SweepJob &job, const SweepOptions &options)
-{
-    return options.base_seed
-               ? deriveJobSeed(*options.base_seed,
-                               machineHash(job.machine),
-                               job.profile.name)
-               : job.profile.seed;
 }
 
 /**
@@ -492,19 +486,16 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
     for (std::size_t i = 0; i < n; ++i)
         if (!replayed[i])
             pending.push_back(i);
-    if (options_.timeline)
+    if (obs::SpanLog *log = options_.span_log)
         for (std::size_t i = 0; i < n; ++i) {
             if (!replayed[i])
                 continue;
-            TimelineSpan span;
-            span.job = options_.timeline_job_base + i;
-            span.label = grid[i].profile.name + "@" +
-                         grid[i].machine.name;
-            span.attempt = 0;
-            span.worker = options_.timeline->workerId();
-            span.start_ms = span.end_ms = options_.timeline->nowMs();
-            span.kind = SpanKind::Resumed;
-            options_.timeline->record(std::move(span));
+            const std::size_t job = options_.span_job_base + i;
+            const std::string label =
+                grid[i].profile.name + "@" + grid[i].machine.name;
+            const double now = log->nowUs();
+            log->addAttempt(job, /*attempt=*/0, label, now, now);
+            log->addJob(job, label, now, now);
         }
     if (options_.progress && pending.size() < n)
         inform(detail::concat("sweep: resuming '", options_.journal,
@@ -526,7 +517,7 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
         JournalRecord rec;
         rec.job_index = i;
         rec.machine_hash = machineHash(grid[i].machine);
-        rec.seed = resolvedSeed(grid[i], options_);
+        rec.seed = jobSeed(grid[i], options_.base_seed);
         rec.outcome = out;
         writer->append(rec);
         const std::size_t d =
@@ -649,7 +640,7 @@ SweepRunner::executeOutcomes(
     const unsigned pool = workers();
     const unsigned max_attempts = retries() + 1;
     const std::uint64_t backoff = backoffMs();
-    SweepTimeline *timeline = options_.timeline;
+    obs::SpanLog *span_log = options_.span_log;
     ProgressMeter meter(options_, grid_total, already_done);
     // The body never throws: every failure is captured into its
     // outcome slot, so one poisoned job cannot abort the grid and
@@ -658,8 +649,10 @@ SweepRunner::executeOutcomes(
     parallelFor(n, pool, [&](std::size_t i) {
         SweepOutcome &out = outcomes[i];
         const std::size_t job =
-            options_.timeline_job_base +
+            options_.span_job_base +
             (grid_indices ? (*grid_indices)[i] : i);
+        const double job_start = span_log ? span_log->nowUs() : 0.0;
+        std::string label;
         WallTimer job_timer;
         for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
             // Cooperative cancellation: refuse to *start* an attempt
@@ -678,7 +671,7 @@ SweepRunner::executeOutcomes(
                 std::this_thread::sleep_for(std::chrono::milliseconds(
                     backoffDelayMs(backoff, attempt)));
             out.attempts = attempt;
-            const double span_start = timeline ? timeline->nowMs() : 0.0;
+            const double span_start = span_log ? span_log->nowUs() : 0.0;
             try {
                 out.result = tasks[i]();
                 out.ok = true;
@@ -696,29 +689,14 @@ SweepRunner::executeOutcomes(
                 out.code = util::SimErrorCode::Internal;
                 out.error = "unknown exception";
             }
-            if (timeline) {
-                TimelineSpan span;
-                span.job = job;
-                span.attempt = attempt;
-                span.worker = timeline->workerId();
-                span.start_ms = span_start;
-                span.end_ms = timeline->nowMs();
-                if (out.ok) {
-                    span.kind = SpanKind::Ok;
-                    span.label =
-                        out.result.benchmark.empty()
-                            ? "job " + std::to_string(job)
-                            : out.result.benchmark + "@" +
-                                  out.result.model;
-                } else {
-                    span.kind =
-                        out.code == util::SimErrorCode::Timeout
-                            ? SpanKind::TimedOut
-                            : SpanKind::Failed;
-                    span.label = "job " + std::to_string(job);
-                    span.error = out.error;
-                }
-                timeline->record(std::move(span));
+            if (span_log) {
+                label = out.ok && !out.result.benchmark.empty()
+                            ? out.result.benchmark + "@" +
+                                  out.result.model
+                            : "job " + std::to_string(job);
+                span_log->addAttempt(job, attempt, label, span_start,
+                                     span_log->nowUs(),
+                                     out.ok ? std::string() : out.error);
             }
             if (out.ok)
                 break;
@@ -729,6 +707,8 @@ SweepRunner::executeOutcomes(
                 break;
         }
         out.seconds = job_timer.seconds();
+        if (span_log && out.attempts > 0)
+            span_log->addJob(job, label, job_start, span_log->nowUs());
         if (on_complete)
             on_complete(i, out);
         if (meter.enabled())

@@ -48,10 +48,13 @@
 #include "util/sim_error.hh"
 #include "util/stats.hh"
 
+namespace aurora::obs
+{
+class SpanLog;
+}
+
 namespace aurora::harness
 {
-
-class SweepTimeline;
 
 /**
  * One heartbeat of a sweep in flight, delivered through
@@ -211,21 +214,21 @@ struct SweepOptions
     std::size_t progress_every = 0;
 
     /**
-     * When set, every job attempt (and journal replay) is recorded as
-     * a span on this timeline — the input to writeTimelineTrace()'s
-     * Chrome trace-event export. The timeline must outlive the run.
-     * Pure observation: results, seeds, and scheduling are unchanged.
+     * When set, every job attempt is recorded as an `attempt` span
+     * (a journal replay as an instant) and every job as a `job` span
+     * covering its attempts, under the log's TraceContext. The log
+     * must outlive the run. Pure observation: results, seeds, and
+     * scheduling are unchanged.
      */
-    SweepTimeline *timeline = nullptr;
+    obs::SpanLog *span_log = nullptr;
 
     /**
-     * Offset added to every timeline span's job index. The service
-     * and shard paths execute one-job sub-grids through a shared
-     * grid-wide timeline; the base maps the sub-grid's job 0 back to
-     * its true grid index so the merged trace parents attempts under
-     * the right job span. Ignored when no timeline is attached.
+     * Offset added to every span's job index. The service and shard
+     * paths run one-job sub-grids into a grid-wide span log; the base
+     * maps the sub-grid's job 0 back to its true grid index so its
+     * spans carry the right job ids. Ignored without a span log.
      */
-    std::size_t timeline_job_base = 0;
+    std::size_t span_job_base = 0;
 
     /**
      * Cooperative cancellation for the outcome entry points: checked
@@ -388,7 +391,7 @@ class SweepRunner
      * @p grid_total and @p already_done scope the progress heartbeat
      * to the whole grid when only a subset executes (journal resume);
      * @p grid_indices, when non-null, maps task index -> grid job
-     * index for timeline spans (identity when null).
+     * index for spans (identity when null).
      */
     std::vector<SweepOutcome> executeOutcomes(
         const std::vector<std::function<core::RunResult()>> &tasks,
@@ -419,6 +422,14 @@ std::uint64_t machineHash(const core::MachineConfig &machine);
 std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                             std::uint64_t machine_hash,
                             const std::string &profile_name);
+
+/**
+ * The workload seed @p job runs with — and the one its journal
+ * record holds: deriveJobSeed(...) under a base seed, else the
+ * profile's own seed. Every executor applies this one rule.
+ */
+std::uint64_t jobSeed(const SweepJob &job,
+                      const std::optional<std::uint64_t> &base_seed);
 
 /**
  * Lint every machine in @p grid (analyze::lintConfig); lint *errors*

@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 
-#include "harness/sweep_trace.hh"
 #include "obs/ids.hh"
 #include "telemetry/json.hh"
 #include "telemetry/trace_event.hh"
@@ -15,6 +15,63 @@
 
 namespace aurora::obs
 {
+
+std::uint32_t
+SpanLog::trackId()
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return tracks_
+        .try_emplace(std::this_thread::get_id(),
+                     static_cast<std::uint32_t>(tracks_.size()))
+        .first->second;
+}
+
+Span
+SpanLog::contextSpan(std::uint64_t job, std::string name,
+                     double start_us, double end_us)
+{
+    Span span;
+    span.trace_id = context_.trace_id;
+    span.name = std::move(name);
+    span.pid = context_.pid;
+    span.tid = trackId();
+    span.ts_us = start_us;
+    span.dur_us = end_us - start_us;
+    span.has_job = true;
+    span.job = job;
+    return span;
+}
+
+void
+SpanLog::addAttempt(std::uint64_t job, std::uint32_t attempt,
+                    std::string name, double start_us, double end_us,
+                    std::string error)
+{
+    Span span = contextSpan(job, std::move(name), start_us, end_us);
+    span.span_id = attemptSpanId(context_.trace_id, job, attempt,
+                                 context_.epoch);
+    span.parent_id = context_.parent_id != 0
+                         ? context_.parent_id
+                         : jobSpanId(context_.trace_id, job);
+    span.cat = "attempt";
+    span.instant = attempt == 0;
+    span.attempt = attempt;
+    span.error = std::move(error);
+    add(std::move(span));
+}
+
+void
+SpanLog::addJob(std::uint64_t job, std::string name, double start_us,
+                double end_us)
+{
+    if (context_.parent_id != 0)
+        return;
+    Span span = contextSpan(job, std::move(name), start_us, end_us);
+    span.span_id = jobSpanId(context_.trace_id, job);
+    span.parent_id = rootSpanId(context_.trace_id);
+    span.cat = "job";
+    add(std::move(span));
+}
 
 void
 SpanLog::add(Span span)
@@ -210,42 +267,6 @@ loadSpanFile(const std::string &path)
     return loaded;
 }
 
-std::vector<Span>
-spansFromTimeline(
-    const harness::SweepTimeline &timeline, std::uint64_t trace_id,
-    std::uint32_t pid, std::uint64_t epoch,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-        *job_parents)
-{
-    std::vector<Span> out;
-    for (const harness::TimelineSpan &t : timeline.spans()) {
-        Span span;
-        span.trace_id = trace_id;
-        span.span_id =
-            attemptSpanId(trace_id, t.job, t.attempt, epoch);
-        span.parent_id = jobSpanId(trace_id, t.job);
-        if (job_parents)
-            for (const auto &[job, parent] : *job_parents)
-                if (job == t.job) {
-                    span.parent_id = parent;
-                    break;
-                }
-        span.name = t.label;
-        span.cat = "attempt";
-        span.pid = pid;
-        span.tid = t.worker;
-        span.ts_us = t.start_ms * 1e3;
-        span.dur_us = (t.end_ms - t.start_ms) * 1e3;
-        span.instant = t.kind == harness::SpanKind::Resumed;
-        span.has_job = true;
-        span.job = t.job;
-        span.attempt = t.attempt;
-        span.error = t.error;
-        out.push_back(std::move(span));
-    }
-    return out;
-}
-
 void
 writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
                  const std::vector<ProcessName> &processes)
@@ -292,6 +313,38 @@ writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
                          span.ts_us, span.dur_us, std::move(args));
     }
     log.write(os);
+}
+
+void
+writeGridTrace(std::ostream &os, std::vector<Span> spans,
+               std::uint64_t trace_id, std::string name,
+               std::uint32_t pid, double dur_us, std::string_view owner)
+{
+    Span root;
+    root.trace_id = trace_id;
+    root.span_id = rootSpanId(trace_id);
+    root.name = std::move(name);
+    root.cat = "grid";
+    root.pid = pid;
+    root.dur_us = dur_us;
+    spans.push_back(std::move(root));
+
+    std::set<std::uint32_t> pids;
+    for (const Span &span : spans)
+        pids.insert(span.pid);
+    std::vector<ProcessName> processes;
+    for (const std::uint32_t p : pids) {
+        if (p == pid)
+            processes.push_back({p, std::string(owner)});
+        else if (p == 0)
+            processes.push_back({p, "aurora_serve"});
+        else if (p == 1)
+            processes.push_back({p, "swarm coordinator"});
+        else
+            processes.push_back(
+                {p, "aurora_shardd e" + std::to_string(p - 100)});
+    }
+    writeChromeTrace(os, spans, processes);
 }
 
 } // namespace aurora::obs

@@ -25,16 +25,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <iosfwd>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <thread>
 #include <vector>
 
-namespace aurora::harness
-{
-class SweepTimeline;
-}
+#include "util/stats.hh"
 
 namespace aurora::obs
 {
@@ -57,7 +55,7 @@ struct Span
     /** Thread track within the process. */
     std::uint32_t tid = 0;
     /** Microseconds on the recording process's steady clock
-     *  (1 wall ms = 1000 trace µs, as writeTimelineTrace). */
+     *  (1 wall ms = 1000 trace µs). */
     double ts_us = 0.0;
     double dur_us = 0.0;
     /** Zero-length marker event (journal replay, migration, ...). */
@@ -71,20 +69,77 @@ struct Span
     std::string error;
 };
 
-/** Thread-safe in-memory span collector. */
+/**
+ * Where a sweep's spans hang in a grid's trace. Attempt k of grid job
+ * j gets id attemptSpanId(trace_id, j, k, epoch); its parent is
+ * @p parent_id when set (a shard's dispatch span), otherwise the
+ * job's own jobSpanId, itself parented to the grid root.
+ */
+struct TraceContext
+{
+    std::uint64_t trace_id = 0;
+    /** Process track (0 = serve or a local sweep, 100+e = shard
+     *  epoch e). */
+    std::uint32_t pid = 0;
+    /** Shard incarnation the attempts ran on (0 off the fleet). */
+    std::uint64_t epoch = 0;
+    /** Explicit parent of every attempt (0 = per-job spans). */
+    std::uint64_t parent_id = 0;
+};
+
+/**
+ * Thread-safe in-memory span collector with its own clock (µs since
+ * construction) and a dense calling-thread → track map, so the spans
+ * one-job sweeps record from a worker pool land one track per thread.
+ * SweepRunner records its attempt and job spans here (addAttempt /
+ * addJob) under the log's TraceContext.
+ */
 class SpanLog
 {
   public:
+    explicit SpanLog(TraceContext context = {}) : context_(context) {}
+
+    const TraceContext &context() const { return context_; }
+
+    /** Microseconds since construction (the log's trace epoch). */
+    double nowUs() const { return timer_.seconds() * 1e6; }
+
+    /** Dense track id of the calling thread (first call assigns). */
+    std::uint32_t trackId();
+
     void add(Span span);
 
     /** Append a whole batch (shard span-file fold-in). */
     void addAll(const std::vector<Span> &spans);
 
+    /**
+     * Record attempt @p attempt of grid job @p job over
+     * [@p start_us, @p end_us] on the calling thread's track; attempt
+     * 0 is a journal replay, drawn as an instant. A non-empty
+     * @p error is the attempt's SimError::what().
+     */
+    void addAttempt(std::uint64_t job, std::uint32_t attempt,
+                    std::string name, double start_us, double end_us,
+                    std::string error = {});
+
+    /** Record the span of grid job @p job covering all its attempts,
+     *  under the grid root — unless the context names an explicit
+     *  parent, which then stands in for it. */
+    void addJob(std::uint64_t job, std::string name, double start_us,
+                double end_us);
+
     std::vector<Span> spans() const;
     std::size_t size() const;
 
   private:
+    /** A span of the context's trace on the calling thread's track. */
+    Span contextSpan(std::uint64_t job, std::string name,
+                     double start_us, double end_us);
+
+    const TraceContext context_;
+    const WallTimer timer_;
     mutable std::mutex mutex_;
+    std::map<std::thread::id, std::uint32_t> tracks_;
     std::vector<Span> spans_;
 };
 
@@ -134,19 +189,6 @@ struct LoadedSpans
  */
 LoadedSpans loadSpanFile(const std::string &path);
 
-/**
- * Convert a SweepTimeline's attempt records to parented spans:
- * attempt k of job j becomes attemptSpanId(trace, j, k, epoch) with
- * parent @p parent_of (j) — jobSpanId for the worker-pool path, the
- * dispatch span for a shard. Resumed replays become instants. Span
- * tids keep the timeline's dense worker ids.
- */
-std::vector<Span> spansFromTimeline(
-    const harness::SweepTimeline &timeline, std::uint64_t trace_id,
-    std::uint32_t pid, std::uint64_t epoch,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-        *job_parents = nullptr);
-
 /** (pid, display name) pair for the trace's process directory. */
 struct ProcessName
 {
@@ -163,6 +205,18 @@ struct ProcessName
  */
 void writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
                       const std::vector<ProcessName> &processes);
+
+/**
+ * Write one grid's whole causal trace: @p spans plus the grid root
+ * span (id = trace id, parent 0, cat "grid") named @p name on track
+ * @p pid over [0, @p dur_us], rendered by writeChromeTrace with the
+ * fleet's process directory — @p pid is named @p owner, pid 0
+ * "aurora_serve", 1 "swarm coordinator", 100+e "aurora_shardd e<e>".
+ */
+void writeGridTrace(std::ostream &os, std::vector<Span> spans,
+                    std::uint64_t trace_id, std::string name,
+                    std::uint32_t pid, double dur_us,
+                    std::string_view owner);
 
 } // namespace aurora::obs
 

@@ -17,7 +17,6 @@
 #include "core/simulator.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
-#include "harness/sweep_trace.hh"
 #include "obs/ids.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -202,6 +201,11 @@ constexpr std::size_t LATENCY_BUCKETS_MS = 512;
  *  internally locked). */
 struct Server::Grid
 {
+    explicit Grid(std::uint64_t trace)
+        : trace_id(trace), span_log(obs::TraceContext{trace})
+    {
+    }
+
     enum class JobState : std::uint8_t
     {
         Pending,
@@ -247,12 +251,11 @@ struct Server::Grid
 
     /** Causal trace id: client-supplied or minted from the
      *  fingerprint, so a restarted daemon re-mints identically. */
-    std::uint64_t trace_id = 0;
-    /** Worker-path attempt spans (internally locked; observation
-     *  only — never feeds back into outcomes). */
-    harness::SweepTimeline timeline;
-    /** Service + fabric spans (admission, swarm supervision, folded
-     *  shard attempts); drained into the Chrome trace at completion. */
+    const std::uint64_t trace_id;
+    /** Every span of the grid on this daemon's side — admission, the
+     *  worker pool's job and attempt spans, swarm supervision, folded
+     *  shard attempts (internally locked; observation only, never
+     *  feeds back into outcomes). Its clock is the serve track's. */
     obs::SpanLog span_log;
 
     bool complete() const { return done == jobs.size(); }
@@ -331,17 +334,6 @@ Server::spoolFile(std::uint64_t fingerprint, const char *suffix) const
     return config_.spool_dir + "/" + os.str() + suffix;
 }
 
-std::uint64_t
-Server::gridSeed(const Grid &grid, std::size_t index) const
-{
-    const harness::SweepJob &job = grid.jobs[index];
-    const std::uint64_t mh = harness::machineHash(job.machine);
-    return grid.base_seed
-               ? harness::deriveJobSeed(*grid.base_seed, mh,
-                                        job.profile.name)
-               : job.profile.seed;
-}
-
 harness::JournalRecord
 Server::cancelRecord(const Grid &grid, std::size_t index) const
 {
@@ -349,7 +341,7 @@ Server::cancelRecord(const Grid &grid, std::size_t index) const
     rec.job_index = index;
     rec.machine_hash =
         harness::machineHash(grid.jobs[index].machine);
-    rec.seed = gridSeed(grid, index);
+    rec.seed = harness::jobSeed(grid.jobs[index], grid.base_seed);
     rec.outcome.ok = false;
     rec.outcome.code = util::SimErrorCode::Cancelled;
     rec.outcome.error = "cancelled while queued";
@@ -410,7 +402,11 @@ Server::loadSpool()
             fs::resize_file(path, man.valid_bytes);
 
         const auto makeGrid = [&]() -> std::unique_ptr<Grid> {
-            auto g = std::make_unique<Grid>();
+            // The trace id is a pure function of the fingerprint, so
+            // a restarted daemon re-mints the same id and the spans
+            // it emits land in the same trace as the first life's.
+            auto g = std::make_unique<Grid>(
+                obs::traceIdForGrid(man.fingerprint));
             g->jobs = buildJobs(man.jobs);
             g->fingerprint = man.fingerprint;
             g->tenant = man.tenant;
@@ -429,11 +425,6 @@ Server::loadSpool()
                 config_.progress_every != 0
                     ? config_.progress_every
                     : std::max<std::size_t>(1, g->jobs.size() / 4);
-            // The trace id is a pure function of the fingerprint, so
-            // a restarted daemon re-mints the same id and the spans
-            // it emits land in the same trace as the first life's.
-            g->trace_id = obs::traceIdForGrid(g->fingerprint);
-            g->timeline.setTrace(g->trace_id);
             return g;
         };
 
@@ -542,25 +533,6 @@ Server::loadSpool()
     }
 }
 
-harness::SweepOutcome
-Server::executeJob(Grid &grid, std::size_t index)
-{
-    harness::SweepOptions options;
-    options.workers = 1;
-    options.base_seed = grid.base_seed;
-    options.retries = grid.retries;
-    options.deadline_ms = grid.deadline_ms;
-    options.backoff_ms = grid.backoff_ms;
-    options.preflight = false; // linted once at admission
-    options.cancel = &grid.cancelled;
-    options.timeline = &grid.timeline;
-    options.timeline_job_base = index;
-    harness::SweepRunner runner(std::move(options));
-    std::vector<harness::SweepOutcome> outcomes =
-        runner.runOutcomes({grid.jobs[index]});
-    return std::move(outcomes.front());
-}
-
 void
 Server::workerMain()
 {
@@ -583,12 +555,16 @@ Server::workerMain()
             ++running_jobs_;
         }
 
-        harness::JournalRecord rec;
-        rec.job_index = unit.job_index;
-        rec.machine_hash = harness::machineHash(
-            grid->jobs[unit.job_index].machine);
-        rec.seed = gridSeed(*grid, unit.job_index);
-        rec.outcome = executeJob(*grid, unit.job_index);
+        harness::SweepOptions policy;
+        policy.base_seed = grid->base_seed;
+        policy.retries = grid->retries;
+        policy.deadline_ms = grid->deadline_ms;
+        policy.backoff_ms = grid->backoff_ms;
+        policy.cancel = &grid->cancelled;
+        policy.span_log = &grid->span_log;
+        harness::JournalRecord rec =
+            harness::runJob(grid->jobs[unit.job_index], unit.job_index,
+                            std::move(policy));
         // Durable before visible: the journal append is flushed
         // before the completion is posted, so a SIGKILL landing here
         // loses nothing a client was ever told about.
@@ -751,11 +727,11 @@ Server::shardMain()
         std::vector<harness::JournalRecord> records;
         records.reserve(batch.size());
         for (std::size_t k = 0; k < batch.size(); ++k) {
+            const harness::SweepJob &job = grid->jobs[batch[k]];
             harness::JournalRecord rec;
             rec.job_index = batch[k];
-            rec.machine_hash =
-                harness::machineHash(grid->jobs[batch[k]].machine);
-            rec.seed = gridSeed(*grid, batch[k]);
+            rec.machine_hash = harness::machineHash(job.machine);
+            rec.seed = harness::jobSeed(job, grid->base_seed);
             rec.outcome = std::move(outcomes[k]);
             grid->journal->append(rec);
             records.push_back(std::move(rec));
@@ -1106,7 +1082,13 @@ Server::handleSubmit(Session &session, const std::string &payload)
         return;
     }
 
-    auto grid = std::make_unique<Grid>();
+    // Causal trace id: the client's if it sent one, else minted from
+    // the fingerprint. (A restart re-mints from the fingerprint, so a
+    // client-supplied id does not survive resume — the manifest
+    // format predates tracing and stays byte-stable.)
+    const std::uint64_t trace =
+        msg.trace_id != 0 ? msg.trace_id : obs::traceIdForGrid(fp);
+    auto grid = std::make_unique<Grid>(trace);
     grid->fingerprint = fp;
     grid->tenant = session.tenant();
     grid->label = msg.label;
@@ -1122,13 +1104,6 @@ Server::handleSubmit(Session &session, const std::string &payload)
         config_.progress_every != 0
             ? config_.progress_every
             : std::max<std::size_t>(1, grid->jobs.size() / 4);
-    // Causal trace id: the client's if it sent one, else minted from
-    // the fingerprint. (A restart re-mints from the fingerprint, so a
-    // client-supplied id does not survive resume — the manifest
-    // format predates tracing and stays byte-stable.)
-    grid->trace_id = msg.trace_id != 0 ? msg.trace_id
-                                       : obs::traceIdForGrid(fp);
-    grid->timeline.setTrace(grid->trace_id);
 
     // Durability point: manifest first (flushed), then the journal
     // header. Only after both exist is the client told Accepted —
@@ -1157,7 +1132,6 @@ Server::handleSubmit(Session &session, const std::string &payload)
     }
 
     const std::size_t total = grid->jobs.size();
-    const std::uint64_t trace = grid->trace_id;
     // The admission stage span: decode through durability point, on
     // the serve track, parented to the grid root.
     {
@@ -1169,7 +1143,7 @@ Server::handleSubmit(Session &session, const std::string &payload)
         adm.cat = "admission";
         adm.pid = 0;
         adm.ts_us = 0.0;
-        adm.dur_us = grid->timer.seconds() * 1e6;
+        adm.dur_us = grid->span_log.nowUs();
         grid->span_log.add(std::move(adm));
     }
     {
@@ -1411,93 +1385,17 @@ Server::streamOutcome(Grid &grid, std::size_t index)
 }
 
 /**
- * Fold the grid's spans — the serve-side root + admission, the
- * worker-pool timeline, and everything the swarm and its shards
- * contributed via the span log — into one Chrome trace next to the
- * grid's spool pair. Diagnostics must never fail the grid, so every
- * failure path warns and returns. mutex_ held.
+ * Write the grid's spans — admission, the worker pool's job and
+ * attempt spans, and everything the swarm and its shards contributed
+ * — under the grid root as one Chrome trace next to the grid's spool
+ * pair. Diagnostics must never fail the grid, so every failure path
+ * warns and returns. mutex_ held.
  */
 void
 Server::writeGridTrace(Grid &grid)
 {
     if (grid.trace_id == 0)
         return;
-    const std::uint64_t trace = grid.trace_id;
-    std::vector<obs::Span> spans;
-
-    obs::Span root;
-    root.trace_id = trace;
-    root.span_id = obs::rootSpanId(trace);
-    root.name = grid.label.empty()
-                    ? detail::concat("grid ", obs::hexId(trace))
-                    : grid.label;
-    root.cat = "grid";
-    root.pid = 0;
-    root.ts_us = 0.0;
-    root.dur_us = grid.timer.seconds() * 1e6;
-    spans.push_back(std::move(root));
-
-    // Worker-pool path: one "job" span per job spanning its attempts
-    // (the attempts' derived parent), then the attempts themselves.
-    struct JobExtent
-    {
-        double start_us = 0.0;
-        double end_us = 0.0;
-        std::uint32_t tid = 0;
-        std::string label;
-    };
-    std::map<std::uint64_t, JobExtent> extents;
-    for (const harness::TimelineSpan &t : grid.timeline.spans()) {
-        const auto [it, fresh] = extents.try_emplace(t.job);
-        JobExtent &ext = it->second;
-        if (fresh) {
-            ext.start_us = t.start_ms * 1000.0;
-            ext.end_us = t.end_ms * 1000.0;
-            ext.tid = t.worker;
-            ext.label = t.label;
-        } else {
-            ext.start_us = std::min(ext.start_us, t.start_ms * 1000.0);
-            ext.end_us = std::max(ext.end_us, t.end_ms * 1000.0);
-        }
-    }
-    for (const auto &[job, ext] : extents) {
-        obs::Span js;
-        js.trace_id = trace;
-        js.span_id = obs::jobSpanId(trace, job);
-        js.parent_id = obs::rootSpanId(trace);
-        js.name = ext.label;
-        js.cat = "job";
-        js.pid = 0;
-        js.tid = ext.tid;
-        js.ts_us = ext.start_us;
-        js.dur_us = ext.end_us - ext.start_us;
-        js.job = job;
-        js.has_job = true;
-        spans.push_back(std::move(js));
-    }
-    const std::vector<obs::Span> attempts = obs::spansFromTimeline(
-        grid.timeline, trace, /*pid=*/0, /*epoch=*/0);
-    spans.insert(spans.end(), attempts.begin(), attempts.end());
-
-    // Service + fabric spans (admission; on the shard backend the
-    // swarm/lease/dispatch/merge spans and folded shard attempts).
-    const std::vector<obs::Span> logged = grid.span_log.spans();
-    spans.insert(spans.end(), logged.begin(), logged.end());
-
-    std::vector<obs::ProcessName> processes;
-    std::set<std::uint32_t> pids;
-    for (const obs::Span &s : spans)
-        pids.insert(s.pid);
-    for (const std::uint32_t pid : pids) {
-        if (pid == 0)
-            processes.push_back({pid, "aurora_serve"});
-        else if (pid == 1)
-            processes.push_back({pid, "swarm coordinator"});
-        else
-            processes.push_back(
-                {pid, detail::concat("aurora_shardd e", pid - 100)});
-    }
-
     const std::string path =
         spoolFile(grid.fingerprint, ".trace.json");
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -1505,7 +1403,13 @@ Server::writeGridTrace(Grid &grid)
         warn(detail::concat("cannot write grid trace ", path));
         return;
     }
-    obs::writeChromeTrace(os, spans, processes);
+    const std::vector<obs::Span> spans = grid.span_log.spans();
+    obs::writeGridTrace(
+        os, spans, grid.trace_id,
+        grid.label.empty()
+            ? detail::concat("grid ", obs::hexId(grid.trace_id))
+            : grid.label,
+        /*pid=*/0, grid.span_log.nowUs(), "aurora_serve");
     os.flush();
     if (!os.good()) {
         warn(detail::concat("short write on grid trace ", path));
@@ -1514,7 +1418,7 @@ Server::writeGridTrace(Grid &grid)
     flight_.note("trace.write", {}, path);
     if (config_.verbose)
         inform(detail::concat("aurora_serve: wrote trace ", path,
-                              " (", spans.size(), " spans)"));
+                              " (", spans.size() + 1, " spans)"));
 }
 
 /** Grid reached its terminal state; mutex_ held. */

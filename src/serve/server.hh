@@ -183,10 +183,8 @@ class Server
     void cancelGrid(Grid &grid);
     void markCancelManifest(Grid &grid);
     void gridCompleted(Grid &grid);
-    harness::SweepOutcome executeJob(Grid &grid, std::size_t index);
     void applyRecord(Grid &grid, harness::JournalRecord record,
                      bool from_journal);
-    std::uint64_t gridSeed(const Grid &grid, std::size_t index) const;
     harness::JournalRecord cancelRecord(const Grid &grid,
                                         std::size_t index) const;
     void broadcast(std::uint64_t fingerprint,

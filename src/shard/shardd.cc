@@ -13,7 +13,6 @@
 #include "core/config_io.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
-#include "harness/sweep_trace.hh"
 #include "obs/flight.hh"
 #include "obs/ids.hh"
 #include "obs/trace.hh"
@@ -55,44 +54,24 @@ buildJob(const wire::JobSpec &spec)
 }
 
 /**
- * Execute one assigned job, mirroring aurora_serve's executeJob()
- * shape exactly (workers=1, preflight off) so the journal record is
- * bit-identical to what a serial SweepRunner run of the same grid
- * would write for this index.
+ * Execute one assigned job through harness::runJob, so its journal
+ * record is bit-identical to what a serial SweepRunner run of the
+ * same grid would write for this index. @p spans (observation only)
+ * receives its attempt spans.
  */
 harness::JournalRecord
-runAssignedJob(const wire::JobSpec &spec,
-               harness::SweepTimeline *timeline = nullptr)
+runAssignedJob(const wire::JobSpec &spec, obs::SpanLog *spans)
 {
-    const harness::SweepJob job = buildJob(spec);
-    const std::uint64_t mh = harness::machineHash(job.machine);
-
-    harness::SweepOptions options;
-    options.workers = 1;
+    harness::SweepOptions policy;
     if (spec.has_base_seed)
-        options.base_seed = spec.base_seed;
-    options.retries = spec.retries;
-    options.deadline_ms = spec.deadline_ms;
-    options.backoff_ms = spec.backoff_ms;
-    options.preflight = false; // the coordinator linted at admission
-    // Observation only: the timeline records attempts, it never
-    // steers them — the journal record stays bit-identical.
-    options.timeline = timeline;
-    options.timeline_job_base =
-        static_cast<std::size_t>(spec.job_index);
-    harness::SweepRunner runner(std::move(options));
-    std::vector<harness::SweepOutcome> outcomes =
-        runner.runOutcomes({job});
-
-    harness::JournalRecord rec;
-    rec.job_index = spec.job_index;
-    rec.machine_hash = mh;
-    rec.seed = spec.has_base_seed
-                   ? harness::deriveJobSeed(spec.base_seed, mh,
-                                            job.profile.name)
-                   : job.profile.seed;
-    rec.outcome = std::move(outcomes.front());
-    return rec;
+        policy.base_seed = spec.base_seed;
+    policy.retries = spec.retries;
+    policy.deadline_ms = spec.deadline_ms;
+    policy.backoff_ms = spec.backoff_ms;
+    policy.span_log = spans;
+    return harness::runJob(buildJob(spec),
+                           static_cast<std::size_t>(spec.job_index),
+                           std::move(policy));
 }
 
 /** Sleep in interruptible 50 ms slices (keeps a wedged/zombie shard
@@ -225,27 +204,21 @@ runShardWorker(const ShardWorkerConfig &config)
     const auto runFrontJob = [&] {
         const wire::JobSpec spec = queue.front();
         queue.pop_front();
-        harness::SweepTimeline timeline;
-        timeline.setTrace(trace_id);
+        // Attempt spans parent to the coordinator's dispatch span
+        // for this ticket — both sides derive the same id from
+        // (trace, ticket, epoch), so no ids cross the wire.
+        obs::SpanLog job_spans(obs::TraceContext{
+            trace_id, static_cast<std::uint32_t>(100 + welcome.epoch),
+            welcome.epoch,
+            obs::dispatchSpanId(trace_id, spec.ticket, welcome.epoch)});
         const bool tracing = spans != nullptr && trace_id != 0;
         const harness::JournalRecord rec =
-            runAssignedJob(spec, tracing ? &timeline : nullptr);
+            runAssignedJob(spec, tracing ? &job_spans : nullptr);
         const std::string bytes = harness::encodeJournalRecord(rec);
         journal->append({welcome.epoch, spec.ticket, bytes});
-        if (tracing) {
-            // Attempt spans parent to the coordinator's dispatch span
-            // for this ticket — both sides derive the same id from
-            // (trace, ticket, epoch), so no ids cross the wire.
-            const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-                parents = {{spec.job_index,
-                            obs::dispatchSpanId(trace_id, spec.ticket,
-                                                welcome.epoch)}};
-            for (const obs::Span &span : obs::spansFromTimeline(
-                     timeline, trace_id,
-                     static_cast<std::uint32_t>(100 + welcome.epoch),
-                     welcome.epoch, &parents))
+        if (tracing)
+            for (const obs::Span &span : job_spans.spans())
                 spans->append(span);
-        }
         wire::sendFrame(fd.get(),
                         wire::encode(wire::ResultMsg{
                             welcome.slot, welcome.epoch, spec.ticket,

@@ -953,10 +953,7 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
         const harness::SweepJob &job = grid[i];
         const std::uint64_t mh = harness::machineHash(job.machine);
         const std::uint64_t seed =
-            options.base_seed
-                ? harness::deriveJobSeed(*options.base_seed, mh,
-                                         job.profile.name)
-                : job.profile.seed;
+            harness::jobSeed(job, options.base_seed);
         if (rec.machine_hash != mh || rec.seed != seed)
             util::raiseError(
                 util::SimErrorCode::BadJournal,

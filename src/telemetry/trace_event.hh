@@ -7,8 +7,9 @@
  * ('C') and metadata ('M') — and writes a {"traceEvents": [...]}
  * document that loads directly in ui.perfetto.dev or
  * chrome://tracing. Timestamps are microseconds; the simulator maps
- * one cycle to one microsecond, and the sweep timeline maps one
- * wall-clock millisecond to a thousand.
+ * one cycle to one microsecond, and causal span traces
+ * (obs::writeChromeTrace) map one wall-clock millisecond to a
+ * thousand.
  *
  * TraceEventObserver is the per-cycle zoom level: attached to a
  * Processor (aurora_sim --trace-events out.json) it renders issue

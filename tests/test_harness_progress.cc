@@ -2,8 +2,9 @@
  * @file
  * Sweep progress telemetry tests: the on_progress heartbeat fires on
  * a deterministic job-count cadence with consistent counters at any
- * worker count, classifies ok/failed/timed-out/retried jobs, and the
- * sweep timeline records one span per attempt and renders as a valid
+ * worker count, classifies ok/failed/timed-out/retried jobs, and a
+ * sweep's span log records one attempt span per attempt and one job
+ * span per job on dense per-thread tracks, and renders as a valid
  * trace-event document.
  */
 
@@ -11,14 +12,20 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/simulator.hh"
+#include "harness/journal.hh"
 #include "harness/sweep.hh"
-#include "harness/sweep_trace.hh"
+#include "obs/ids.hh"
+#include "obs/trace.hh"
 #include "telemetry/json.hh"
 #include "trace/spec_profiles.hh"
 
@@ -190,7 +197,7 @@ TEST(Progress, HeartbeatsNeverPerturbResults)
     }
 }
 
-TEST(Timeline, RecordsOneSpanPerAttemptWithDenseWorkerIds)
+TEST(SpanLog, RecordsOneSpanPerAttemptWithDenseTrackIds)
 {
     auto tasks = healthyTasks(3);
     auto flaky_calls = std::make_shared<std::atomic<unsigned>>(0);
@@ -201,42 +208,103 @@ TEST(Timeline, RecordsOneSpanPerAttemptWithDenseWorkerIds)
         return simulate(baselineModel(), trace::li(), N);
     });
 
-    SweepTimeline timeline;
+    obs::SpanLog log;
     SweepOptions opts;
     opts.workers = 2;
     opts.retries = 1;
-    opts.timeline = &timeline;
+    opts.span_log = &log;
     SweepRunner runner(opts);
     runner.runTaskOutcomes(tasks);
 
-    // 3 healthy attempts + failed attempt + retry attempt.
-    const auto spans = timeline.spans();
-    ASSERT_EQ(spans.size(), 5u);
-    std::size_t failed = 0, second_attempts = 0;
-    for (const TimelineSpan &span : spans) {
-        EXPECT_LE(span.start_ms, span.end_ms);
-        EXPECT_LT(span.worker, 2u);
-        if (span.kind == SpanKind::Failed) {
-            ++failed;
-            EXPECT_FALSE(span.error.empty());
+    // 3 healthy attempts + failed attempt + retry attempt, and one
+    // job span per job.
+    std::size_t attempts = 0, jobs = 0, failed = 0, second_attempts = 0;
+    for (const obs::Span &span : log.spans()) {
+        EXPECT_GE(span.dur_us, 0.0);
+        EXPECT_LT(span.tid, 2u);
+        EXPECT_TRUE(span.has_job);
+        if (span.cat == "job") {
+            ++jobs;
+            continue;
         }
+        ASSERT_EQ(span.cat, "attempt");
+        ++attempts;
+        failed += !span.error.empty();
         second_attempts += span.attempt == 2;
     }
+    EXPECT_EQ(attempts, 5u);
+    EXPECT_EQ(jobs, 4u);
     EXPECT_EQ(failed, 1u);
     EXPECT_EQ(second_attempts, 1u);
 }
 
-TEST(Timeline, RendersAsValidTraceEventDocument)
+TEST(SpanLog, TrackIdsAreDensePerThread)
 {
-    SweepTimeline timeline;
+    obs::SpanLog log;
+    const std::uint32_t mine = log.trackId();
+    EXPECT_EQ(mine, 0u);
+    EXPECT_EQ(log.trackId(), mine); // stable for the same thread
+    // Both threads stay alive until both hold an id (a joined
+    // thread's id may be reused by the next one).
+    std::latch assigned(2);
+    std::uint32_t ids[2] = {};
+    std::thread a([&] {
+        ids[0] = log.trackId();
+        assigned.arrive_and_wait();
+    });
+    std::thread b([&] {
+        ids[1] = log.trackId();
+        assigned.arrive_and_wait();
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ((std::set<std::uint32_t>{ids[0], ids[1]}),
+              (std::set<std::uint32_t>{1, 2}));
+}
+
+TEST(SpanLog, OneJobRunnersShareOneTrackPerWorkerThread)
+{
+    // The service's shape: many one-job sweeps, executed by a small
+    // pool of threads, all recording into one grid-wide log.
+    obs::SpanLog log;
+    std::vector<SweepJob> grid;
+    for (int i = 0; i < 6; ++i)
+        grid.push_back({baselineModel(), trace::espresso(), N});
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < 2; ++t)
+        pool.emplace_back([&, t] {
+            for (std::size_t i = t; i < grid.size(); i += 2) {
+                SweepOptions policy;
+                policy.span_log = &log;
+                runJob(grid[i], i, policy);
+            }
+        });
+    for (std::thread &thread : pool)
+        thread.join();
+
+    std::set<std::uint32_t> tracks;
+    std::set<std::uint64_t> jobs;
+    for (const obs::Span &span : log.spans()) {
+        tracks.insert(span.tid);
+        jobs.insert(span.job);
+    }
+    EXPECT_EQ(tracks, (std::set<std::uint32_t>{0, 1}));
+    EXPECT_EQ(jobs.size(), grid.size()); // span_job_base = index
+}
+
+TEST(SpanLog, RendersAsValidTraceEventDocument)
+{
+    obs::SpanLog log(obs::TraceContext{obs::traceIdForGrid(7)});
     SweepOptions opts;
     opts.workers = 2;
-    opts.timeline = &timeline;
+    opts.span_log = &log;
     SweepRunner runner(opts);
     runner.runTaskOutcomes(healthyTasks(4));
 
     std::ostringstream os;
-    writeTimelineTrace(os, timeline, "progress test sweep");
+    obs::writeGridTrace(os, log.spans(), log.context().trace_id,
+                        "progress test sweep", /*pid=*/0, log.nowUs(),
+                        "test");
     std::string error;
     const auto doc = telemetry::parseJson(os.str(), &error);
     ASSERT_TRUE(doc) << error;
@@ -246,12 +314,12 @@ TEST(Timeline, RendersAsValidTraceEventDocument)
     // Spans are sorted per worker track with non-decreasing starts.
     double last_ts = -1.0;
     double last_tid = -1.0;
-    std::size_t spans = 0;
+    std::map<std::string, std::size_t> by_cat;
     for (const auto &e : events->array) {
         if (e.find("ph")->string == "M")
             continue;
         ASSERT_EQ(e.find("ph")->string, "X");
-        ++spans;
+        ++by_cat[e.find("cat")->string];
         const double tid = e.find("tid")->number;
         const double ts = e.find("ts")->number;
         if (tid == last_tid) {
@@ -260,17 +328,11 @@ TEST(Timeline, RendersAsValidTraceEventDocument)
         last_tid = tid;
         last_ts = ts;
         EXPECT_GE(e.find("dur")->number, 0.0);
-        EXPECT_EQ(e.find("cat")->string, "ok");
+        // Healthy attempts carry no error arg.
+        EXPECT_EQ(e.find("args")->find("error"), nullptr);
     }
-    EXPECT_EQ(spans, 4u);
-}
-
-TEST(Progress, SpanKindNamesAreStable)
-{
-    EXPECT_EQ(spanKindName(SpanKind::Ok), "ok");
-    EXPECT_EQ(spanKindName(SpanKind::Failed), "failed");
-    EXPECT_EQ(spanKindName(SpanKind::TimedOut), "timeout");
-    EXPECT_EQ(spanKindName(SpanKind::Resumed), "resumed");
+    EXPECT_EQ(by_cat, (std::map<std::string, std::size_t>{
+                          {"attempt", 4}, {"grid", 1}, {"job", 4}}));
 }
 
 } // namespace

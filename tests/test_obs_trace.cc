@@ -2,22 +2,28 @@
  * @file
  * Causal-span tests: id-derivation invariants (nonzero, domain
  * separation, cross-process agreement), the span file's torn-tail /
- * corruption-offset contract, timeline→span conversion with both
- * parent schemes (worker-pool job parents, shard dispatch parents),
- * and Chrome-trace rendering with hex id args.
+ * corruption-offset contract, the spans a real SweepRunner records
+ * under both parent schemes (worker-pool job parents, shard dispatch
+ * parents) and their inertness, and Chrome-trace rendering with hex
+ * id args.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 
-#include "harness/sweep_trace.hh"
+#include "core/simulator.hh"
+#include "harness/journal.hh"
+#include "harness/sweep.hh"
 #include "obs/ids.hh"
 #include "obs/trace.hh"
+#include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
 
 namespace
@@ -155,78 +161,162 @@ TEST(SpanFile, MissingFileRaises)
                  SimError);
 }
 
-void
-fillTimeline(harness::SweepTimeline &timeline, std::uint64_t trace)
+constexpr Count SPAN_INSTS = 3000;
+
+std::vector<harness::SweepJob>
+smallGrid()
 {
-    timeline.setTrace(trace);
-    harness::TimelineSpan a;
-    a.job = 0;
-    a.label = "espresso@small";
-    a.attempt = 1;
-    a.start_ms = 1.0;
-    a.end_ms = 2.5;
-    timeline.record(a);
-    harness::TimelineSpan b;
-    b.job = 1;
-    b.label = "li@small";
-    b.attempt = 2;
-    b.start_ms = 2.0;
-    b.end_ms = 4.0;
-    b.kind = harness::SpanKind::Failed;
-    b.error = "boom";
-    timeline.record(b);
-    harness::TimelineSpan c;
-    c.job = 2;
-    c.label = "replayed";
-    c.attempt = 0;
-    c.kind = harness::SpanKind::Resumed;
-    timeline.record(c);
+    std::vector<harness::SweepJob> grid;
+    for (const char *name : {"espresso", "li", "eqntott", "compress"})
+        grid.push_back({core::baselineModel(),
+                        trace::profileByName(name), SPAN_INSTS});
+    return grid;
 }
 
-TEST(SpansFromTimeline, WorkerPoolAttemptsParentToJobSpans)
+const obs::Span *
+findSpan(const std::vector<obs::Span> &spans, std::uint64_t id)
+{
+    for (const obs::Span &span : spans)
+        if (span.span_id == id)
+            return &span;
+    return nullptr;
+}
+
+TEST(SweepSpans, WorkerPoolAttemptsParentToJobSpansUnderTheRoot)
 {
     const std::uint64_t trace = obs::traceIdForGrid(99);
-    harness::SweepTimeline timeline;
-    fillTimeline(timeline, trace);
-    const auto spans =
-        obs::spansFromTimeline(timeline, trace, /*pid=*/0,
-                               /*epoch=*/0);
-    ASSERT_EQ(spans.size(), 3u);
-    EXPECT_EQ(spans[0].span_id, obs::attemptSpanId(trace, 0, 1));
-    EXPECT_EQ(spans[0].parent_id, obs::jobSpanId(trace, 0));
-    EXPECT_EQ(spans[1].parent_id, obs::jobSpanId(trace, 1));
-    EXPECT_EQ(spans[1].error, "boom");
-    EXPECT_TRUE(spans[2].instant); // resumed replay = instant
-    // 1 wall ms = 1000 trace µs.
-    EXPECT_DOUBLE_EQ(spans[0].ts_us, 1000.0);
-    EXPECT_DOUBLE_EQ(spans[0].dur_us, 1500.0);
+    obs::SpanLog log(obs::TraceContext{trace});
+
+    // Jobs 0-2: healthy, flaky (recovers on attempt 2), timed out.
+    auto flaky_calls = std::make_shared<std::atomic<unsigned>>(0);
+    std::vector<std::function<core::RunResult()>> tasks = {
+        [] {
+            return core::simulate(core::baselineModel(),
+                                  trace::espresso(), SPAN_INSTS);
+        },
+        [flaky_calls] {
+            if (flaky_calls->fetch_add(1) == 0)
+                util::raiseError(util::SimErrorCode::Internal,
+                                 "transient");
+            return core::simulate(core::baselineModel(), trace::li(),
+                                  SPAN_INSTS);
+        },
+        []() -> core::RunResult {
+            util::raiseError(util::SimErrorCode::Timeout,
+                             "deadline expired");
+        },
+    };
+    harness::SweepOptions opts;
+    opts.workers = 2;
+    opts.retries = 1;
+    opts.span_log = &log;
+    harness::SweepRunner(opts).runTaskOutcomes(tasks);
+
+    // Jobs 3-6: a journaled grid, then resumed into the same log —
+    // every job replays as an instant.
+    const std::string journal = tempPath("sweep_spans.ajrn");
+    fs::remove(journal);
+    harness::SweepOptions jopts;
+    jopts.workers = 1;
+    jopts.journal = journal;
+    harness::SweepRunner(jopts).runOutcomes(smallGrid());
+    jopts.resume = true;
+    jopts.span_log = &log;
+    jopts.span_job_base = tasks.size();
+    harness::SweepRunner(jopts).runOutcomes(smallGrid());
+    fs::remove(journal);
+
+    const std::vector<obs::Span> spans = log.spans();
+    // 4 attempts (job 1 twice) + 3 job spans + 4 replays + 4 jobs.
+    ASSERT_EQ(spans.size(), 15u);
+    for (const obs::Span &span : spans) {
+        EXPECT_EQ(span.trace_id, trace);
+        EXPECT_EQ(span.pid, 0u);
+        ASSERT_TRUE(span.has_job);
+        if (span.cat == "job") {
+            EXPECT_EQ(span.span_id, obs::jobSpanId(trace, span.job));
+            EXPECT_EQ(span.parent_id, obs::rootSpanId(trace));
+        } else {
+            ASSERT_EQ(span.cat, "attempt");
+            EXPECT_EQ(span.span_id,
+                      obs::attemptSpanId(trace, span.job, span.attempt));
+            EXPECT_EQ(span.parent_id, obs::jobSpanId(trace, span.job));
+            // Parentage closes inside the log (plus the root).
+            EXPECT_NE(findSpan(spans, span.parent_id), nullptr);
+        }
+    }
+
+    const obs::Span *retry =
+        findSpan(spans, obs::attemptSpanId(trace, 1, 2));
+    ASSERT_NE(retry, nullptr);
+    EXPECT_TRUE(retry->error.empty()); // ok = no error
+    const obs::Span *failed =
+        findSpan(spans, obs::attemptSpanId(trace, 1, 1));
+    ASSERT_NE(failed, nullptr);
+    EXPECT_EQ(failed->error.rfind("[Internal]", 0), 0u);
+    const obs::Span *timeout =
+        findSpan(spans, obs::attemptSpanId(trace, 2, 1));
+    ASSERT_NE(timeout, nullptr);
+    EXPECT_EQ(timeout->error.rfind("[Timeout]", 0), 0u);
+    EXPECT_EQ(findSpan(spans, obs::attemptSpanId(trace, 2, 2)), nullptr);
+
+    for (std::uint64_t job = 3; job < 7; ++job) {
+        const obs::Span *replay =
+            findSpan(spans, obs::attemptSpanId(trace, job, 0));
+        ASSERT_NE(replay, nullptr);
+        EXPECT_TRUE(replay->instant);
+        EXPECT_EQ(replay->attempt, 0u);
+        EXPECT_TRUE(replay->error.empty());
+    }
 }
 
-TEST(SpansFromTimeline, ShardAttemptsParentToDispatchSpans)
+TEST(SweepSpans, ShardAttemptsParentToTheDispatchSpan)
 {
     const std::uint64_t trace = obs::traceIdForGrid(99);
     const std::uint64_t epoch = 2;
-    harness::SweepTimeline timeline;
-    fillTimeline(timeline, trace);
-    // The shard path: the coordinator's dispatch spans are the
-    // parents, keyed by job index.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> parents = {
-        {0, obs::dispatchSpanId(trace, 10, epoch)},
-        {1, obs::dispatchSpanId(trace, 11, epoch)},
-        {2, obs::dispatchSpanId(trace, 12, epoch)},
-    };
-    const auto spans = obs::spansFromTimeline(timeline, trace,
-                                              /*pid=*/102, epoch,
-                                              &parents);
-    ASSERT_EQ(spans.size(), 3u);
-    EXPECT_EQ(spans[0].parent_id,
-              obs::dispatchSpanId(trace, 10, epoch));
+    const std::uint64_t dispatch = obs::dispatchSpanId(trace, 10, epoch);
+    obs::SpanLog log(obs::TraceContext{
+        trace, static_cast<std::uint32_t>(100 + epoch), epoch, dispatch});
+    harness::SweepOptions policy;
+    policy.span_log = &log;
+    const harness::JournalRecord rec =
+        harness::runJob(smallGrid()[1], /*index=*/5, policy);
+    ASSERT_TRUE(rec.outcome.ok);
+
+    // The dispatch span stands in for the job span: one attempt only.
+    const std::vector<obs::Span> spans = log.spans();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].cat, "attempt");
+    EXPECT_EQ(spans[0].parent_id, dispatch);
+    EXPECT_EQ(spans[0].job, 5u);
     // Epoch-qualified attempt ids: the same job+attempt on another
     // incarnation is a distinct span.
-    EXPECT_EQ(spans[0].span_id,
-              obs::attemptSpanId(trace, 0, 1, epoch));
-    EXPECT_NE(spans[0].span_id, obs::attemptSpanId(trace, 0, 1));
+    EXPECT_EQ(spans[0].span_id, obs::attemptSpanId(trace, 5, 1, epoch));
+    EXPECT_NE(spans[0].span_id, obs::attemptSpanId(trace, 5, 1));
     EXPECT_EQ(spans[0].pid, 102u);
+}
+
+TEST(SweepSpans, OutcomesAreByteIdenticalWithAndWithoutSpanLog)
+{
+    for (const unsigned workers : {1u, 4u}) {
+        harness::SweepOptions opts;
+        opts.workers = workers;
+        opts.base_seed = 17;
+        const auto plain = harness::SweepRunner(opts).runOutcomes(
+            smallGrid());
+        obs::SpanLog log(obs::TraceContext{obs::traceIdForGrid(3)});
+        opts.span_log = &log;
+        const auto traced = harness::SweepRunner(opts).runOutcomes(
+            smallGrid());
+        EXPECT_EQ(log.size(), 2 * smallGrid().size());
+        ASSERT_EQ(plain.size(), traced.size());
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            ASSERT_TRUE(plain[i].ok && traced[i].ok);
+            EXPECT_EQ(harness::runResultBytes(plain[i].result),
+                      harness::runResultBytes(traced[i].result))
+                << "job " << i << " at " << workers << " workers";
+        }
+    }
 }
 
 TEST(ChromeTrace, RendersHexIdArgsAndProcessNames)

@@ -31,8 +31,10 @@
  *                     --trace-event-cycles (single benchmark only)
  *   --trace-event-cycles N  cycles captured by --trace-events
  *                     (default 50000)
- *   --sweep-trace FILE  with --journal: write the sweep's per-job
- *                     worker timeline as a Chrome trace-event file
+ *   --sweep-trace FILE  with --journal: write the sweep's causal
+ *                     trace (grid root, per-job and per-attempt
+ *                     spans, one track per worker) as a Chrome
+ *                     trace-event file
  *
  * Remaining key=value arguments configure the machine; see
  * `src/core/config_io.hh` (model=, icache=, mshr=, latency=,
@@ -63,8 +65,10 @@
 #include "core/pipeline_trace.hh"
 #include "core/report.hh"
 #include "core/simulator.hh"
+#include "harness/journal.hh"
 #include "harness/sweep.hh"
-#include "harness/sweep_trace.hh"
+#include "obs/ids.hh"
+#include "obs/trace.hh"
 #include "telemetry/export.hh"
 #include "telemetry/sampler.hh"
 #include "telemetry/trace_event.hh"
@@ -255,7 +259,7 @@ run(int argc, char **argv)
     if (!request.sweep_trace.empty() && journal.empty())
         util::raiseError(util::SimErrorCode::BadConfig,
                          "--sweep-trace requires --journal FILE (it "
-                         "renders the sweep engine's job timeline)");
+                         "traces the sweep engine's jobs)");
 
     if (!trace_file.empty()) {
         if (!journal.empty() || resume)
@@ -310,23 +314,30 @@ run(int argc, char **argv)
             util::raiseError(util::SimErrorCode::BadConfig,
                              "--journal cannot be combined with "
                              "--trace-events (use --sweep-trace for "
-                             "the sweep-level timeline)");
+                             "the sweep-level trace)");
         // Synthetic runs through the sweep engine share its journal:
         // every completed benchmark is flushed to disk, and --resume
         // replays finished ones bit-identically (see docs/harness.md).
-        harness::SweepTimeline timeline;
+        const std::vector<harness::SweepJob> grid =
+            harness::suiteJobs(machine, suite, insts);
         harness::SweepOptions sweep_options;
         sweep_options.watchdog = watchdog;
         sweep_options.journal = journal;
         sweep_options.resume = resume;
+        // The trace id is a pure function of the grid, so a --resume
+        // run traces into the same id as the run it continues.
+        const std::uint64_t trace_id = obs::traceIdForGrid(
+            harness::gridFingerprint(grid, sweep_options.base_seed));
+        obs::SpanLog spans(obs::TraceContext{trace_id});
         if (!request.sweep_trace.empty())
-            sweep_options.timeline = &timeline;
+            sweep_options.span_log = &spans;
         harness::SweepRunner runner(sweep_options);
-        const auto outcomes =
-            runner.runOutcomes(harness::suiteJobs(machine, suite, insts));
+        const auto outcomes = runner.runOutcomes(grid);
         if (!request.sweep_trace.empty()) {
             Output out(request.sweep_trace);
-            harness::writeTimelineTrace(out.stream(), timeline);
+            obs::writeGridTrace(out.stream(), spans.spans(), trace_id,
+                                "grid " + obs::hexId(trace_id),
+                                /*pid=*/0, spans.nowUs(), "aurora_sim");
         }
 
         SuiteResult res;

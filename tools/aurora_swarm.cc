@@ -40,11 +40,9 @@
  * <journal-dir>/obs when --trace-out is given.
  */
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -251,35 +249,14 @@ run(int argc, char **argv)
     if (!trace_out.empty()) {
         // This CLI minted the trace, so it owns the grid root: one
         // span covering everything the fabric recorded.
-        std::vector<obs::Span> spans = span_log.spans();
-        double end_us = 0.0;
-        for (const obs::Span &s : spans)
-            end_us = std::max(end_us, s.ts_us + s.dur_us);
-        obs::Span root;
-        root.trace_id = grid_options.trace_id;
-        root.span_id = obs::rootSpanId(grid_options.trace_id);
-        root.name = "grid " + obs::hexId(grid_options.trace_id);
-        root.cat = "grid";
-        root.pid = 1;
-        root.dur_us = end_us;
-        spans.push_back(std::move(root));
-
-        std::vector<obs::ProcessName> processes;
-        std::set<std::uint32_t> pids;
-        for (const obs::Span &s : spans)
-            pids.insert(s.pid);
-        for (const std::uint32_t pid : pids)
-            processes.push_back(
-                {pid, pid == 1 ? std::string("aurora_swarm")
-                               : "aurora_shardd e" +
-                                     std::to_string(pid - 100)});
-
         std::ofstream os(trace_out, std::ios::binary);
         if (!os)
             util::raiseError(util::SimErrorCode::BadTrace,
                              "cannot open --trace-out file '",
                              trace_out, "'");
-        obs::writeChromeTrace(os, spans, processes);
+        obs::writeGridTrace(os, span_log.spans(), grid_options.trace_id,
+                            "grid " + obs::hexId(grid_options.trace_id),
+                            /*pid=*/1, span_log.nowUs(), "aurora_swarm");
     }
 
     SuiteResult res;
