@@ -1,238 +1,38 @@
 #include "journal.hh"
 
-#include "core/stall.hh"
+#include <filesystem>
+
+#include "core/audit.hh"
 #include "util/logging.hh"
 
 namespace aurora::harness
 {
 
-namespace
-{
-
-using util::ByteReader;
-using util::ByteWriter;
-
-/** Payload type tags (first byte of every record). */
-constexpr std::uint8_t REC_HEADER = 1;
-constexpr std::uint8_t REC_JOB = 2;
-
-constexpr std::uint8_t MAX_ERROR_CODE =
-    static_cast<std::uint8_t>(util::SimErrorCode::BadWire);
-
-void
-putOccupancy(ByteWriter &w, const core::OccupancyStats &o)
-{
-    w.f64(o.mean);
-    w.u64(o.p50);
-    w.u64(o.p95);
-    w.u64(o.max);
-}
-
-core::OccupancyStats
-getOccupancy(ByteReader &rd)
-{
-    core::OccupancyStats o;
-    o.mean = rd.f64();
-    o.p50 = rd.u64();
-    o.p95 = rd.u64();
-    o.max = rd.u64();
-    return o;
-}
-
-void
-putRunResult(ByteWriter &w, const core::RunResult &r)
-{
-    w.str(r.model);
-    w.str(r.benchmark);
-    w.u64(r.instructions);
-    w.u64(r.cycles);
-    w.u64(r.issuing_cycles);
-    w.u64(r.tail_cycles);
-    w.u32(static_cast<std::uint32_t>(r.stalls.size()));
-    for (const auto s : r.stalls)
-        w.u64(s);
-    w.f64(r.icache_hit_pct);
-    w.f64(r.dcache_hit_pct);
-    w.f64(r.iprefetch_hit_pct);
-    w.f64(r.dprefetch_hit_pct);
-    w.f64(r.write_cache_hit_pct);
-    w.u64(r.stores);
-    w.u64(r.store_transactions);
-    w.u64(r.fp_dispatched);
-    w.u64(r.fpu.issued);
-    w.u64(r.fpu.dual_cycles);
-    w.u64(r.fpu.blocked_operand);
-    w.u64(r.fpu.blocked_unit);
-    w.u64(r.fpu.blocked_rob);
-    w.u64(r.fpu.blocked_bus);
-    w.u64(r.fpu.loads);
-    w.u64(r.fpu.stores);
-    w.f64(r.rbe_cost);
-    w.u64(r.ledger.trace_instructions);
-    w.u64(r.ledger.retired);
-    w.u64(r.ledger.icache_hits);
-    w.u64(r.ledger.icache_misses);
-    w.u64(r.ledger.icache_accesses);
-    w.u64(r.ledger.dcache_hits);
-    w.u64(r.ledger.dcache_misses);
-    w.u64(r.ledger.dcache_accesses);
-    w.u64(r.ledger.mshr_allocations);
-    w.u64(r.ledger.mshr_releases);
-    w.u64(r.ledger.mshr_outstanding);
-    for (const auto c : r.issue_width_cycles)
-        w.u64(c);
-    w.f64(r.avg_rob_occupancy);
-    w.f64(r.avg_mshr_occupancy);
-    putOccupancy(w, r.rob_occupancy);
-    putOccupancy(w, r.mshr_occupancy);
-    putOccupancy(w, r.fp_instq_occupancy);
-    putOccupancy(w, r.fp_loadq_occupancy);
-    putOccupancy(w, r.fp_storeq_occupancy);
-}
-
-core::RunResult
-getRunResult(ByteReader &rd)
-{
-    core::RunResult r;
-    r.model = rd.str();
-    r.benchmark = rd.str();
-    r.instructions = rd.u64();
-    r.cycles = rd.u64();
-    r.issuing_cycles = rd.u64();
-    r.tail_cycles = rd.u64();
-    if (rd.u32() != core::NUM_STALL_CAUSES)
-        util::raiseError(util::SimErrorCode::BadJournal,
-                         "journaled stall-cause count does not match "
-                         "this build");
-    for (auto &s : r.stalls)
-        s = rd.u64();
-    r.icache_hit_pct = rd.f64();
-    r.dcache_hit_pct = rd.f64();
-    r.iprefetch_hit_pct = rd.f64();
-    r.dprefetch_hit_pct = rd.f64();
-    r.write_cache_hit_pct = rd.f64();
-    r.stores = rd.u64();
-    r.store_transactions = rd.u64();
-    r.fp_dispatched = rd.u64();
-    r.fpu.issued = rd.u64();
-    r.fpu.dual_cycles = rd.u64();
-    r.fpu.blocked_operand = rd.u64();
-    r.fpu.blocked_unit = rd.u64();
-    r.fpu.blocked_rob = rd.u64();
-    r.fpu.blocked_bus = rd.u64();
-    r.fpu.loads = rd.u64();
-    r.fpu.stores = rd.u64();
-    r.rbe_cost = rd.f64();
-    r.ledger.trace_instructions = rd.u64();
-    r.ledger.retired = rd.u64();
-    r.ledger.icache_hits = rd.u64();
-    r.ledger.icache_misses = rd.u64();
-    r.ledger.icache_accesses = rd.u64();
-    r.ledger.dcache_hits = rd.u64();
-    r.ledger.dcache_misses = rd.u64();
-    r.ledger.dcache_accesses = rd.u64();
-    r.ledger.mshr_allocations = rd.u64();
-    r.ledger.mshr_releases = rd.u64();
-    r.ledger.mshr_outstanding = rd.u64();
-    for (auto &c : r.issue_width_cycles)
-        c = rd.u64();
-    r.avg_rob_occupancy = rd.f64();
-    r.avg_mshr_occupancy = rd.f64();
-    r.rob_occupancy = getOccupancy(rd);
-    r.mshr_occupancy = getOccupancy(rd);
-    r.fp_instq_occupancy = getOccupancy(rd);
-    r.fp_loadq_occupancy = getOccupancy(rd);
-    r.fp_storeq_occupancy = getOccupancy(rd);
-    return r;
-}
-
-std::string
-headerPayload(std::uint64_t fingerprint, std::uint64_t jobs)
-{
-    ByteWriter w;
-    w.u8(REC_HEADER);
-    w.u32(JOURNAL_VERSION);
-    w.u64(fingerprint);
-    w.u64(jobs);
-    return w.bytes();
-}
-
-std::string
-jobPayload(const JournalRecord &rec)
-{
-    ByteWriter w;
-    w.u8(REC_JOB);
-    w.u64(rec.job_index);
-    w.u64(rec.machine_hash);
-    w.u64(rec.seed);
-    w.u32(rec.outcome.attempts);
-    w.u8(rec.outcome.ok ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(rec.outcome.code));
-    w.str(rec.outcome.error);
-    w.f64(rec.outcome.seconds);
-    if (rec.outcome.ok)
-        putRunResult(w, rec.outcome.result);
-    return w.bytes();
-}
-
-JournalRecord
-parseJobPayload(ByteReader &rd)
-{
-    JournalRecord rec;
-    rec.job_index = rd.u64();
-    rec.machine_hash = rd.u64();
-    rec.seed = rd.u64();
-    rec.outcome.attempts = rd.u32();
-    rec.outcome.ok = rd.u8() != 0;
-    const std::uint8_t code = rd.u8();
-    if (code > MAX_ERROR_CODE)
-        util::raiseError(util::SimErrorCode::BadJournal,
-                         "journaled error code ",
-                         static_cast<unsigned>(code),
-                         " is out of range");
-    rec.outcome.code = static_cast<util::SimErrorCode>(code);
-    rec.outcome.error = rd.str();
-    rec.outcome.seconds = rd.f64();
-    if (rec.outcome.ok)
-        rec.outcome.result = getRunResult(rd);
-    if (!rd.exhausted())
-        util::raiseError(util::SimErrorCode::BadJournal,
-                         "trailing bytes after a job record "
-                         "(format mismatch)");
-    return rec;
-}
-
-} // namespace
-
 std::string
 encodeJournalRecord(const JournalRecord &record)
 {
-    return jobPayload(record);
+    return util::codec::encode(record);
 }
 
 JournalRecord
 decodeJournalRecord(const std::string &payload)
 {
-    ByteReader rd(payload);
-    if (rd.u8() != REC_JOB)
-        util::raiseError(util::SimErrorCode::BadJournal,
-                         "payload is not a job record");
-    return parseJobPayload(rd);
+    return util::codec::decode<JournalRecord>(payload);
 }
 
 std::string
 runResultBytes(const core::RunResult &result)
 {
-    ByteWriter w;
-    putRunResult(w, result);
-    return w.bytes();
+    util::codec::Encoder io;
+    io.as(RunResultLayout{}, result);
+    return io.bytes();
 }
 
 std::uint64_t
 gridFingerprint(const std::vector<SweepJob> &grid,
                 const std::optional<std::uint64_t> &base_seed)
 {
-    ByteWriter w;
+    util::ByteWriter w;
     w.u8(base_seed ? 1 : 0);
     w.u64(base_seed ? *base_seed : 0);
     w.u64(grid.size());
@@ -264,70 +64,37 @@ runJob(const SweepJob &job, std::size_t index, SweepOptions policy)
 LoadedJournal
 loadJournal(const std::string &path)
 {
-    util::RecordFileReader reader(path);
+    const util::RecordFile file = util::readRecordFile(path, "journal");
     LoadedJournal loaded;
-
-    std::string payload;
-    switch (reader.next(payload)) {
-      case util::RecordStatus::Ok:
-        break;
-      case util::RecordStatus::EndOfFile:
-      case util::RecordStatus::TruncatedTail:
-        util::raiseError(util::SimErrorCode::BadJournal, "journal '",
-                         path, "' has no complete header record");
-      case util::RecordStatus::Corrupt:
-        util::raiseError(util::SimErrorCode::BadJournal, "journal '",
-                         path, "' header record is corrupt");
-    }
-    {
-        ByteReader rd(payload);
-        if (rd.u8() != REC_HEADER)
-            util::raiseError(util::SimErrorCode::BadJournal,
-                             "journal '", path,
-                             "' does not start with a header record");
-        const std::uint32_t version = rd.u32();
-        if (version != JOURNAL_VERSION)
-            util::raiseError(util::SimErrorCode::BadJournal,
-                             "journal '", path, "' is format version ",
-                             version, "; this build reads version ",
-                             JOURNAL_VERSION);
-        loaded.fingerprint = rd.u64();
-        loaded.jobs = rd.u64();
-    }
-
-    for (;;) {
-        const util::RecordStatus status = reader.next(payload);
-        if (status == util::RecordStatus::EndOfFile)
-            break;
-        if (status == util::RecordStatus::TruncatedTail) {
-            // The signature of a writer killed mid-append: the torn
-            // record's job simply re-runs on resume.
-            warn(detail::concat("journal '", path,
-                                "': dropping torn tail record "
-                                "(writer was interrupted)"));
-            loaded.dropped_tail = true;
-            break;
+    loaded.dropped_tail = file.dropped_tail;
+    loaded.valid_bytes = file.valid_bytes;
+    try {
+        const auto header =
+            util::codec::decode<JournalHeader>(file.payloads.front());
+        loaded.fingerprint = header.fingerprint;
+        loaded.jobs = header.jobs;
+        for (std::size_t k = 1; k < file.payloads.size(); ++k) {
+            JournalRecord rec = decodeJournalRecord(file.payloads[k]);
+            if (rec.job_index >= loaded.jobs)
+                util::raiseError(util::SimErrorCode::BadJournal,
+                                 "job index ", rec.job_index,
+                                 " is outside the ", loaded.jobs,
+                                 "-job grid");
+            loaded.records.push_back(std::move(rec));
         }
-        if (status == util::RecordStatus::Corrupt)
-            util::raiseError(util::SimErrorCode::BadJournal,
-                             "journal '", path,
-                             "' is corrupt mid-file (bad frame or "
-                             "CRC mismatch) — refusing to resume "
-                             "from it");
-        ByteReader rd(payload);
-        if (rd.u8() != REC_JOB)
-            util::raiseError(util::SimErrorCode::BadJournal,
-                             "journal '", path,
-                             "' contains an unknown record type");
-        JournalRecord rec = parseJobPayload(rd);
-        if (rec.job_index >= loaded.jobs)
-            util::raiseError(util::SimErrorCode::BadJournal,
-                             "journal '", path, "' job index ",
-                             rec.job_index, " is outside its ",
-                             loaded.jobs, "-job grid");
-        loaded.records.push_back(std::move(rec));
+    } catch (const util::SimError &e) {
+        util::raiseError(e.code(), "journal '", path, "': ",
+                         e.message());
     }
-    loaded.valid_bytes = reader.goodBytes();
+    return loaded;
+}
+
+LoadedJournal
+loadJournalForAppend(const std::string &path)
+{
+    LoadedJournal loaded = loadJournal(path);
+    if (loaded.dropped_tail)
+        std::filesystem::resize_file(path, loaded.valid_bytes);
     return loaded;
 }
 
@@ -336,7 +103,7 @@ JournalWriter::JournalWriter(const std::string &path,
                              std::uint64_t jobs)
     : writer_(path, /*truncate=*/true)
 {
-    writer_.append(headerPayload(fingerprint, jobs));
+    writer_.append(util::codec::encode(JournalHeader{fingerprint, jobs}));
 }
 
 JournalWriter::JournalWriter(const std::string &path)
@@ -348,7 +115,41 @@ void
 JournalWriter::append(const JournalRecord &record)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    writer_.append(jobPayload(record));
+    writer_.append(encodeJournalRecord(record));
+}
+
+std::unique_ptr<JournalWriter>
+openGridJournal(const std::string &path, bool resume,
+                std::uint64_t fingerprint,
+                std::vector<SweepOutcome> &outcomes)
+{
+    const std::size_t n = outcomes.size();
+    // Resuming against a journal that was never created (e.g. the
+    // previous run died before its first flush) degrades to a fresh
+    // run — there is nothing to replay, not an error.
+    if (!resume || !std::filesystem::exists(path))
+        return std::make_unique<JournalWriter>(path, fingerprint, n);
+
+    LoadedJournal loaded = loadJournalForAppend(path);
+    if (loaded.fingerprint != fingerprint || loaded.jobs != n)
+        util::raiseError(
+            util::SimErrorCode::BadJournal, "journal '", path,
+            "' was written by a different grid (fingerprint ",
+            loaded.fingerprint, " over ", loaded.jobs,
+            " jobs; this launch is ", fingerprint, " over ", n,
+            " jobs) — it cannot replay results for this sweep");
+    for (JournalRecord &rec : loaded.records) {
+        if (!rec.outcome.ok)
+            continue; // failed/timed-out jobs get a fresh attempt
+        // A replayed result is only as trustworthy as its record:
+        // re-audit what came off disk just like a fresh run.
+        if (core::auditEnabled())
+            core::auditRun(rec.outcome.result);
+        SweepOutcome &out = outcomes[rec.job_index];
+        out = std::move(rec.outcome);
+        out.resumed = true;
+    }
+    return std::make_unique<JournalWriter>(path);
 }
 
 } // namespace aurora::harness

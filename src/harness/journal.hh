@@ -16,6 +16,9 @@
  *                       attempts, outcome (full RunResult stats, or
  *                       the error code + message)
  *
+ * The field lists below (JournalHeader, JournalRecord,
+ * RunResultLayout) are the normative byte layout (util/codec.hh).
+ *
  * The **grid fingerprint** digests the base seed and every job's
  * (machineHash, profile name, profile seed, instruction budget,
  * derived seed). Resuming against a journal whose fingerprint does
@@ -39,12 +42,15 @@
 #define AURORA_HARNESS_JOURNAL_HH
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/stall.hh"
 #include "sweep.hh"
+#include "util/codec.hh"
 #include "util/record_io.hh"
 
 namespace aurora::harness
@@ -58,9 +64,80 @@ namespace aurora::harness
  */
 inline constexpr std::uint32_t JOURNAL_VERSION = 2;
 
+/** Record type tags (payload byte 0). */
+enum class JournalTag : std::uint8_t
+{
+    Header = 1,
+    Job = 2,
+};
+
+inline constexpr util::codec::Format<JournalTag, 2> JOURNAL_FORMAT{
+    util::SimErrorCode::BadJournal,
+    "journal record",
+    {{{JournalTag::Header, "header"}, {JournalTag::Job, "job"}}}};
+
+constexpr const auto &
+formatOf(JournalTag)
+{
+    return JOURNAL_FORMAT;
+}
+
+/** Record 0 of every journal. */
+struct JournalHeader
+{
+    static constexpr JournalTag TAG = JournalTag::Header;
+
+    std::uint64_t fingerprint = 0;
+    /** Job count of the journaled grid. */
+    std::uint64_t jobs = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &h)
+    {
+        io.expect(JOURNAL_VERSION, "journal format version");
+        io(h.fingerprint, h.jobs);
+    }
+};
+
+/** core::RunResult in journal byte order: every statistic, doubles
+ *  by bit pattern. */
+struct RunResultLayout
+{
+    template <typename Io, typename R>
+    static void
+    fields(Io &io, R &r)
+    {
+        io(r.model, r.benchmark, r.instructions, r.cycles,
+           r.issuing_cycles, r.tail_cycles);
+        io.expect(static_cast<std::uint32_t>(core::NUM_STALL_CAUSES),
+                  "stall-cause count");
+        io(r.stalls, r.icache_hit_pct, r.dcache_hit_pct,
+           r.iprefetch_hit_pct, r.dprefetch_hit_pct,
+           r.write_cache_hit_pct, r.stores, r.store_transactions,
+           r.fp_dispatched);
+        auto &f = r.fpu;
+        io(f.issued, f.dual_cycles, f.blocked_operand, f.blocked_unit,
+           f.blocked_rob, f.blocked_bus, f.loads, f.stores, r.rbe_cost);
+        auto &l = r.ledger;
+        io(l.trace_instructions, l.retired, l.icache_hits,
+           l.icache_misses, l.icache_accesses, l.dcache_hits,
+           l.dcache_misses, l.dcache_accesses, l.mshr_allocations,
+           l.mshr_releases, l.mshr_outstanding);
+        io(r.issue_width_cycles, r.avg_rob_occupancy,
+           r.avg_mshr_occupancy);
+        for (auto *o : {&r.rob_occupancy, &r.mshr_occupancy,
+                        &r.fp_instq_occupancy, &r.fp_loadq_occupancy,
+                        &r.fp_storeq_occupancy})
+            io(o->mean, o->p50, o->p95, o->max);
+    }
+};
+
 /** One journaled job completion. */
 struct JournalRecord
 {
+    static constexpr JournalTag TAG = JournalTag::Job;
+
     /** Grid index the outcome belongs to. */
     std::uint64_t job_index = 0;
     /** machineHash of the job's configuration (integrity check). */
@@ -69,6 +146,17 @@ struct JournalRecord
     std::uint64_t seed = 0;
     /** Outcome, including the full RunResult stats when ok. */
     SweepOutcome outcome;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &r)
+    {
+        auto &o = r.outcome;
+        io(r.job_index, r.machine_hash, r.seed, o.attempts, o.ok, o.code,
+           o.error, o.seconds);
+        if (o.ok)
+            io.as(RunResultLayout{}, o.result);
+    }
 };
 
 /** Everything loadJournal() recovered from disk. */
@@ -80,12 +168,8 @@ struct LoadedJournal
     std::vector<JournalRecord> records;
     /** A torn tail record was dropped (writer was killed). */
     bool dropped_tail = false;
-    /**
-     * File length up to the end of the last good record. When
-     * dropped_tail is set, the file must be truncated to this length
-     * before reopening it for append — otherwise the fragment gets
-     * buried mid-file and the next load classifies it Corrupt.
-     */
+    /** File length through the last good record: what
+     *  loadJournalForAppend() truncates a torn file to. */
     std::uint64_t valid_bytes = 0;
 };
 
@@ -118,6 +202,13 @@ JournalRecord runJob(const SweepJob &job, std::size_t index,
  * reported via LoadedJournal::dropped_tail.
  */
 LoadedJournal loadJournal(const std::string &path);
+
+/**
+ * loadJournal(), then cut a torn tail off the file so it can be
+ * reopened for append: left in place, the fragment would sit
+ * mid-file and read as Corrupt next time.
+ */
+LoadedJournal loadJournalForAppend(const std::string &path);
 
 /**
  * Serialize one journal record to its payload bytes — the exact
@@ -164,6 +255,22 @@ class JournalWriter
     std::mutex mutex_;
     util::RecordFileWriter writer_;
 };
+
+/**
+ * Open @p path as the journal of a grid of @p outcomes.size() jobs
+ * whose gridFingerprint() is @p fingerprint. The journal starts
+ * fresh unless @p resume is set and the file exists. Then it must be
+ * this grid's (else SimError(BadJournal): "written by a different
+ * grid"); every ok record replays into @p outcomes with `resumed`
+ * set (failed jobs get a fresh attempt) and is re-audited under
+ * AURORA_AUDIT; and a torn tail is cut off before the file reopens
+ * for append. SweepRunner and shard::Swarm both open grid journals
+ * here.
+ */
+std::unique_ptr<JournalWriter>
+openGridJournal(const std::string &path, bool resume,
+                std::uint64_t fingerprint,
+                std::vector<SweepOutcome> &outcomes);
 
 } // namespace aurora::harness
 

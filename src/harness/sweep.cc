@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <thread>
 
 #include "analyze/lint_config.hh"
 #include "analyze/model.hh"
-#include "core/audit.hh"
 #include "core/config_io.hh"
 #include "journal.hh"
 #include "obs/trace.hh"
@@ -437,58 +434,16 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
     const std::uint64_t fingerprint =
         gridFingerprint(grid, options_.base_seed);
     std::vector<SweepOutcome> outcomes(n);
-    std::vector<char> replayed(n, 0);
-
-    // Resuming against a journal that was never created (e.g. the
-    // previous run died before its first flush) degrades to a fresh
-    // run — there is nothing to replay, not an error.
-    const bool resuming = options_.resume && [&] {
-        return std::ifstream(options_.journal).good();
-    }();
-
-    std::unique_ptr<JournalWriter> writer;
-    if (resuming) {
-        LoadedJournal loaded = loadJournal(options_.journal);
-        if (loaded.fingerprint != fingerprint || loaded.jobs != n)
-            util::raiseError(
-                util::SimErrorCode::BadJournal, "journal '",
-                options_.journal,
-                "' was written by a different grid (fingerprint ",
-                loaded.fingerprint, " over ", loaded.jobs,
-                " jobs; this launch is ", fingerprint, " over ", n,
-                " jobs) — it cannot replay results for this sweep");
-        for (JournalRecord &rec : loaded.records) {
-            if (!rec.outcome.ok)
-                continue; // failed/timed-out jobs get a fresh attempt
-            const auto i = static_cast<std::size_t>(rec.job_index);
-            outcomes[i] = std::move(rec.outcome);
-            outcomes[i].resumed = true;
-            replayed[i] = 1;
-        }
-        // A replayed result is only as trustworthy as its record:
-        // re-audit what came off disk just like a fresh run.
-        if (core::auditEnabled())
-            for (std::size_t i = 0; i < n; ++i)
-                if (replayed[i])
-                    core::auditRun(outcomes[i].result);
-        // Cut a torn tail fragment off before appending: left in
-        // place it would sit mid-file and read as Corrupt next time.
-        if (loaded.dropped_tail)
-            std::filesystem::resize_file(options_.journal,
-                                         loaded.valid_bytes);
-        writer = std::make_unique<JournalWriter>(options_.journal);
-    } else {
-        writer = std::make_unique<JournalWriter>(options_.journal,
-                                                 fingerprint, n);
-    }
+    const std::unique_ptr<JournalWriter> writer = openGridJournal(
+        options_.journal, options_.resume, fingerprint, outcomes);
 
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < n; ++i)
-        if (!replayed[i])
+        if (!outcomes[i].resumed)
             pending.push_back(i);
     if (obs::SpanLog *log = options_.span_log)
         for (std::size_t i = 0; i < n; ++i) {
-            if (!replayed[i])
+            if (!outcomes[i].resumed)
                 continue;
             const std::size_t job = options_.span_job_base + i;
             const std::string label =

@@ -34,117 +34,39 @@ namespace fs = std::filesystem;
 namespace
 {
 
-/** Spool manifest format (one <fp>.grid record file per grid). */
-constexpr std::uint32_t MANIFEST_VERSION = 1;
-constexpr std::uint8_t MAN_SUBMIT = 1;
-constexpr std::uint8_t MAN_CANCEL = 2;
-
-/** The parsed content of a spool manifest. */
-struct ManifestData
+/** A spool manifest as read back. */
+struct Manifest
 {
-    std::uint64_t fingerprint = 0;
-    std::string tenant;
-    std::string label;
-    bool cancel_on_disconnect = false;
-    bool has_base_seed = false;
-    std::uint64_t base_seed = 0;
-    std::uint64_t deadline_ms = 0;
-    std::uint32_t retries = 0;
-    std::uint64_t backoff_ms = 0;
-    std::vector<wire::SubmitJob> jobs;
+    ManifestSubmit submission;
     bool cancelled = false;
-    /** File length past the last good record (torn-tail repair). */
-    std::uint64_t valid_bytes = 0;
-    bool dropped_tail = false;
 };
 
-std::string
-submitRecordPayload(const ManifestData &man)
-{
-    util::ByteWriter w;
-    w.u8(MAN_SUBMIT);
-    w.u32(MANIFEST_VERSION);
-    w.u64(man.fingerprint);
-    w.str(man.tenant);
-    w.str(man.label);
-    w.u8(man.cancel_on_disconnect ? 1 : 0);
-    w.u8(man.has_base_seed ? 1 : 0);
-    w.u64(man.base_seed);
-    w.u64(man.deadline_ms);
-    w.u32(man.retries);
-    w.u64(man.backoff_ms);
-    w.u64(man.jobs.size());
-    for (const wire::SubmitJob &job : man.jobs) {
-        w.str(job.machine_spec);
-        w.str(job.profile);
-        w.u64(job.instructions);
-    }
-    return w.bytes();
-}
-
 /**
- * Parse a spool manifest. Throws SimError(BadJournal) when the
- * submission record is missing, torn, corrupt, or version-skewed —
- * such a grid was never acknowledged to a client (the manifest is
- * written before Accepted), so skipping it loses nothing durable.
+ * Read a spool manifest, cutting a torn tail (a kill during the
+ * cancel-marker append: the grid simply stays uncancelled) so the
+ * file appends again. Throws SimError(BadJournal) when the submission
+ * record is missing, torn, corrupt, or version-skewed — such a grid
+ * was never acknowledged to a client (the manifest is written before
+ * Accepted), so skipping it loses nothing durable.
  */
-ManifestData
+Manifest
 readManifest(const std::string &path)
 {
-    util::RecordFileReader reader(path);
-    std::string payload;
-    if (reader.next(payload) != util::RecordStatus::Ok)
-        util::raiseError(util::SimErrorCode::BadJournal, "manifest '",
-                         path, "' has no complete submission record");
-    util::ByteReader rd(payload);
-    if (rd.u8() != MAN_SUBMIT)
-        util::raiseError(util::SimErrorCode::BadJournal, "manifest '",
-                         path,
-                         "' does not start with a submission record");
-    const std::uint32_t version = rd.u32();
-    if (version != MANIFEST_VERSION)
-        util::raiseError(util::SimErrorCode::BadJournal, "manifest '",
-                         path, "' is format version ", version,
-                         "; this build reads version ",
-                         MANIFEST_VERSION);
-    ManifestData man;
-    man.fingerprint = rd.u64();
-    man.tenant = rd.str();
-    man.label = rd.str();
-    man.cancel_on_disconnect = rd.u8() != 0;
-    man.has_base_seed = rd.u8() != 0;
-    man.base_seed = rd.u64();
-    man.deadline_ms = rd.u64();
-    man.retries = rd.u32();
-    man.backoff_ms = rd.u64();
-    const std::uint64_t jobs = rd.u64();
-    for (std::uint64_t i = 0; i < jobs; ++i) {
-        wire::SubmitJob job;
-        job.machine_spec = rd.str();
-        job.profile = rd.str();
-        job.instructions = rd.u64();
-        man.jobs.push_back(std::move(job));
-    }
-
-    for (;;) {
-        const util::RecordStatus status = reader.next(payload);
-        if (status == util::RecordStatus::EndOfFile)
-            break;
-        if (status == util::RecordStatus::TruncatedTail) {
-            // A kill during the cancel-marker append: the grid simply
-            // stays uncancelled; repair the tail so the file appends.
-            man.dropped_tail = true;
-            break;
-        }
-        if (status == util::RecordStatus::Corrupt)
-            util::raiseError(util::SimErrorCode::BadJournal,
-                             "manifest '", path,
-                             "' is corrupt mid-file");
-        util::ByteReader mrd(payload);
-        if (mrd.u8() == MAN_CANCEL)
+    const util::RecordFile file = util::readRecordFile(path, "manifest");
+    Manifest man;
+    try {
+        man.submission =
+            util::codec::decode<ManifestSubmit>(file.payloads.front());
+        for (std::size_t k = 1; k < file.payloads.size(); ++k) {
+            (void)util::codec::decode<ManifestCancel>(file.payloads[k]);
             man.cancelled = true;
+        }
+    } catch (const util::SimError &e) {
+        util::raiseError(e.code(), "manifest '", path, "': ",
+                         e.message());
     }
-    man.valid_bytes = reader.goodBytes();
+    if (file.dropped_tail)
+        fs::resize_file(path, file.valid_bytes);
     return man;
 }
 
@@ -249,8 +171,8 @@ struct Server::Grid
     WallTimer timer;
     std::size_t cadence = 1;
 
-    /** Causal trace id: client-supplied or minted from the
-     *  fingerprint, so a restarted daemon re-mints identically. */
+    /** Causal trace id: client-supplied (kept in the manifest) or
+     *  minted from the fingerprint; a restart recovers either. */
     const std::uint64_t trace_id;
     /** Every span of the grid on this daemon's side — admission, the
      *  worker pool's job and attempt spans, swarm supervision, folded
@@ -375,6 +297,38 @@ Server::applyRecord(Grid &grid, harness::JournalRecord record,
     ++done_jobs_;
 }
 
+std::unique_ptr<Server::Grid>
+Server::makeGrid(const ManifestSubmit &manifest,
+                 std::vector<harness::SweepJob> jobs)
+{
+    const wire::SubmitMsg &msg = manifest.submit;
+    // Causal trace id: the client's if it sent one, else minted from
+    // the fingerprint. The manifest keeps the client's, and the
+    // minted one is a pure function of the fingerprint, so a
+    // restarted daemon resumes the grid in the same trace either way.
+    auto grid = std::make_unique<Grid>(
+        msg.trace_id != 0 ? msg.trace_id
+                          : obs::traceIdForGrid(manifest.fingerprint));
+    grid->fingerprint = manifest.fingerprint;
+    grid->tenant = manifest.tenant;
+    grid->label = msg.label;
+    grid->jobs = std::move(jobs);
+    grid->base_seed = msg.has_base_seed
+                          ? std::optional<std::uint64_t>(msg.base_seed)
+                          : std::nullopt;
+    grid->deadline_ms = msg.deadline_ms;
+    grid->retries = msg.retries;
+    grid->backoff_ms = msg.backoff_ms;
+    grid->cancel_on_disconnect = msg.cancel_on_disconnect;
+    grid->state.resize(grid->jobs.size(), Grid::JobState::Pending);
+    grid->records.resize(grid->jobs.size());
+    grid->cadence =
+        config_.progress_every != 0
+            ? config_.progress_every
+            : std::max<std::size_t>(1, grid->jobs.size() / 4);
+    return grid;
+}
+
 void
 Server::loadSpool()
 {
@@ -385,7 +339,7 @@ Server::loadSpool()
     std::sort(manifests.begin(), manifests.end());
 
     for (const fs::path &path : manifests) {
-        ManifestData man;
+        Manifest man;
         try {
             man = readManifest(path.string());
         } catch (const util::SimError &e) {
@@ -398,39 +352,10 @@ Server::loadSpool()
             fs::remove(path, ec);
             continue;
         }
-        if (man.dropped_tail)
-            fs::resize_file(path, man.valid_bytes);
-
-        const auto makeGrid = [&]() -> std::unique_ptr<Grid> {
-            // The trace id is a pure function of the fingerprint, so
-            // a restarted daemon re-mints the same id and the spans
-            // it emits land in the same trace as the first life's.
-            auto g = std::make_unique<Grid>(
-                obs::traceIdForGrid(man.fingerprint));
-            g->jobs = buildJobs(man.jobs);
-            g->fingerprint = man.fingerprint;
-            g->tenant = man.tenant;
-            g->label = man.label;
-            g->base_seed = man.has_base_seed
-                               ? std::optional<std::uint64_t>(
-                                     man.base_seed)
-                               : std::nullopt;
-            g->deadline_ms = man.deadline_ms;
-            g->retries = man.retries;
-            g->backoff_ms = man.backoff_ms;
-            g->cancel_on_disconnect = man.cancel_on_disconnect;
-            g->state.resize(g->jobs.size(), Grid::JobState::Pending);
-            g->records.resize(g->jobs.size());
-            g->cadence =
-                config_.progress_every != 0
-                    ? config_.progress_every
-                    : std::max<std::size_t>(1, g->jobs.size() / 4);
-            return g;
-        };
-
+        const ManifestSubmit &submission = man.submission;
         std::unique_ptr<Grid> grid;
         try {
-            grid = makeGrid();
+            grid = makeGrid(submission, buildJobs(submission.submit.jobs));
         } catch (const util::SimError &e) {
             warn(detail::concat("spool: manifest ", path.string(),
                                 " references an unknown model or "
@@ -441,7 +366,7 @@ Server::loadSpool()
 
         const std::uint64_t fp =
             harness::gridFingerprint(grid->jobs, grid->base_seed);
-        if (fp != man.fingerprint) {
+        if (fp != submission.fingerprint) {
             warn(detail::concat(
                 "spool: manifest ", path.string(),
                 " fingerprint does not match its jobs; skipping"));
@@ -453,16 +378,13 @@ Server::loadSpool()
         if (fs::exists(journal_path)) {
             try {
                 const harness::LoadedJournal loaded =
-                    harness::loadJournal(journal_path);
+                    harness::loadJournalForAppend(journal_path);
                 if (loaded.fingerprint != fp ||
                     loaded.jobs != grid->jobs.size())
                     util::raiseError(
                         util::SimErrorCode::BadJournal, "journal '",
                         journal_path,
                         "' does not match its manifest");
-                if (loaded.dropped_tail)
-                    fs::resize_file(journal_path,
-                                    loaded.valid_bytes);
                 for (const harness::JournalRecord &rec :
                      loaded.records)
                     if (grid->state[rec.job_index] !=
@@ -488,7 +410,7 @@ Server::loadSpool()
                 // Back out any partially-applied replay accounting.
                 done_jobs_ -= grid->done;
                 resumed_jobs_ -= grid->resumed;
-                grid = makeGrid();
+                grid = makeGrid(submission, std::move(grid->jobs));
             }
         }
         if (!reopened)
@@ -1021,7 +943,7 @@ Server::handleSubmit(Session &session, const std::string &payload)
                "Submit before Hello", /*fatal=*/true);
         return;
     }
-    const wire::SubmitMsg msg = wire::decodeSubmit(payload);
+    wire::SubmitMsg msg = wire::decodeSubmit(payload);
     {
         const std::lock_guard<std::mutex> mlock(metrics_mutex_);
         metrics_.counter("serve.submits", "Submit frames received")
@@ -1082,47 +1004,17 @@ Server::handleSubmit(Session &session, const std::string &payload)
         return;
     }
 
-    // Causal trace id: the client's if it sent one, else minted from
-    // the fingerprint. (A restart re-mints from the fingerprint, so a
-    // client-supplied id does not survive resume — the manifest
-    // format predates tracing and stays byte-stable.)
-    const std::uint64_t trace =
-        msg.trace_id != 0 ? msg.trace_id : obs::traceIdForGrid(fp);
-    auto grid = std::make_unique<Grid>(trace);
-    grid->fingerprint = fp;
-    grid->tenant = session.tenant();
-    grid->label = msg.label;
-    grid->jobs = std::move(jobs);
-    grid->base_seed = base_seed;
-    grid->deadline_ms = msg.deadline_ms;
-    grid->retries = msg.retries;
-    grid->backoff_ms = msg.backoff_ms;
-    grid->cancel_on_disconnect = msg.cancel_on_disconnect;
-    grid->state.resize(grid->jobs.size(), Grid::JobState::Pending);
-    grid->records.resize(grid->jobs.size());
-    grid->cadence =
-        config_.progress_every != 0
-            ? config_.progress_every
-            : std::max<std::size_t>(1, grid->jobs.size() / 4);
+    const ManifestSubmit submission{fp, session.tenant(), std::move(msg)};
+    auto grid = makeGrid(submission, std::move(jobs));
+    const std::uint64_t trace = grid->trace_id;
 
     // Durability point: manifest first (flushed), then the journal
     // header. Only after both exist is the client told Accepted —
     // so every acknowledged grid survives SIGKILL.
     try {
-        ManifestData man;
-        man.fingerprint = fp;
-        man.tenant = grid->tenant;
-        man.label = grid->label;
-        man.cancel_on_disconnect = grid->cancel_on_disconnect;
-        man.has_base_seed = base_seed.has_value();
-        man.base_seed = base_seed.value_or(0);
-        man.deadline_ms = grid->deadline_ms;
-        man.retries = grid->retries;
-        man.backoff_ms = grid->backoff_ms;
-        man.jobs = msg.jobs;
         util::RecordFileWriter manifest(spoolFile(fp, ".grid"),
                                         /*truncate=*/true);
-        manifest.append(submitRecordPayload(man));
+        manifest.append(util::codec::encode(submission));
         grid->journal = std::make_unique<harness::JournalWriter>(
             spoolFile(fp, ".ajrn"), fp, grid->jobs.size());
     } catch (const util::SimError &e) {
@@ -1492,9 +1384,7 @@ Server::markCancelManifest(Grid &grid)
         return;
     util::RecordFileWriter manifest(
         spoolFile(grid.fingerprint, ".grid"), /*truncate=*/false);
-    util::ByteWriter w;
-    w.u8(MAN_CANCEL);
-    manifest.append(w.bytes());
+    manifest.append(util::codec::encode(ManifestCancel{}));
     grid.cancel_marked = true;
 }
 

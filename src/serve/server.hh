@@ -7,14 +7,15 @@
  * every tenant's sweep grids. Architecture: a single poll() thread
  * owns the listener, all client sessions, and all protocol state;
  * N worker threads pull (grid, job) units from the fair Scheduler and
- * execute each through a per-job SweepRunner — so seed derivation,
+ * execute each through harness::runJob() — so seed derivation,
  * retry/backoff, and deadline semantics are *literally* the library's,
  * and a grid run through the service is bit-identical to the same
  * grid run by a standalone SweepRunner.
  *
  * Durability contract (the tentpole): every accepted grid is
- * persisted in the spool directory as a manifest (the submission,
- * re-parseable via config_io round-tripping) plus a PR-3 sweep
+ * persisted in the spool directory as a manifest (ManifestSubmit:
+ * the admitted SubmitMsg, trace id included, re-parseable via
+ * config_io round-tripping) plus a sweep
  * journal (one flushed record per completed job, appended by the
  * worker *before* the completion becomes visible). A SIGKILLed
  * daemon therefore restarts, rescans the spool, replays journaled
@@ -51,10 +52,69 @@
 #include "scheduler.hh"
 #include "session.hh"
 #include "telemetry/registry.hh"
+#include "util/codec.hh"
 #include "util/socket.hh"
+#include "wire.hh"
 
 namespace aurora::serve
 {
+
+/// @name Spool manifest: one <fingerprint>.grid record file per grid
+/// @{
+
+/** Record type tags (payload byte 0). */
+enum class ManifestTag : std::uint8_t
+{
+    Submit = 1,
+    Cancel = 2,
+};
+
+inline constexpr util::codec::Format<ManifestTag, 2> MANIFEST_FORMAT{
+    util::SimErrorCode::BadJournal,
+    "manifest record",
+    {{{ManifestTag::Submit, "submit"}, {ManifestTag::Cancel, "cancel"}}}};
+
+constexpr const auto &
+formatOf(ManifestTag)
+{
+    return MANIFEST_FORMAT;
+}
+
+inline constexpr std::uint32_t MANIFEST_VERSION = 1;
+
+/** Record 0: the submission as admitted. Its SubmitMsg fields carry
+ *  their trailing trace id, so an untraced grid's record is exactly
+ *  the pre-tracing layout. */
+struct ManifestSubmit
+{
+    static constexpr ManifestTag TAG = ManifestTag::Submit;
+
+    std::uint64_t fingerprint = 0;
+    std::string tenant;
+    wire::SubmitMsg submit;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io.expect(MANIFEST_VERSION, "manifest format version");
+        io(m.fingerprint, m.tenant, m.submit);
+    }
+};
+
+/** Appended once when the grid is cancelled. */
+struct ManifestCancel
+{
+    static constexpr ManifestTag TAG = ManifestTag::Cancel;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &, Self &)
+    {
+    }
+};
+
+/// @}
 
 struct ServerConfig
 {
@@ -152,6 +212,10 @@ class Server
     struct Grid;
 
     void loadSpool();
+    /** A fresh resident grid for @p manifest's submission, whose
+     *  executable jobs are @p jobs (Submit and spool resume alike). */
+    std::unique_ptr<Grid> makeGrid(const ManifestSubmit &manifest,
+                                   std::vector<harness::SweepJob> jobs);
     void startWorkers();
     void stopWorkers();
     void workerMain();

@@ -1,109 +1,7 @@
 #include "wire.hh"
 
-#include "util/logging.hh"
-
 namespace aurora::serve::wire
 {
-
-namespace
-{
-
-using util::ByteReader;
-using util::ByteWriter;
-
-constexpr std::uint8_t MAX_ERROR_CODE =
-    static_cast<std::uint8_t>(util::SimErrorCode::BadWire);
-
-/** Begin a payload and emit the type byte. */
-ByteWriter
-begin(MsgType type)
-{
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(type));
-    return w;
-}
-
-/** Open a payload for decoding: check the type byte. */
-ByteReader
-open(const std::string &payload, MsgType want)
-{
-    ByteReader rd(payload);
-    const std::uint8_t got = rd.u8();
-    if (got != static_cast<std::uint8_t>(want))
-        util::raiseError(util::SimErrorCode::BadWire, "expected a ",
-                         msgTypeName(want),
-                         " message, got type byte ",
-                         static_cast<unsigned>(got));
-    return rd;
-}
-
-/** Close a decode: the payload must be fully consumed. */
-void
-close(const ByteReader &rd, MsgType type)
-{
-    if (!rd.exhausted())
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "trailing bytes after a ", msgTypeName(type),
-                         " message (format mismatch)");
-}
-
-} // namespace
-
-const char *
-msgTypeName(MsgType type)
-{
-    switch (type) {
-      case MsgType::Hello: return "Hello";
-      case MsgType::Submit: return "Submit";
-      case MsgType::Attach: return "Attach";
-      case MsgType::Cancel: return "Cancel";
-      case MsgType::Status: return "Status";
-      case MsgType::Metrics: return "Metrics";
-      case MsgType::Welcome: return "Welcome";
-      case MsgType::Accepted: return "Accepted";
-      case MsgType::Rejected: return "Rejected";
-      case MsgType::Progress: return "Progress";
-      case MsgType::Result: return "Result";
-      case MsgType::GridDone: return "GridDone";
-      case MsgType::StatusReport: return "StatusReport";
-      case MsgType::CancelOk: return "CancelOk";
-      case MsgType::Draining: return "Draining";
-      case MsgType::MetricsReport: return "MetricsReport";
-    }
-    return "?";
-}
-
-MsgType
-peekType(const std::string &payload)
-{
-    if (payload.empty())
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "empty wire payload");
-    const auto raw = static_cast<std::uint8_t>(payload[0]);
-    const auto type = static_cast<MsgType>(raw);
-    switch (type) {
-      case MsgType::Hello:
-      case MsgType::Submit:
-      case MsgType::Attach:
-      case MsgType::Cancel:
-      case MsgType::Status:
-      case MsgType::Metrics:
-      case MsgType::Welcome:
-      case MsgType::Accepted:
-      case MsgType::Rejected:
-      case MsgType::Progress:
-      case MsgType::Result:
-      case MsgType::GridDone:
-      case MsgType::StatusReport:
-      case MsgType::CancelOk:
-      case MsgType::Draining:
-      case MsgType::MetricsReport:
-        return type;
-    }
-    util::raiseError(util::SimErrorCode::BadWire,
-                     "unknown wire message type ",
-                     static_cast<unsigned>(raw));
-}
 
 std::string
 frame(const std::string &payload)
@@ -115,417 +13,6 @@ void
 sendFrame(int fd, const std::string &payload)
 {
     util::sendFrame(fd, WIRE_MAGIC, payload);
-}
-
-std::optional<std::string>
-recvFrame(int fd, FrameDecoder &decoder, std::uint64_t timeout_ms)
-{
-    return util::recvFrame(fd, decoder, timeout_ms);
-}
-
-std::string
-encode(const HelloMsg &m)
-{
-    ByteWriter w = begin(MsgType::Hello);
-    w.u32(m.version);
-    w.str(m.tenant);
-    return w.bytes();
-}
-
-HelloMsg
-decodeHello(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Hello);
-    HelloMsg m;
-    m.version = rd.u32();
-    m.tenant = rd.str();
-    close(rd, MsgType::Hello);
-    return m;
-}
-
-std::string
-encode(const SubmitMsg &m)
-{
-    ByteWriter w = begin(MsgType::Submit);
-    w.str(m.label);
-    w.u8(m.cancel_on_disconnect ? 1 : 0);
-    w.u8(m.has_base_seed ? 1 : 0);
-    w.u64(m.base_seed);
-    w.u64(m.deadline_ms);
-    w.u32(m.retries);
-    w.u64(m.backoff_ms);
-    w.u64(m.jobs.size());
-    for (const SubmitJob &job : m.jobs) {
-        w.str(job.machine_spec);
-        w.str(job.profile);
-        w.u64(job.instructions);
-    }
-    // v2 optional trailing field: absent bytes decode as 0, and a
-    // frame without it is exactly a v1 frame.
-    if (m.trace_id != 0)
-        w.u64(m.trace_id);
-    return w.bytes();
-}
-
-SubmitMsg
-decodeSubmit(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Submit);
-    SubmitMsg m;
-    m.label = rd.str();
-    m.cancel_on_disconnect = rd.u8() != 0;
-    m.has_base_seed = rd.u8() != 0;
-    m.base_seed = rd.u64();
-    m.deadline_ms = rd.u64();
-    m.retries = rd.u32();
-    m.backoff_ms = rd.u64();
-    const std::uint64_t jobs = rd.u64();
-    // Cap before allocating: a hostile count must not reserve
-    // gigabytes (the CRC is not a secret, so a crafted frame passes
-    // it). Each encoded job takes at least two 4-byte string lengths
-    // plus a u64, so a count the payload cannot hold is a lie.
-    constexpr std::uint64_t MIN_JOB_BYTES = 4 + 4 + 8;
-    if (jobs > payload.size() / MIN_JOB_BYTES)
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "implausible submission job count ", jobs);
-    m.jobs.reserve(jobs);
-    for (std::uint64_t i = 0; i < jobs; ++i) {
-        SubmitJob job;
-        job.machine_spec = rd.str();
-        job.profile = rd.str();
-        job.instructions = rd.u64();
-        m.jobs.push_back(std::move(job));
-    }
-    if (!rd.exhausted())
-        m.trace_id = rd.u64();
-    close(rd, MsgType::Submit);
-    return m;
-}
-
-std::string
-encode(const AttachMsg &m)
-{
-    ByteWriter w = begin(MsgType::Attach);
-    w.u64(m.fingerprint);
-    return w.bytes();
-}
-
-AttachMsg
-decodeAttach(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Attach);
-    AttachMsg m;
-    m.fingerprint = rd.u64();
-    close(rd, MsgType::Attach);
-    return m;
-}
-
-std::string
-encode(const CancelMsg &m)
-{
-    ByteWriter w = begin(MsgType::Cancel);
-    w.u64(m.fingerprint);
-    return w.bytes();
-}
-
-CancelMsg
-decodeCancel(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Cancel);
-    CancelMsg m;
-    m.fingerprint = rd.u64();
-    close(rd, MsgType::Cancel);
-    return m;
-}
-
-std::string
-encode(const StatusMsg &)
-{
-    return begin(MsgType::Status).bytes();
-}
-
-StatusMsg
-decodeStatus(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Status);
-    close(rd, MsgType::Status);
-    return StatusMsg{};
-}
-
-std::string
-encode(const WelcomeMsg &m)
-{
-    ByteWriter w = begin(MsgType::Welcome);
-    w.u32(m.version);
-    w.u8(m.draining ? 1 : 0);
-    return w.bytes();
-}
-
-WelcomeMsg
-decodeWelcome(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Welcome);
-    WelcomeMsg m;
-    m.version = rd.u32();
-    m.draining = rd.u8() != 0;
-    close(rd, MsgType::Welcome);
-    return m;
-}
-
-std::string
-encode(const AcceptedMsg &m)
-{
-    ByteWriter w = begin(MsgType::Accepted);
-    w.u64(m.fingerprint);
-    w.u64(m.jobs);
-    w.u64(m.done);
-    w.u8(m.attached ? 1 : 0);
-    if (m.trace_id != 0)
-        w.u64(m.trace_id);
-    return w.bytes();
-}
-
-AcceptedMsg
-decodeAccepted(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Accepted);
-    AcceptedMsg m;
-    m.fingerprint = rd.u64();
-    m.jobs = rd.u64();
-    m.done = rd.u64();
-    m.attached = rd.u8() != 0;
-    if (!rd.exhausted())
-        m.trace_id = rd.u64();
-    close(rd, MsgType::Accepted);
-    return m;
-}
-
-std::string
-encode(const RejectedMsg &m)
-{
-    ByteWriter w = begin(MsgType::Rejected);
-    w.str(m.id);
-    w.u8(static_cast<std::uint8_t>(m.code));
-    w.str(m.message);
-    return w.bytes();
-}
-
-RejectedMsg
-decodeRejected(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Rejected);
-    RejectedMsg m;
-    m.id = rd.str();
-    const std::uint8_t code = rd.u8();
-    if (code > MAX_ERROR_CODE)
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "rejection error code ",
-                         static_cast<unsigned>(code),
-                         " is out of range");
-    m.code = static_cast<util::SimErrorCode>(code);
-    m.message = rd.str();
-    close(rd, MsgType::Rejected);
-    return m;
-}
-
-std::string
-encode(const ProgressMsg &m)
-{
-    ByteWriter w = begin(MsgType::Progress);
-    w.u64(m.fingerprint);
-    w.u64(m.done);
-    w.u64(m.total);
-    w.u64(m.ok);
-    w.u64(m.failed);
-    w.u64(m.timed_out);
-    w.u64(m.cancelled);
-    w.f64(m.elapsed_seconds);
-    return w.bytes();
-}
-
-ProgressMsg
-decodeProgress(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Progress);
-    ProgressMsg m;
-    m.fingerprint = rd.u64();
-    m.done = rd.u64();
-    m.total = rd.u64();
-    m.ok = rd.u64();
-    m.failed = rd.u64();
-    m.timed_out = rd.u64();
-    m.cancelled = rd.u64();
-    m.elapsed_seconds = rd.f64();
-    close(rd, MsgType::Progress);
-    return m;
-}
-
-std::string
-encode(const ResultMsg &m)
-{
-    ByteWriter w = begin(MsgType::Result);
-    w.u64(m.fingerprint);
-    w.str(m.record);
-    return w.bytes();
-}
-
-ResultMsg
-decodeResult(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Result);
-    ResultMsg m;
-    m.fingerprint = rd.u64();
-    m.record = rd.str();
-    close(rd, MsgType::Result);
-    return m;
-}
-
-std::string
-encode(const GridDoneMsg &m)
-{
-    ByteWriter w = begin(MsgType::GridDone);
-    w.u64(m.fingerprint);
-    w.u64(m.ok);
-    w.u64(m.failed);
-    w.u64(m.timed_out);
-    w.u64(m.cancelled);
-    w.u64(m.resumed);
-    return w.bytes();
-}
-
-GridDoneMsg
-decodeGridDone(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::GridDone);
-    GridDoneMsg m;
-    m.fingerprint = rd.u64();
-    m.ok = rd.u64();
-    m.failed = rd.u64();
-    m.timed_out = rd.u64();
-    m.cancelled = rd.u64();
-    m.resumed = rd.u64();
-    close(rd, MsgType::GridDone);
-    return m;
-}
-
-std::string
-encode(const StatusReportMsg &m)
-{
-    ByteWriter w = begin(MsgType::StatusReport);
-    w.u8(m.draining ? 1 : 0);
-    w.u64(m.grids);
-    w.u64(m.done_grids);
-    w.u64(m.queued_jobs);
-    w.u64(m.running_jobs);
-    w.u64(m.done_jobs);
-    return w.bytes();
-}
-
-StatusReportMsg
-decodeStatusReport(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::StatusReport);
-    StatusReportMsg m;
-    m.draining = rd.u8() != 0;
-    m.grids = rd.u64();
-    m.done_grids = rd.u64();
-    m.queued_jobs = rd.u64();
-    m.running_jobs = rd.u64();
-    m.done_jobs = rd.u64();
-    close(rd, MsgType::StatusReport);
-    return m;
-}
-
-std::string
-encode(const CancelOkMsg &m)
-{
-    ByteWriter w = begin(MsgType::CancelOk);
-    w.u64(m.fingerprint);
-    w.u64(m.cancelled_jobs);
-    return w.bytes();
-}
-
-CancelOkMsg
-decodeCancelOk(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::CancelOk);
-    CancelOkMsg m;
-    m.fingerprint = rd.u64();
-    m.cancelled_jobs = rd.u64();
-    close(rd, MsgType::CancelOk);
-    return m;
-}
-
-std::string
-encode(const DrainingMsg &m)
-{
-    ByteWriter w = begin(MsgType::Draining);
-    w.str(m.reason);
-    return w.bytes();
-}
-
-DrainingMsg
-decodeDraining(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Draining);
-    DrainingMsg m;
-    m.reason = rd.str();
-    close(rd, MsgType::Draining);
-    return m;
-}
-
-namespace
-{
-
-MetricsFormat
-checkedFormat(std::uint8_t raw, MsgType type)
-{
-    if (raw > static_cast<std::uint8_t>(MetricsFormat::Json))
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "unknown metrics format ",
-                         static_cast<unsigned>(raw), " in a ",
-                         msgTypeName(type), " message");
-    return static_cast<MetricsFormat>(raw);
-}
-
-} // namespace
-
-std::string
-encode(const MetricsMsg &m)
-{
-    ByteWriter w = begin(MsgType::Metrics);
-    w.u8(static_cast<std::uint8_t>(m.format));
-    return w.bytes();
-}
-
-MetricsMsg
-decodeMetrics(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Metrics);
-    MetricsMsg m;
-    m.format = checkedFormat(rd.u8(), MsgType::Metrics);
-    close(rd, MsgType::Metrics);
-    return m;
-}
-
-std::string
-encode(const MetricsReportMsg &m)
-{
-    ByteWriter w = begin(MsgType::MetricsReport);
-    w.u8(static_cast<std::uint8_t>(m.format));
-    w.str(m.body);
-    return w.bytes();
-}
-
-MetricsReportMsg
-decodeMetricsReport(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::MetricsReport);
-    MetricsReportMsg m;
-    m.format = checkedFormat(rd.u8(), MsgType::MetricsReport);
-    m.body = rd.str();
-    close(rd, MsgType::MetricsReport);
-    return m;
 }
 
 } // namespace aurora::serve::wire

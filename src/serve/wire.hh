@@ -10,8 +10,10 @@
  * all little-endian. The CRC means a torn or bit-flipped frame is
  * *detected*, never misparsed — the same guarantee the sweep journal
  * gives on disk, extended to the socket. Payload byte 0 is the
- * MsgType; the rest is a ByteWriter/ByteReader encoding, so doubles
- * cross the wire bit-exactly.
+ * MsgType; the rest is the message's fields in the order its
+ * `fields` list names them (util/codec.hh). That list is the
+ * normative layout: it is both the encoder and the decoder, and
+ * doubles cross the wire bit-exactly.
  *
  * Conversation shape (client drives, server streams):
  *
@@ -44,8 +46,8 @@
 #include <string>
 #include <vector>
 
+#include "util/codec.hh"
 #include "util/frame.hh"
-#include "util/record_io.hh"
 #include "util/sim_error.hh"
 #include "util/socket.hh"
 
@@ -91,12 +93,48 @@ enum class MsgType : std::uint8_t
     MetricsReport = 73,
 };
 
+/** The protocol's codec format: BadWire on any decode failure, and
+ *  the one name table of its message types. */
+inline constexpr util::codec::Format<MsgType, 16> WIRE_FORMAT{
+    util::SimErrorCode::BadWire,
+    "wire message",
+    {{{MsgType::Hello, "Hello"},
+      {MsgType::Submit, "Submit"},
+      {MsgType::Attach, "Attach"},
+      {MsgType::Cancel, "Cancel"},
+      {MsgType::Status, "Status"},
+      {MsgType::Metrics, "Metrics"},
+      {MsgType::Welcome, "Welcome"},
+      {MsgType::Accepted, "Accepted"},
+      {MsgType::Rejected, "Rejected"},
+      {MsgType::Progress, "Progress"},
+      {MsgType::Result, "Result"},
+      {MsgType::GridDone, "GridDone"},
+      {MsgType::StatusReport, "StatusReport"},
+      {MsgType::CancelOk, "CancelOk"},
+      {MsgType::Draining, "Draining"},
+      {MsgType::MetricsReport, "MetricsReport"}}}};
+
+constexpr const auto &
+formatOf(MsgType)
+{
+    return WIRE_FORMAT;
+}
+
 /** Display name ("Hello", "GridDone", ...) for logs and tests. */
-const char *msgTypeName(MsgType type);
+inline const char *
+msgTypeName(MsgType type)
+{
+    return WIRE_FORMAT.name(type);
+}
 
 /** First byte of @p payload as a MsgType; BadWire when empty or not
  *  a known type. */
-MsgType peekType(const std::string &payload);
+inline MsgType
+peekType(const std::string &payload)
+{
+    return WIRE_FORMAT.peek(payload);
+}
 
 /** Wrap @p payload in a wire frame (magic + length + CRC). */
 std::string frame(const std::string &payload);
@@ -115,23 +153,27 @@ class FrameDecoder : public util::FrameDecoder
 /** Blocking send of one framed payload (client side). */
 void sendFrame(int fd, const std::string &payload);
 
-/**
- * Blocking receive of the next framed payload (client side), reading
- * through @p decoder. Returns std::nullopt on a clean peer close at a
- * frame boundary; throws SimError(BadWire) on corruption, on a close
- * mid-frame, or after @p timeout_ms with no complete frame.
- */
-std::optional<std::string> recvFrame(int fd, FrameDecoder &decoder,
-                                     std::uint64_t timeout_ms = 0);
+/** Blocking receive of the next framed payload through a
+ *  FrameDecoder (client side; see util::recvFrame). */
+using util::recvFrame;
 
 /// @name Messages (client → server)
 /// @{
 
 struct HelloMsg
 {
+    static constexpr MsgType TAG = MsgType::Hello;
+
     std::uint32_t version = PROTOCOL_VERSION;
     /** Tenant identity for quotas and fair scheduling; non-empty. */
     std::string tenant;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.version, m.tenant);
+    }
 };
 
 /** One grid point of a submission, in portable textual form. */
@@ -143,10 +185,19 @@ struct SubmitJob
     std::string profile;
     /** Instruction budget. */
     std::uint64_t instructions = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &job)
+    {
+        io(job.machine_spec, job.profile, job.instructions);
+    }
 };
 
 struct SubmitMsg
 {
+    static constexpr MsgType TAG = MsgType::Submit;
+
     /** Human label for status listings (not part of the identity). */
     std::string label;
     /** Cancel the grid if this connection drops before it finishes
@@ -168,20 +219,54 @@ struct SubmitMsg
      * encoded only when nonzero, absent on v1 frames.
      */
     std::uint64_t trace_id = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.label, m.cancel_on_disconnect, m.has_base_seed, m.base_seed,
+           m.deadline_ms, m.retries, m.backoff_ms, m.jobs);
+        io.trailing(m.trace_id);
+    }
 };
 
 struct AttachMsg
 {
+    static constexpr MsgType TAG = MsgType::Attach;
+
     std::uint64_t fingerprint = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.fingerprint);
+    }
 };
 
 struct CancelMsg
 {
+    static constexpr MsgType TAG = MsgType::Cancel;
+
     std::uint64_t fingerprint = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.fingerprint);
+    }
 };
 
 struct StatusMsg
 {
+    static constexpr MsgType TAG = MsgType::Status;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &, Self &)
+    {
+    }
 };
 
 /** Exposition format of a Metrics request / report. */
@@ -191,10 +276,25 @@ enum class MetricsFormat : std::uint8_t
     Json = 1,
 };
 
+constexpr MetricsFormat
+enumLimit(MetricsFormat)
+{
+    return MetricsFormat::Json;
+}
+
 /** v2: ask for a metrics exposition (aurora_top's poll). */
 struct MetricsMsg
 {
+    static constexpr MsgType TAG = MsgType::Metrics;
+
     MetricsFormat format = MetricsFormat::Prometheus;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.format);
+    }
 };
 
 /// @}
@@ -203,12 +303,23 @@ struct MetricsMsg
 
 struct WelcomeMsg
 {
+    static constexpr MsgType TAG = MsgType::Welcome;
+
     std::uint32_t version = PROTOCOL_VERSION;
     bool draining = false;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.version, m.draining);
+    }
 };
 
 struct AcceptedMsg
 {
+    static constexpr MsgType TAG = MsgType::Accepted;
+
     /** gridFingerprint() of the accepted grid — the durable handle a
      *  client re-attaches by after either side restarts. */
     std::uint64_t fingerprint = 0;
@@ -223,21 +334,40 @@ struct AcceptedMsg
      * server includes it only on v2 sessions (0 = not conveyed).
      */
     std::uint64_t trace_id = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.fingerprint, m.jobs, m.done, m.attached);
+        io.trailing(m.trace_id);
+    }
 };
 
 struct RejectedMsg
 {
+    static constexpr MsgType TAG = MsgType::Rejected;
+
     /** Stable catalog ID (AUR2xx admission/protocol, or the AUR0xx
      *  preflight lint that failed). */
     std::string id;
     util::SimErrorCode code = util::SimErrorCode::Internal;
     std::string message;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.id, m.code, m.message);
+    }
 };
 
 /** Cadenced heartbeat for one grid (mirrors harness::SweepProgress,
  *  plus the service's cancelled count). */
 struct ProgressMsg
 {
+    static constexpr MsgType TAG = MsgType::Progress;
+
     std::uint64_t fingerprint = 0;
     std::uint64_t done = 0;
     std::uint64_t total = 0;
@@ -246,18 +376,37 @@ struct ProgressMsg
     std::uint64_t timed_out = 0;
     std::uint64_t cancelled = 0;
     double elapsed_seconds = 0.0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.fingerprint, m.done, m.total, m.ok, m.failed, m.timed_out,
+           m.cancelled, m.elapsed_seconds);
+    }
 };
 
 struct ResultMsg
 {
+    static constexpr MsgType TAG = MsgType::Result;
+
     std::uint64_t fingerprint = 0;
     /** harness::encodeJournalRecord() bytes of the completed job —
      *  decode with harness::decodeJournalRecord(). */
     std::string record;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.fingerprint, m.record);
+    }
 };
 
 struct GridDoneMsg
 {
+    static constexpr MsgType TAG = MsgType::GridDone;
+
     std::uint64_t fingerprint = 0;
     std::uint64_t ok = 0;
     std::uint64_t failed = 0;
@@ -265,79 +414,110 @@ struct GridDoneMsg
     std::uint64_t cancelled = 0;
     /** Jobs replayed from the journal after a daemon restart. */
     std::uint64_t resumed = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.fingerprint, m.ok, m.failed, m.timed_out, m.cancelled,
+           m.resumed);
+    }
 };
 
 struct StatusReportMsg
 {
+    static constexpr MsgType TAG = MsgType::StatusReport;
+
     bool draining = false;
     std::uint64_t grids = 0;
     std::uint64_t done_grids = 0;
     std::uint64_t queued_jobs = 0;
     std::uint64_t running_jobs = 0;
     std::uint64_t done_jobs = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.draining, m.grids, m.done_grids, m.queued_jobs,
+           m.running_jobs, m.done_jobs);
+    }
 };
 
 struct CancelOkMsg
 {
+    static constexpr MsgType TAG = MsgType::CancelOk;
+
     std::uint64_t fingerprint = 0;
     /** Queued jobs finalized as Cancelled by this request. */
     std::uint64_t cancelled_jobs = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.fingerprint, m.cancelled_jobs);
+    }
 };
 
 /** Sent to every connected client when drain begins. */
 struct DrainingMsg
 {
+    static constexpr MsgType TAG = MsgType::Draining;
+
     std::string reason;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.reason);
+    }
 };
 
 /** v2: one metrics exposition (obs::renderPrometheus / renderMetricsJson). */
 struct MetricsReportMsg
 {
+    static constexpr MsgType TAG = MsgType::MetricsReport;
+
     MetricsFormat format = MetricsFormat::Prometheus;
     std::string body;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.format, m.body);
+    }
 };
 
 /// @}
 
-/// Encode one message to its payload bytes (type byte included).
-/// @{
-std::string encode(const HelloMsg &m);
-std::string encode(const SubmitMsg &m);
-std::string encode(const AttachMsg &m);
-std::string encode(const CancelMsg &m);
-std::string encode(const StatusMsg &m);
-std::string encode(const MetricsMsg &m);
-std::string encode(const WelcomeMsg &m);
-std::string encode(const AcceptedMsg &m);
-std::string encode(const RejectedMsg &m);
-std::string encode(const ProgressMsg &m);
-std::string encode(const ResultMsg &m);
-std::string encode(const GridDoneMsg &m);
-std::string encode(const StatusReportMsg &m);
-std::string encode(const CancelOkMsg &m);
-std::string encode(const DrainingMsg &m);
-std::string encode(const MetricsReportMsg &m);
-/// @}
+/// encode(m) is the payload of any message above (type byte
+/// included); decode<M>(payload) inverts it and throws
+/// SimError(BadWire) on a wrong type byte, an underrun, an
+/// out-of-range field, or trailing bytes (format mismatch).
+using util::codec::decode;
+using util::codec::encode;
 
-/// Decode one payload; throws SimError(BadWire) on a wrong type byte,
-/// an out-of-range field, or trailing bytes (format mismatch).
+/// Named decoders, one per message.
 /// @{
-HelloMsg decodeHello(const std::string &payload);
-SubmitMsg decodeSubmit(const std::string &payload);
-AttachMsg decodeAttach(const std::string &payload);
-CancelMsg decodeCancel(const std::string &payload);
-StatusMsg decodeStatus(const std::string &payload);
-MetricsMsg decodeMetrics(const std::string &payload);
-WelcomeMsg decodeWelcome(const std::string &payload);
-AcceptedMsg decodeAccepted(const std::string &payload);
-RejectedMsg decodeRejected(const std::string &payload);
-ProgressMsg decodeProgress(const std::string &payload);
-ResultMsg decodeResult(const std::string &payload);
-GridDoneMsg decodeGridDone(const std::string &payload);
-StatusReportMsg decodeStatusReport(const std::string &payload);
-CancelOkMsg decodeCancelOk(const std::string &payload);
-DrainingMsg decodeDraining(const std::string &payload);
-MetricsReportMsg decodeMetricsReport(const std::string &payload);
+inline constexpr auto decodeHello = &decode<HelloMsg>;
+inline constexpr auto decodeSubmit = &decode<SubmitMsg>;
+inline constexpr auto decodeAttach = &decode<AttachMsg>;
+inline constexpr auto decodeCancel = &decode<CancelMsg>;
+inline constexpr auto decodeStatus = &decode<StatusMsg>;
+inline constexpr auto decodeMetrics = &decode<MetricsMsg>;
+inline constexpr auto decodeWelcome = &decode<WelcomeMsg>;
+inline constexpr auto decodeAccepted = &decode<AcceptedMsg>;
+inline constexpr auto decodeRejected = &decode<RejectedMsg>;
+inline constexpr auto decodeProgress = &decode<ProgressMsg>;
+inline constexpr auto decodeResult = &decode<ResultMsg>;
+inline constexpr auto decodeGridDone = &decode<GridDoneMsg>;
+inline constexpr auto decodeStatusReport = &decode<StatusReportMsg>;
+inline constexpr auto decodeCancelOk = &decode<CancelOkMsg>;
+inline constexpr auto decodeDraining = &decode<DrainingMsg>;
+inline constexpr auto decodeMetricsReport = &decode<MetricsReportMsg>;
 /// @}
 
 } // namespace aurora::serve::wire

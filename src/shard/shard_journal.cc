@@ -3,7 +3,6 @@
 #include <map>
 #include <utility>
 
-#include "util/logging.hh"
 #include "util/sim_error.hh"
 
 namespace aurora::shard
@@ -11,13 +10,6 @@ namespace aurora::shard
 
 namespace
 {
-
-using util::ByteReader;
-using util::ByteWriter;
-
-/** Record type tags (payload byte 0). */
-constexpr std::uint8_t SHARD_REC_HEADER = 1;
-constexpr std::uint8_t SHARD_REC_ENTRY = 2;
 
 [[noreturn]] void
 badJournal(const std::string &path, const std::string &what)
@@ -31,68 +23,24 @@ badJournal(const std::string &path, const std::string &what)
 LoadedShardJournal
 loadShardJournal(const std::string &path)
 {
-    util::RecordFileReader reader(path);
+    const util::RecordFile file =
+        util::readRecordFile(path, "shard journal");
     LoadedShardJournal loaded;
-
-    std::string payload;
-    switch (reader.next(payload)) {
-      case util::RecordStatus::Ok:
-        break;
-      case util::RecordStatus::EndOfFile:
-        badJournal(path, "empty file (no header record)");
-      case util::RecordStatus::TruncatedTail:
-        badJournal(path, "torn header record");
-      case util::RecordStatus::Corrupt:
-        badJournal(path, "corrupt header record");
+    loaded.dropped_tail = file.dropped_tail;
+    loaded.valid_bytes = file.valid_bytes;
+    try {
+        const auto header = util::codec::decode<ShardJournalHeader>(
+            file.payloads.front());
+        loaded.slot = header.slot;
+        loaded.epoch = header.epoch;
+        for (std::size_t k = 1; k < file.payloads.size(); ++k)
+            loaded.entries.push_back(
+                util::codec::decode<ShardJournalEntry>(
+                    file.payloads[k]));
+    } catch (const util::SimError &e) {
+        badJournal(path, e.message());
     }
-    {
-        ByteReader rd(payload);
-        if (rd.u8() != SHARD_REC_HEADER)
-            badJournal(path, "first record is not a header");
-        const std::uint32_t version = rd.u32();
-        if (version != SHARD_JOURNAL_VERSION)
-            badJournal(path, "format version " +
-                                 std::to_string(version) +
-                                 " (expected " +
-                                 std::to_string(SHARD_JOURNAL_VERSION) +
-                                 ")");
-        loaded.slot = rd.u32();
-        loaded.epoch = rd.u64();
-        if (!rd.exhausted())
-            badJournal(path, "trailing bytes in header record");
-    }
-    loaded.valid_bytes = reader.goodBytes();
-
-    for (;;) {
-        switch (reader.next(payload)) {
-          case util::RecordStatus::EndOfFile:
-            return loaded;
-          case util::RecordStatus::TruncatedTail:
-            // The signature of a shard killed mid-append. Its result
-            // was never offered to the coordinator (append happens
-            // first), so dropping the fragment loses nothing.
-            warn(detail::concat("shard journal ", path,
-                                ": dropping torn tail record (shard "
-                                "was killed mid-append)"));
-            loaded.dropped_tail = true;
-            return loaded;
-          case util::RecordStatus::Corrupt:
-            badJournal(path, "corrupt record mid-file");
-          case util::RecordStatus::Ok:
-            break;
-        }
-        ByteReader rd(payload);
-        if (rd.u8() != SHARD_REC_ENTRY)
-            badJournal(path, "unexpected record tag");
-        ShardJournalEntry entry;
-        entry.epoch = rd.u64();
-        entry.ticket = rd.u64();
-        entry.record = rd.str();
-        if (!rd.exhausted())
-            badJournal(path, "trailing bytes in entry record");
-        loaded.entries.push_back(std::move(entry));
-        loaded.valid_bytes = reader.goodBytes();
-    }
+    return loaded;
 }
 
 ShardJournalWriter::ShardJournalWriter(const std::string &path,
@@ -100,23 +48,13 @@ ShardJournalWriter::ShardJournalWriter(const std::string &path,
                                        std::uint64_t epoch)
     : writer_(path, /*truncate=*/true)
 {
-    ByteWriter w;
-    w.u8(SHARD_REC_HEADER);
-    w.u32(SHARD_JOURNAL_VERSION);
-    w.u32(slot);
-    w.u64(epoch);
-    writer_.append(w.bytes());
+    writer_.append(util::codec::encode(ShardJournalHeader{slot, epoch}));
 }
 
 void
 ShardJournalWriter::append(const ShardJournalEntry &entry)
 {
-    ByteWriter w;
-    w.u8(SHARD_REC_ENTRY);
-    w.u64(entry.epoch);
-    w.u64(entry.ticket);
-    w.str(entry.record);
-    writer_.append(w.bytes());
+    writer_.append(util::codec::encode(entry));
 }
 
 std::vector<harness::JournalRecord>

@@ -14,6 +14,9 @@
  *   record k: entry  — epoch, coordinator ticket,
  *                      harness::encodeJournalRecord() bytes
  *
+ * (the field lists of ShardJournalHeader and ShardJournalEntry below
+ * are the normative layout, util/codec.hh).
+ *
  * One journal file belongs to one *incarnation* (one granted epoch),
  * never to a slot: a fenced zombie and the replacement shard respawned
  * into its slot are both live processes with the file-append syscalls
@@ -51,6 +54,7 @@
 #include <vector>
 
 #include "harness/journal.hh"
+#include "util/codec.hh"
 
 namespace aurora::shard
 {
@@ -58,15 +62,60 @@ namespace aurora::shard
 /** Shard journal format version (header record). */
 inline constexpr std::uint32_t SHARD_JOURNAL_VERSION = 1;
 
+/** Record type tags (payload byte 0). */
+enum class ShardJournalTag : std::uint8_t
+{
+    Header = 1,
+    Entry = 2,
+};
+
+inline constexpr util::codec::Format<ShardJournalTag, 2>
+    SHARD_JOURNAL_FORMAT{util::SimErrorCode::BadJournal,
+                         "shard journal record",
+                         {{{ShardJournalTag::Header, "header"},
+                           {ShardJournalTag::Entry, "entry"}}}};
+
+constexpr const auto &
+formatOf(ShardJournalTag)
+{
+    return SHARD_JOURNAL_FORMAT;
+}
+
+/** Record 0: which slot and lease epoch own the file. */
+struct ShardJournalHeader
+{
+    static constexpr ShardJournalTag TAG = ShardJournalTag::Header;
+
+    std::uint32_t slot = 0;
+    std::uint64_t epoch = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &h)
+    {
+        io.expect(SHARD_JOURNAL_VERSION, "shard journal format version");
+        io(h.slot, h.epoch);
+    }
+};
+
 /** One epoch-stamped completion in a shard's local journal. */
 struct ShardJournalEntry
 {
+    static constexpr ShardJournalTag TAG = ShardJournalTag::Entry;
+
     /** Lease epoch the shard held when it ran the job. */
     std::uint64_t epoch = 0;
     /** Coordinator-issued ticket the entry answers. */
     std::uint64_t ticket = 0;
     /** harness::encodeJournalRecord() bytes of the outcome. */
     std::string record;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &e)
+    {
+        io(e.epoch, e.ticket, e.record);
+    }
 };
 
 /** Everything loadShardJournal() recovered from disk. */

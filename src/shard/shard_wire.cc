@@ -1,90 +1,7 @@
 #include "shard_wire.hh"
 
-#include "util/logging.hh"
-#include "util/record_io.hh"
-#include "util/sim_error.hh"
-
 namespace aurora::shard::wire
 {
-
-namespace
-{
-
-using util::ByteReader;
-using util::ByteWriter;
-
-/** Begin a payload and emit the type byte. */
-ByteWriter
-begin(MsgType type)
-{
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(type));
-    return w;
-}
-
-/** Open a payload for decoding: check the type byte. */
-ByteReader
-open(const std::string &payload, MsgType want)
-{
-    ByteReader rd(payload);
-    const std::uint8_t got = rd.u8();
-    if (got != static_cast<std::uint8_t>(want))
-        util::raiseError(util::SimErrorCode::BadWire, "expected a ",
-                         msgTypeName(want),
-                         " shard message, got type byte ",
-                         static_cast<unsigned>(got));
-    return rd;
-}
-
-/** Close a decode: the payload must be fully consumed. */
-void
-close(const ByteReader &rd, MsgType type)
-{
-    if (!rd.exhausted())
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "trailing bytes after a ", msgTypeName(type),
-                         " shard message (format mismatch)");
-}
-
-} // namespace
-
-const char *
-msgTypeName(MsgType type)
-{
-    switch (type) {
-      case MsgType::Hello: return "Hello";
-      case MsgType::Beat: return "Beat";
-      case MsgType::Result: return "Result";
-      case MsgType::Welcome: return "Welcome";
-      case MsgType::Assign: return "Assign";
-      case MsgType::Fenced: return "Fenced";
-      case MsgType::Shutdown: return "Shutdown";
-    }
-    return "?";
-}
-
-MsgType
-peekType(const std::string &payload)
-{
-    if (payload.empty())
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "empty shard wire payload");
-    const auto raw = static_cast<std::uint8_t>(payload[0]);
-    const auto type = static_cast<MsgType>(raw);
-    switch (type) {
-      case MsgType::Hello:
-      case MsgType::Beat:
-      case MsgType::Result:
-      case MsgType::Welcome:
-      case MsgType::Assign:
-      case MsgType::Fenced:
-      case MsgType::Shutdown:
-        return type;
-    }
-    util::raiseError(util::SimErrorCode::BadWire,
-                     "unknown shard wire message type ",
-                     static_cast<unsigned>(raw));
-}
 
 std::string
 frame(const std::string &payload)
@@ -96,192 +13,6 @@ void
 sendFrame(int fd, const std::string &payload)
 {
     util::sendFrame(fd, SHARD_MAGIC, payload);
-}
-
-std::string
-encode(const HelloMsg &m)
-{
-    ByteWriter w = begin(MsgType::Hello);
-    w.u32(m.version);
-    w.u64(m.pid);
-    return w.bytes();
-}
-
-HelloMsg
-decodeHello(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Hello);
-    HelloMsg m;
-    m.version = rd.u32();
-    m.pid = rd.u64();
-    close(rd, MsgType::Hello);
-    return m;
-}
-
-std::string
-encode(const BeatMsg &m)
-{
-    ByteWriter w = begin(MsgType::Beat);
-    w.u32(m.slot);
-    w.u64(m.epoch);
-    w.u64(m.done);
-    return w.bytes();
-}
-
-BeatMsg
-decodeBeat(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Beat);
-    BeatMsg m;
-    m.slot = rd.u32();
-    m.epoch = rd.u64();
-    m.done = rd.u64();
-    close(rd, MsgType::Beat);
-    return m;
-}
-
-std::string
-encode(const ResultMsg &m)
-{
-    ByteWriter w = begin(MsgType::Result);
-    w.u32(m.slot);
-    w.u64(m.epoch);
-    w.u64(m.ticket);
-    w.str(m.record);
-    return w.bytes();
-}
-
-ResultMsg
-decodeResult(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Result);
-    ResultMsg m;
-    m.slot = rd.u32();
-    m.epoch = rd.u64();
-    m.ticket = rd.u64();
-    m.record = rd.str();
-    close(rd, MsgType::Result);
-    return m;
-}
-
-std::string
-encode(const WelcomeMsg &m)
-{
-    ByteWriter w = begin(MsgType::Welcome);
-    w.u32(m.version);
-    w.u32(m.slot);
-    w.u64(m.epoch);
-    w.u64(m.lease_ms);
-    w.u64(m.beat_ms);
-    return w.bytes();
-}
-
-WelcomeMsg
-decodeWelcome(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Welcome);
-    WelcomeMsg m;
-    m.version = rd.u32();
-    m.slot = rd.u32();
-    m.epoch = rd.u64();
-    m.lease_ms = rd.u64();
-    m.beat_ms = rd.u64();
-    close(rd, MsgType::Welcome);
-    return m;
-}
-
-std::string
-encode(const AssignMsg &m)
-{
-    ByteWriter w = begin(MsgType::Assign);
-    w.u64(m.epoch);
-    w.u64(m.jobs.size());
-    for (const JobSpec &job : m.jobs) {
-        w.u64(job.ticket);
-        w.u64(job.job_index);
-        w.str(job.machine_spec);
-        w.str(job.profile_name);
-        w.u64(job.profile_seed);
-        w.u64(job.instructions);
-        w.u8(job.has_base_seed ? 1 : 0);
-        w.u64(job.base_seed);
-        w.u64(job.deadline_ms);
-        w.u32(job.retries);
-        w.u64(job.backoff_ms);
-    }
-    // v2 optional trailing field: absent bytes decode as 0, and a
-    // frame without it is exactly a v1 frame.
-    if (m.trace_id != 0)
-        w.u64(m.trace_id);
-    return w.bytes();
-}
-
-AssignMsg
-decodeAssign(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Assign);
-    AssignMsg m;
-    m.epoch = rd.u64();
-    const std::uint64_t jobs = rd.u64();
-    // Cap before allocating, as decodeSubmit does: the CRC is not a
-    // secret, so a crafted count must not reserve gigabytes. Each
-    // encoded job holds at least two string lengths and seven u64s.
-    constexpr std::uint64_t MIN_JOB_BYTES = 4 + 4 + 7 * 8;
-    if (jobs > payload.size() / MIN_JOB_BYTES)
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "implausible shard assignment count ", jobs);
-    m.jobs.reserve(jobs);
-    for (std::uint64_t i = 0; i < jobs; ++i) {
-        JobSpec job;
-        job.ticket = rd.u64();
-        job.job_index = rd.u64();
-        job.machine_spec = rd.str();
-        job.profile_name = rd.str();
-        job.profile_seed = rd.u64();
-        job.instructions = rd.u64();
-        job.has_base_seed = rd.u8() != 0;
-        job.base_seed = rd.u64();
-        job.deadline_ms = rd.u64();
-        job.retries = rd.u32();
-        job.backoff_ms = rd.u64();
-        m.jobs.push_back(std::move(job));
-    }
-    if (!rd.exhausted())
-        m.trace_id = rd.u64();
-    close(rd, MsgType::Assign);
-    return m;
-}
-
-std::string
-encode(const FencedMsg &m)
-{
-    ByteWriter w = begin(MsgType::Fenced);
-    w.u64(m.epoch);
-    return w.bytes();
-}
-
-FencedMsg
-decodeFenced(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Fenced);
-    FencedMsg m;
-    m.epoch = rd.u64();
-    close(rd, MsgType::Fenced);
-    return m;
-}
-
-std::string
-encode(const ShutdownMsg &)
-{
-    return begin(MsgType::Shutdown).bytes();
-}
-
-ShutdownMsg
-decodeShutdown(const std::string &payload)
-{
-    ByteReader rd = open(payload, MsgType::Shutdown);
-    close(rd, MsgType::Shutdown);
-    return ShutdownMsg{};
 }
 
 } // namespace aurora::shard::wire

@@ -5,8 +5,10 @@
  * Frames are util/frame's CRC framing under the 'ASW1' magic —
  * distinct from serve's 'AWP1' and the journal's 'AJRN', so a client
  * that dials the wrong socket is refused at its first frame. Payload
- * byte 0 is the MsgType; the rest is a ByteWriter/ByteReader
- * encoding, so seeds and doubles cross the wire bit-exactly.
+ * byte 0 is the MsgType; the rest is the message's fields in the
+ * order its `fields` list names them (util/codec.hh). That list is
+ * the normative layout — encoder and decoder at once — so seeds and
+ * doubles cross the wire bit-exactly.
  *
  * Conversation shape (coordinator supervises, shard pulls):
  *
@@ -43,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "util/codec.hh"
 #include "util/frame.hh"
 
 namespace aurora::shard::wire
@@ -75,12 +78,39 @@ enum class MsgType : std::uint8_t
     Shutdown = 67,
 };
 
+/** The fabric's codec format: BadWire on any decode failure, and
+ *  the one name table of its message types. */
+inline constexpr util::codec::Format<MsgType, 7> SHARD_WIRE_FORMAT{
+    util::SimErrorCode::BadWire,
+    "shard message",
+    {{{MsgType::Hello, "Hello"},
+      {MsgType::Beat, "Beat"},
+      {MsgType::Result, "Result"},
+      {MsgType::Welcome, "Welcome"},
+      {MsgType::Assign, "Assign"},
+      {MsgType::Fenced, "Fenced"},
+      {MsgType::Shutdown, "Shutdown"}}}};
+
+constexpr const auto &
+formatOf(MsgType)
+{
+    return SHARD_WIRE_FORMAT;
+}
+
 /** Display name ("Hello", "Fenced", ...) for logs and tests. */
-const char *msgTypeName(MsgType type);
+inline const char *
+msgTypeName(MsgType type)
+{
+    return SHARD_WIRE_FORMAT.name(type);
+}
 
 /** First byte of @p payload as a MsgType; BadWire when empty or not
  *  a known type. */
-MsgType peekType(const std::string &payload);
+inline MsgType
+peekType(const std::string &payload)
+{
+    return SHARD_WIRE_FORMAT.peek(payload);
+}
 
 /** util::FrameDecoder fixed to the shard fabric's magic. */
 class FrameDecoder : public util::FrameDecoder
@@ -100,9 +130,18 @@ void sendFrame(int fd, const std::string &payload);
 
 struct HelloMsg
 {
+    static constexpr MsgType TAG = MsgType::Hello;
+
     std::uint32_t version = SHARD_PROTOCOL_VERSION;
     /** Shard's pid, for the coordinator's logs and kill drills. */
     std::uint64_t pid = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.version, m.pid);
+    }
 };
 
 /** Lease renewal. Sent between jobs and while idle; a shard deep in
@@ -110,14 +149,25 @@ struct HelloMsg
  *  worst-case job time (docs/distributed.md). */
 struct BeatMsg
 {
+    static constexpr MsgType TAG = MsgType::Beat;
+
     std::uint32_t slot = 0;
     std::uint64_t epoch = 0;
     /** Jobs this incarnation has completed (monotone; logs only). */
     std::uint64_t done = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.slot, m.epoch, m.done);
+    }
 };
 
 struct ResultMsg
 {
+    static constexpr MsgType TAG = MsgType::Result;
+
     std::uint32_t slot = 0;
     /** Epoch the shard holds — the fencing token. */
     std::uint64_t epoch = 0;
@@ -126,6 +176,13 @@ struct ResultMsg
     /** harness::encodeJournalRecord() bytes, already durable in the
      *  shard's local journal. */
     std::string record;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.slot, m.epoch, m.ticket, m.record);
+    }
 };
 
 /// @}
@@ -134,6 +191,8 @@ struct ResultMsg
 
 struct WelcomeMsg
 {
+    static constexpr MsgType TAG = MsgType::Welcome;
+
     std::uint32_t version = SHARD_PROTOCOL_VERSION;
     /** Stable slot index [0, shards) this connection now serves. */
     std::uint32_t slot = 0;
@@ -143,6 +202,13 @@ struct WelcomeMsg
     std::uint64_t lease_ms = 0;
     /** Target cadence for Beat messages (lease_ms / 4 or better). */
     std::uint64_t beat_ms = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.version, m.slot, m.epoch, m.lease_ms, m.beat_ms);
+    }
 };
 
 /** One grid point, in the portable form the shard re-hydrates with
@@ -167,10 +233,21 @@ struct JobSpec
     std::uint64_t deadline_ms = 0;
     std::uint32_t retries = 0;
     std::uint64_t backoff_ms = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &job)
+    {
+        io(job.ticket, job.job_index, job.machine_spec, job.profile_name,
+           job.profile_seed, job.instructions, job.has_base_seed,
+           job.base_seed, job.deadline_ms, job.retries, job.backoff_ms);
+    }
 };
 
 struct AssignMsg
 {
+    static constexpr MsgType TAG = MsgType::Assign;
+
     /** Epoch these assignments are valid under. */
     std::uint64_t epoch = 0;
     std::vector<JobSpec> jobs;
@@ -181,43 +258,62 @@ struct AssignMsg
      * exchange. Optional trailing field.
      */
     std::uint64_t trace_id = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.epoch, m.jobs);
+        io.trailing(m.trace_id);
+    }
 };
 
 /** The slot's lease was revoked; the named epoch is dead and every
  *  result sent under it will be refused. The shard must exit. */
 struct FencedMsg
 {
+    static constexpr MsgType TAG = MsgType::Fenced;
+
     std::uint64_t epoch = 0;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        io(m.epoch);
+    }
 };
 
 /** Clean end-of-grid: drain and exit 0. */
 struct ShutdownMsg
 {
+    static constexpr MsgType TAG = MsgType::Shutdown;
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &, Self &)
+    {
+    }
 };
 
 /// @}
 
-/// Encode one message to its payload bytes (type byte included).
-/// @{
-std::string encode(const HelloMsg &m);
-std::string encode(const BeatMsg &m);
-std::string encode(const ResultMsg &m);
-std::string encode(const WelcomeMsg &m);
-std::string encode(const AssignMsg &m);
-std::string encode(const FencedMsg &m);
-std::string encode(const ShutdownMsg &m);
-/// @}
+/// encode(m) is the payload of any message above (type byte
+/// included); decode<M>(payload) inverts it and throws
+/// SimError(BadWire) on a wrong type byte, an underrun, an
+/// out-of-range field, or trailing bytes (format mismatch).
+using util::codec::decode;
+using util::codec::encode;
 
-/// Decode one payload; throws SimError(BadWire) on a wrong type byte,
-/// an out-of-range field, or trailing bytes (format mismatch).
+/// Named decoders, one per message.
 /// @{
-HelloMsg decodeHello(const std::string &payload);
-BeatMsg decodeBeat(const std::string &payload);
-ResultMsg decodeResult(const std::string &payload);
-WelcomeMsg decodeWelcome(const std::string &payload);
-AssignMsg decodeAssign(const std::string &payload);
-FencedMsg decodeFenced(const std::string &payload);
-ShutdownMsg decodeShutdown(const std::string &payload);
+inline constexpr auto decodeHello = &decode<HelloMsg>;
+inline constexpr auto decodeBeat = &decode<BeatMsg>;
+inline constexpr auto decodeResult = &decode<ResultMsg>;
+inline constexpr auto decodeWelcome = &decode<WelcomeMsg>;
+inline constexpr auto decodeAssign = &decode<AssignMsg>;
+inline constexpr auto decodeFenced = &decode<FencedMsg>;
+inline constexpr auto decodeShutdown = &decode<ShutdownMsg>;
 /// @}
 
 } // namespace aurora::shard::wire

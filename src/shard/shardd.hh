@@ -4,9 +4,9 @@
  *
  * A shard worker dials the coordinator's Unix socket, receives a
  * slot + lease epoch (Welcome), and then loops: pull assigned jobs,
- * execute each through a per-job SweepRunner (workers=1 — exactly
- * the execution shape aurora_serve uses, so results are bit-identical
- * to both the daemon and a serial run), append the outcome to its
+ * execute each through harness::runJob() (the one-job runner
+ * aurora_serve uses too, so results are bit-identical to both the
+ * daemon and a serial run), append the outcome to its
  * per-epoch local journal, *then* offer it to the coordinator
  * (durable-before-visible), heartbeating between jobs to renew its
  * lease.

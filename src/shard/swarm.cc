@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 #include <utility>
 
@@ -767,7 +766,6 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
 
     const std::size_t n = grid.size();
     std::vector<harness::SweepOutcome> outcomes(n);
-    std::vector<char> replayed(n, 0);
 
     // Commit journal: the coordinator's own durable record, in the
     // standard harness journal format so `--resume` and every existing
@@ -775,42 +773,9 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     const std::uint64_t fingerprint =
         harness::gridFingerprint(grid, options.base_seed);
     std::unique_ptr<harness::JournalWriter> writer;
-    if (!options.journal.empty()) {
-        const bool resuming = options.resume && [&] {
-            return std::ifstream(options.journal).good();
-        }();
-        if (resuming) {
-            harness::LoadedJournal loaded =
-                harness::loadJournal(options.journal);
-            if (loaded.fingerprint != fingerprint || loaded.jobs != n)
-                util::raiseError(
-                    util::SimErrorCode::BadJournal, "journal '",
-                    options.journal,
-                    "' was written by a different grid — it cannot "
-                    "replay results for this sweep");
-            for (harness::JournalRecord &rec : loaded.records) {
-                if (!rec.outcome.ok)
-                    continue; // failed jobs get a fresh attempt
-                const auto i = static_cast<std::size_t>(rec.job_index);
-                outcomes[i] = std::move(rec.outcome);
-                outcomes[i].resumed = true;
-                replayed[i] = 1;
-                ++stats_.resumed;
-            }
-            if (core::auditEnabled())
-                for (std::size_t i = 0; i < n; ++i)
-                    if (replayed[i])
-                        core::auditRun(outcomes[i].result);
-            if (loaded.dropped_tail)
-                std::filesystem::resize_file(options.journal,
-                                             loaded.valid_bytes);
-            writer = std::make_unique<harness::JournalWriter>(
-                options.journal);
-        } else {
-            writer = std::make_unique<harness::JournalWriter>(
-                options.journal, fingerprint, n);
-        }
-    }
+    if (!options.journal.empty())
+        writer = harness::openGridJournal(options.journal, options.resume,
+                                          fingerprint, outcomes);
     commit_journal_ = writer.get();
     struct ClearGridState
     {
@@ -829,8 +794,10 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     // Issue tickets in submission order for every job not replayed.
     const std::uint64_t first_ticket = next_ticket_ + 1;
     for (std::size_t i = 0; i < n; ++i) {
-        if (replayed[i])
+        if (outcomes[i].resumed) {
+            ++stats_.resumed;
             continue;
+        }
         const harness::SweepJob &job = grid[i];
         wire::JobSpec spec;
         spec.ticket = ++next_ticket_;

@@ -2,6 +2,9 @@
 
 #include <array>
 #include <cstring>
+#include <utility>
+
+#include "logging.hh"
 
 namespace aurora::util
 {
@@ -96,8 +99,8 @@ void
 ByteReader::need(std::size_t n) const
 {
     if (bytes_.size() - pos_ < n)
-        raiseError(SimErrorCode::BadJournal, "record underrun: need ",
-                   n, " bytes at offset ", pos_, " of ", bytes_.size(),
+        raiseError(error_, "record underrun: need ", n,
+                   " bytes at offset ", pos_, " of ", bytes_.size(),
                    " (format/version mismatch?)");
 }
 
@@ -235,6 +238,38 @@ RecordFileReader::next(std::string &payload)
         return RecordStatus::Corrupt;
     good_bytes_ += header.size() + len;
     return RecordStatus::Ok;
+}
+
+RecordFile
+readRecordFile(const std::string &path, const char *what)
+{
+    RecordFileReader reader(path);
+    RecordFile file;
+    std::string payload;
+    for (;;) {
+        const RecordStatus status = reader.next(payload);
+        if (status == RecordStatus::Ok) {
+            file.payloads.push_back(std::move(payload));
+            continue;
+        }
+        if (status == RecordStatus::Corrupt)
+            raiseError(SimErrorCode::BadJournal, what, " '", path,
+                       "' is corrupt mid-file (bad frame or CRC "
+                       "mismatch)");
+        if (status == RecordStatus::TruncatedTail) {
+            // The signature of a writer killed mid-append.
+            warn(detail::concat(what, " '", path,
+                                "': dropping torn tail record "
+                                "(writer was interrupted)"));
+            file.dropped_tail = true;
+        }
+        break;
+    }
+    if (file.payloads.empty())
+        raiseError(SimErrorCode::BadJournal, what, " '", path,
+                   "' has no complete header record");
+    file.valid_bytes = reader.goodBytes();
+    return file;
 }
 
 } // namespace aurora::util

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "sim_error.hh"
 
@@ -66,14 +67,18 @@ class ByteWriter
 
 /**
  * Little-endian payload decoder. An underrun — asking for more bytes
- * than the payload holds — throws SimError(BadJournal): the payload
- * passed its CRC, so a short read means a format/version mismatch,
- * not bit rot.
+ * than the payload holds — throws SimError(@p error, BadJournal by
+ * default): the payload passed its CRC, so a short read means a
+ * format/version mismatch, not bit rot.
  */
 class ByteReader
 {
   public:
-    explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
+    explicit ByteReader(const std::string &bytes,
+                        SimErrorCode error = SimErrorCode::BadJournal)
+        : bytes_(bytes), error_(error)
+    {
+    }
 
     std::uint8_t u8();
     std::uint32_t u32();
@@ -84,10 +89,14 @@ class ByteReader
     /** Payload fully consumed? (Decoders check this last.) */
     bool exhausted() const { return pos_ == bytes_.size(); }
 
+    /** Bytes not yet consumed. */
+    std::size_t remaining() const { return bytes_.size() - pos_; }
+
   private:
     void need(std::size_t n) const;
 
     const std::string &bytes_;
+    SimErrorCode error_;
     std::size_t pos_ = 0;
 };
 
@@ -156,6 +165,30 @@ class RecordFileReader
     std::ifstream in_;
     std::uint64_t good_bytes_ = 0;
 };
+
+/** Every complete record of one record file (readRecordFile()). */
+struct RecordFile
+{
+    std::vector<std::string> payloads;
+    /** A torn tail record was dropped (its writer was killed). */
+    bool dropped_tail = false;
+    /**
+     * File length through the last complete record. When
+     * dropped_tail is set, the file must be truncated to this length
+     * before it is reopened for append — otherwise the fragment gets
+     * buried mid-file and the next read classifies it Corrupt.
+     */
+    std::uint64_t valid_bytes = 0;
+};
+
+/**
+ * Read every record of @p path, which @p what names in messages
+ * ("journal"). A torn tail record is dropped with a warning. A
+ * missing file, a file without one complete record (every format
+ * starts with a header), and mid-file damage raise
+ * SimError(BadJournal).
+ */
+RecordFile readRecordFile(const std::string &path, const char *what);
 
 /** Sanity cap on a single record (a corrupt length field must not
  *  trigger a gigabyte allocation). */

@@ -50,6 +50,14 @@ enum class SimErrorCode
     BadWire,
 };
 
+/** Last SimErrorCode: record codecs range-check decoded codes
+ *  against it (util/codec.hh). */
+constexpr SimErrorCode
+enumLimit(SimErrorCode)
+{
+    return SimErrorCode::BadWire;
+}
+
 /** Stable display name of @p code ("BadConfig", ...). */
 const char *errorCodeName(SimErrorCode code);
 

@@ -464,6 +464,46 @@ TEST(ServeServer, DrainPersistsQueuedWorkForTheNextIncarnation)
     expectBitIdentical(stream, runSerial(profiles, 150'000, 31));
 }
 
+TEST(ServeServer, ClientTraceIdSurvivesRestart)
+{
+    auto config = baseConfig("serve_trace_restart");
+    config.workers = 1;
+    const auto socket_path = config.socket_path;
+    const auto spool_dir = config.spool_dir;
+    const std::vector<std::string> profiles = {"espresso", "li",
+                                               "eqntott"};
+    constexpr std::uint64_t TRACE = 0x5eed7ace5eed7aceull;
+
+    std::uint64_t fingerprint = 0;
+    {
+        TestDaemon daemon(std::move(config));
+        Client client(socket_path, "alice");
+        auto submit = smallSubmit(profiles, 150'000, 53);
+        submit.trace_id = TRACE;
+        client.send(wire::encode(submit));
+        const auto accepted = wire::decodeAccepted(mustRecv(client));
+        EXPECT_EQ(accepted.trace_id, TRACE);
+        fingerprint = accepted.fingerprint;
+        daemon.stop(); // mid-grid: queued jobs persist in the spool
+    }
+
+    // The restarted daemon must resume the grid in the client's
+    // trace, not re-mint one from the fingerprint.
+    serve::ServerConfig next;
+    next.socket_path = socket_path;
+    next.spool_dir = spool_dir;
+    next.workers = 2;
+    TestDaemon daemon(std::move(next));
+    ASSERT_EQ(daemon.server().resumedGrids(), 1u);
+    Client client(socket_path, "alice");
+    client.send(wire::encode(wire::AttachMsg{fingerprint}));
+    const auto accepted = wire::decodeAccepted(mustRecv(client));
+    EXPECT_TRUE(accepted.attached);
+    EXPECT_EQ(accepted.trace_id, TRACE);
+    EXPECT_EQ(streamToDone(client, fingerprint).done.ok,
+              profiles.size());
+}
+
 TEST(ServeServer, SigkillMidGridResumesBitIdentical)
 {
     const auto socket_path = tempPath("serve_kill.sock");
