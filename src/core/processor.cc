@@ -424,9 +424,27 @@ RunLedger::toString() const
 RunResult
 Processor::run()
 {
+    advance();
+    return finish();
+}
+
+bool
+Processor::advance(Count available)
+{
     const bool deadline_armed = watchdog_.deadline_ms > 0;
-    const WallTimer run_timer;
+    const Count pull_bound = pullBound();
+    // The deadline clock counts only time spent in here, charged on
+    // every exit (watchdog throws included): a machine that waits
+    // while others sharing its trace run is not spending its budget.
+    struct Charge
+    {
+        double &total;
+        const WallTimer timer;
+        ~Charge() { total += timer.seconds(); }
+    } charge{advanceSeconds_, {}};
     while (!done()) {
+        if (ifu_.fetchedFromSource() + pull_bound > available)
+            return false;
         // Liveness checks live here rather than in step() so the
         // cycle accounting of a healthy run is untouched and unit
         // tests may still single-step a deliberately stuck machine.
@@ -441,7 +459,7 @@ Processor::run()
         // steady_clock read per cycle would dominate the simulation,
         // and millisecond deadlines do not need cycle resolution.
         if (deadline_armed && (now_ & 1023u) == 0 &&
-            run_timer.seconds() * 1000.0 >=
+            (advanceSeconds_ + charge.timer.seconds()) * 1000.0 >=
                 static_cast<double>(watchdog_.deadline_ms))
             throw WatchdogError(util::SimErrorCode::Timeout,
                                 snapshot());
@@ -462,6 +480,13 @@ Processor::run()
             limit = std::min(limit, (now_ + 1023) & ~Cycle{1023});
         skipIdle(limit);
     }
+    return true;
+}
+
+RunResult
+Processor::finish()
+{
+    AURORA_ASSERT(done(), "finish() before advance() drained the machine");
     if (!drained_) {
         const Count releases_before = lsu_.mshrs().releases();
         lsu_.drain(now_);

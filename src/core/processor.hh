@@ -178,32 +178,59 @@ class Processor
 {
   public:
     /**
-     * @param watchdog forward-progress policy enforced by run();
+     * @param watchdog forward-progress policy enforced by advance();
      *        defaults to the AURORA_WATCHDOG_CYCLES-derived policy.
      */
     Processor(const MachineConfig &config, trace::TraceSource &source,
               WatchdogConfig watchdog = defaultWatchdog());
 
     /**
-     * Run until the trace is exhausted and the machine drains.
+     * Run until the trace is exhausted and the machine drains:
+     * advance() with no input limit, then finish().
+     */
+    RunResult run();
+
+    /**
+     * Run the cycle loop until the machine drains, or stop early
+     * before a step() that could pull source instruction number
+     * @p available or later (a step pulls at most pullBound()). A
+     * stopped machine resumes on the next call exactly where it
+     * left off, so any sequence of calls ends in the state one call
+     * with NEVER reaches.
      *
      * Throws WatchdogError (NoForwardProgress) if no instruction
-     * retires for watchdog.stall_limit consecutive cycles, or
+     * retires for watchdog.stall_limit consecutive cycles,
      * (CycleBudgetExceeded) once the clock reaches
-     * watchdog.cycle_budget — instead of hanging on a machine that
-     * validates but cannot make progress.
+     * watchdog.cycle_budget, or (Timeout) once the host time spent
+     * inside advance() passes watchdog.deadline_ms — instead of
+     * hanging on a machine that validates but cannot make progress.
      *
      * Without an observer attached, spans in which no component can
      * change state are advanced in one step (event skipping, see
      * docs/microarchitecture.md); results are identical either way.
      *
-     * @return aggregated statistics.
+     * @return done().
      */
-    RunResult run();
+    bool advance(Count available = NEVER);
+
+    /**
+     * Drain the memory system after advance() returned true, build
+     * the aggregated statistics, and audit them (AURORA_AUDIT).
+     */
+    RunResult finish();
+
+    /**
+     * Most source instructions one step() can pull: a fetch group,
+     * plus a delay slot that rides with its branch.
+     */
+    Count pullBound() const { return config_.ifu.fetch_width + 1; }
+
+    /** Host seconds spent inside advance() (the deadline's clock). */
+    double advanceSeconds() const { return advanceSeconds_; }
 
     /**
      * Advance a single cycle (exposed for unit tests; the watchdog
-     * is enforced only by run()).
+     * is enforced only by advance()).
      */
     void step();
 
@@ -235,13 +262,13 @@ class Processor
     Cycle issuingCycles() const { return issuingCycles_; }
     Cycle tailCycles() const { return tailCycles_; }
     /**
-     * Cycles run() advanced in bulk instead of through step(). Not
+     * Cycles advance() skipped in bulk instead of through step(). Not
      * part of RunResult: it describes the host-side method, not the
      * simulated machine.
      */
     Cycle skippedCycles() const { return skippedCycles_; }
 
-    /** Watchdog policy in force for run(). */
+    /** Watchdog policy in force for advance(). */
     const WatchdogConfig &watchdog() const { return watchdog_; }
 
     /**
@@ -333,6 +360,7 @@ class Processor
     Cycle issuingCycles_ = 0;
     Cycle tailCycles_ = 0;
     Cycle skippedCycles_ = 0;
+    double advanceSeconds_ = 0.0;
     StallCycles stalls_{};
     std::array<Cycle, 3> issueWidthCycles_{};
     // Always-on per-cycle occupancy histograms (one unit-width bucket

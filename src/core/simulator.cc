@@ -1,23 +1,185 @@
 #include "simulator.hh"
 
+#include <algorithm>
+#include <memory>
+
 #include "trace/synthetic_workload.hh"
+#include "util/logging.hh"
 #include "util/parallel.hh"
 
 namespace aurora::core
 {
+
+namespace
+{
+
+/** Instructions a TraceWindow holds (a power of two). */
+constexpr Count WINDOW = 512;
+
+/**
+ * The first @p length instructions of a source, produced in blocks
+ * into a ring: instruction i sits in slot i % WINDOW while
+ * filled() - WINDOW <= i < filled().
+ */
+class TraceWindow
+{
+  public:
+    TraceWindow(trace::TraceSource &source, Count length)
+        : source_(source), length_(length), ring_(WINDOW)
+    {}
+
+    /** Produce up to one window past @p slowest, the oldest unread. */
+    void
+    refill(Count slowest)
+    {
+        const Count target = std::min(slowest + WINDOW, length_);
+        while (filled_ < target && !ended_) {
+            const Count at = filled_ % WINDOW;
+            const Count want = std::min(target - filled_, WINDOW - at);
+            const std::size_t got =
+                source_.fill(std::span(ring_.data() + at, want));
+            filled_ += got;
+            ended_ = got < want;
+        }
+    }
+
+    /** Whole trace produced (or the source ran dry). */
+    bool complete() const { return ended_ || filled_ == length_; }
+
+    /** Processor::advance() input limit: NEVER once complete. */
+    Count available() const { return complete() ? NEVER : filled_; }
+
+    Count filled() const { return filled_; }
+
+    const trace::Inst &at(Count i) const { return ring_[i % WINDOW]; }
+
+  private:
+    trace::TraceSource &source_;
+    Count length_;
+    std::vector<trace::Inst> ring_;
+    Count filled_ = 0;
+    bool ended_ = false;
+};
+
+/** One machine's read position in a TraceWindow. */
+class WindowCursor final : public trace::TraceSource
+{
+  public:
+    explicit WindowCursor(const TraceWindow &window) : window_(&window) {}
+
+    bool
+    next(trace::Inst &out) override
+    {
+        if (pos_ == window_->filled()) {
+            // advance() stops before reading past a partial window.
+            AURORA_ASSERT(window_->complete(),
+                          "trace window read past its fill");
+            return false;
+        }
+        out = window_->at(pos_++);
+        return true;
+    }
+
+    Count position() const { return pos_; }
+
+  private:
+    const TraceWindow *window_;
+    Count pos_ = 0;
+};
+
+} // namespace
 
 RunResult
 simulate(const MachineConfig &machine,
          const trace::WorkloadProfile &profile, Count instructions,
          const WatchdogConfig &watchdog, PipelineObserver *observer)
 {
+    PipelineObserver *const observers[] = {observer};
+    SharedRun run = simulateShared(std::span(&machine, 1), profile,
+                                   instructions, watchdog, observers);
+    SharedMachineRun &only = run.machines.front();
+    if (only.error)
+        std::rethrow_exception(only.error);
+    return std::move(only.result);
+}
+
+SharedRun
+simulateShared(std::span<const MachineConfig> machines,
+               const trace::WorkloadProfile &profile, Count instructions,
+               const WatchdogConfig &watchdog,
+               std::span<PipelineObserver *const> observers)
+{
+    AURORA_ASSERT(observers.empty() || observers.size() == machines.size(),
+                  "simulateShared() needs one observer slot per machine");
+    const std::size_t n = machines.size();
+    SharedRun run;
+    run.machines.resize(n);
+    if (n == 0)
+        return run;
+
+    WallTimer timer;
     trace::SyntheticWorkload workload(profile);
-    trace::LimitedTraceSource limited(workload, instructions);
-    Processor cpu(machine, limited, watchdog);
-    cpu.setObserver(observer);
-    RunResult res = cpu.run();
-    res.benchmark = profile.name;
-    return res;
+    TraceWindow window(workload, instructions);
+    window.refill(0);
+    double synth_seconds = timer.seconds();
+
+    // Cursors are sized once: each Processor holds a reference to its
+    // own for life.
+    std::vector<WindowCursor> cursors(n, WindowCursor(window));
+    std::vector<std::unique_ptr<Processor>> cpus(n);
+    // Record a machine's failure or success and release it.
+    const auto retire = [&](std::size_t i, std::exception_ptr error) {
+        run.machines[i].error = std::move(error);
+        if (cpus[i])
+            run.machines[i].seconds += cpus[i]->advanceSeconds();
+        cpus[i].reset();
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        timer.reset();
+        try {
+            cpus[i] = std::make_unique<Processor>(machines[i], cursors[i],
+                                                  watchdog);
+            if (!observers.empty())
+                cpus[i]->setObserver(observers[i]);
+        } catch (...) {
+            retire(i, std::current_exception());
+        }
+        run.machines[i].seconds += timer.seconds();
+    }
+
+    for (;;) {
+        Count slowest = NEVER;
+        for (std::size_t i = 0; i < n; ++i)
+            if (cpus[i])
+                slowest = std::min(slowest, cursors[i].position());
+        if (slowest == NEVER)
+            break;
+        timer.reset();
+        window.refill(slowest);
+        synth_seconds += timer.seconds();
+        const Count available = window.available();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!cpus[i])
+                continue;
+            try {
+                if (!cpus[i]->advance(available))
+                    continue;
+                timer.reset();
+                RunResult &res = run.machines[i].result;
+                res = cpus[i]->finish();
+                res.benchmark = profile.name;
+                run.machines[i].seconds += timer.seconds();
+                retire(i, nullptr);
+            } catch (...) {
+                retire(i, std::current_exception());
+            }
+        }
+    }
+
+    run.synthesized = window.filled();
+    for (SharedMachineRun &m : run.machines)
+        m.seconds += synth_seconds / static_cast<double>(n);
+    return run;
 }
 
 Accumulator

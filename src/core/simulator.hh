@@ -4,12 +4,16 @@
  *
  * Wraps workload construction, trace limiting, processor
  * instantiation, and suite-level aggregation so an experiment is one
- * call: simulate(machine, benchmark, instructions).
+ * call: simulate(machine, benchmark, instructions). Machines that
+ * replay the same trace (the paper's paired method) run together
+ * through simulateShared(), which synthesizes that trace once.
  */
 
 #ifndef AURORA_CORE_SIMULATOR_HH
 #define AURORA_CORE_SIMULATOR_HH
 
+#include <exception>
+#include <span>
 #include <vector>
 
 #include "machine_config.hh"
@@ -40,6 +44,56 @@ RunResult simulate(const MachineConfig &machine,
                    Count instructions = DEFAULT_RUN_INSTS,
                    const WatchdogConfig &watchdog = defaultWatchdog(),
                    PipelineObserver *observer = nullptr);
+
+/** One machine's part of a simulateShared() group. */
+struct SharedMachineRun
+{
+    /** Valid only when error is null. */
+    RunResult result;
+    /**
+     * What this machine raised — util::SimError (BadConfig, an audit
+     * failure), WatchdogError, or anything else; null on success.
+     */
+    std::exception_ptr error;
+    /**
+     * Host seconds: this machine's own construction, stepping and
+     * finish, plus an equal share of the group's trace synthesis, so
+     * the members' seconds sum to the group's host time.
+     */
+    double seconds = 0.0;
+};
+
+/** Everything one simulateShared() call produced. */
+struct SharedRun
+{
+    /** One entry per machine, in input order. */
+    std::vector<SharedMachineRun> machines;
+    /** Trace instructions synthesized for the whole group. */
+    Count synthesized = 0;
+};
+
+/**
+ * Run @p profile for @p instructions on every machine of @p machines
+ * in lockstep over one synthesized trace. Each round synthesizes the
+ * trace in blocks into a fixed window of recent instructions, up to
+ * one window past the slowest machine, then advances every live
+ * machine until it finishes or would read past the window
+ * (Processor::advance). Every machine sees exactly the stream a
+ * simulate() of its own would, so results are bit-identical to that.
+ *
+ * Failures are isolated: a machine that throws (invalid config,
+ * watchdog trip, deadline) ends with its error set and the rest run
+ * on. Each machine's wall-clock deadline counts only its own
+ * stepping time. Only a failure of the shared trace itself (out of
+ * memory) propagates.
+ *
+ * @param observers empty, or one observer (or nullptr) per machine.
+ */
+SharedRun simulateShared(std::span<const MachineConfig> machines,
+                         const trace::WorkloadProfile &profile,
+                         Count instructions = DEFAULT_RUN_INSTS,
+                         const WatchdogConfig &watchdog = defaultWatchdog(),
+                         std::span<PipelineObserver *const> observers = {});
 
 /** A full benchmark-suite sweep on one machine. */
 struct SuiteResult

@@ -9,7 +9,7 @@
  * sweep such a point used to wedge the whole run. The watchdog
  * converts the wedge into a structured, recoverable error: if no
  * instruction retires for `stall_limit` cycles, or the hard
- * `cycle_budget` is exhausted, Processor::run() throws a
+ * `cycle_budget` is exhausted, Processor::advance() throws a
  * WatchdogError carrying a WatchdogDiagnostic snapshot of the stuck
  * machine (cycle, retirement history, per-cause stall cycles, ROB and
  * FPU queue occupancy) so the sweep summary can say *why* the point
@@ -53,7 +53,10 @@ struct WatchdogConfig
 
     /**
      * Trip with Timeout once the run has consumed this much
-     * *wall-clock* time, in milliseconds. 0 means unlimited. Unlike
+     * *wall-clock* time, in milliseconds, counting only the time the
+     * machine itself spent stepping (Processor::advance), not time it
+     * waited while others sharing its trace ran. 0 means unlimited.
+     * Unlike
      * the two simulated-time knobs this bounds host time: a job that
      * is merely pathologically slow (live but crawling) cannot hold a
      * sweep worker hostage for unbounded real time. Checked every

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "analyze/lint_config.hh"
 #include "analyze/model.hh"
@@ -97,6 +100,8 @@ SweepReport::summary() const
        << formatFixed(speedup(), 2) << "x) | "
        << formatFixed(instsPerSecond() / 1e6, 2)
        << " M sim-insts/s over " << total_instructions << " insts";
+    if (synthesized_instructions)
+        os << " (" << synthesized_instructions << " synthesized)";
     // Isolation accounting only appears once an outcome run happened,
     // so fail-fast sweeps keep the historical one-line shape.
     if (ok_jobs || failed_jobs || retried_jobs || timed_out_jobs ||
@@ -267,32 +272,155 @@ adviseGrid(const std::vector<SweepJob> &grid,
 namespace
 {
 
+using Unit = SweepRunner::Unit;
+using UnitAttempt = SweepRunner::UnitAttempt;
+
 /**
- * Turn a job grid into closures, resolving the seed-derivation and
- * watchdog policy once so run() and runOutcomes() simulate each job
+ * The attempt that runs grid jobs. Its members replay one trace (a
+ * unit from planUnits, or one job retried alone), so they run through
+ * one core::simulateShared() call. Seed derivation and watchdog policy
+ * resolve once here, so run() and runOutcomes() simulate each job
  * identically (healthy results stay bit-comparable between the two).
  * @p deadline_ms fills the watchdog's wall-clock deadline only where
  * an explicit watchdog policy left it unset.
  */
-std::vector<std::function<core::RunResult()>>
-gridTasks(const std::vector<SweepJob> &grid, const SweepOptions &options,
-          std::uint64_t deadline_ms)
+UnitAttempt
+gridAttempt(const std::vector<SweepJob> &grid, const SweepOptions &options,
+            std::uint64_t deadline_ms)
 {
     core::WatchdogConfig watchdog =
         options.watchdog ? *options.watchdog : core::defaultWatchdog();
     if (watchdog.deadline_ms == 0)
         watchdog.deadline_ms = deadline_ms;
-    std::vector<std::function<core::RunResult()>> tasks;
-    tasks.reserve(grid.size());
-    for (const SweepJob &job : grid) {
-        tasks.push_back([&options, &job, watchdog]() {
-            trace::WorkloadProfile profile = job.profile;
-            profile.seed = jobSeed(job, options.base_seed);
-            return core::simulate(job.machine, profile,
-                                  job.instructions, watchdog);
-        });
+    return [&grid, &options, watchdog](std::span<const std::size_t> members) {
+        const SweepJob &lead = grid[members.front()];
+        trace::WorkloadProfile profile = lead.profile;
+        profile.seed = jobSeed(lead, options.base_seed);
+        std::vector<core::MachineConfig> machines;
+        machines.reserve(members.size());
+        for (const std::size_t i : members)
+            machines.push_back(grid[i].machine);
+        try {
+            return core::simulateShared(machines, profile,
+                                        lead.instructions, watchdog);
+        } catch (...) {
+            // The shared trace itself failed: so did every member.
+            core::SharedRun run;
+            run.machines.resize(members.size());
+            for (core::SharedMachineRun &m : run.machines)
+                m.error = std::current_exception();
+            return run;
+        }
+    };
+}
+
+/** The attempt that runs closure tasks, each alone and timed. */
+UnitAttempt
+taskAttempt(const std::vector<std::function<core::RunResult()>> &tasks)
+{
+    return [&tasks](std::span<const std::size_t> members) {
+        core::SharedRun run;
+        for (const std::size_t i : members) {
+            core::SharedMachineRun &m = run.machines.emplace_back();
+            const WallTimer timer;
+            try {
+                m.result = tasks[i]();
+            } catch (...) {
+                m.error = std::current_exception();
+            }
+            m.seconds = timer.seconds();
+        }
+        return run;
+    };
+}
+
+/** Units of one: jobs 0..n-1, each on its own. */
+std::vector<Unit>
+singletons(std::size_t n)
+{
+    std::vector<Unit> units(n);
+    for (std::size_t i = 0; i < n; ++i)
+        units[i] = {i};
+    return units;
+}
+
+/**
+ * Shared-trace lockstep (docs/harness.md): group the @p pending grid
+ * jobs that replay one trace, i.e. have an equal effective profile
+ * (job seed included) and instruction count, and cut each group into
+ * ceil(min(pending, 3 x workers) / groups) units of near-equal size
+ * (at most one per job), so every worker has several units to balance
+ * over. Groups keep their first job's grid order; units keep job
+ * order. The plan depends only on the grid, the pending set and the
+ * worker count.
+ */
+std::vector<Unit>
+planUnits(const std::vector<SweepJob> &grid,
+          const std::vector<std::size_t> &pending,
+          const std::optional<std::uint64_t> &base_seed, unsigned workers)
+{
+    std::vector<Unit> groups;
+    std::vector<trace::WorkloadProfile> traces; // one per group
+    // (name, seed, length) narrows the search to a few whole-profile
+    // comparisons per job.
+    std::map<std::tuple<std::string, std::uint64_t, Count>,
+             std::vector<std::size_t>>
+        buckets;
+    for (const std::size_t i : pending) {
+        trace::WorkloadProfile profile = grid[i].profile;
+        profile.seed = jobSeed(grid[i], base_seed);
+        std::vector<std::size_t> &bucket =
+            buckets[{profile.name, profile.seed, grid[i].instructions}];
+        const auto same =
+            std::find_if(bucket.begin(), bucket.end(),
+                         [&](std::size_t g) { return traces[g] == profile; });
+        if (same != bucket.end()) {
+            groups[*same].push_back(i);
+            continue;
+        }
+        bucket.push_back(groups.size());
+        groups.push_back({i});
+        traces.push_back(std::move(profile));
     }
-    return tasks;
+    if (groups.empty())
+        return {};
+    const std::size_t target =
+        std::min(pending.size(), std::size_t{3} * workers);
+    const std::size_t split = (target + groups.size() - 1) / groups.size();
+    std::vector<Unit> units;
+    for (const Unit &group : groups) {
+        const std::size_t parts = std::min(split, group.size());
+        for (std::size_t p = 0; p < parts; ++p)
+            units.emplace_back(group.begin() + group.size() * p / parts,
+                               group.begin() +
+                                   group.size() * (p + 1) / parts);
+    }
+    return units;
+}
+
+/** Classify one member's attempt into @p out (result or error). */
+void
+recordAttempt(SweepOutcome &out, core::SharedMachineRun &run)
+{
+    if (!run.error) {
+        out.result = std::move(run.result);
+        out.ok = true;
+        out.error.clear();
+        return;
+    }
+    out.ok = false;
+    try {
+        std::rethrow_exception(run.error);
+    } catch (const util::SimError &e) {
+        out.code = e.code();
+        out.error = e.what();
+    } catch (const std::exception &e) {
+        out.code = util::SimErrorCode::Internal;
+        out.error = e.what();
+    } catch (...) {
+        out.code = util::SimErrorCode::Internal;
+        out.error = "unknown exception";
+    }
 }
 
 /**
@@ -409,7 +537,11 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
         adviseGrid(grid, options_.watchdog
                              ? *options_.watchdog
                              : core::defaultWatchdog());
-    return runTasks(gridTasks(grid, options_, deadlineMs()));
+    std::vector<std::size_t> all(grid.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    return runUnits(grid.size(),
+                    planUnits(grid, all, options_.base_seed, workers()),
+                    gridAttempt(grid, options_, deadlineMs()));
 }
 
 std::vector<SweepOutcome>
@@ -421,21 +553,14 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
         adviseGrid(grid, options_.watchdog
                              ? *options_.watchdog
                              : core::defaultWatchdog());
-    if (options_.journal.empty()) {
-        WallTimer wall;
-        std::vector<SweepOutcome> outcomes = executeOutcomes(
-            gridTasks(grid, options_, deadlineMs()), {}, grid.size(),
-            /*already_done=*/0);
-        accountOutcomes(outcomes, wall.seconds());
-        return outcomes;
-    }
 
     const std::size_t n = grid.size();
-    const std::uint64_t fingerprint =
-        gridFingerprint(grid, options_.base_seed);
     std::vector<SweepOutcome> outcomes(n);
-    const std::unique_ptr<JournalWriter> writer = openGridJournal(
-        options_.journal, options_.resume, fingerprint, outcomes);
+    std::unique_ptr<JournalWriter> writer;
+    if (!options_.journal.empty())
+        writer = openGridJournal(options_.journal, options_.resume,
+                                 gridFingerprint(grid, options_.base_seed),
+                                 outcomes);
 
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < n; ++i)
@@ -457,37 +582,30 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
                               "': ", n - pending.size(), "/", n,
                               " jobs replayed from the journal"));
 
-    auto all_tasks = gridTasks(grid, options_, deadlineMs());
-    std::vector<std::function<core::RunResult()>> tasks;
-    tasks.reserve(pending.size());
-    for (const std::size_t i : pending)
-        tasks.push_back(std::move(all_tasks[i]));
-
     // Completion counter spans the whole grid (replays included) so
     // on_job_done sees grid-relative progress.
     std::atomic<std::size_t> done{n - pending.size()};
-    const auto on_complete = [&](std::size_t k,
-                                 const SweepOutcome &out) {
-        const std::size_t i = pending[k];
-        JournalRecord rec;
-        rec.job_index = i;
-        rec.machine_hash = machineHash(grid[i].machine);
-        rec.seed = jobSeed(grid[i], options_.base_seed);
-        rec.outcome = out;
-        writer->append(rec);
-        const std::size_t d =
-            done.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (options_.on_job_done)
-            options_.on_job_done(d, n);
-    };
+    std::function<void(std::size_t, const SweepOutcome &)> on_complete;
+    if (writer)
+        on_complete = [&](std::size_t i, const SweepOutcome &out) {
+            JournalRecord rec;
+            rec.job_index = i;
+            rec.machine_hash = machineHash(grid[i].machine);
+            rec.seed = jobSeed(grid[i], options_.base_seed);
+            rec.outcome = out;
+            writer->append(rec);
+            const std::size_t d =
+                done.fetch_add(1, std::memory_order_relaxed) + 1;
+            if (options_.on_job_done)
+                options_.on_job_done(d, n);
+        };
 
     WallTimer wall;
-    std::vector<SweepOutcome> executed = executeOutcomes(
-        tasks, on_complete, n, n - pending.size(), &pending);
-    for (std::size_t k = 0; k < pending.size(); ++k)
-        outcomes[pending[k]] = std::move(executed[k]);
-
-    accountOutcomes(outcomes, wall.seconds());
+    const Count synthesized = executeOutcomes(
+        outcomes, planUnits(grid, pending, options_.base_seed, workers()),
+        gridAttempt(grid, options_, deadlineMs()), on_complete, n,
+        n - pending.size());
+    accountOutcomes(outcomes, wall.seconds(), synthesized);
     return outcomes;
 }
 
@@ -495,45 +613,74 @@ std::vector<core::RunResult>
 SweepRunner::runTasks(
     const std::vector<std::function<core::RunResult()>> &tasks)
 {
-    const std::size_t n = tasks.size();
+    return runUnits(tasks.size(), singletons(tasks.size()),
+                    taskAttempt(tasks));
+}
+
+std::vector<core::RunResult>
+SweepRunner::runUnits(std::size_t n, const std::vector<Unit> &units,
+                      const UnitAttempt &attempt)
+{
+    enum : std::uint8_t { NOT_RUN, OK, FAILED };
     std::vector<core::RunResult> results(n);
     std::vector<double> job_seconds(n, 0.0);
+    std::vector<std::uint8_t> state(n, NOT_RUN);
     std::atomic<std::size_t> completed{0};
+    std::atomic<Count> synthesized{0};
 
     const unsigned pool = workers();
     WallTimer wall;
-    ParallelResult accounting;
     ProgressMeter meter(options_, n, /*already_done=*/0);
+    const auto account = [&]() {
+        report_.workers = static_cast<unsigned>(
+            std::min<std::size_t>(pool, std::max<std::size_t>(n, 1)));
+        report_.jobs += n;
+        report_.wall_seconds += wall.seconds();
+        report_.job_seconds = std::move(job_seconds);
+        report_.synthesized_instructions += synthesized.load();
+    };
     try {
-        parallelFor(
-            n, pool,
-            [&](std::size_t i) {
-                WallTimer job_timer;
-                results[i] = tasks[i]();
-                job_seconds[i] = job_timer.seconds();
+        parallelFor(units.size(), pool, [&](std::size_t u) {
+            core::SharedRun run = attempt(units[u]);
+            synthesized += run.synthesized;
+            // The unit's healthy members complete; its first error
+            // then aborts the grid.
+            std::exception_ptr error;
+            for (std::size_t k = 0; k < units[u].size(); ++k) {
+                const std::size_t i = units[u][k];
+                core::SharedMachineRun &m = run.machines[k];
+                job_seconds[i] = m.seconds;
+                if (m.error) {
+                    state[i] = FAILED;
+                    if (!error)
+                        error = m.error;
+                    continue;
+                }
+                state[i] = OK;
+                results[i] = std::move(m.result);
                 if (meter.enabled())
                     meter.onResult();
                 const std::size_t done =
-                    completed.fetch_add(1, std::memory_order_relaxed) +
-                    1;
+                    completed.fetch_add(1, std::memory_order_relaxed) + 1;
                 if (options_.progress)
                     inform(detail::concat(
                         "sweep: ", done, "/", n, " done (",
-                        results[i].benchmark.empty()
-                            ? "job"
-                            : results[i].benchmark,
+                        results[i].benchmark.empty() ? "job"
+                                                     : results[i].benchmark,
                         "@",
                         results[i].model.empty() ? "machine"
                                                  : results[i].model,
                         ", ", formatFixed(job_seconds[i], 3), " s)"));
-            },
-            &accounting);
+            }
+            if (error)
+                std::rethrow_exception(error);
+        });
     } catch (...) {
-        // Fail-fast abort: still balance the books — every queued
-        // body that never ran is counted, so
+        // Fail-fast abort: still balance the books — every job that
+        // never ran is counted, so
         // jobs == ok + failed + timed_out + skipped holds. The
         // propagating exception classifies as Timeout or failure;
-        // any further suppressed failures count as failed.
+        // any further failures count as failed.
         bool timed_out = false;
         try {
             throw;
@@ -541,27 +688,24 @@ SweepRunner::runTasks(
             timed_out = e.code() == util::SimErrorCode::Timeout;
         } catch (...) {
         }
-        report_.workers = static_cast<unsigned>(std::min<std::size_t>(
-            pool, std::max<std::size_t>(n, 1)));
-        report_.jobs += n;
-        report_.wall_seconds += wall.seconds();
-        report_.job_seconds = std::move(job_seconds);
-        report_.ok_jobs += accounting.ran - accounting.failed;
-        report_.skipped_jobs += accounting.skipped;
-        if (timed_out && accounting.failed > 0) {
+        const auto count = [&](std::uint8_t s) {
+            return static_cast<std::size_t>(
+                std::count(state.begin(), state.end(), s));
+        };
+        const std::size_t failed = count(FAILED);
+        account();
+        report_.ok_jobs += count(OK);
+        report_.skipped_jobs += count(NOT_RUN);
+        if (timed_out && failed > 0) {
             ++report_.timed_out_jobs;
-            report_.failed_jobs += accounting.failed - 1;
+            report_.failed_jobs += failed - 1;
         } else {
-            report_.failed_jobs += accounting.failed;
+            report_.failed_jobs += failed;
         }
         throw;
     }
 
-    report_.workers = static_cast<unsigned>(
-        std::min<std::size_t>(pool, std::max<std::size_t>(n, 1)));
-    report_.jobs += n;
-    report_.wall_seconds += wall.seconds();
-    report_.job_seconds = std::move(job_seconds);
+    account();
     for (std::size_t i = 0; i < n; ++i) {
         report_.busy_seconds += report_.job_seconds[i];
         report_.total_instructions += results[i].instructions;
@@ -574,103 +718,121 @@ SweepRunner::runTaskOutcomes(
     const std::vector<std::function<core::RunResult()>> &tasks)
 {
     WallTimer wall;
-    std::vector<SweepOutcome> outcomes =
-        executeOutcomes(tasks, {}, tasks.size(), /*already_done=*/0);
-    accountOutcomes(outcomes, wall.seconds());
+    std::vector<SweepOutcome> outcomes(tasks.size());
+    const Count synthesized =
+        executeOutcomes(outcomes, singletons(tasks.size()),
+                        taskAttempt(tasks), {}, tasks.size(),
+                        /*already_done=*/0);
+    accountOutcomes(outcomes, wall.seconds(), synthesized);
     return outcomes;
 }
 
-std::vector<SweepOutcome>
+Count
 SweepRunner::executeOutcomes(
-    const std::vector<std::function<core::RunResult()>> &tasks,
+    std::vector<SweepOutcome> &outcomes, const std::vector<Unit> &units,
+    const UnitAttempt &attempt,
     const std::function<void(std::size_t, const SweepOutcome &)>
         &on_complete,
-    std::size_t grid_total, std::size_t already_done,
-    const std::vector<std::size_t> *grid_indices)
+    std::size_t grid_total, std::size_t already_done)
 {
-    const std::size_t n = tasks.size();
-    std::vector<SweepOutcome> outcomes(n);
+    std::size_t n = 0;
+    for (const Unit &unit : units)
+        n += unit.size();
     std::atomic<std::size_t> completed{0};
+    std::atomic<Count> synthesized{0};
 
     const unsigned pool = workers();
     const unsigned max_attempts = retries() + 1;
     const std::uint64_t backoff = backoffMs();
     obs::SpanLog *span_log = options_.span_log;
+    const auto now_us = [span_log] {
+        return span_log ? span_log->nowUs() : 0.0;
+    };
+    // Cooperative cancellation: refuse to *start* an attempt once the
+    // flag is up; an attempt already simulating is left to finish
+    // (and journal) normally.
+    const std::atomic<bool> *cancel = options_.cancel;
+    const auto cancelled = [cancel] {
+        return cancel && cancel->load(std::memory_order_relaxed);
+    };
     ProgressMeter meter(options_, grid_total, already_done);
+
+    // Close one attempt of job @p i: its span, and its label.
+    const auto close_attempt = [&](std::size_t i, unsigned attempt_no,
+                                   double start, std::string &label) {
+        if (!span_log)
+            return;
+        const SweepOutcome &out = outcomes[i];
+        const std::size_t job = options_.span_job_base + i;
+        label = out.ok && !out.result.benchmark.empty()
+                    ? out.result.benchmark + "@" + out.result.model
+                    : "job " + std::to_string(job);
+        span_log->addAttempt(job, attempt_no, label, start, now_us(),
+                             out.ok ? std::string() : out.error);
+    };
+
     // The body never throws: every failure is captured into its
     // outcome slot, so one poisoned job cannot abort the grid and
     // parallelFor's fail-fast path stays untouched.
-    const std::atomic<bool> *cancel = options_.cancel;
-    parallelFor(n, pool, [&](std::size_t i) {
-        SweepOutcome &out = outcomes[i];
-        const std::size_t job =
-            options_.span_job_base +
-            (grid_indices ? (*grid_indices)[i] : i);
-        const double job_start = span_log ? span_log->nowUs() : 0.0;
-        std::string label;
-        WallTimer job_timer;
-        for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-            // Cooperative cancellation: refuse to *start* an attempt
-            // once the flag is up; an attempt already simulating is
-            // left to finish (and journal) normally.
-            if (cancel && cancel->load(std::memory_order_relaxed)) {
+    parallelFor(units.size(), pool, [&](std::size_t u) {
+        const Unit &unit = units[u];
+        const double unit_start = now_us();
+        const bool started = !cancelled();
+        core::SharedRun first;
+        if (started)
+            first = attempt(unit);
+        synthesized += first.synthesized;
+        for (std::size_t k = 0; k < unit.size(); ++k) {
+            const std::size_t i = unit[k];
+            SweepOutcome &out = outcomes[i];
+            std::string label;
+            if (!started) {
                 out.ok = false;
                 out.code = util::SimErrorCode::Cancelled;
-                out.error = attempt == 1
-                                ? "cancelled before execution"
-                                : "cancelled before retry";
-                out.attempts = attempt - 1;
-                break;
+                out.error = "cancelled before execution";
+                out.attempts = 0;
+            } else {
+                recordAttempt(out, first.machines[k]);
+                out.attempts = 1;
+                out.seconds = first.machines[k].seconds;
+                close_attempt(i, 1, unit_start, label);
             }
-            if (attempt > 1 && backoff)
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    backoffDelayMs(backoff, attempt)));
-            out.attempts = attempt;
-            const double span_start = span_log ? span_log->nowUs() : 0.0;
-            try {
-                out.result = tasks[i]();
-                out.ok = true;
-                out.error.clear();
-            } catch (const util::SimError &e) {
-                out.ok = false;
-                out.code = e.code();
-                out.error = e.what();
-            } catch (const std::exception &e) {
-                out.ok = false;
-                out.code = util::SimErrorCode::Internal;
-                out.error = e.what();
-            } catch (...) {
-                out.ok = false;
-                out.code = util::SimErrorCode::Internal;
-                out.error = "unknown exception";
+            // Retry a failed member alone. A deadline expiry is
+            // deterministic for a hung simulation: retrying would
+            // only re-spend the whole deadline.
+            for (unsigned attempt_no = 2;
+                 started && !out.ok &&
+                 out.code != util::SimErrorCode::Timeout &&
+                 attempt_no <= max_attempts;
+                 ++attempt_no) {
+                if (cancelled()) {
+                    out.code = util::SimErrorCode::Cancelled;
+                    out.error = "cancelled before retry";
+                    break;
+                }
+                const WallTimer retry_timer;
+                if (backoff)
+                    std::this_thread::sleep_for(std::chrono::milliseconds(
+                        backoffDelayMs(backoff, attempt_no)));
+                out.attempts = attempt_no;
+                const double start = now_us();
+                core::SharedRun again = attempt(std::span(&i, 1));
+                synthesized += again.synthesized;
+                recordAttempt(out, again.machines.front());
+                out.seconds += retry_timer.seconds();
+                close_attempt(i, attempt_no, start, label);
             }
-            if (span_log) {
-                label = out.ok && !out.result.benchmark.empty()
-                            ? out.result.benchmark + "@" +
-                                  out.result.model
-                            : "job " + std::to_string(job);
-                span_log->addAttempt(job, attempt, label, span_start,
-                                     span_log->nowUs(),
-                                     out.ok ? std::string() : out.error);
-            }
-            if (out.ok)
-                break;
-            // A deadline expiry is deterministic for a hung
-            // simulation: retrying would only re-spend the whole
-            // deadline. Fail the job now.
-            if (out.code == util::SimErrorCode::Timeout)
-                break;
-        }
-        out.seconds = job_timer.seconds();
-        if (span_log && out.attempts > 0)
-            span_log->addJob(job, label, job_start, span_log->nowUs());
-        if (on_complete)
-            on_complete(i, out);
-        if (meter.enabled())
-            meter.onOutcome(out);
-        const std::size_t done =
-            completed.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (options_.progress) {
+            if (span_log && out.attempts > 0)
+                span_log->addJob(options_.span_job_base + i, label,
+                                 unit_start, now_us());
+            if (on_complete)
+                on_complete(i, out);
+            if (meter.enabled())
+                meter.onOutcome(out);
+            const std::size_t done =
+                completed.fetch_add(1, std::memory_order_relaxed) + 1;
+            if (!options_.progress)
+                continue;
             if (out.ok)
                 inform(detail::concat(
                     "sweep: ", done, "/", n, " ok (",
@@ -691,18 +853,19 @@ SweepRunner::executeOutcomes(
                     out.attempts, " attempt(s): ", out.error));
         }
     });
-    return outcomes;
+    return synthesized.load();
 }
 
 void
 SweepRunner::accountOutcomes(const std::vector<SweepOutcome> &outcomes,
-                             double wall_seconds)
+                             double wall_seconds, Count synthesized)
 {
     const std::size_t n = outcomes.size();
     report_.workers = static_cast<unsigned>(std::min<std::size_t>(
         workers(), std::max<std::size_t>(n, 1)));
     report_.jobs += n;
     report_.wall_seconds += wall_seconds;
+    report_.synthesized_instructions += synthesized;
     report_.job_seconds.assign(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         const SweepOutcome &out = outcomes[i];

@@ -21,7 +21,9 @@
  * sweeps sharing a base seed agree job-for-job. Without a base seed
  * the profiles' own seeds are kept, which keeps traces identical
  * across machine variants (paired comparisons, the paper's
- * methodology).
+ * methodology). run() and runOutcomes() then run the jobs that replay
+ * one trace as lockstep units over a single synthesized stream
+ * (core::simulateShared; docs/harness.md, "Shared-trace lockstep").
  *
  * Fault isolation: run()/runTasks() are fail-fast (first exception
  * aborts the sweep and propagates). The runOutcomes()/
@@ -38,6 +40,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -261,7 +264,11 @@ struct SweepOutcome
     /** Attempts consumed (1 = succeeded or failed first try; 0 =
      *  cancelled before any attempt started). */
     unsigned attempts = 1;
-    /** Wall seconds across all attempts of this job. */
+    /**
+     * Host seconds across all attempts of this job. An attempt in a
+     * lockstep unit counts the job's own stepping plus an equal share
+     * of the unit's trace synthesis; a retry counts its wall time.
+     */
     double seconds = 0.0;
     /**
      * Result was replayed from a journal rather than executed
@@ -283,6 +290,13 @@ struct SweepReport
     double busy_seconds = 0.0;
     /** Simulated instructions over all jobs. */
     Count total_instructions = 0;
+    /**
+     * Trace instructions synthesized for them. Grid jobs that replay
+     * one trace run as a lockstep unit over a single synthesis, so
+     * this falls below total_instructions by the sharing factor (0
+     * for closure tasks, whose traces the runner cannot see).
+     */
+    Count synthesized_instructions = 0;
     /** Per-job wall seconds of the most recent run, by grid index. */
     std::vector<double> job_seconds;
     /** Isolated jobs that produced a result (outcome runs only). */
@@ -326,7 +340,8 @@ class SweepRunner
     /**
      * Execute every job in @p grid and return the results in
      * submission order. An exception thrown by any job propagates to
-     * the caller after all workers have been joined.
+     * the caller after all workers have been joined (and after the
+     * other members of its lockstep unit finished).
      */
     std::vector<core::RunResult> run(const std::vector<SweepJob> &grid);
 
@@ -380,29 +395,50 @@ class SweepRunner
     /** Resolved model-advisor policy (options override, else env). */
     bool modelAdviceEnabled() const;
 
+    /** Job indices that run together in one first attempt. */
+    using Unit = std::vector<std::size_t>;
+
+    /**
+     * Run the jobs @p members in one attempt: one result or error
+     * per member, in order, plus the instructions synthesized.
+     */
+    using UnitAttempt =
+        std::function<core::SharedRun(std::span<const std::size_t>)>;
+
   private:
     /**
-     * Shared executor behind the outcome entry points: runs @p tasks
-     * through the pool with per-job isolation, retry + deterministic
-     * backoff, and Timeout classification. @p on_complete (when set)
-     * observes each finished outcome from its worker thread — the
-     * journal write-through hook. Does not touch report_.
+     * Fail-fast executor behind run() and runTasks(): runs every unit
+     * through the pool; the first member error aborts the grid once
+     * its unit has finished, with the report still balanced.
+     */
+    std::vector<core::RunResult> runUnits(std::size_t jobs,
+                                          const std::vector<Unit> &units,
+                                          const UnitAttempt &attempt);
+
+    /**
+     * Shared executor behind the outcome entry points: runs each unit
+     * through the pool with per-job isolation, then retries each
+     * failed member alone with deterministic backoff, except Timeouts.
+     * Writes the outcome of every job in @p units to its slot of
+     * @p outcomes. @p on_complete (when set) observes each finished
+     * outcome from its worker thread — the journal write-through
+     * hook. Does not touch report_.
      *
      * @p grid_total and @p already_done scope the progress heartbeat
-     * to the whole grid when only a subset executes (journal resume);
-     * @p grid_indices, when non-null, maps task index -> grid job
-     * index for spans (identity when null).
+     * to the whole grid when only a subset executes (journal resume).
+     *
+     * @return instructions synthesized.
      */
-    std::vector<SweepOutcome> executeOutcomes(
-        const std::vector<std::function<core::RunResult()>> &tasks,
+    Count executeOutcomes(
+        std::vector<SweepOutcome> &outcomes, const std::vector<Unit> &units,
+        const UnitAttempt &attempt,
         const std::function<void(std::size_t, const SweepOutcome &)>
             &on_complete,
-        std::size_t grid_total, std::size_t already_done,
-        const std::vector<std::size_t> *grid_indices = nullptr);
+        std::size_t grid_total, std::size_t already_done);
 
     /** Fold a grid-ordered outcome vector into report_. */
     void accountOutcomes(const std::vector<SweepOutcome> &outcomes,
-                         double wall_seconds);
+                         double wall_seconds, Count synthesized);
 
     SweepOptions options_;
     SweepReport report_;

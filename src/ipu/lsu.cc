@@ -29,7 +29,7 @@ Lsu::tick(Cycle now)
         const Cycle busy_until = busy_from + config_.fill_port_cycles;
         if (busy_until > portBusyUntil_)
             portBusyUntil_ = busy_until;
-        fills_.pop_front();
+        fills_.erase(fills_.begin());
     }
 }
 

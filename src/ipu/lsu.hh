@@ -18,7 +18,7 @@
 #ifndef AURORA_IPU_LSU_HH
 #define AURORA_IPU_LSU_HH
 
-#include <deque>
+#include <vector>
 
 #include "mem/biu.hh"
 #include "mem/cache.hh"
@@ -122,7 +122,8 @@ class Lsu
     mem::WriteCache writeCache_;
     mem::MshrFile mshrs_;
     mem::VictimCache victims_;
-    std::deque<PendingFill> fills_;
+    /** Line fills in flight, oldest first (a vector, as in Biu). */
+    std::vector<PendingFill> fills_;
     Cycle portBusyUntil_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "biu.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace aurora::mem
@@ -33,9 +35,10 @@ Biu::reserve(Cycle now)
 
     if (config_.model_collisions) {
         // Drop replies that have already landed.
-        while (!pendingReplies_.empty() &&
-               pendingReplies_.front() <= now)
-            pendingReplies_.pop_front();
+        pendingReplies_.erase(
+            pendingReplies_.begin(),
+            std::find_if(pendingReplies_.begin(), pendingReplies_.end(),
+                         [now](Cycle reply) { return reply > now; }));
         // A transmit that overlaps an inbound reply collides: both
         // sides back off and the transmit retries (§2's
         // collision-based protocol). One retry suffices in this
@@ -68,7 +71,7 @@ Biu::requestLine(Cycle now, bool prefetch)
     if (config_.model_collisions) {
         pendingReplies_.push_back(done);
         if (pendingReplies_.size() > 64)
-            pendingReplies_.pop_front();
+            pendingReplies_.erase(pendingReplies_.begin());
     }
     return done;
 }

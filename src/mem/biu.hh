@@ -20,7 +20,7 @@
 #ifndef AURORA_MEM_BIU_HH
 #define AURORA_MEM_BIU_HH
 
-#include <deque>
+#include <vector>
 
 #include "util/stats.hh"
 #include "util/types.hh"
@@ -102,8 +102,12 @@ class Biu
 
     BiuConfig config_;
     Cycle busFree_ = 0;
-    /** Completion times of in-flight reads (collision detection). */
-    std::deque<Cycle> pendingReplies_;
+    /**
+     * Completion times of in-flight reads, oldest first (collision
+     * detection). A vector: it holds a handful of entries, and unlike
+     * a deque it stops allocating once it has grown to them.
+     */
+    std::vector<Cycle> pendingReplies_;
     Count collisions_ = 0;
     Count demandReads_ = 0;
     Count prefetchReads_ = 0;

@@ -14,7 +14,6 @@
 #ifndef AURORA_MEM_STREAM_BUFFER_HH
 #define AURORA_MEM_STREAM_BUFFER_HH
 
-#include <deque>
 #include <vector>
 
 #include "biu.hh"
@@ -101,7 +100,8 @@ class PrefetchUnit
 
     struct Buffer
     {
-        std::deque<Entry> entries;
+        /** At most depth lines (a vector, as in Biu). */
+        std::vector<Entry> entries;
         Addr next_line = 0;   ///< next sequential line to prefetch
         Cycle last_used = 0;
         bool active = false;

@@ -691,16 +691,24 @@ SyntheticWorkload::produceRaw()
 bool
 SyntheticWorkload::next(Inst &out)
 {
+    return fill(std::span(&out, 1)) == 1;
+}
+
+std::size_t
+SyntheticWorkload::fill(std::span<Inst> out)
+{
+    // One instruction of lookahead patches each record's next_pc.
     if (!havePending_) {
         pending_ = produceRaw();
         havePending_ = true;
     }
-    Inst cur = pending_;
-    pending_ = produceRaw();
-    cur.next_pc = pending_.pc;
-    out = cur;
-    ++produced_;
-    return true;
+    for (Inst &slot : out) {
+        slot = pending_;
+        pending_ = produceRaw();
+        slot.next_pc = pending_.pc;
+    }
+    produced_ += out.size();
+    return out.size();
 }
 
 } // namespace aurora::trace

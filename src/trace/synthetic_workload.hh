@@ -31,7 +31,7 @@ namespace aurora::trace
 {
 
 /** Infinite TraceSource driven by a WorkloadProfile. */
-class SyntheticWorkload : public TraceSource
+class SyntheticWorkload final : public TraceSource
 {
   public:
     /** Simulated virtual address map (MIPS-like layout). */
@@ -44,6 +44,9 @@ class SyntheticWorkload : public TraceSource
 
     /** Always produces an instruction (the stream is unbounded). */
     bool next(Inst &out) override;
+
+    /** Block pull: the stream of next(), without a call per inst. */
+    std::size_t fill(std::span<Inst> out) override;
 
     const WorkloadProfile &profile() const { return profile_; }
 

@@ -11,6 +11,7 @@
 #define AURORA_TRACE_TRACE_SOURCE_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "inst.hh"
@@ -32,6 +33,22 @@ class TraceSource
      * @retval false the stream is exhausted; out is untouched.
      */
     virtual bool next(Inst &out) = 0;
+
+    /**
+     * Produce up to out.size() instructions into @p out, in stream
+     * order: exactly what that many next() calls would deliver.
+     *
+     * @return instructions written; fewer than out.size() only when
+     *         the stream ended.
+     */
+    virtual std::size_t
+    fill(std::span<Inst> out)
+    {
+        std::size_t n = 0;
+        while (n < out.size() && next(out[n]))
+            ++n;
+        return n;
+    }
 };
 
 /** TraceSource over an in-memory vector of instructions. */

@@ -158,6 +158,9 @@ struct WorkloadProfile
 
     /** Emit 8-byte FP accesses instead of paired 4-byte halves. */
     bool double_word_mem = false;
+
+    /** Same knobs, seed and name: the same synthesized trace. */
+    bool operator==(const WorkloadProfile &) const = default;
 };
 
 } // namespace aurora::trace

@@ -23,11 +23,8 @@ defaultWorkers()
 
 void
 parallelFor(std::size_t n, unsigned workers,
-            const std::function<void(std::size_t)> &body,
-            ParallelResult *accounting)
+            const std::function<void(std::size_t)> &body)
 {
-    if (accounting)
-        *accounting = ParallelResult{};
     if (n == 0)
         return;
     if (workers == 0)
@@ -36,23 +33,11 @@ parallelFor(std::size_t n, unsigned workers,
         std::min<std::size_t>(workers, n));
 
     if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                body(i);
-            } catch (...) {
-                // Drain the queue into the accounting before the
-                // fail-fast rethrow: indices after i never run.
-                if (accounting)
-                    *accounting = {i + 1, 1, n - i - 1};
-                throw;
-            }
-        }
-        if (accounting)
-            *accounting = {n, 0, 0};
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
         return;
     }
 
-    std::atomic<std::size_t> ran{0};
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> failures{0};
     std::atomic<bool> failed{false};
@@ -67,9 +52,7 @@ parallelFor(std::size_t n, unsigned workers,
                 return;
             try {
                 body(i);
-                ran.fetch_add(1, std::memory_order_relaxed);
             } catch (...) {
-                ran.fetch_add(1, std::memory_order_relaxed);
                 failures.fetch_add(1, std::memory_order_relaxed);
                 const std::lock_guard<std::mutex> lock(error_mutex);
                 if (!error)
@@ -88,13 +71,6 @@ parallelFor(std::size_t n, unsigned workers,
     for (std::thread &t : pool)
         t.join();
 
-    if (accounting) {
-        const std::size_t invoked =
-            ran.load(std::memory_order_relaxed);
-        *accounting = {invoked,
-                       failures.load(std::memory_order_relaxed),
-                       n - invoked};
-    }
     if (error) {
         const std::size_t count =
             failures.load(std::memory_order_relaxed);

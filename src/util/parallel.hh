@@ -27,22 +27,6 @@ namespace aurora
 unsigned defaultWorkers();
 
 /**
- * Invocation accounting for one parallelFor call. The identity
- * `ran + skipped == n` always holds, even when the call throws —
- * fail-fast used to abandon queued indices silently, which made
- * sweep reports un-balanceable (jobs != ok + failed + skipped).
- */
-struct ParallelResult
-{
-    /** Bodies invoked to completion (including ones that threw). */
-    std::size_t ran = 0;
-    /** Bodies that threw. */
-    std::size_t failed = 0;
-    /** Queued bodies never invoked because fail-fast aborted first. */
-    std::size_t skipped = 0;
-};
-
-/**
  * Invoke body(i) for every i in [0, n) across @p workers threads
  * (0 = defaultWorkers(); 1 = serial in the calling thread; never
  * more threads than items).
@@ -58,18 +42,12 @@ struct ParallelResult
  * (one worker) the first exception propagates immediately and later
  * indices never run.
  *
- * When @p accounting is non-null it is filled before the call
- * returns *or throws*, so a caller catching the fail-fast exception
- * can still report how many queued bodies were drained unrun
- * (`skipped`) — the counts a sweep report needs to balance.
- *
  * Callers that must survive individual failures (per-job sweep
  * isolation) should catch inside the body instead — see
  * harness::SweepRunner::runOutcomes().
  */
 void parallelFor(std::size_t n, unsigned workers,
-                 const std::function<void(std::size_t)> &body,
-                 ParallelResult *accounting = nullptr);
+                 const std::function<void(std::size_t)> &body);
 
 } // namespace aurora
 

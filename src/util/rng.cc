@@ -109,7 +109,7 @@ Rng::geometric(double p)
 }
 
 std::size_t
-Rng::weighted(const std::vector<double> &weights)
+Rng::weighted(std::span<const double> weights)
 {
     double total = 0.0;
     for (double w : weights) {

@@ -12,7 +12,8 @@
 #define AURORA_UTIL_RNG_HH
 
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
+#include <span>
 
 namespace aurora
 {
@@ -52,7 +53,14 @@ class Rng
      * Sample an index from a discrete distribution given by
      * non-negative weights. At least one weight must be positive.
      */
-    std::size_t weighted(const std::vector<double> &weights);
+    std::size_t weighted(std::span<const double> weights);
+
+    /** weighted() over a braced list, with no heap allocation. */
+    std::size_t
+    weighted(std::initializer_list<double> weights)
+    {
+        return weighted(std::span(weights.begin(), weights.size()));
+    }
 
     /**
      * Approximate Zipf sample in [0, n) with exponent s, used for

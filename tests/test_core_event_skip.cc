@@ -6,7 +6,8 @@
  * state, except while a PipelineObserver is attached: observed runs
  * are single-stepped. So simulate() with a no-op observer is the
  * stepped reference, and every RunResult must match it byte for byte
- * (harness::runResultBytes), watchdog trips included.
+ * (harness::runResultBytes), watchdog trips included. The same holds
+ * for a run resumed in slices through Processor::advance().
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "harness/journal.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic_workload.hh"
+#include "util/rng.hh"
 
 namespace
 {
@@ -203,6 +205,53 @@ TEST(EventSkip, SmallModelAtLatency100SkipsMostCycles)
     EXPECT_GE(static_cast<double>(skipped),
               0.60 * static_cast<double>(cycles))
         << skipped << " of " << cycles << " cycles skipped";
+}
+
+/**
+ * advance() in random slices of source input, then finish(), against
+ * one run() over the same trace: equal results and equal skipping.
+ */
+void
+expectSlicedEqualsRun(const MachineConfig &m,
+                      const trace::WorkloadProfile &p, std::uint64_t seed,
+                      bool observed)
+{
+    trace::SyntheticWorkload workload(p);
+    const std::vector<trace::Inst> insts = trace::collect(workload, INSTS);
+    NullObserver obs_whole, obs_sliced;
+
+    trace::VectorTraceSource whole_src(insts);
+    Processor whole(m, whole_src);
+    whole.setObserver(observed ? &obs_whole : nullptr);
+    const RunResult reference = whole.run();
+
+    trace::VectorTraceSource sliced_src(insts);
+    Processor sliced(m, sliced_src);
+    sliced.setObserver(observed ? &obs_sliced : nullptr);
+    Rng rng(seed);
+    Count available = 0;
+    unsigned calls = 0;
+    // Mostly slices shorter than one step's pull bound, some long.
+    while (!sliced.advance(available)) {
+        available += rng.chance(0.5) ? rng.range(0, 3) : rng.range(0, 2000);
+        ++calls;
+    }
+    EXPECT_GT(calls, 10u);
+    EXPECT_EQ(harness::runResultBytes(sliced.finish()),
+              harness::runResultBytes(reference))
+        << m.name << " " << p.name << " observed=" << observed;
+    EXPECT_EQ(sliced.skippedCycles(), whole.skippedCycles());
+}
+
+TEST(EventSkip, AdvanceInRandomSlicesEqualsRun)
+{
+    std::uint64_t seed = 1;
+    for (const bool observed : {false, true})
+        for (const MachineConfig &m :
+             {smallModel().withLatency(100), baselineModel().withLatency(35),
+              largeModel().withIssueWidth(1).withLatency(17)})
+            for (const auto &p : mixedProfiles())
+                expectSlicedEqualsRun(m, p, seed++, observed);
 }
 
 TEST(EventSkip, ObservedRunsNeverSkip)
