@@ -2,41 +2,12 @@
  * @file
  * Ablations beyond the paper's figures (DESIGN.md §6): branch
  * folding, write-validation, stream-buffer depth, and the §5.9
- * double-word FP load/store extension. Every suite evaluation runs
- * through one shared SweepRunner, so the whole ablation battery fans
- * out across AURORA_JOBS workers.
+ * double-word FP load/store extension. Every suite evaluation is one
+ * slice of a single grid, so the whole ablation battery runs in one
+ * sweep and each trace is synthesized once.
  */
 
 #include "bench_common.hh"
-
-namespace
-{
-
-using namespace aurora;
-using namespace aurora::core;
-
-harness::SweepRunner runner;
-
-double
-intSuiteCpi(const MachineConfig &m)
-{
-    return harness::runSuite(runner, m, trace::integerSuite(),
-                             aurora::bench::runInsts())
-        .avgCpi();
-}
-
-double
-fpSuiteCpi(const MachineConfig &m, bool double_word = false)
-{
-    auto suite = trace::floatSuite();
-    for (auto &p : suite)
-        p.double_word_mem = double_word;
-    return harness::runSuite(runner, m, suite,
-                             aurora::bench::runInsts())
-        .avgCpi();
-}
-
-} // namespace
 
 int
 main()
@@ -46,122 +17,128 @@ main()
 
     bench::banner("design ablations");
 
-    Table t({"ablation", "CPI avg", "delta %"});
+    const auto int_suite = trace::integerSuite();
+    const auto fp_suite = trace::floatSuite();
+    auto dword_suite = fp_suite;
+    for (auto &p : dword_suite)
+        p.double_word_mem = true;
 
-    {
-        const double base = intSuiteCpi(baselineModel());
-        auto nf = baselineModel();
-        nf.ifu.branch_folding = false;
-        const double without = intSuiteCpi(nf);
-        t.row().cell("baseline (branch folding on)").cell(base, 3)
-            .cell("-");
-        t.row()
-            .cell("branch folding removed (Fig 3 NEXT field)")
-            .cell(without, 3)
-            .cell(100.0 * (without - base) / base, 1);
-    }
-    {
-        auto nv = baselineModel();
-        nv.write_cache.validate_writes = false;
-        const double base = intSuiteCpi(baselineModel());
-        const double without = intSuiteCpi(nv);
-        t.row()
-            .cell("write validation micro-TLB disabled")
-            .cell(without, 3)
-            .cell(100.0 * (without - base) / base, 1);
-    }
-    {
-        const double base = intSuiteCpi(baselineModel());
-        for (unsigned depth : {1u, 2u, 4u, 8u}) {
-            auto m = baselineModel();
-            m.prefetch.depth = depth;
-            const double c = intSuiteCpi(m);
-            t.row()
-                .cell("stream buffer depth " + std::to_string(depth))
-                .cell(c, 3)
-                .cell(100.0 * (c - base) / base, 1);
-        }
-    }
-    {
-        // §2.1: short pipelines with forwarding vs a deeper ALU
-        // pipeline whose results take an extra cycle to reach
-        // dependents.
-        const double base = intSuiteCpi(baselineModel());
-        for (unsigned lat : {2u, 3u}) {
-            auto m = baselineModel();
-            m.alu_latency = lat;
-            const double c = intSuiteCpi(m);
-            t.row()
-                .cell("ALU result latency " + std::to_string(lat) +
-                      " (deep pipeline, no full forwarding)")
-                .cell(c, 3)
-                .cell(100.0 * (c - base) / base, 1);
-        }
-    }
-    {
-        // §2: the collision-based split-transaction bus protocol,
-        // modelled explicitly instead of folded into the average
-        // latency.
-        const double base = intSuiteCpi(baselineModel());
+    bench::Grid grid;
+    const auto base = grid.add(baselineModel(), int_suite);
+
+    auto nf = baselineModel();
+    nf.ifu.branch_folding = false;
+    const auto no_fold = grid.add(nf, int_suite);
+
+    auto nv = baselineModel();
+    nv.write_cache.validate_writes = false;
+    const auto no_validate = grid.add(nv, int_suite);
+
+    const unsigned depths[] = {1, 2, 4, 8};
+    std::vector<bench::Grid::Handle> depth;
+    for (unsigned d : depths) {
         auto m = baselineModel();
-        m.biu.model_collisions = true;
-        const double c = intSuiteCpi(m);
-        t.row()
-            .cell("explicit BIU collision modelling")
-            .cell(c, 3)
-            .cell(100.0 * (c - base) / base, 1);
+        m.prefetch.depth = d;
+        depth.push_back(grid.add(m, int_suite));
     }
-    {
-        // Jouppi's alternative: a victim cache instead of (and next
-        // to) the stream buffers, on the conflict-prone small model.
-        const double base = intSuiteCpi(smallModel());
-        auto vc_only = smallModel().withPrefetch(false);
-        vc_only.lsu.victim_lines = 4;
-        auto both = smallModel();
-        both.lsu.victim_lines = 4;
-        const double vco = intSuiteCpi(vc_only);
-        const double b = intSuiteCpi(both);
-        t.row()
-            .cell("small: 4-line victim cache, no stream buffers")
-            .cell(vco, 3)
-            .cell(100.0 * (vco - base) / base, 1);
-        t.row()
-            .cell("small: victim cache + stream buffers")
-            .cell(b, 3)
-            .cell(100.0 * (b - base) / base, 1);
+
+    const unsigned alu_lats[] = {2, 3};
+    std::vector<bench::Grid::Handle> alu;
+    for (unsigned lat : alu_lats) {
+        auto m = baselineModel();
+        m.alu_latency = lat;
+        alu.push_back(grid.add(m, int_suite));
     }
-    {
-        // §3.1 precise exception mode.
-        auto precise_machine = baselineModel();
-        precise_machine.fpu.precise_exceptions = true;
-        const double fast = fpSuiteCpi(baselineModel());
-        const double precise = fpSuiteCpi(precise_machine);
+
+    auto bc = baselineModel();
+    bc.biu.model_collisions = true;
+    const auto collisions = grid.add(bc, int_suite);
+
+    auto vc_only = smallModel().withPrefetch(false);
+    vc_only.lsu.victim_lines = 4;
+    auto both = smallModel();
+    both.lsu.victim_lines = 4;
+    const auto small = grid.add(smallModel(), int_suite);
+    const auto victim = grid.add(vc_only, int_suite);
+    const auto victim_sb = grid.add(both, int_suite);
+
+    auto precise_machine = baselineModel();
+    precise_machine.fpu.precise_exceptions = true;
+    const auto fp_fast = grid.add(baselineModel(), fp_suite);
+    const auto fp_precise = grid.add(precise_machine, fp_suite);
+    const auto fp_dword = grid.add(baselineModel(), dword_suite);
+
+    const auto &suites = grid.run();
+
+    const auto cpi = [&](bench::Grid::Handle h) {
+        return suites[h].avgCpi();
+    };
+    const auto delta = [&](bench::Grid::Handle h,
+                           bench::Grid::Handle ref) {
+        return 100.0 * (cpi(h) - cpi(ref)) / cpi(ref);
+    };
+
+    Table t({"ablation", "CPI avg", "delta %"});
+    t.row().cell("baseline (branch folding on)").cell(cpi(base), 3)
+        .cell("-");
+    t.row()
+        .cell("branch folding removed (Fig 3 NEXT field)")
+        .cell(cpi(no_fold), 3)
+        .cell(delta(no_fold, base), 1);
+    t.row()
+        .cell("write validation micro-TLB disabled")
+        .cell(cpi(no_validate), 3)
+        .cell(delta(no_validate, base), 1);
+    for (std::size_t i = 0; i < std::size(depths); ++i)
         t.row()
-            .cell("FP imprecise (fast) mode, SPECfp")
-            .cell(fast, 3)
-            .cell("-");
+            .cell("stream buffer depth " + std::to_string(depths[i]))
+            .cell(cpi(depth[i]), 3)
+            .cell(delta(depth[i], base), 1);
+    // §2.1: short pipelines with forwarding vs a deeper ALU pipeline
+    // whose results take an extra cycle to reach dependents.
+    for (std::size_t i = 0; i < std::size(alu_lats); ++i)
         t.row()
-            .cell("FP precise exception mode (S3.1)")
-            .cell(precise, 3)
-            .cell(100.0 * (precise - fast) / fast, 1);
-    }
-    {
-        const double paired = fpSuiteCpi(baselineModel(), false);
-        const double dword = fpSuiteCpi(baselineModel(), true);
-        t.row()
-            .cell("FP loads as paired 32-bit halves (base ISA)")
-            .cell(paired, 3)
-            .cell("-");
-        t.row()
-            .cell("double-word FP loads/stores (S5.9 extension)")
-            .cell(dword, 3)
-            .cell(100.0 * (dword - paired) / paired, 1);
-    }
+            .cell("ALU result latency " + std::to_string(alu_lats[i]) +
+                  " (deep pipeline, no full forwarding)")
+            .cell(cpi(alu[i]), 3)
+            .cell(delta(alu[i], base), 1);
+    // §2: the collision-based split-transaction bus protocol,
+    // modelled explicitly instead of folded into the average latency.
+    t.row()
+        .cell("explicit BIU collision modelling")
+        .cell(cpi(collisions), 3)
+        .cell(delta(collisions, base), 1);
+    // Jouppi's alternative: a victim cache instead of (and next to)
+    // the stream buffers, on the conflict-prone small model.
+    t.row()
+        .cell("small: 4-line victim cache, no stream buffers")
+        .cell(cpi(victim), 3)
+        .cell(delta(victim, small), 1);
+    t.row()
+        .cell("small: victim cache + stream buffers")
+        .cell(cpi(victim_sb), 3)
+        .cell(delta(victim_sb, small), 1);
+    // §3.1 precise exception mode.
+    t.row()
+        .cell("FP imprecise (fast) mode, SPECfp")
+        .cell(cpi(fp_fast), 3)
+        .cell("-");
+    t.row()
+        .cell("FP precise exception mode (S3.1)")
+        .cell(cpi(fp_precise), 3)
+        .cell(delta(fp_precise, fp_fast), 1);
+    t.row()
+        .cell("FP loads as paired 32-bit halves (base ISA)")
+        .cell(cpi(fp_fast), 3)
+        .cell("-");
+    t.row()
+        .cell("double-word FP loads/stores (S5.9 extension)")
+        .cell(cpi(fp_dword), 3)
+        .cell(delta(fp_dword, fp_fast), 1);
 
     t.print(std::cout, "Ablation results");
     std::cout << "(expected: removing folding hurts; double-word FP "
                  "memory helps, as S5.9 predicts)\n";
-
-    bench::sweepFooter(runner);
+    grid.footer();
     return 0;
 }

@@ -6,9 +6,9 @@
  * of one figure from the paper's evaluation section. Run lengths are
  * sized for seconds-scale turnaround; set AURORA_BENCH_INSTS to run
  * longer (statistics converge further but shapes do not change).
- * Sweep-shaped benches fan their runs out across AURORA_JOBS worker
- * threads (default: all hardware threads) and print a sweep summary
- * footer with wall time and aggregate simulation throughput.
+ * Every simulating bench runs its whole grid in one Grid: one sweep
+ * across AURORA_JOBS worker threads (default: all hardware threads)
+ * that synthesizes each trace once, then a sweep summary footer.
  */
 
 #ifndef AURORA_BENCH_COMMON_HH
@@ -16,6 +16,8 @@
 
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/simulator.hh"
 #include "harness/sweep.hh"
@@ -47,23 +49,60 @@ banner(const std::string &what)
               << ")\n\n";
 }
 
-/** Print the sweep timing/throughput footer of a converted bench. */
-inline void
-sweepFooter(const harness::SweepRunner &runner)
+/**
+ * A bench's whole (machine × profile) grid: add() every suite slice
+ * the tables need, run() them all in one SweepRunner call, then print
+ * from the slices run() returns.
+ */
+class Grid
 {
-    std::cout << "\n" << runner.report().summary() << "\n";
-}
+  public:
+    /** One add()ed slice: its index in run()'s result. */
+    using Handle = std::size_t;
 
-/** Mean CPI over a slice of run results. */
-inline double
-meanCpi(const std::vector<core::RunResult> &runs, std::size_t begin,
-        std::size_t count)
-{
-    Accumulator acc;
-    for (std::size_t i = 0; i < count; ++i)
-        acc.add(runs[begin + i].cpi());
-    return acc.mean();
-}
+    /** Queue @p machine over every profile of @p profiles. */
+    Handle
+    add(const core::MachineConfig &machine,
+        const std::vector<trace::WorkloadProfile> &profiles,
+        Count instructions = runInsts())
+    {
+        for (harness::SweepJob &job :
+             harness::suiteJobs(machine, profiles, instructions))
+            jobs_.push_back(std::move(job));
+        suites_.push_back(
+            {machine, std::vector<core::RunResult>(profiles.size())});
+        return suites_.size() - 1;
+    }
+
+    /** Run every queued job (once, after the last add()); returns
+     *  every slice in add() order, each in profile order. */
+    const std::vector<core::SuiteResult> &
+    run()
+    {
+        auto results = runner_.run(jobs_);
+        std::size_t next = 0;
+        for (core::SuiteResult &s : suites_)
+            for (core::RunResult &r : s.runs)
+                r = std::move(results[next++]);
+        return suites_;
+    }
+
+    /** The runner, for work that is not a SweepJob (its report
+     *  feeds the same footer). */
+    harness::SweepRunner &runner() { return runner_; }
+
+    /** Print the sweep timing/throughput footer. */
+    void
+    footer() const
+    {
+        std::cout << "\n" << runner_.report().summary() << "\n";
+    }
+
+  private:
+    harness::SweepRunner runner_;
+    std::vector<harness::SweepJob> jobs_;
+    std::vector<core::SuiteResult> suites_;
+};
 
 } // namespace aurora::bench
 

@@ -21,66 +21,57 @@ main()
     bench::banner("extension - cache size sweeps");
 
     const auto suite = tr::integerSuite();
-    const std::size_t nb = suite.size();
 
-    harness::SweepRunner runner;
-    std::vector<harness::SweepJob> grid;
-    const auto add_config = [&](const MachineConfig &m) {
-        const std::size_t begin = grid.size();
-        for (const auto &job :
-             harness::suiteJobs(m, suite, bench::runInsts()))
-            grid.push_back(job);
-        return begin;
-    };
-
-    std::vector<std::pair<std::uint32_t, std::size_t>> ic_slices;
+    bench::Grid grid;
+    std::vector<bench::Grid::Handle> ic_slices;
     for (std::uint32_t size = 512; size <= 16 * 1024; size *= 2) {
         auto m = baselineModel();
         m.ifu.icache_bytes = size;
-        ic_slices.emplace_back(size, add_config(m));
+        ic_slices.push_back(grid.add(m, suite));
     }
-    std::vector<std::pair<std::uint32_t, std::size_t>> dc_slices;
+    std::vector<bench::Grid::Handle> dc_slices;
     for (std::uint32_t size = 8 * 1024; size <= 256 * 1024;
          size *= 2) {
         auto m = baselineModel();
         m.lsu.dcache_bytes = size;
-        dc_slices.emplace_back(size, add_config(m));
+        dc_slices.push_back(grid.add(m, suite));
     }
 
-    const auto results = runner.run(grid);
+    const auto &suites = grid.run();
 
     Table ic({"I-cache", "hit %", "CPI avg", "RBE cost"});
-    for (const auto &[size, begin] : ic_slices) {
-        auto m = baselineModel();
-        m.ifu.icache_bytes = size;
+    for (const auto h : ic_slices) {
+        const auto &res = suites[h];
+        const std::uint32_t size = res.machine.ifu.icache_bytes;
         Accumulator hit;
-        for (std::size_t b = 0; b < nb; ++b)
-            hit.add(results[begin + b].icache_hit_pct);
+        for (const auto &r : res.runs)
+            hit.add(r.icache_hit_pct);
         ic.row()
             .cell(std::to_string(size / 1024) + "." +
                   std::to_string((size % 1024) * 10 / 1024) + " KB")
             .cell(hit.mean(), 2)
-            .cell(bench::meanCpi(results, begin, nb), 3)
-            .cell(m.rbeCost(), 0);
+            .cell(res.avgCpi(), 3)
+            .cell(res.machine.rbeCost(), 0);
     }
     ic.print(std::cout, "on-chip instruction cache sweep");
 
     Table dc({"D-cache", "hit %", "CPI avg"});
-    for (const auto &[size, begin] : dc_slices) {
+    for (const auto h : dc_slices) {
+        const auto &res = suites[h];
         Accumulator hit;
-        for (std::size_t b = 0; b < nb; ++b)
-            hit.add(results[begin + b].dcache_hit_pct);
+        for (const auto &r : res.runs)
+            hit.add(r.dcache_hit_pct);
         dc.row()
-            .cell(std::to_string(size / 1024) + " KB")
+            .cell(std::to_string(res.machine.lsu.dcache_bytes / 1024) +
+                  " KB")
             .cell(hit.mean(), 2)
-            .cell(bench::meanCpi(results, begin, nb), 3);
+            .cell(res.avgCpi(), 3);
     }
     dc.print(std::cout,
              "external data cache sweep (not priced: off-chip SRAM)");
     std::cout << "(paper: base model I-cache hit 96.5% at 2 KB, "
                  "D-cache 95.4% at 32 KB, in agreement with Gee et "
                  "al. [5])\n";
-
-    bench::sweepFooter(runner);
+    grid.footer();
     return 0;
 }

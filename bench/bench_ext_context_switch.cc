@@ -21,15 +21,15 @@ namespace
 using namespace aurora;
 using namespace aurora::core;
 
-double
-mixedCpi(const MachineConfig &m, Count quantum, Count insts)
+RunResult
+mixed(const MachineConfig &m, Count quantum, Count insts)
 {
     trace::SyntheticWorkload a(trace::espresso());
     trace::SyntheticWorkload b(trace::gcc());
     trace::InterleavedTraceSource mix({&a, &b}, quantum);
     trace::LimitedTraceSource limited(mix, insts);
     Processor cpu(m, limited);
-    return cpu.run().cpi();
+    return cpu.run();
 }
 
 } // namespace
@@ -43,34 +43,40 @@ main()
     bench::banner("extension - context switching (espresso + gcc)");
 
     const Count insts = bench::runInsts();
-    Table t({"quantum (insts)", "small", "baseline", "large"});
+    const MachineConfig models[] = {smallModel(), baselineModel(),
+                                    largeModel()};
+    const Count quanta[] = {50'000, 10'000, 2'000, 500};
 
     // Reference: the two programs run back to back (one switch),
     // i.e. the pollution-free mix of the same instructions.
-    auto reference = [&](const MachineConfig &m) {
-        const double a =
-            simulate(m, trace::espresso(), insts / 2).cpi();
-        const double b = simulate(m, trace::gcc(), insts / 2).cpi();
-        return (a + b) / 2.0;
-    };
-    t.row()
-        .cell("separate (reference)")
-        .cell(reference(smallModel()), 3)
-        .cell(reference(baselineModel()), 3)
-        .cell(reference(largeModel()), 3);
+    bench::Grid grid;
+    for (const auto &m : models)
+        grid.add(m, {trace::espresso(), trace::gcc()}, insts / 2);
+    const auto &references = grid.run();
 
-    const Count quanta[] = {50'000, 10'000, 2'000, 500};
+    // The interleaved stream is no SweepJob: run it as closures, one
+    // per (quantum, model), through the same runner.
+    std::vector<std::function<RunResult()>> tasks;
+    for (const Count q : quanta)
+        for (const auto &m : models)
+            tasks.push_back([&m, q, insts] { return mixed(m, q, insts); });
+    const auto mixes = grid.runner().runTasks(tasks);
+
+    Table t({"quantum (insts)", "small", "baseline", "large"});
+    auto &ref = t.row().cell("separate (reference)");
+    for (const auto &res : references)
+        ref.cell((res.runs[0].cpi() + res.runs[1].cpi()) / 2.0, 3);
+    auto next = mixes.begin();
     for (const Count q : quanta) {
-        t.row()
-            .cell(q)
-            .cell(mixedCpi(smallModel(), q, insts), 3)
-            .cell(mixedCpi(baselineModel(), q, insts), 3)
-            .cell(mixedCpi(largeModel(), q, insts), 3);
+        auto &row = t.row().cell(q);
+        for (std::size_t mi = 0; mi < std::size(models); ++mi)
+            row.cell((next++)->cpi(), 3);
     }
     t.print(std::cout, "CPI vs context-switch quantum");
     std::cout
         << "(expected: CPI degrades as quanta shrink — each switch "
            "refills the small on-chip structures — and the small "
            "model degrades relatively most)\n";
+    grid.footer();
     return 0;
 }

@@ -27,18 +27,22 @@ main()
 
     const double clock_mhz = 300.0;
 
+    bench::Grid grid;
+    for (const auto &m : {baselineModel(), largeModel()}) {
+        grid.add(m, tr::integerSuite());
+        grid.add(m, tr::floatSuite());
+    }
+    const auto &suites = grid.run();
+
     Table t({"model", "suite", "CPI avg", "est. rating @300MHz",
              "goal", "clock needed for goal"});
-    for (const auto &m : {baselineModel(), largeModel()}) {
-        const double int_cpi =
-            runSuite(m, tr::integerSuite(), bench::runInsts())
-                .avgCpi();
-        Accumulator fp;
-        for (const auto &p : tr::floatSuite())
-            fp.add(simulate(m, p, bench::runInsts()).cpi());
+    for (std::size_t i = 0; i < suites.size(); i += 2) {
+        const auto &m = suites[i].machine;
+        const double int_cpi = suites[i].avgCpi();
+        const double fp_cpi = suites[i + 1].avgCpi();
 
         const double int_rating = clock_mhz / int_cpi;
-        const double fp_rating = clock_mhz / fp.mean();
+        const double fp_rating = clock_mhz / fp_cpi;
         t.row()
             .cell(m.name)
             .cell("SPECint92")
@@ -49,10 +53,10 @@ main()
         t.row()
             .cell(m.name)
             .cell("SPECfp92")
-            .cell(fp.mean(), 3)
+            .cell(fp_cpi, 3)
             .cell(fp_rating, 0)
             .cell(std::uint64_t{300})
-            .cell(300.0 * fp.mean(), 0);
+            .cell(300.0 * fp_cpi, 0);
     }
     t.print(std::cout, "Design-goal check (rating ~ MHz / CPI)");
     std::cout
@@ -63,5 +67,6 @@ main()
            "model — while the FP goal needs CPI <= 1.0, which is why "
            "the paper pushes FPU dual issue and short unit "
            "latencies.)\n";
+    grid.footer();
     return 0;
 }

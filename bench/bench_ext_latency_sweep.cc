@@ -22,41 +22,26 @@ main()
     bench::banner("extension - secondary latency sweep");
 
     const auto suite = tr::integerSuite();
-    const std::size_t nb = suite.size();
     const Cycle lats[] = {5, 10, 17, 25, 35, 50, 70, 100};
 
-    harness::SweepRunner runner;
-    std::vector<harness::SweepJob> grid;
-    const auto add_config = [&](const MachineConfig &m) {
-        const std::size_t begin = grid.size();
-        for (const auto &job :
-             harness::suiteJobs(m, suite, bench::runInsts()))
-            grid.push_back(job);
-        return begin;
-    };
-
     // Per latency: small, baseline, large, baseline single-issue.
-    std::vector<std::size_t> slices;
+    bench::Grid grid;
     for (Cycle lat : lats) {
-        slices.push_back(add_config(smallModel().withLatency(lat)));
-        slices.push_back(add_config(baselineModel().withLatency(lat)));
-        slices.push_back(add_config(largeModel().withLatency(lat)));
-        slices.push_back(add_config(
-            baselineModel().withLatency(lat).withIssueWidth(1)));
+        grid.add(smallModel().withLatency(lat), suite);
+        grid.add(baselineModel().withLatency(lat), suite);
+        grid.add(largeModel().withLatency(lat), suite);
+        grid.add(baselineModel().withLatency(lat).withIssueWidth(1), suite);
     }
-
-    const auto results = runner.run(grid);
+    const auto &suites = grid.run();
+    const auto cpi = [&](std::size_t i) { return suites[i].avgCpi(); };
 
     Table t({"latency", "small", "baseline", "large",
              "baseline x1", "dual gain %"});
     for (std::size_t li = 0; li < std::size(lats); ++li) {
-        const double s = bench::meanCpi(results, slices[4 * li], nb);
-        const double b =
-            bench::meanCpi(results, slices[4 * li + 1], nb);
-        const double l =
-            bench::meanCpi(results, slices[4 * li + 2], nb);
-        const double b1 =
-            bench::meanCpi(results, slices[4 * li + 3], nb);
+        const double s = cpi(4 * li);
+        const double b = cpi(4 * li + 1);
+        const double l = cpi(4 * li + 2);
+        const double b1 = cpi(4 * li + 3);
         t.row()
             .cell(std::uint64_t{lats[li]})
             .cell(s, 3)
@@ -71,7 +56,6 @@ main()
                  "latency grows — the paper's conclusion that long "
                  "latencies reduce the benefit of superscalar "
                  "issue)\n";
-
-    bench::sweepFooter(runner);
+    grid.footer();
     return 0;
 }

@@ -22,50 +22,34 @@ main()
     const auto suite = tr::integerSuite();
     const Cycle latencies[] = {17, 35};
 
-    // One flat grid: (latency × model × width) configs, suite each.
-    harness::SweepRunner runner;
-    std::vector<harness::SweepJob> grid;
-    std::vector<MachineConfig> configs;
-    for (Cycle latency : latencies) {
-        for (const auto &base : studyModels()) {
-            for (unsigned width : {1u, 2u}) {
-                const auto m =
-                    base.withIssueWidth(width).withLatency(latency);
-                configs.push_back(m);
-                for (const auto &job :
-                     harness::suiteJobs(m, suite, bench::runInsts()))
-                    grid.push_back(job);
-            }
-        }
-    }
-    // Headline §5 statistics come from the unmodified baseline.
-    const std::size_t headline_begin = grid.size();
-    for (const auto &job : harness::suiteJobs(
-             baselineModel(), suite, bench::runInsts()))
-        grid.push_back(job);
+    // One grid: (latency × model × width) configs, suite each, then
+    // the unmodified baseline for the headline §5 statistics.
+    bench::Grid grid;
+    for (Cycle latency : latencies)
+        for (const auto &base : studyModels())
+            for (unsigned width : {1u, 2u})
+                grid.add(base.withIssueWidth(width).withLatency(latency),
+                         suite);
+    grid.add(baselineModel(), suite);
+    const auto &suites = grid.run();
 
-    const auto results = runner.run(grid);
-
-    std::size_t config_idx = 0;
+    const std::size_t per_latency =
+        (suites.size() - 1) / std::size(latencies);
+    auto next = suites.begin();
     for (Cycle latency : latencies) {
         Table t({"Model", "Issue", "Cost (RBE)", "CPI min",
                  "CPI avg", "CPI max"});
-        for (std::size_t mi = 0; mi < 3; ++mi) {
-            for (unsigned width : {1u, 2u}) {
-                const auto &m = configs[config_idx];
-                Accumulator acc;
-                for (std::size_t b = 0; b < suite.size(); ++b)
-                    acc.add(results[config_idx * suite.size() + b]
-                                .cpi());
-                t.row()
-                    .cell(m.name)
-                    .cell(std::uint64_t{width})
-                    .cell(m.rbeCost(), 0)
-                    .cell(acc.min(), 3)
-                    .cell(acc.mean(), 3)
-                    .cell(acc.max(), 3);
-                ++config_idx;
-            }
+        for (std::size_t i = 0; i < per_latency; ++i) {
+            const auto &res = *next++;
+            const auto &m = res.machine;
+            const auto acc = res.cpiStats();
+            t.row()
+                .cell(m.name)
+                .cell(std::uint64_t{m.issue_width})
+                .cell(m.rbeCost(), 0)
+                .cell(acc.min(), 3)
+                .cell(acc.mean(), 3)
+                .cell(acc.max(), 3);
         }
         t.print(std::cout,
                 "Figure 4 data, " + std::to_string(latency) +
@@ -73,8 +57,7 @@ main()
     }
 
     Accumulator ic, dc;
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-        const auto &r = results[headline_begin + b];
+    for (const auto &r : suites.back().runs) {
         ic.add(r.icache_hit_pct);
         dc.add(r.dcache_hit_pct);
     }
@@ -82,7 +65,6 @@ main()
               << formatFixed(ic.mean(), 1)
               << "%  (paper: 96.5%)\nBaseline D-cache hit rate: "
               << formatFixed(dc.mean(), 1) << "%  (paper: 95.4%)\n";
-
-    bench::sweepFooter(runner);
+    grid.footer();
     return 0;
 }

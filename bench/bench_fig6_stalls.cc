@@ -19,16 +19,20 @@ main()
     bench::banner("Figure 6 - stall penalty breakdown (CPI)");
 
     const auto suite = tr::integerSuite();
+    bench::Grid grid;
+    for (const auto &m : studyModels())
+        grid.add(m, suite);
+    const auto &suites = grid.run();
+
     Table avg({"Model", "ICache", "Load", "ROB-Full", "LSU-Busy",
                "total stall", "CPI"});
-    for (const auto &m : studyModels()) {
-        const auto res = runSuite(m, suite, bench::runInsts());
+    for (const auto &res : suites) {
         const double ic = res.avgStallCpi(StallCause::ICache);
         const double ld = res.avgStallCpi(StallCause::Load);
         const double rob = res.avgStallCpi(StallCause::RobFull);
         const double lsu = res.avgStallCpi(StallCause::LsuBusy);
         avg.row()
-            .cell(m.name)
+            .cell(res.machine.name)
             .cell(ic, 3)
             .cell(ld, 3)
             .cell(rob, 3)
@@ -39,11 +43,10 @@ main()
     avg.print(std::cout, "Figure 6 data (suite averages, dual issue, "
                          "17-cycle latency)");
 
-    for (const auto &m : studyModels()) {
+    for (const auto &res : suites) {
         Table t({"benchmark", "ICache", "Load", "ROB-Full",
                  "LSU-Busy", "CPI"});
-        for (const auto &r :
-             runSuite(m, suite, bench::runInsts()).runs) {
+        for (const auto &r : res.runs) {
             t.row()
                 .cell(r.benchmark)
                 .cell(r.stallCpi(StallCause::ICache), 3)
@@ -52,9 +55,10 @@ main()
                 .cell(r.stallCpi(StallCause::LsuBusy), 3)
                 .cell(r.cpi(), 3);
         }
-        t.print(std::cout, "per-benchmark, model = " + m.name);
+        t.print(std::cout, "per-benchmark, model = " + res.machine.name);
     }
     std::cout << "(paper: small model dominated by LSU-busy; base and "
                  "large dominated by I-miss and load stalls)\n";
+    grid.footer();
     return 0;
 }

@@ -21,33 +21,36 @@ main()
     bench::banner("Figure 7 - MSHR count variations");
 
     const auto suite = tr::integerSuite();
+    const unsigned mshrs[] = {1, 2, 4, 8};
+    bench::Grid grid;
+    for (const auto &base : studyModels())
+        for (unsigned k : mshrs)
+            grid.add(base.withMshrs(k).withName(
+                         base.name + "/mshr=" + std::to_string(k)),
+                     suite);
 
     Table t({"Model", "MSHRs", "Cost (RBE)", "CPI min", "CPI avg",
              "CPI max", "occ p95", "occ max"});
-    for (const auto &base : studyModels()) {
-        for (unsigned k : {1u, 2u, 4u, 8u}) {
-            const auto m = base.withMshrs(k).withName(
-                base.name + "/mshr=" + std::to_string(k));
-            const auto res = runSuite(m, suite, bench::runInsts());
-            const auto acc = res.cpiStats();
-            // Worst-case occupancy over the suite: how much of the
-            // provisioned MSHR file the workloads actually use.
-            Count occ_p95 = 0;
-            Count occ_max = 0;
-            for (const auto &r : res.runs) {
-                occ_p95 = std::max(occ_p95, r.mshr_occupancy.p95);
-                occ_max = std::max(occ_max, r.mshr_occupancy.max);
-            }
-            t.row()
-                .cell(m.name)
-                .cell(std::uint64_t{k})
-                .cell(m.rbeCost(), 0)
-                .cell(acc.min(), 3)
-                .cell(acc.mean(), 3)
-                .cell(acc.max(), 3)
-                .cell(occ_p95)
-                .cell(occ_max);
+    for (const auto &res : grid.run()) {
+        const auto &m = res.machine;
+        const auto acc = res.cpiStats();
+        // Worst-case occupancy over the suite: how much of the
+        // provisioned MSHR file the workloads actually use.
+        Count occ_p95 = 0;
+        Count occ_max = 0;
+        for (const auto &r : res.runs) {
+            occ_p95 = std::max(occ_p95, r.mshr_occupancy.p95);
+            occ_max = std::max(occ_max, r.mshr_occupancy.max);
         }
+        t.row()
+            .cell(m.name)
+            .cell(std::uint64_t{m.lsu.mshr_entries})
+            .cell(m.rbeCost(), 0)
+            .cell(acc.min(), 3)
+            .cell(acc.mean(), 3)
+            .cell(acc.max(), 3)
+            .cell(occ_p95)
+            .cell(occ_max);
     }
     t.print(std::cout, "Figure 7 data (dual issue, 17-cycle latency)");
     std::cout
@@ -55,5 +58,6 @@ main()
            "slightly; large loses when reduced below 4; all models "
            "peak by 4 MSHRs; the occupancy tail shows when extra "
            "MSHRs go unused)\n";
+    grid.footer();
     return 0;
 }

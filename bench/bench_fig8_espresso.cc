@@ -11,32 +11,6 @@
 
 #include "bench_common.hh"
 
-namespace
-{
-
-using namespace aurora;
-using namespace aurora::core;
-
-/** One scatter point. */
-void
-emit(Table &t, const MachineConfig &m, const std::string &tag)
-{
-    const auto r = simulate(m, trace::espresso(),
-                            aurora::bench::runInsts());
-    t.row()
-        .cell(tag.empty() ? m.name : tag + " " + m.name)
-        .cell(std::uint64_t{m.issue_width})
-        .cell(std::uint64_t{m.ifu.icache_bytes / 1024})
-        .cell(std::uint64_t{m.write_cache.lines})
-        .cell(std::uint64_t{m.rob_entries})
-        .cell(std::uint64_t{m.lsu.mshr_entries})
-        .cell(m.prefetch.enabled ? "y" : "n")
-        .cell(m.rbeCost(), 0)
-        .cell(r.cpi(), 3);
-}
-
-} // namespace
-
 int
 main()
 {
@@ -45,35 +19,36 @@ main()
 
     bench::banner("Figure 8 - espresso full cost-performance scatter");
 
-    Table t({"point", "issue", "I$KB", "WC", "ROB", "MSHR", "PF",
-             "Cost (RBE)", "CPI"});
+    // Every scatter point, with its §5.6 letter (empty = untagged).
+    std::vector<std::pair<MachineConfig, std::string>> points;
 
     // Squares: single issue systems of the three cache sizes.
     for (const auto &base : studyModels())
-        emit(t, base.withIssueWidth(1).withName(base.name + "-1"),
-             "sq");
+        points.emplace_back(
+            base.withIssueWidth(1).withName(base.name + "-1"), "sq");
 
     // Diamonds / triangles / circles: dual issue with 1K/2K/4K
     // I-caches and a spread of memory resources.
     for (const auto &base : studyModels()) {
         // the standard point
-        emit(t, base, "");
+        points.emplace_back(base, "");
         // A: blocking cache (single MSHR)
-        emit(t, base.withMshrs(1).withName(base.name + "-A"), "A");
+        points.emplace_back(base.withMshrs(1).withName(base.name + "-A"),
+                            "A");
         // D/C: prefetch present vs removed
-        emit(t, base.withPrefetch(false).withName(base.name + "-C"),
-             "C");
+        points.emplace_back(
+            base.withPrefetch(false).withName(base.name + "-C"), "C");
         // richer memory resources at the same cache size
         auto rich = base;
         rich.write_cache.lines = 8;
         rich.rob_entries = 8;
         rich.lsu.mshr_entries = 4;
-        emit(t, rich.withName(base.name + "-rich"), "");
+        points.emplace_back(rich.withName(base.name + "-rich"), "");
         // poorer
         auto poor = base;
         poor.write_cache.lines = 2;
         poor.rob_entries = 2;
-        emit(t, poor.withName(base.name + "-poor"), "");
+        points.emplace_back(poor.withName(base.name + "-poor"), "");
     }
 
     // B: the large-model plateau (extra resources, little gain).
@@ -82,15 +57,36 @@ main()
     plateau.rob_entries = 16;
     plateau.lsu.mshr_entries = 8;
     plateau.prefetch.num_buffers = 16;
-    emit(t, plateau.withName("large-B"), "B");
+    points.emplace_back(plateau.withName("large-B"), "B");
 
     // E: the recommendation — baseline + 4K I-cache + 4 MSHRs.
-    emit(t, recommendedModel(), "E");
+    points.emplace_back(recommendedModel(), "E");
 
+    bench::Grid grid;
+    for (const auto &point : points)
+        grid.add(point.first, {trace::espresso()});
+    const auto &suites = grid.run();
+
+    Table t({"point", "issue", "I$KB", "WC", "ROB", "MSHR", "PF",
+             "Cost (RBE)", "CPI"});
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto &[m, tag] = points[i];
+        t.row()
+            .cell(tag.empty() ? m.name : tag + " " + m.name)
+            .cell(std::uint64_t{m.issue_width})
+            .cell(std::uint64_t{m.ifu.icache_bytes / 1024})
+            .cell(std::uint64_t{m.write_cache.lines})
+            .cell(std::uint64_t{m.rob_entries})
+            .cell(std::uint64_t{m.lsu.mshr_entries})
+            .cell(m.prefetch.enabled ? "y" : "n")
+            .cell(m.rbeCost(), 0)
+            .cell(suites[i].runs.front().cpi(), 3);
+    }
     t.print(std::cout, "Figure 8 data (espresso, 17-cycle latency)");
     std::cout
         << "(paper: A-points lie well above equal-cost systems; "
            "B-points plateau; C->D shows the prefetch gain; E nearly "
            "matches the large model at much lower cost)\n";
+    grid.footer();
     return 0;
 }

@@ -10,23 +10,6 @@
 
 #include "cost/rbe.hh"
 
-namespace
-{
-
-using namespace aurora;
-using namespace aurora::core;
-
-double
-fpSuiteCpi(const MachineConfig &m)
-{
-    Accumulator acc;
-    for (const auto &p : trace::floatSuite())
-        acc.add(simulate(m, p, aurora::bench::runInsts()).cpi());
-    return acc.mean();
-}
-
-} // namespace
-
 int
 main()
 {
@@ -35,73 +18,71 @@ main()
 
     bench::banner("Figure 9d-g - FPU unit latencies");
 
-    Table d({"add latency", "CPI avg", "unit RBE"});
-    for (Cycle lat = 1; lat <= 5; ++lat) {
-        auto m = baselineModel();
-        m.fpu.add.latency = lat;
-        d.row()
-            .cell(std::uint64_t{lat})
-            .cell(fpSuiteCpi(m), 3)
-            .cell(cost::fpAddRbe(lat, true), 0);
-    }
-    d.print(std::cout, "Figure 9(d): add unit");
+    // One latency sweep per functional unit, Figure 9(d)-(g).
+    struct Sweep
+    {
+        const char *title;
+        const char *header;
+        fpu::FpUnitConfig fpu::FpuConfig::*unit;
+        std::vector<Cycle> latencies;
+        double (*rbe)(Cycle);
+    };
+    const Sweep sweeps[] = {
+        {"Figure 9(d): add unit", "add latency", &fpu::FpuConfig::add,
+         {1, 2, 3, 4, 5}, [](Cycle l) { return cost::fpAddRbe(l, true); }},
+        {"Figure 9(e): multiply unit", "multiply latency",
+         &fpu::FpuConfig::mul, {1, 2, 3, 4, 5},
+         [](Cycle l) { return cost::fpMulRbe(l, true); }},
+        {"Figure 9(f): divide unit", "divide latency",
+         &fpu::FpuConfig::div, {10, 15, 19, 25, 30}, cost::fpDivRbe},
+        {"Figure 9(g): conversion unit", "convert latency",
+         &fpu::FpuConfig::cvt, {1, 2, 3, 4, 5}, cost::fpCvtRbe},
+    };
 
-    Table e({"multiply latency", "CPI avg", "unit RBE"});
-    for (Cycle lat = 1; lat <= 5; ++lat) {
-        auto m = baselineModel();
-        m.fpu.mul.latency = lat;
-        e.row()
-            .cell(std::uint64_t{lat})
-            .cell(fpSuiteCpi(m), 3)
-            .cell(cost::fpMulRbe(lat, true), 0);
+    // Every latency point and both §5.10 ablation machines over
+    // SPECfp92, queued as one grid: each FP trace is synthesized once.
+    const auto suite = trace::floatSuite();
+    bench::Grid grid;
+    for (const Sweep &sweep : sweeps) {
+        for (Cycle lat : sweep.latencies) {
+            auto m = baselineModel();
+            (m.fpu.*sweep.unit).latency = lat;
+            grid.add(m, suite);
+        }
     }
-    e.print(std::cout, "Figure 9(e): multiply unit");
+    auto iter = baselineModel();
+    iter.fpu.add.pipelined = false;
+    iter.fpu.mul.pipelined = false;
+    grid.add(baselineModel(), suite);
+    grid.add(iter, suite);
+    const auto &suites = grid.run();
 
-    Table f({"divide latency", "CPI avg", "unit RBE"});
-    for (Cycle lat : {Cycle{10}, Cycle{15}, Cycle{19}, Cycle{25},
-                      Cycle{30}}) {
-        auto m = baselineModel();
-        m.fpu.div.latency = lat;
-        f.row()
-            .cell(std::uint64_t{lat})
-            .cell(fpSuiteCpi(m), 3)
-            .cell(cost::fpDivRbe(lat), 0);
+    auto next = suites.begin();
+    for (const Sweep &sweep : sweeps) {
+        Table t({sweep.header, "CPI avg", "unit RBE"});
+        for (Cycle lat : sweep.latencies)
+            t.row()
+                .cell(std::uint64_t{lat})
+                .cell((next++)->avgCpi(), 3)
+                .cell(sweep.rbe(lat), 0);
+        t.print(std::cout, sweep.title);
     }
-    f.print(std::cout, "Figure 9(f): divide unit");
-
-    Table g({"convert latency", "CPI avg", "unit RBE"});
-    for (Cycle lat = 1; lat <= 5; ++lat) {
-        auto m = baselineModel();
-        m.fpu.cvt.latency = lat;
-        g.row()
-            .cell(std::uint64_t{lat})
-            .cell(fpSuiteCpi(m), 3)
-            .cell(cost::fpCvtRbe(lat), 0);
-    }
-    g.print(std::cout, "Figure 9(g): conversion unit");
 
     // §5.10 ablation: iterative (non-pipelined) add and multiply.
     Table abl({"configuration", "CPI avg", "add+mul RBE"});
-    {
-        auto piped = baselineModel();
-        abl.row()
-            .cell("pipelined add & multiply")
-            .cell(fpSuiteCpi(piped), 3)
-            .cell(cost::fpAddRbe(3, true) + cost::fpMulRbe(5, true),
-                  0);
-        auto iter = baselineModel();
-        iter.fpu.add.pipelined = false;
-        iter.fpu.mul.pipelined = false;
-        abl.row()
-            .cell("iterative add & multiply")
-            .cell(fpSuiteCpi(iter), 3)
-            .cell(cost::fpAddRbe(3, false) + cost::fpMulRbe(5, false),
-                  0);
-    }
+    abl.row()
+        .cell("pipelined add & multiply")
+        .cell(next[0].avgCpi(), 3)
+        .cell(cost::fpAddRbe(3, true) + cost::fpMulRbe(5, true), 0);
+    abl.row()
+        .cell("iterative add & multiply")
+        .cell(next[1].avgCpi(), 3)
+        .cell(cost::fpAddRbe(3, false) + cost::fpMulRbe(5, false), 0);
     abl.print(std::cout, "S5.10 pipelining ablation");
     std::cout << "(paper: add/multiply each swing CPI ~17% over 1-5 "
                  "cycles, divide ~8% over 10-30, conversion is "
                  "insensitive; removing pipeline latches costs <5% "
                  "performance and saves ~25% of unit area)\n";
+    grid.footer();
     return 0;
 }

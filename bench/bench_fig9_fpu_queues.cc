@@ -36,52 +36,45 @@ main()
     bench::banner("Figure 9a-c - FPU queue and ROB sizing");
 
     const auto suite = trace::floatSuite();
-    const std::size_t nb = suite.size();
     const unsigned iq_sizes[] = {1, 2, 3, 4, 5, 7};
     const unsigned lq_sizes[] = {1, 2, 3, 4, 5};
     const unsigned rob_sizes[] = {3, 5, 7, 9, 11};
 
-    // One flat grid; each configuration contributes one suite slice.
-    harness::SweepRunner runner;
-    std::vector<harness::SweepJob> grid;
-    const auto add_config = [&](const MachineConfig &m) {
-        const std::size_t begin = grid.size();
-        for (const auto &job :
-             harness::suiteJobs(m, suite, bench::runInsts()))
-            grid.push_back(job);
-        return begin;
-    };
-
-    std::vector<std::size_t> iq_single, iq_dual, lq, fprob;
+    // One grid; each configuration contributes one suite slice.
+    bench::Grid grid;
+    std::vector<bench::Grid::Handle> iq_single, iq_dual, lq, fprob;
     for (unsigned q : iq_sizes) {
         auto single = singleIssueFpu();
         single.fpu.inst_queue = q;
-        iq_single.push_back(add_config(single));
+        iq_single.push_back(grid.add(single, suite));
         auto dual = baselineModel();
         dual.fpu.inst_queue = q;
-        iq_dual.push_back(add_config(dual));
+        iq_dual.push_back(grid.add(dual, suite));
     }
     for (unsigned q : lq_sizes) {
         auto m = singleIssueFpu();
         m.fpu.load_queue = q;
-        lq.push_back(add_config(m));
+        lq.push_back(grid.add(m, suite));
     }
     for (unsigned q : rob_sizes) {
         auto m = singleIssueFpu();
         m.fpu.rob_entries = q;
-        fprob.push_back(add_config(m));
+        fprob.push_back(grid.add(m, suite));
     }
 
-    const auto results = runner.run(grid);
+    const auto &suites = grid.run();
+    const auto cpi = [&](bench::Grid::Handle h) {
+        return suites[h].avgCpi();
+    };
 
     // Deepest per-cycle queue occupancy tail over one suite slice:
     // evidence for *why* CPI flattens once the queue covers the tail.
-    const auto slice_tail = [&](std::size_t begin,
+    const auto slice_tail = [&](bench::Grid::Handle h,
                                 const auto &accessor) {
         Count p95 = 0;
         Count max = 0;
-        for (std::size_t j = begin; j < begin + nb; ++j) {
-            const OccupancyStats &occ = accessor(results[j]);
+        for (const RunResult &r : suites[h].runs) {
+            const OccupancyStats &occ = accessor(r);
             p95 = std::max(p95, occ.p95);
             max = std::max(max, occ.max);
         }
@@ -100,8 +93,8 @@ main()
         const auto [p95, max] = slice_tail(iq_dual[i], instq);
         a.row()
             .cell(std::uint64_t{iq_sizes[i]})
-            .cell(bench::meanCpi(results, iq_single[i], nb), 3)
-            .cell(bench::meanCpi(results, iq_dual[i], nb), 3)
+            .cell(cpi(iq_single[i]), 3)
+            .cell(cpi(iq_dual[i]), 3)
             .cell(p95)
             .cell(max);
     }
@@ -117,7 +110,7 @@ main()
         const auto [p95, max] = slice_tail(lq[i], loadq);
         b.row()
             .cell(std::uint64_t{lq_sizes[i]})
-            .cell(bench::meanCpi(results, lq[i], nb), 3)
+            .cell(cpi(lq[i]), 3)
             .cell(p95)
             .cell(max);
     }
@@ -129,11 +122,10 @@ main()
     for (std::size_t i = 0; i < std::size(rob_sizes); ++i) {
         c.row()
             .cell(std::uint64_t{rob_sizes[i]})
-            .cell(bench::meanCpi(results, fprob[i], nb), 3);
+            .cell(cpi(fprob[i]), 3);
     }
     c.print(std::cout, "Figure 9(c): reorder buffer size");
     std::cout << "(paper: sensitivity disappears above ~6 entries)\n";
-
-    bench::sweepFooter(runner);
+    grid.footer();
     return 0;
 }

@@ -21,12 +21,15 @@ main()
         headers.push_back(p.name);
     headers.push_back("average");
 
+    bench::Grid grid;
+    for (const auto &m : studyModels())
+        grid.add(m, suite);
+
     Table t(headers);
-    for (const auto &m : studyModels()) {
-        auto &row = t.row().cell(m.name);
+    for (const auto &res : grid.run()) {
+        auto &row = t.row().cell(res.machine.name);
         Accumulator avg;
-        for (const auto &r :
-             runSuite(m, suite, bench::runInsts()).runs) {
+        for (const auto &r : res.runs) {
             row.cell(r.dprefetch_hit_pct, 2);
             avg.add(r.dprefetch_hit_pct);
         }
@@ -36,5 +39,6 @@ main()
     std::cout << "(paper baseline row: espresso 8.95, li 14.41, "
                  "eqntott 2.29, compress 13.13, sc 27.42, gcc 8.63; "
                  "suite average ~12%)\n";
+    grid.footer();
     return 0;
 }

@@ -22,14 +22,17 @@ main()
         headers.push_back(p.name);
     headers.push_back("average");
 
+    bench::Grid grid;
+    for (const auto &m : studyModels())
+        grid.add(m, suite);
+
     Table hit(headers);
     Table traffic(headers);
-    for (const auto &m : studyModels()) {
-        auto &hrow = hit.row().cell(m.name);
-        auto &trow = traffic.row().cell(m.name);
+    for (const auto &res : grid.run()) {
+        auto &hrow = hit.row().cell(res.machine.name);
+        auto &trow = traffic.row().cell(res.machine.name);
         Accumulator havg, tavg;
-        for (const auto &r :
-             runSuite(m, suite, bench::runInsts()).runs) {
+        for (const auto &r : res.runs) {
             hrow.cell(r.write_cache_hit_pct, 2);
             havg.add(r.write_cache_hit_pct);
             trow.cell(r.storeTrafficPct(), 1);
@@ -48,5 +51,6 @@ main()
                   "S5.5: BIU store transactions as % of store "
                   "instructions");
     std::cout << "(paper: ~44% small, ~30% baseline, ~22% large)\n";
+    grid.footer();
     return 0;
 }

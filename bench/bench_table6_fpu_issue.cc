@@ -15,24 +15,29 @@ main()
 
     bench::banner("Table 6 - FPU issue policies");
 
+    const auto suite = tr::floatSuite();
+    bench::Grid grid;
+    for (auto pol : {fpu::IssuePolicy::InOrderComplete,
+                     fpu::IssuePolicy::OutOfOrderSingle,
+                     fpu::IssuePolicy::OutOfOrderDual}) {
+        auto m = baselineModel();
+        m.fpu.policy = pol;
+        grid.add(m, suite);
+    }
+    const auto &policies = grid.run();
+
     Table t({"Benchmark", "In Order Issue and Completion",
              "Single Issue", "Dual Issue"});
     Accumulator a0, a1, a2;
-    for (const auto &p : tr::floatSuite()) {
+    for (std::size_t b = 0; b < suite.size(); ++b) {
         double cpi[3];
-        int idx = 0;
-        for (auto pol : {fpu::IssuePolicy::InOrderComplete,
-                         fpu::IssuePolicy::OutOfOrderSingle,
-                         fpu::IssuePolicy::OutOfOrderDual}) {
-            auto m = baselineModel();
-            m.fpu.policy = pol;
-            cpi[idx++] = simulate(m, p, bench::runInsts()).cpi();
-        }
+        for (int i = 0; i < 3; ++i)
+            cpi[i] = policies[i].runs[b].cpi();
         a0.add(cpi[0]);
         a1.add(cpi[1]);
         a2.add(cpi[2]);
         t.row()
-            .cell(p.name)
+            .cell(suite[b].name)
             .cell(cpi[0], 3)
             .cell(cpi[1], 3)
             .cell(cpi[2], 3);
@@ -57,5 +62,6 @@ main()
               << "(paper averages: 1.577 / 1.4012 / 1.248; alvinn and "
                  "spice2g6 are insensitive, nasa7/hydro2d/mdljdp2 "
                  "gain the most)\n";
+    grid.footer();
     return 0;
 }

@@ -50,7 +50,7 @@ main()
     // 3. Ask the resource-allocation question for this workload.
     std::vector<SuiteResult> rows;
     for (const auto &m : studyModels())
-        rows.push_back(runSuite(m, {db}, 300'000));
+        rows.push_back({m, {simulate(m, db, 300'000)}});
     comparisonTable(rows).print(std::cout,
                                 "dbengine across the Table 1 models");
 

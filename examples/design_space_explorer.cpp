@@ -5,6 +5,8 @@
  * reorder buffer, MSHRs and issue width, prices each configuration
  * with the RBE model, and prints the Pareto frontier of (cost, CPI)
  * over the integer suite — i.e. which machines are worth building.
+ * The whole (configuration × benchmark) grid runs as one sweep, so
+ * each benchmark trace is synthesized once for every machine.
  *
  *   ./design_space_explorer [instructions-per-run]
  */
@@ -12,9 +14,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "core/simulator.hh"
+#include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
 #include "util/table.hh"
 
@@ -35,6 +39,11 @@ main(int argc, char **argv)
         double cpi = 0.0;
     };
     std::vector<Point> points;
+    std::vector<harness::SweepJob> grid;
+    const auto queue = [&](const MachineConfig &m) {
+        for (auto &job : harness::suiteJobs(m, suite, insts))
+            grid.push_back(std::move(job));
+    };
 
     // Cross the headline resources; derive everything else from the
     // baseline so the sweep isolates the structures under study.
@@ -53,16 +62,30 @@ main(int argc, char **argv)
                                  std::to_string(rob) + "/mshr" +
                                  std::to_string(mshr) + "/x" +
                                  std::to_string(width);
-                        Point pt;
-                        pt.config = m;
-                        pt.cost = m.rbeCost();
-                        pt.cpi = runSuite(m, suite, insts).avgCpi();
-                        points.push_back(std::move(pt));
+                        points.push_back({m, m.rbeCost()});
+                        queue(m);
                     }
                 }
             }
         }
     }
+
+    // The paper's named models ride along as reference points.
+    const std::vector<MachineConfig> references = {
+        smallModel(), baselineModel(), largeModel(), recommendedModel()};
+    for (const auto &m : references)
+        queue(m);
+
+    // Suite-average CPI of the i-th queued configuration.
+    const auto results = harness::SweepRunner().run(grid);
+    const auto cpi = [&](std::size_t i) {
+        Accumulator acc;
+        for (std::size_t b = 0; b < suite.size(); ++b)
+            acc.add(results[i * suite.size() + b].cpi());
+        return acc.mean();
+    };
+    for (std::size_t i = 0; i < points.size(); ++i)
+        points[i].cpi = cpi(i);
 
     // Pareto frontier: keep points no other point dominates.
     std::sort(points.begin(), points.end(),
@@ -88,13 +111,11 @@ main(int argc, char **argv)
 
     // How do the paper's named models fare against the frontier?
     std::cout << "Reference points:\n";
-    for (const auto &m :
-         {smallModel(), baselineModel(), largeModel(),
-          recommendedModel()}) {
-        const double cpi = runSuite(m, suite, insts).avgCpi();
+    for (std::size_t r = 0; r < references.size(); ++r) {
+        const auto &m = references[r];
         std::cout << "  " << m.name << ": cost "
                   << formatFixed(m.rbeCost(), 0) << " RBE, CPI "
-                  << formatFixed(cpi, 3) << "\n";
+                  << formatFixed(cpi(points.size() + r), 3) << "\n";
     }
     return 0;
 }

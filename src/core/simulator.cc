@@ -5,7 +5,6 @@
 
 #include "trace/synthetic_workload.hh"
 #include "util/logging.hh"
-#include "util/parallel.hh"
 
 namespace aurora::core
 {
@@ -204,25 +203,6 @@ SuiteResult::avgStallCpi(StallCause cause) const
     for (const RunResult &run : runs)
         acc.add(run.stallCpi(cause));
     return acc.mean();
-}
-
-SuiteResult
-runSuite(const MachineConfig &machine,
-         const std::vector<trace::WorkloadProfile> &suite,
-         Count instructions, const WatchdogConfig &watchdog)
-{
-    SuiteResult result;
-    result.machine = machine;
-    result.runs.resize(suite.size());
-    // Runs are independent (each Processor and workload generator is
-    // self-contained), so fan out across AURORA_JOBS workers. Each
-    // result lands in its submission slot, so the output is identical
-    // to the serial loop at any worker count.
-    parallelFor(suite.size(), /*workers=*/0, [&](std::size_t i) {
-        result.runs[i] =
-            simulate(machine, suite[i], instructions, watchdog);
-    });
-    return result;
 }
 
 } // namespace aurora::core

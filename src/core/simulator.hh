@@ -109,12 +109,6 @@ struct SuiteResult
     double avgStallCpi(StallCause cause) const;
 };
 
-/** Run every profile in @p suite on @p machine. */
-SuiteResult runSuite(const MachineConfig &machine,
-                     const std::vector<trace::WorkloadProfile> &suite,
-                     Count instructions = DEFAULT_RUN_INSTS,
-                     const WatchdogConfig &watchdog = defaultWatchdog());
-
 } // namespace aurora::core
 
 #endif // AURORA_CORE_SIMULATOR_HH

@@ -906,15 +906,4 @@ suiteJobs(const core::MachineConfig &machine,
     return grid;
 }
 
-core::SuiteResult
-runSuite(SweepRunner &runner, const core::MachineConfig &machine,
-         const std::vector<trace::WorkloadProfile> &suite,
-         Count instructions)
-{
-    core::SuiteResult result;
-    result.machine = machine;
-    result.runs = runner.run(suiteJobs(machine, suite, instructions));
-    return result;
-}
-
 } // namespace aurora::harness

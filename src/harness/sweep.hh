@@ -491,15 +491,6 @@ suiteJobs(const core::MachineConfig &machine,
           const std::vector<trace::WorkloadProfile> &suite,
           Count instructions = core::DEFAULT_RUN_INSTS);
 
-/**
- * Parallel drop-in for core::runSuite() through @p runner (shares its
- * pool options and report accounting).
- */
-core::SuiteResult
-runSuite(SweepRunner &runner, const core::MachineConfig &machine,
-         const std::vector<trace::WorkloadProfile> &suite,
-         Count instructions = core::DEFAULT_RUN_INSTS);
-
 } // namespace aurora::harness
 
 #endif // AURORA_HARNESS_SWEEP_HH

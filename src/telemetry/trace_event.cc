@@ -1,6 +1,7 @@
 #include "trace_event.hh"
 
 #include <ostream>
+#include <utility>
 
 #include "json.hh"
 #include "trace/op_class.hh"
@@ -22,8 +23,10 @@ constexpr std::uint32_t LANE_FPU = 3;
 TraceArg
 traceArg(std::string_view key, std::string_view value)
 {
-    return {std::string(key),
-            "\"" + jsonEscape(value) + "\""};
+    std::string quoted = "\"";
+    quoted += jsonEscape(value);
+    quoted += '"';
+    return {std::string(key), std::move(quoted)};
 }
 
 TraceArg

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/report.hh"
+#include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
 
 namespace
@@ -14,11 +15,19 @@ namespace
 using namespace aurora;
 using namespace aurora::core;
 
+/** @p profiles on @p m for 20k insts each, through the sweep engine. */
+SuiteResult
+suiteOf(const MachineConfig &m,
+        const std::vector<trace::WorkloadProfile> &profiles)
+{
+    return {m, harness::SweepRunner().run(
+                   harness::suiteJobs(m, profiles, 20000))};
+}
+
 SuiteResult
 tinySuite()
 {
-    return runSuite(baselineModel(),
-                    {trace::espresso(), trace::compress()}, 20000);
+    return suiteOf(baselineModel(), {trace::espresso(), trace::compress()});
 }
 
 TEST(Report, RunReportMentionsEverything)
@@ -56,8 +65,7 @@ TEST(Report, ComparisonTableOrdersMachines)
 {
     std::vector<SuiteResult> suites;
     for (const auto &m : studyModels())
-        suites.push_back(
-            runSuite(m, {trace::espresso()}, 20000));
+        suites.push_back(suiteOf(m, {trace::espresso()}));
     const Table t = comparisonTable(suites);
     EXPECT_EQ(t.numRows(), 3u);
     const std::string text = t.ascii();
@@ -68,8 +76,7 @@ TEST(Report, ComparisonTableOrdersMachines)
 TEST(Report, ScatterCsvIsParseable)
 {
     std::vector<SuiteResult> suites;
-    suites.push_back(runSuite(baselineModel(),
-                              {trace::espresso()}, 20000));
+    suites.push_back(suiteOf(baselineModel(), {trace::espresso()}));
     const std::string csv = scatterCsv(suites);
     EXPECT_EQ(csv.find("machine,cost_rbe,cpi_avg\n"), 0u);
     EXPECT_NE(csv.find("baseline,"), std::string::npos);

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "core/simulator.hh"
+#include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
 
 namespace
@@ -29,10 +30,12 @@ TEST(Simulator, DeterministicRuns)
     EXPECT_DOUBLE_EQ(a.write_cache_hit_pct, b.write_cache_hit_pct);
 }
 
-TEST(Simulator, RunSuiteCoversAllBenchmarks)
+TEST(Simulator, SuiteCoversAllBenchmarks)
 {
     const auto suite = trace::integerSuite();
-    const auto res = runSuite(baselineModel(), suite, 20000);
+    const SuiteResult res{baselineModel(),
+                          harness::SweepRunner().run(harness::suiteJobs(
+                              baselineModel(), suite, 20000))};
     ASSERT_EQ(res.runs.size(), suite.size());
     for (std::size_t i = 0; i < suite.size(); ++i)
         EXPECT_EQ(res.runs[i].benchmark, suite[i].name);

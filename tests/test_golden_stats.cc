@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/simulator.hh"
+#include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
 
 namespace
@@ -76,12 +77,14 @@ formatRun(const RunResult &r)
 std::vector<std::string>
 computeLines()
 {
+    // The whole (model x benchmark) grid in one sweep, model-major.
+    std::vector<harness::SweepJob> grid;
+    for (const auto &machine : studyModels())
+        for (auto &job : harness::suiteJobs(machine, miniSuite(), N))
+            grid.push_back(std::move(job));
     std::vector<std::string> lines;
-    for (const auto &machine : studyModels()) {
-        const auto suite = runSuite(machine, miniSuite(), N);
-        for (const auto &run : suite.runs)
-            lines.push_back(formatRun(run));
-    }
+    for (const auto &run : harness::SweepRunner().run(grid))
+        lines.push_back(formatRun(run));
     return lines;
 }
 

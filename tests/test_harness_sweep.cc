@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
@@ -202,21 +203,32 @@ TEST(SweepRunner, ReportAccounting)
               Count{13} * N);
 }
 
-TEST(SweepRunner, HarnessSuiteMatchesCoreSuite)
+TEST(SweepRunner, FigureGridMatchesSerialSimulate)
 {
-    const auto suite = trace::integerSuite();
-    SweepOptions opts;
-    opts.workers = 4;
-    SweepRunner runner(opts);
-    const auto parallel =
-        harness::runSuite(runner, baselineModel(), suite, N);
-    const auto serial = core::runSuite(baselineModel(), suite, N);
-    ASSERT_EQ(parallel.runs.size(), serial.runs.size());
-    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-        SCOPED_TRACE("run " + std::to_string(i));
-        expectRunEq(parallel.runs[i], serial.runs[i]);
+    // A Figure 9(d)-shaped grid: FP add latency 1..4 x SPECfp92 in
+    // one run() call, as the bench drivers submit their figures.
+    const auto suite = trace::floatSuite();
+    std::vector<SweepJob> grid;
+    for (Cycle lat = 1; lat <= 4; ++lat) {
+        auto m = baselineModel();
+        m.fpu.add.latency = lat;
+        for (auto &job : suiteJobs(m, suite, N))
+            grid.push_back(std::move(job));
     }
-    EXPECT_EQ(parallel.avgCpi(), serial.avgCpi());
+    // Three workers want 9 units: exactly one per distinct trace.
+    SweepOptions opts;
+    opts.workers = 3;
+    SweepRunner runner(opts);
+    const auto results = runner.run(grid);
+
+    ASSERT_EQ(results.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        expectRunEq(results[i], core::simulate(grid[i].machine,
+                                               grid[i].profile, N));
+    }
+    EXPECT_EQ(runner.report().total_instructions, grid.size() * N);
+    EXPECT_EQ(runner.report().synthesized_instructions, suite.size() * N);
 }
 
 TEST(SeedDerivation, StableAndDiscriminating)

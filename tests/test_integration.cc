@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulator.hh"
+#include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
 
 namespace
@@ -18,10 +19,18 @@ using namespace aurora::core;
 
 constexpr Count N = 80000;
 
+/** SPECint92 on @p m, through the sweep engine. */
+SuiteResult
+intSuite(const MachineConfig &m, Count n = N)
+{
+    return {m, harness::SweepRunner().run(
+                   harness::suiteJobs(m, trace::integerSuite(), n))};
+}
+
 double
 suiteCpi(const MachineConfig &m, Count n = N)
 {
-    return runSuite(m, trace::integerSuite(), n).avgCpi();
+    return intSuite(m, n).avgCpi();
 }
 
 TEST(Integration, BiggerModelsAreFaster)
@@ -131,8 +140,7 @@ TEST(Integration, WriteCacheHitRateGrowsWithModel)
     // Table 5 row ordering.
     auto wc = [&](const MachineConfig &m) {
         Accumulator acc;
-        for (const auto &r :
-             runSuite(m, trace::integerSuite(), N).runs)
+        for (const auto &r : intSuite(m).runs)
             acc.add(r.write_cache_hit_pct);
         return acc.mean();
     };
@@ -148,8 +156,7 @@ TEST(Integration, StoreTrafficReductionGrowsWithModel)
     // §5.5: traffic falls to ~44% / 30% / 22% of stores.
     auto traffic = [&](const MachineConfig &m) {
         Accumulator acc;
-        for (const auto &r :
-             runSuite(m, trace::integerSuite(), N).runs)
+        for (const auto &r : intSuite(m).runs)
             acc.add(r.storeTrafficPct());
         return acc.mean();
     };
@@ -165,8 +172,7 @@ TEST(Integration, InstructionPrefetchBeatsDataPrefetch)
 {
     // Tables 3 vs 4: I-stream ~58% average, D-stream ~12%.
     Accumulator ipf, dpf;
-    for (const auto &r :
-         runSuite(baselineModel(), trace::integerSuite(), N).runs) {
+    for (const auto &r : intSuite(baselineModel()).runs) {
         ipf.add(r.iprefetch_hit_pct);
         dpf.add(r.dprefetch_hit_pct);
     }
@@ -178,7 +184,7 @@ TEST(Integration, InstructionPrefetchBeatsDataPrefetch)
 TEST(Integration, EqntottExtremes)
 {
     // eqntott: highest I-prefetch hit rate, lowest D-prefetch.
-    const auto res = runSuite(baselineModel(), trace::integerSuite(), N);
+    const auto res = intSuite(baselineModel());
     double eq_ipf = 0, eq_dpf = 0;
     double max_other_ipf = 0, min_other_dpf = 100;
     for (const auto &r : res.runs) {
@@ -199,7 +205,7 @@ TEST(Integration, EqntottExtremes)
 TEST(Integration, SmallModelIsLsuBound)
 {
     // Figure 6: with one MSHR the LSU dominates the stall mix.
-    const auto res = runSuite(smallModel(), trace::integerSuite(), N);
+    const auto res = intSuite(smallModel());
     const double lsu = res.avgStallCpi(StallCause::LsuBusy);
     const double rob = res.avgStallCpi(StallCause::RobFull);
     const double ic = res.avgStallCpi(StallCause::ICache);
@@ -211,7 +217,7 @@ TEST(Integration, LargeModelIsLoadLatencyBound)
 {
     // §5.3: "the large percentage of Load stalls is caused by the
     // three-cycle latency of the pipelined data cache."
-    const auto res = runSuite(largeModel(), trace::integerSuite(), N);
+    const auto res = intSuite(largeModel());
     const double load = res.avgStallCpi(StallCause::Load);
     for (auto cause : {StallCause::ICache, StallCause::LsuBusy,
                        StallCause::RobFull, StallCause::FpQueue})

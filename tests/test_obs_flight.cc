@@ -94,8 +94,10 @@ TEST(FlightRecorder, NoteIsThreadSafeAndSeqIsDense)
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t)
         threads.emplace_back([&rec, t] {
+            const std::string who = std::string("t").append(
+                std::to_string(t));
             for (int i = 0; i < 50; ++i)
-                rec.note("t" + std::to_string(t));
+                rec.note(who);
         });
     for (auto &thread : threads)
         thread.join();

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulator.hh"
+#include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
 
 namespace
@@ -26,7 +27,9 @@ constexpr Count N = 50000;
 double
 cpiOf(const MachineConfig &m)
 {
-    return runSuite(m, {trace::espresso(), trace::gcc()}, N).avgCpi();
+    return SuiteResult{m, harness::SweepRunner().run(harness::suiteJobs(
+                              m, {trace::espresso(), trace::gcc()}, N))}
+        .avgCpi();
 }
 
 TEST(Sweeps, DcacheHitRateRisesWithSize)

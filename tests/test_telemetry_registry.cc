@@ -72,8 +72,9 @@ TEST(Registry, AddressesStayStableAcrossLaterRegistrations)
     Counter &first = reg.counter("first", "");
     Histogram &h = reg.histogram("h", "", 8);
     for (int i = 0; i < 100; ++i) {
-        reg.counter("c" + std::to_string(i), "");
-        reg.histogram("g" + std::to_string(i), "", 4);
+        const std::string n = std::to_string(i);
+        reg.counter(std::string("c").append(n), "");
+        reg.histogram(std::string("g").append(n), "", 4);
     }
     first.add(5);
     h.add(2);

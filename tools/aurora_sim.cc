@@ -196,6 +196,20 @@ exportSuite(const ExportRequest &request,
     }
 }
 
+/** Print a suite: CSV, or its table, stall breakdown and mean CPI. */
+void
+printSuite(const SuiteResult &res, bool csv)
+{
+    if (csv) {
+        std::cout << suiteTable(res).csv();
+        return;
+    }
+    suiteTable(res).print(std::cout, "machine: " + describe(res.machine));
+    stallTable(res).print(std::cout, "stall breakdown (CPI)");
+    std::cout << "suite average CPI: " << formatFixed(res.avgCpi(), 3)
+              << "\n";
+}
+
 int
 run(int argc, char **argv)
 {
@@ -315,69 +329,12 @@ run(int argc, char **argv)
                              "--journal cannot be combined with "
                              "--trace-events (use --sweep-trace for "
                              "the sweep-level trace)");
-        // Synthetic runs through the sweep engine share its journal:
-        // every completed benchmark is flushed to disk, and --resume
-        // replays finished ones bit-identically (see docs/harness.md).
-        const std::vector<harness::SweepJob> grid =
-            harness::suiteJobs(machine, suite, insts);
-        harness::SweepOptions sweep_options;
-        sweep_options.watchdog = watchdog;
-        sweep_options.journal = journal;
-        sweep_options.resume = resume;
-        // The trace id is a pure function of the grid, so a --resume
-        // run traces into the same id as the run it continues.
-        const std::uint64_t trace_id = obs::traceIdForGrid(
-            harness::gridFingerprint(grid, sweep_options.base_seed));
-        obs::SpanLog spans(obs::TraceContext{trace_id});
-        if (!request.sweep_trace.empty())
-            sweep_options.span_log = &spans;
-        harness::SweepRunner runner(sweep_options);
-        const auto outcomes = runner.runOutcomes(grid);
-        if (!request.sweep_trace.empty()) {
-            Output out(request.sweep_trace);
-            obs::writeGridTrace(out.stream(), spans.spans(), trace_id,
-                                "grid " + obs::hexId(trace_id),
-                                /*pid=*/0, spans.nowUs(), "aurora_sim");
-        }
-
-        SuiteResult res;
-        res.machine = machine;
-        bool any_failed = false;
-        for (const auto &out : outcomes) {
-            if (out.ok) {
-                res.runs.push_back(out.result);
-            } else {
-                any_failed = true;
-                std::cerr << "aurora_sim: job failed ("
-                          << util::errorCodeName(out.code)
-                          << "): " << out.error << "\n";
-            }
-        }
-        if (any_failed)
-            return 1;
-        // Journal replays carry no live registry, so these exports
-        // contain the RunResults without per-run metrics.
-        exportSuite(request, res.runs, {});
-        if (res.runs.size() == 1 && !csv) {
-            std::cout << runReport(res.runs.front());
-            return 0;
-        }
-        if (csv) {
-            std::cout << suiteTable(res).csv();
-        } else {
-            suiteTable(res).print(std::cout,
-                                  "machine: " + describe(machine));
-            stallTable(res).print(std::cout, "stall breakdown (CPI)");
-            std::cout << "suite average CPI: "
-                      << formatFixed(res.avgCpi(), 3) << "\n";
-        }
-        return 0;
-    }
-    if (resume)
+    } else if (resume) {
         util::raiseError(util::SimErrorCode::BadConfig,
                          "--resume requires --journal FILE");
+    }
 
-    if (suite.size() == 1 && !csv) {
+    if (journal.empty() && suite.size() == 1 && !csv) {
         telemetry::Registry registry;
         telemetry::TraceEventLog events;
         std::optional<PipelineTracer> tracer;
@@ -404,7 +361,9 @@ run(int argc, char **argv)
         return 0;
     }
 
-    if (request.wantsStats()) {
+    SuiteResult res;
+    res.machine = machine;
+    if (journal.empty() && request.wantsStats()) {
         // Suite exports keep the sweep engine's parallelism: one
         // registry+sampler pair per job, results in submission order.
         std::vector<telemetry::Registry> registries(suite.size());
@@ -426,32 +385,59 @@ run(int argc, char **argv)
         harness::SweepOptions sweep_options;
         sweep_options.watchdog = watchdog;
         harness::SweepRunner runner(sweep_options);
-        SuiteResult res;
-        res.machine = machine;
         res.runs = runner.runTasks(tasks);
         exportSuite(request, res.runs, registries);
-        if (csv) {
-            std::cout << suiteTable(res).csv();
-        } else {
-            suiteTable(res).print(std::cout,
-                                  "machine: " + describe(machine));
-            stallTable(res).print(std::cout, "stall breakdown (CPI)");
-            std::cout << "suite average CPI: "
-                      << formatFixed(res.avgCpi(), 3) << "\n";
-        }
+        printSuite(res, csv);
         return 0;
     }
 
-    const SuiteResult res = runSuite(machine, suite, insts, watchdog);
-    if (csv) {
-        std::cout << suiteTable(res).csv();
-    } else {
-        suiteTable(res).print(std::cout,
-                              "machine: " + describe(machine));
-        stallTable(res).print(std::cout, "stall breakdown (CPI)");
-        std::cout << "suite average CPI: "
-                  << formatFixed(res.avgCpi(), 3) << "\n";
+    // Every other suite runs through the sweep engine's grid path.
+    // With --journal every completed benchmark is flushed to disk,
+    // and --resume replays finished ones bit-identically (see
+    // docs/harness.md).
+    const std::vector<harness::SweepJob> grid =
+        harness::suiteJobs(machine, suite, insts);
+    harness::SweepOptions sweep_options;
+    sweep_options.watchdog = watchdog;
+    sweep_options.journal = journal;
+    sweep_options.resume = resume;
+    // The trace id is a pure function of the grid, so a --resume run
+    // traces into the same id as the run it continues.
+    const std::uint64_t trace_id = obs::traceIdForGrid(
+        harness::gridFingerprint(grid, sweep_options.base_seed));
+    obs::SpanLog spans(obs::TraceContext{trace_id});
+    if (!request.sweep_trace.empty())
+        sweep_options.span_log = &spans;
+    harness::SweepRunner runner(sweep_options);
+    const auto outcomes = runner.runOutcomes(grid);
+    if (!request.sweep_trace.empty()) {
+        Output out(request.sweep_trace);
+        obs::writeGridTrace(out.stream(), spans.spans(), trace_id,
+                            "grid " + obs::hexId(trace_id),
+                            /*pid=*/0, spans.nowUs(), "aurora_sim");
     }
+
+    bool any_failed = false;
+    for (const auto &out : outcomes) {
+        if (out.ok) {
+            res.runs.push_back(out.result);
+        } else {
+            any_failed = true;
+            std::cerr << "aurora_sim: job failed ("
+                      << util::errorCodeName(out.code)
+                      << "): " << out.error << "\n";
+        }
+    }
+    if (any_failed)
+        return 1;
+    // Journal replays carry no live registry, so these exports
+    // contain the RunResults without per-run metrics.
+    exportSuite(request, res.runs, {});
+    if (res.runs.size() == 1 && !csv) {
+        std::cout << runReport(res.runs.front());
+        return 0;
+    }
+    printSuite(res, csv);
     return 0;
 }
 
