@@ -1,12 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator itself: trace
- * generation rate, component costs, and end-to-end simulation
- * throughput. These guard against performance regressions in the
- * library (the table/figure harness runs millions of instructions).
+ * generation rate, the core replaying a collected trace, component
+ * costs, and end-to-end simulation throughput. These guard against
+ * performance regressions in the library (the table/figure harness
+ * runs millions of instructions).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/simulator.hh"
 #include "mem/cache.hh"
@@ -19,18 +22,41 @@ namespace
 
 using namespace aurora;
 
+/** Synthesis alone, in the 512-instruction blocks a sweep fills. */
 void
 BM_TraceGeneration(benchmark::State &state)
 {
     trace::SyntheticWorkload w(trace::espresso());
-    trace::Inst inst;
+    std::vector<trace::Inst> block(512);
     for (auto _ : state) {
-        w.next(inst);
-        benchmark::DoNotOptimize(inst);
+        w.fill(block);
+        benchmark::DoNotOptimize(block.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(block.size()) *
+        static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TraceGeneration);
+
+/** The core alone: the large model replaying a pre-collected trace. */
+void
+BM_CoreReplay(benchmark::State &state)
+{
+    const auto machine = core::largeModel().withLatency(5);
+    trace::SyntheticWorkload w(trace::espresso());
+    trace::VectorTraceSource source(
+        trace::collect(w, static_cast<Count>(state.range(0))));
+    for (auto _ : state) {
+        source.rewind();
+        core::Processor cpu(machine, source);
+        benchmark::DoNotOptimize(cpu.run().cycles);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(source.insts().size()) *
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CoreReplay)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -8,6 +8,9 @@
 #   - libc randomness:  rand(, std::random_device
 #   - environment reads: getenv (env access belongs in util/env, so
 #     every knob is named, typed, defaulted and logged in one place)
+#   - thread_local, here and in util/rng: a per-thread memo (say, of
+#     a per-profile constant) would make one job's trace depend on
+#     which jobs ran before it on the same pool worker
 #
 # std::chrono::steady_clock is deliberately ALLOWED: it measures how
 # long a computation took (watchdog deadlines, sweep timing) without
@@ -44,12 +47,13 @@ DIRS=(src/core src/ipu src/fpu src/mem src/trace src/telemetry
       src/harness src/serve src/shard src/analyze src/cost src/obs)
 STATUS=0
 
-# pattern -> human explanation. Word boundaries keep e.g.
-# "timestamp(" or "strand(" from matching.
+# pattern -> human explanation, then any paths checked beyond DIRS.
+# Word boundaries keep e.g. "timestamp(" or "strand(" from matching.
 check() {
     local pattern="$1" why="$2"
+    shift 2
     # shellcheck disable=SC2046
-    if hits=$(grep -RInE "${pattern}" "${DIRS[@]}" \
+    if hits=$(grep -RInE "${pattern}" "${DIRS[@]}" "$@" \
                   --include='*.cc' --include='*.hh' || true); then
         if [ -n "${hits}" ]; then
             echo "determinism lint: ${why}:"
@@ -69,6 +73,8 @@ check 'std::random_device' \
       'nondeterministic seed source in the simulation core'
 check '(^|[^a-zA-Z0-9_:])getenv' \
       'raw environment read outside util/env'
+check '(^|[^a-zA-Z0-9_])thread_local([^a-zA-Z0-9_]|$)' \
+      'per-thread state in the simulation core' src/util/rng.hh src/util/rng.cc
 
 if [ "${STATUS}" -ne 0 ]; then
     echo "determinism lint: FAILED"

@@ -25,11 +25,11 @@ Processor::Processor(const MachineConfig &config,
       fpu_(config.fpu), rob_(config.rob_entries, config.retire_width),
       watchdog_(watchdog),
       // One unit-width bucket per possible occupancy value [0, cap].
-      robOccupancy_(config.rob_entries + 1),
-      mshrOccupancy_(config.lsu.mshr_entries + 1),
-      fpInstqOccupancy_(config.fpu.inst_queue + 1),
-      fpLoadqOccupancy_(config.fpu.load_queue + 1),
-      fpStoreqOccupancy_(config.fpu.store_queue + 1)
+      robOccupancy_{Histogram(config.rob_entries + 1)},
+      mshrOccupancy_{Histogram(config.lsu.mshr_entries + 1)},
+      fpInstqOccupancy_{Histogram(config.fpu.inst_queue + 1)},
+      fpLoadqOccupancy_{Histogram(config.fpu.load_queue + 1)},
+      fpStoreqOccupancy_{Histogram(config.fpu.store_queue + 1)}
 {
     config_.validate();
 }
@@ -51,42 +51,47 @@ Processor::done() const
     return ifu_.exhausted() && rob_.empty() && fpu_.idle();
 }
 
-std::optional<StallCause>
-Processor::issueCheck(const Inst &inst) const
+bool
+Processor::canIssue(const Inst &inst, StallCause &cause) const
 {
+    const auto blocked = [&](StallCause why) {
+        cause = why;
+        return false;
+    };
+
     // Structural hazard at the LSU interface is detected before
     // operand readiness: a memory instruction with no MSHR or with
     // the cache busses filling cannot even enter the LSU pipeline.
     // With a single MSHR this makes LSU-Busy the dominant stall of
     // the small model, as in Figure 6.
     if (trace::isMem(inst.op) && !lsu_.canAccept(now_))
-        return StallCause::LsuBusy;
+        return blocked(StallCause::LsuBusy);
 
     // Integer operand readiness: forwarding hides ALU latencies, so
     // in practice only outstanding loads block here (Figure 6
     // "Load" stalls).
     if (!scoreboard_.ready(inst.src_a, now_) ||
         !scoreboard_.ready(inst.src_b, now_))
-        return StallCause::Load;
+        return blocked(StallCause::Load);
 
     if (inst.op == OpClass::FpLoad && !fpu_.canAcceptLoad())
-        return StallCause::FpQueue;
+        return blocked(StallCause::FpQueue);
     if (inst.op == OpClass::FpStore && !fpu_.canAcceptStore())
-        return StallCause::FpQueue;
+        return blocked(StallCause::FpQueue);
     if (trace::isFpArith(inst.op)) {
         if (!fpu_.canAcceptArith())
-            return StallCause::FpQueue;
+            return blocked(StallCause::FpQueue);
         // §3.1 precise mode: an op that might fault may not be
         // transferred while older FP work is in flight.
         if (config_.fpu.precise_exceptions &&
             !provablySafe(inst) && !fpu_.quiescent())
-            return StallCause::FpQueue;
+            return blocked(StallCause::FpQueue);
     }
 
     if (rob_.full())
-        return StallCause::RobFull;
+        return blocked(StallCause::RobFull);
 
-    return std::nullopt;
+    return true;
 }
 
 void
@@ -172,43 +177,38 @@ Processor::provablySafe(const Inst &inst) const
     return u < config_.fpu.provably_safe_frac;
 }
 
-bool
-Processor::pairOk(const Inst &first, const Inst &second) const
-{
-    // The Figure 3 predecode rules (alignment, DI bit, single memory
-    // access per cycle) live in the ISA layer.
-    return isa::dualIssueAllowed(first, second);
-}
-
 void
 Processor::issueStage()
 {
     unsigned issued = 0;
-    Inst first{};
     StallCause cause = StallCause::ICache;
 
+    // Instructions issue from the fetch buffer in place and leave it
+    // together once the group is complete.
     while (issued < config_.issue_width) {
-        if (ifu_.empty()) {
-            // Buffer empty: an I-cache miss, a fetch bubble, or the
+        if (ifu_.available() == issued) {
+            // Buffer drained: an I-cache miss, a fetch bubble, or the
             // end of the trace.
             break;
         }
-        const Inst &inst = ifu_.peek(0);
-        if (issued == 1 && !pairOk(first, inst))
+        const Inst &inst = ifu_.peek(issued);
+        // The Figure 3 predecode rules (alignment, DI bit, single
+        // memory access per cycle) live in the ISA layer.
+        if (issued == 1 && !isa::dualIssueAllowed(ifu_.peek(0), inst))
             break;
-        if (const auto blocked = issueCheck(inst)) {
+        StallCause blocked = StallCause::ICache;
+        if (!canIssue(inst, blocked)) {
             if (issued == 0)
-                cause = *blocked;
+                cause = blocked;
             break;
         }
         doIssue(inst);
         if (observer_)
             observer_->onIssue(now_, inst, issued);
-        if (issued == 0)
-            first = inst;
-        ifu_.pop();
         ++issued;
     }
+    for (unsigned i = 0; i < issued; ++i)
+        ifu_.pop();
 
     if (issued > 0) {
         ++issuingCycles_;
@@ -308,12 +308,23 @@ Processor::obsEmit(const ObsSnapshot &pre)
 void
 Processor::step()
 {
-    // Snapshot source counters up front so the whole step — LSU/FPU
-    // ticks, retirement, issue, fetch — lands in one set of per-cycle
-    // delta events. Pure reads: results are identical either way.
-    ObsSnapshot pre;
-    if (observer_)
-        pre = obsCapture();
+    if (observer_) {
+        // Snapshot source counters up front so the whole step — LSU/FPU
+        // ticks, retirement, issue, fetch — lands in one set of
+        // per-cycle delta events. Pure reads: results are identical
+        // either way.
+        const ObsSnapshot pre = obsCapture();
+        tick();
+        obsEmit(pre);
+    } else {
+        tick();
+    }
+    ++now_;
+}
+
+void
+Processor::tick()
+{
     lsu_.tick(now_);
     fpu_.tick(now_);
     const unsigned retired = rob_.retire(now_);
@@ -323,20 +334,11 @@ Processor::step()
         observer_->onRetire(now_, retired);
     issueStage();
     ifu_.tick(now_);
-    sampleOccupancy(1);
-    if (observer_)
-        obsEmit(pre);
-    ++now_;
-}
-
-void
-Processor::sampleOccupancy(Cycle cycles)
-{
-    robOccupancy_.add(rob_.size(), cycles);
-    mshrOccupancy_.add(lsu_.mshrs().inUse(), cycles);
-    fpInstqOccupancy_.add(fpu_.instQueueSize(), cycles);
-    fpLoadqOccupancy_.add(fpu_.loadQueueSize(), cycles);
-    fpStoreqOccupancy_.add(fpu_.storeQueueSize(), cycles);
+    robOccupancy_.sample(rob_.size(), now_);
+    mshrOccupancy_.sample(lsu_.mshrs().inUse(), now_);
+    fpInstqOccupancy_.sample(fpu_.instQueueSize(), now_);
+    fpLoadqOccupancy_.sample(fpu_.loadQueueSize(), now_);
+    fpStoreqOccupancy_.sample(fpu_.storeQueueSize(), now_);
 }
 
 Cycle
@@ -368,10 +370,10 @@ Processor::skipIdle(Cycle limit)
     // cycle of the span charges what this cycle would.
     std::optional<StallCause> cause;
     if (!ifu_.exhausted()) {
-        cause = ifu_.empty() ? StallCause::ICache
-                             : issueCheck(ifu_.peek(0));
-        if (!cause)
+        StallCause blocked = StallCause::ICache;
+        if (!ifu_.empty() && canIssue(ifu_.peek(0), blocked))
             return;
+        cause = blocked;
     }
     const Cycle span = until - now_;
     fpu_.chargeIdle(now_, span);
@@ -380,7 +382,6 @@ Processor::skipIdle(Cycle limit)
     else
         tailCycles_ += span;
     issueWidthCycles_[0] += span;
-    sampleOccupancy(span);
     skippedCycles_ += span;
     now_ = until;
 }
@@ -515,14 +516,15 @@ Processor::finish()
     res.fpu = fpu_.stats();
     res.rbe_cost = config_.rbeCost();
     res.issue_width_cycles = issueWidthCycles_;
-    res.rob_occupancy = OccupancyStats::fromHistogram(robOccupancy_);
-    res.mshr_occupancy = OccupancyStats::fromHistogram(mshrOccupancy_);
-    res.fp_instq_occupancy =
-        OccupancyStats::fromHistogram(fpInstqOccupancy_);
-    res.fp_loadq_occupancy =
-        OccupancyStats::fromHistogram(fpLoadqOccupancy_);
-    res.fp_storeq_occupancy =
-        OccupancyStats::fromHistogram(fpStoreqOccupancy_);
+    const auto stats = [&](Occupancy &occ) {
+        occ.sample(NEVER, now_); // close the open run
+        return OccupancyStats::fromHistogram(occ.hist);
+    };
+    res.rob_occupancy = stats(robOccupancy_);
+    res.mshr_occupancy = stats(mshrOccupancy_);
+    res.fp_instq_occupancy = stats(fpInstqOccupancy_);
+    res.fp_loadq_occupancy = stats(fpLoadqOccupancy_);
+    res.fp_storeq_occupancy = stats(fpStoreqOccupancy_);
     res.avg_rob_occupancy = res.rob_occupancy.mean;
     res.avg_mshr_occupancy = res.mshr_occupancy.mean;
 

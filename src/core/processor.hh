@@ -310,24 +310,39 @@ class Processor
     /** lsu_.load() wrapper that reports latency/miss to the observer. */
     Cycle observedLoad(const trace::Inst &inst);
 
-    /** Resource/operand check; nullopt means issuable. */
-    std::optional<StallCause> issueCheck(const trace::Inst &inst) const;
+    /** Resource/operand check; false sets the stall in @p cause. */
+    bool canIssue(const trace::Inst &inst, StallCause &cause) const;
 
     /** Commit one instruction to the pipeline model. */
     void doIssue(const trace::Inst &inst);
 
-    /** May @p second co-issue after @p first this cycle? */
-    bool pairOk(const trace::Inst &first,
-                const trace::Inst &second) const;
-
     /** §3.1: is @p inst provably unable to raise an FP exception? */
     bool provablySafe(const trace::Inst &inst) const;
+
+    /** Cycle now_ of every unit: step() without observer events. */
+    void tick();
 
     /** The issue stage for the current cycle. */
     void issueStage();
 
-    /** Add the current occupancies to the histograms @p cycles times. */
-    void sampleOccupancy(Cycle cycles);
+    /** A per-cycle occupancy histogram, added to once per run. */
+    struct Occupancy
+    {
+        Histogram hist;
+        std::size_t value = 0;
+        Cycle since = 0; ///< first cycle of value's current run
+
+        /** The occupancy of cycle @p now is @p v. */
+        void
+        sample(std::size_t v, Cycle now)
+        {
+            if (v == value)
+                return;
+            hist.add(value, now - since);
+            value = v;
+            since = now;
+        }
+    };
 
     /**
      * Earliest cycle >= now_ at which any component, or the issue
@@ -365,14 +380,15 @@ class Processor
     std::array<Cycle, 3> issueWidthCycles_{};
     // Always-on per-cycle occupancy histograms (one unit-width bucket
     // per possible occupancy, so overflow is impossible). These feed
-    // the RunResult OccupancyStats and cost a handful of array
-    // increments per cycle whether or not telemetry is attached —
-    // keeping the *results* identical with and without observers.
-    Histogram robOccupancy_;
-    Histogram mshrOccupancy_;
-    Histogram fpInstqOccupancy_;
-    Histogram fpLoadqOccupancy_;
-    Histogram fpStoreqOccupancy_;
+    // the RunResult OccupancyStats whether or not telemetry is
+    // attached — keeping the *results* identical with and without
+    // observers. A stepped cycle costs five compares; skipped cycles
+    // cost nothing, as no occupancy changes across them.
+    Occupancy robOccupancy_;
+    Occupancy mshrOccupancy_;
+    Occupancy fpInstqOccupancy_;
+    Occupancy fpLoadqOccupancy_;
+    Occupancy fpStoreqOccupancy_;
     PipelineObserver *observer_ = nullptr;
     bool drained_ = false;
     /** onDrainStart() already delivered. */

@@ -14,6 +14,8 @@ namespace
 
 /** Instructions a TraceWindow holds (a power of two). */
 constexpr Count WINDOW = 512;
+/** Most instructions in one view: VIEW + pullBound() < WINDOW. */
+constexpr Count VIEW = 64;
 
 /**
  * The first @p length instructions of a source, produced in blocks
@@ -23,27 +25,25 @@ constexpr Count WINDOW = 512;
 class TraceWindow
 {
   public:
-    TraceWindow(trace::TraceSource &source, Count length)
+    TraceWindow(trace::SyntheticWorkload &source, Count length)
         : source_(source), length_(length), ring_(WINDOW)
     {}
 
-    /** Produce up to one window past @p slowest, the oldest unread. */
+    /** Produce up to one window past @p slowest, the oldest held. */
     void
     refill(Count slowest)
     {
         const Count target = std::min(slowest + WINDOW, length_);
-        while (filled_ < target && !ended_) {
+        while (filled_ < target) {
             const Count at = filled_ % WINDOW;
             const Count want = std::min(target - filled_, WINDOW - at);
-            const std::size_t got =
-                source_.fill(std::span(ring_.data() + at, want));
-            filled_ += got;
-            ended_ = got < want;
+            source_.fill(std::span(ring_.data() + at, want));
+            filled_ += want;
         }
     }
 
-    /** Whole trace produced (or the source ran dry). */
-    bool complete() const { return ended_ || filled_ == length_; }
+    /** Whole trace produced. */
+    bool complete() const { return filled_ == length_; }
 
     /** Processor::advance() input limit: NEVER once complete. */
     Count available() const { return complete() ? NEVER : filled_; }
@@ -53,14 +53,16 @@ class TraceWindow
     const trace::Inst &at(Count i) const { return ring_[i % WINDOW]; }
 
   private:
-    trace::TraceSource &source_;
+    trace::SyntheticWorkload &source_;
     Count length_;
     std::vector<trace::Inst> ring_;
     Count filled_ = 0;
-    bool ended_ = false;
 };
 
-/** One machine's read position in a TraceWindow. */
+/**
+ * One machine's read position in a TraceWindow. read() returns views
+ * of the ring itself: the IFU copies each instruction once.
+ */
 class WindowCursor final : public trace::TraceSource
 {
   public:
@@ -69,21 +71,38 @@ class WindowCursor final : public trace::TraceSource
     bool
     next(trace::Inst &out) override
     {
+        const auto got = read(1);
+        if (got.empty())
+            return false;
+        out = got.front();
+        return true;
+    }
+
+    std::span<const trace::Inst>
+    read(std::size_t max) override
+    {
         if (pos_ == window_->filled()) {
             // advance() stops before reading past a partial window.
             AURORA_ASSERT(window_->complete(),
                           "trace window read past its fill");
-            return false;
+            return {};
         }
-        out = window_->at(pos_++);
-        return true;
+        // A view ends at the fill or the ring's end, if not before.
+        const Count n = std::min({Count{max}, VIEW,
+                                  window_->filled() - pos_,
+                                  WINDOW - pos_ % WINDOW});
+        held_ = pos_;
+        pos_ += n;
+        return {&window_->at(held_), n};
     }
 
-    Count position() const { return pos_; }
+    /** Oldest instruction the reader may still hold: its last view's. */
+    Count held() const { return held_; }
 
   private:
     const TraceWindow *window_;
     Count pos_ = 0;
+    Count held_ = 0;
 };
 
 } // namespace
@@ -150,7 +169,7 @@ simulateShared(std::span<const MachineConfig> machines,
         Count slowest = NEVER;
         for (std::size_t i = 0; i < n; ++i)
             if (cpus[i])
-                slowest = std::min(slowest, cursors[i].position());
+                slowest = std::min(slowest, cursors[i].held());
         if (slowest == NEVER)
             break;
         timer.reset();

@@ -177,7 +177,7 @@ Fpu::tryIssue(const QueuedOp &qop, Cycle now,
 }
 
 void
-Fpu::tick(Cycle now)
+Fpu::tickBusy(Cycle now)
 {
     buses_.advance(now);
     rob_.retire(now);
@@ -282,13 +282,6 @@ Fpu::chargeIdle(Cycle now, Cycle cycles)
     const Blocker b = blocker(instQueue_.front(), now, nullptr);
     AURORA_ASSERT(b != Blocker::None, "idle charge for an issuable op");
     blockedCount(b) += cycles;
-}
-
-bool
-Fpu::idle() const
-{
-    return instQueue_.empty() && loadQueue_.empty() &&
-           storeQueue_.empty() && rob_.empty();
 }
 
 } // namespace aurora::fpu

@@ -74,7 +74,12 @@ class Fpu
     /// @}
 
     /** Advance one cycle: retire, drain queues, issue instructions. */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        if (!idle())
+            tickBusy(now);
+    }
 
     /**
      * Earliest cycle >= @p now at which tick() changes more than the
@@ -92,7 +97,12 @@ class Fpu
     void chargeIdle(Cycle now, Cycle cycles);
 
     /** Everything drained (end of simulation). */
-    bool idle() const;
+    bool
+    idle() const
+    {
+        return instQueue_.empty() && loadQueue_.empty() &&
+               storeQueue_.empty() && rob_.empty();
+    }
 
     /**
      * No FP arithmetic active or queued — the condition the §3.1
@@ -129,6 +139,12 @@ class Fpu
     /// @}
 
   private:
+    /**
+     * tick() with work queued. An idle FPU holds no future result-bus
+     * slot, so the bus window it did not advance catches up here.
+     */
+    void tickBusy(Cycle now);
+
     /** A queued FP arithmetic instruction. */
     struct QueuedOp
     {

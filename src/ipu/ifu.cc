@@ -21,12 +21,16 @@ Ifu::pump()
 {
     if (done_ || haveNext_)
         return;
-    if (source_.next(nextInst_)) {
-        haveNext_ = true;
-        ++fetchedFromSource_;
-    } else {
-        done_ = true;
+    if (head_ == span_.size()) {
+        span_ = source_.read(READ_SPAN);
+        head_ = 0;
+        if (span_.empty()) {
+            done_ = true;
+            return;
+        }
     }
+    haveNext_ = true;
+    ++fetchedFromSource_;
 }
 
 void
@@ -45,7 +49,7 @@ Ifu::tick(Cycle now)
         if (!haveNext_ || buffer_.full())
             return;
 
-        const trace::Inst &inst = nextInst_;
+        const trace::Inst &inst = span_[head_];
 
         // Pair constraint: the second instruction of a fetch group
         // must be the ODD mate of the first (aligned 8-byte pair).
@@ -75,7 +79,7 @@ Ifu::tick(Cycle now)
             first_pair = inst.pc >> 3;
 
         const bool redirect = inst.redirectsFetch();
-        buffer_.push(inst);
+        buffer_.push(span_[head_++]);
         haveNext_ = false;
         ++fetched;
 
@@ -86,13 +90,13 @@ Ifu::tick(Cycle now)
             pump();
             if (haveNext_ && !buffer_.full()) {
                 const bool mate =
-                    (nextInst_.pc >> 3) == first_pair &&
-                    (nextInst_.pc & 0x4u) != 0;
+                    (span_[head_].pc >> 3) == first_pair &&
+                    (span_[head_].pc & 0x4u) != 0;
                 // The delay slot may be the branch's pair mate and
                 // co-fetched; if it lies in the next pair it costs
                 // the next fetch slot, modelled by ending the group.
                 if (fetched < config_.fetch_width && mate) {
-                    buffer_.push(nextInst_);
+                    buffer_.push(span_[head_++]);
                     haveNext_ = false;
                     ++fetched;
                 }

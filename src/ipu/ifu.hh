@@ -110,7 +110,13 @@ class Ifu
     const IfuConfig &config() const { return config_; }
 
   private:
-    /** Refill nextInst_ from the source. */
+    /** Instructions asked of the source per read(). */
+    static constexpr std::size_t READ_SPAN = 64;
+
+    /**
+     * Pull span_[head_], reading the source a span at a time, unless
+     * one is pulled already or the trace ended.
+     */
     void pump();
 
     IfuConfig config_;
@@ -119,7 +125,9 @@ class Ifu
     mem::DirectMappedCache icache_;
     BoundedQueue<trace::Inst> buffer_;
 
-    trace::Inst nextInst_{};
+    /** The source's last read(); span_[head_] is the next to pull. */
+    std::span<const trace::Inst> span_;
+    std::size_t head_ = 0;
     bool haveNext_ = false;
     bool done_ = false;
     Count fetchedFromSource_ = 0;

@@ -18,9 +18,8 @@ Lsu::Lsu(const LsuConfig &config,
 }
 
 void
-Lsu::tick(Cycle now)
+Lsu::landFills(Cycle now)
 {
-    mshrs_.retire(now);
     while (!fills_.empty() && fills_.front().ready <= now) {
         if (const auto evicted = dcache_.fill(fills_.front().line))
             victims_.insert(*evicted, now);
@@ -42,12 +41,6 @@ Lsu::nextEvent(Cycle now) const
     if (portBusyUntil_ > now && portBusyUntil_ < next)
         next = portBusyUntil_;
     return next;
-}
-
-bool
-Lsu::canAccept(Cycle now) const
-{
-    return !mshrs_.full() && now >= portBusyUntil_;
 }
 
 Cycle

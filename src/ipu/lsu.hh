@@ -68,7 +68,13 @@ class Lsu
      * Per-cycle housekeeping: retire completed MSHRs and apply cache
      * fills (which block the data busses for fill_port_cycles).
      */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        mshrs_.retire(now);
+        if (!fills_.empty() && fills_.front().ready <= now)
+            landFills(now);
+    }
 
     /**
      * Earliest cycle >= @p now at which tick() or canAccept() can
@@ -81,7 +87,11 @@ class Lsu
      * Can a new memory operation start this cycle? Requires a free
      * MSHR and an idle cache port.
      */
-    bool canAccept(Cycle now) const;
+    bool
+    canAccept(Cycle now) const
+    {
+        return !mshrs_.full() && now >= portBusyUntil_;
+    }
 
     /** Is the port blocked by a line fill right now? */
     bool portBusy(Cycle now) const { return now < portBusyUntil_; }
@@ -114,6 +124,9 @@ class Lsu
         Cycle ready = 0;
         Addr line = 0;
     };
+
+    /** The tick() work of the fills that have landed by @p now. */
+    void landFills(Cycle now);
 
     LsuConfig config_;
     mem::Biu &biu_;

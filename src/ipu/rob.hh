@@ -13,6 +13,7 @@
 #define AURORA_IPU_ROB_HH
 
 #include "util/bounded_queue.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace aurora::ipu
@@ -26,7 +27,11 @@ class ReorderBuffer
      * @param entries     capacity (Table 1: 2 / 6 / 8).
      * @param retire_width maximum retirements per cycle.
      */
-    ReorderBuffer(unsigned entries, unsigned retire_width);
+    ReorderBuffer(unsigned entries, unsigned retire_width)
+        : slots_(entries), retireWidth_(retire_width)
+    {
+        AURORA_ASSERT(retire_width > 0, "retire width must be positive");
+    }
 
     /** Free slots available this cycle. */
     std::size_t space() const { return slots_.space(); }
@@ -43,13 +48,29 @@ class ReorderBuffer
      * Allocate the next entry for an instruction completing at
      * @p completes_at. Caller must check !full() first.
      */
-    void allocate(Cycle completes_at);
+    void
+    allocate(Cycle completes_at)
+    {
+        AURORA_ASSERT(!slots_.full(), "ROB allocate when full");
+        slots_.push(completes_at);
+    }
 
     /**
      * Retire completed instructions in order, at most retire_width
      * per call. @return number retired.
      */
-    unsigned retire(Cycle now);
+    unsigned
+    retire(Cycle now)
+    {
+        unsigned n = 0;
+        while (n < retireWidth_ && !slots_.empty() &&
+               slots_.front() <= now) {
+            slots_.pop();
+            ++n;
+            ++retired_;
+        }
+        return n;
+    }
 
     /**
      * Earliest cycle retire() can pop an entry: the head's completion

@@ -16,6 +16,7 @@
 
 #include <array>
 
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace aurora::ipu
@@ -25,28 +26,56 @@ namespace aurora::ipu
 class Scoreboard
 {
   public:
-    Scoreboard();
+    Scoreboard() { reset(); }
 
     /**
      * Is @p reg available to an instruction issuing at @p now?
      * Register 0 (MIPS $zero) and NO_REG are always ready.
      */
-    bool ready(RegIndex reg, Cycle now) const;
+    bool
+    ready(RegIndex reg, Cycle now) const
+    {
+        if (reg == NO_REG || reg == 0)
+            return true;
+        AURORA_ASSERT(reg < 32, "register index out of range");
+        return regs_[reg].ready <= now;
+    }
 
     /** Is the pending writer of @p reg a load instruction? */
-    bool pendingLoad(RegIndex reg, Cycle now) const;
+    bool
+    pendingLoad(RegIndex reg, Cycle now) const
+    {
+        if (reg == NO_REG || reg == 0)
+            return false;
+        AURORA_ASSERT(reg < 32, "register index out of range");
+        return regs_[reg].ready > now && regs_[reg].is_load;
+    }
 
     /**
      * Record a new writer of @p reg whose value is usable from cycle
      * @p ready_at; @p is_load tags load writers for stall accounting.
      */
-    void setWriter(RegIndex reg, Cycle ready_at, bool is_load);
+    void
+    setWriter(RegIndex reg, Cycle ready_at, bool is_load)
+    {
+        if (reg == NO_REG || reg == 0)
+            return;
+        AURORA_ASSERT(reg < 32, "register index out of range");
+        regs_[reg] = {ready_at, is_load};
+    }
 
     /** Ready cycle of @p reg (0 when no pending writer). */
-    Cycle readyAt(RegIndex reg) const;
+    Cycle
+    readyAt(RegIndex reg) const
+    {
+        if (reg == NO_REG || reg == 0)
+            return 0;
+        AURORA_ASSERT(reg < 32, "register index out of range");
+        return regs_[reg].ready;
+    }
 
     /** Clear all pending writers. */
-    void reset();
+    void reset() { regs_.fill(EntryState{}); }
 
   private:
     struct EntryState

@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace aurora::mem
@@ -19,6 +21,7 @@ isPow2(std::uint32_t x)
 DirectMappedCache::DirectMappedCache(std::uint32_t size_bytes,
                                      std::uint32_t line_bytes)
     : sizeBytes_(size_bytes), lineBytes_(line_bytes),
+      lineShift_(static_cast<unsigned>(std::countr_zero(line_bytes))),
       numLines_(size_bytes / line_bytes)
 {
     AURORA_ASSERT(isPow2(size_bytes), "cache size must be a power of 2");
@@ -27,21 +30,6 @@ DirectMappedCache::DirectMappedCache(std::uint32_t size_bytes,
                   "cache smaller than one line");
     tags_.assign(numLines_, 0);
     valid_.assign(numLines_, false);
-}
-
-bool
-DirectMappedCache::access(Addr addr)
-{
-    const bool hit = probe(addr);
-    hits_.record(hit);
-    return hit;
-}
-
-bool
-DirectMappedCache::probe(Addr addr) const
-{
-    const std::uint32_t idx = indexOf(addr);
-    return valid_[idx] && tags_[idx] == lineAddr(addr);
 }
 
 std::optional<Addr>

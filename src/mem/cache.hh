@@ -50,10 +50,21 @@ class DirectMappedCache
      * Look up @p addr, recording the access in the hit-rate stats.
      * Does not modify the tag array.
      */
-    bool access(Addr addr);
+    bool
+    access(Addr addr)
+    {
+        const bool hit = probe(addr);
+        hits_.record(hit);
+        return hit;
+    }
 
     /** Look up @p addr without recording statistics. */
-    bool probe(Addr addr) const;
+    bool
+    probe(Addr addr) const
+    {
+        const std::uint32_t idx = indexOf(addr);
+        return valid_[idx] && tags_[idx] == lineAddr(addr);
+    }
 
     /**
      * Install the line containing @p addr.
@@ -75,11 +86,12 @@ class DirectMappedCache
     std::uint32_t
     indexOf(Addr addr) const
     {
-        return (addr / lineBytes_) & (numLines_ - 1);
+        return (addr >> lineShift_) & (numLines_ - 1);
     }
 
     std::uint32_t sizeBytes_;
     std::uint32_t lineBytes_;
+    unsigned lineShift_; ///< log2(lineBytes_), so indexOf() never divides
     std::uint32_t numLines_;
     std::vector<Addr> tags_;   ///< line-aligned address per slot
     std::vector<bool> valid_;

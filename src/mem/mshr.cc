@@ -27,33 +27,13 @@ MshrFile::allocate(Addr line, Cycle ready)
         if (entry.valid)
             continue;
         entry = {line, ready, true};
+        if (ready < nextReady_)
+            nextReady_ = ready;
         ++inUse_;
         ++allocations_;
         return;
     }
     AURORA_PANIC("MSHR allocate with no free entry");
-}
-
-void
-MshrFile::retire(Cycle now)
-{
-    for (Entry &entry : entries_) {
-        if (entry.valid && entry.ready <= now) {
-            entry.valid = false;
-            --inUse_;
-            ++releases_;
-        }
-    }
-}
-
-Cycle
-MshrFile::nextReady() const
-{
-    Cycle best = NEVER;
-    for (const Entry &entry : entries_)
-        if (entry.valid && entry.ready < best)
-            best = entry.ready;
-    return best;
 }
 
 } // namespace aurora::mem

@@ -61,7 +61,24 @@ class MshrFile
     void allocate(Addr line, Cycle ready);
 
     /** Release every register whose fetch completed by @p now. */
-    void retire(Cycle now);
+    void
+    retire(Cycle now)
+    {
+        if (now < nextReady_) // none has: the per-cycle common case
+            return;
+        nextReady_ = NEVER;
+        for (Entry &entry : entries_) {
+            if (!entry.valid)
+                continue;
+            if (entry.ready <= now) {
+                entry.valid = false;
+                --inUse_;
+                ++releases_;
+            } else if (entry.ready < nextReady_) {
+                nextReady_ = entry.ready;
+            }
+        }
+    }
 
     /**
      * Release every occupied register (end-of-run drain). Keeps the
@@ -70,7 +87,7 @@ class MshrFile
     void drainAll() { retire(NEVER); }
 
     /** Earliest completion among occupied registers (NEVER if none). */
-    Cycle nextReady() const;
+    Cycle nextReady() const { return nextReady_; }
 
     /// @name Statistics
     /// @{
@@ -85,6 +102,7 @@ class MshrFile
   private:
     std::vector<Entry> entries_;
     unsigned inUse_ = 0;
+    Cycle nextReady_ = NEVER;
     Count allocations_ = 0;
     Count releases_ = 0;
     Count coalesced_ = 0;

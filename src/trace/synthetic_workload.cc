@@ -35,6 +35,22 @@ SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile)
     AURORA_ASSERT(profile_.hot_data_bytes >= 64,
                   "hot data region must hold at least 8 doubles");
 
+    // zipf() domains of the Hot and Chase-hot address draws. Stores
+    // draw from a narrower range than loads: program outputs are more
+    // concentrated than inputs, which makes the write cache effective.
+    for (std::size_t i = 0; i < zipf_.size(); ++i) {
+        const std::uint64_t bytes =
+            i & 4 ? std::min(profile_.chase_hot_bytes,
+                             profile_.total_data_bytes)
+                  : profile_.hot_data_bytes;
+        const std::uint64_t size = i & 2 ? 8 : 4;
+        const std::uint64_t conc =
+            i & 1 ? std::max(1u, profile_.store_concentration) : 1;
+        zipf_[i] = Rng::zipfShape(
+            std::max<std::uint64_t>(8, bytes / size / conc),
+            profile_.zipf_s);
+    }
+
     // ---- build the shared memory slot pools ----
     // Loop bodies reference a bounded set of arrays/structures, not a
     // fresh one per instruction: pooling keeps the active data
@@ -306,20 +322,22 @@ SyntheticWorkload::makeMemSlot(bool for_store)
     return slot;
 }
 
+const Rng::ZipfShape &
+SyntheticWorkload::zipfShape(bool chase, unsigned size,
+                             bool is_store) const
+{
+    AURORA_ASSERT(size == 4 || size == 8, "access size ", size,
+                  " is neither 4 nor 8");
+    return zipf_[(chase ? 4 : 0) + (size == 8 ? 2 : 0) + (is_store ? 1 : 0)];
+}
+
 Addr
 SyntheticWorkload::nextAddr(MemSlot &slot, unsigned size, bool is_store)
 {
-    // Stores draw from a narrower range than loads: program outputs
-    // (indices, accumulators, result buffers) are more concentrated
-    // than inputs, which is what makes the write cache effective.
-    const std::uint64_t conc =
-        is_store ? std::max(1u, profile_.store_concentration) : 1;
     switch (slot.pattern) {
       case MemPattern::Hot: {
-        const std::uint64_t words =
-            std::max<std::uint64_t>(8, profile_.hot_data_bytes /
-                                           size / conc);
-        const std::uint64_t idx = rng_.zipf(words, profile_.zipf_s);
+        const std::uint64_t idx =
+            rng_.zipf(zipfShape(/*chase=*/false, size, is_store));
         return STACK_TOP - profile_.hot_data_bytes +
                static_cast<Addr>(idx * size);
       }
@@ -348,12 +366,8 @@ SyntheticWorkload::nextAddr(MemSlot &slot, unsigned size, bool is_store)
         // Two-level chase: mostly the hot node set at the front of
         // the heap, occasionally a uniform strike across the region.
         if (rng_.chance(profile_.chase_hot_frac)) {
-            const std::uint64_t units = std::max<std::uint64_t>(
-                8, std::min<std::uint32_t>(profile_.chase_hot_bytes,
-                                           profile_.total_data_bytes) /
-                       size / conc);
             const std::uint64_t idx =
-                rng_.zipf(units, profile_.zipf_s);
+                rng_.zipf(zipfShape(/*chase=*/true, size, is_store));
             return HEAP_BASE + static_cast<Addr>(idx * size);
         }
         const std::uint64_t units =
@@ -558,12 +572,12 @@ SyntheticWorkload::pickColdTarget()
     return target;
 }
 
-Inst
-SyntheticWorkload::stepHot()
+void
+SyntheticWorkload::stepHot(Inst &inst)
 {
     Loop &loop = loops_[curLoop_];
     const std::size_t n = loop.body.size();
-    Inst inst;
+    inst = Inst{};
 
     // Exit stub: jump + delay slot placed right after the body.
     if (bodyPos_ == n) {
@@ -571,7 +585,7 @@ SyntheticWorkload::stepHot()
         inst.op = OpClass::Jump;
         inst.taken = true;
         ++bodyPos_;
-        return inst;
+        return;
     }
     if (bodyPos_ == n + 1) {
         inst.pc = loop.base + static_cast<Addr>(4 * (n + 1));
@@ -585,7 +599,7 @@ SyntheticWorkload::stepHot()
             enterColdEpisode();
         else
             enterHotEpisode();
-        return inst;
+        return;
     }
 
     const StaticOp &sop = loop.body[bodyPos_];
@@ -599,7 +613,7 @@ SyntheticWorkload::stepHot()
         inst.taken = tripsLeft_ > 1;
         assignOperands(inst, -1);
         ++bodyPos_;
-        return inst;
+        return;
     }
     if (bodyPos_ == n - 1) {
         // Loop-back delay slot.
@@ -612,7 +626,7 @@ SyntheticWorkload::stepHot()
             tripsLeft_ = 0;
             ++bodyPos_; // fall into the exit stub
         }
-        return inst;
+        return;
     }
 
     if (sop.inline_branch) {
@@ -630,13 +644,12 @@ SyntheticWorkload::stepHot()
             lastFpPairAddr_ = inst.eff_addr;
     }
     ++bodyPos_;
-    return inst;
 }
 
-Inst
-SyntheticWorkload::stepCold()
+void
+SyntheticWorkload::stepCold(Inst &inst)
 {
-    Inst inst;
+    inst = Inst{};
     inst.pc = coldPc_;
 
     if (runLeft_ == 2) {
@@ -677,38 +690,46 @@ SyntheticWorkload::stepCold()
         --coldLeft_;
     if (coldLeft_ == 0 && run_ended)
         enterHotEpisode();
-    return inst;
 }
 
-Inst
-SyntheticWorkload::produceRaw()
+void
+SyntheticWorkload::produceRaw(Inst &out)
 {
     ++sinceLoad_;
     ++sinceFpLoad_;
-    return inHot_ ? stepHot() : stepCold();
+    if (inHot_)
+        stepHot(out);
+    else
+        stepCold(out);
 }
 
 bool
 SyntheticWorkload::next(Inst &out)
 {
-    return fill(std::span(&out, 1)) == 1;
+    fill(std::span(&out, 1));
+    return true;
 }
 
-std::size_t
+void
 SyntheticWorkload::fill(std::span<Inst> out)
 {
+    if (out.empty())
+        return;
     // One instruction of lookahead patches each record's next_pc.
+    // Records are produced in place: a produced copy, read back at
+    // once, would stall on store forwarding.
     if (!havePending_) {
-        pending_ = produceRaw();
+        produceRaw(pending_);
         havePending_ = true;
     }
-    for (Inst &slot : out) {
-        slot = pending_;
-        pending_ = produceRaw();
-        slot.next_pc = pending_.pc;
+    out[0] = pending_;
+    for (std::size_t i = 1; i < out.size(); ++i) {
+        produceRaw(out[i]);
+        out[i - 1].next_pc = out[i].pc;
     }
+    produceRaw(pending_);
+    out.back().next_pc = pending_.pc;
     produced_ += out.size();
-    return out.size();
 }
 
 } // namespace aurora::trace

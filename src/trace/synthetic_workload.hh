@@ -45,8 +45,11 @@ class SyntheticWorkload final : public TraceSource
     /** Always produces an instruction (the stream is unbounded). */
     bool next(Inst &out) override;
 
-    /** Block pull: the stream of next(), without a call per inst. */
-    std::size_t fill(std::span<Inst> out) override;
+    /**
+     * Produce out.size() instructions into @p out: the stream of
+     * next(), without a call per instruction.
+     */
+    void fill(std::span<Inst> out);
 
     const WorkloadProfile &profile() const { return profile_; }
 
@@ -84,11 +87,11 @@ class SyntheticWorkload final : public TraceSource
     };
 
     /** Produce the next instruction without next_pc patched. */
-    Inst produceRaw();
+    void produceRaw(Inst &out);
     /** Emit one hot-loop instruction and advance loop state. */
-    Inst stepHot();
+    void stepHot(Inst &inst);
     /** Emit one cold-code instruction and advance walk state. */
-    Inst stepCold();
+    void stepCold(Inst &inst);
 
     /** Sample an operation class from the dynamic mix. */
     OpClass sampleOpClass();
@@ -98,6 +101,9 @@ class SyntheticWorkload final : public TraceSource
     MemSlot makeMemSlot(bool for_store);
     /** Pick a pooled slot index for a static op of class @p op. */
     int pickSlot(OpClass op);
+    /** The zipf() domain of a Hot or Chase-hot draw (see zipf_). */
+    const Rng::ZipfShape &zipfShape(bool chase, unsigned size,
+                                    bool is_store) const;
     /** Next effective address for @p slot with access @p size. */
     Addr nextAddr(MemSlot &slot, unsigned size, bool is_store);
     /** Fill register operands and memory address for @p inst. */
@@ -119,6 +125,8 @@ class SyntheticWorkload final : public TraceSource
     Addr coldBase_ = 0;
     std::uint32_t coldBytes_ = 0;
     double meanHotEpisodeLen_ = 1.0;
+    /** zipf() shapes by (Chase, 8-byte, store) bits, fixed per profile. */
+    std::array<Rng::ZipfShape, 8> zipf_{};
 
     // --- dynamic state ---
     bool inHot_ = true;

@@ -10,6 +10,7 @@
 #ifndef AURORA_TRACE_TRACE_SOURCE_HH
 #define AURORA_TRACE_TRACE_SOURCE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -35,20 +36,22 @@ class TraceSource
     virtual bool next(Inst &out) = 0;
 
     /**
-     * Produce up to out.size() instructions into @p out, in stream
-     * order: exactly what that many next() calls would deliver.
-     *
-     * @return instructions written; fewer than out.size() only when
-     *         the stream ended.
+     * Consume up to @p max (> 0) instructions, what that many next()
+     * calls would deliver, as a view valid until the next call. Empty
+     * only at the end of the stream. By default next() stages them.
      */
-    virtual std::size_t
-    fill(std::span<Inst> out)
+    virtual std::span<const Inst>
+    read(std::size_t max)
     {
+        staged_.resize(max);
         std::size_t n = 0;
-        while (n < out.size() && next(out[n]))
+        while (n < max && next(staged_[n]))
             ++n;
-        return n;
+        return {staged_.data(), n};
     }
+
+  private:
+    std::vector<Inst> staged_;
 };
 
 /** TraceSource over an in-memory vector of instructions. */
@@ -66,6 +69,14 @@ class VectorTraceSource : public TraceSource
             return false;
         out = insts_[pos_++];
         return true;
+    }
+
+    std::span<const Inst>
+    read(std::size_t max) override
+    {
+        const std::size_t n = std::min(max, insts_.size() - pos_);
+        pos_ += n;
+        return {insts_.data() + pos_ - n, n};
     }
 
     /** Rewind to the beginning of the stream. */

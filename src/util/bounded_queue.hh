@@ -26,25 +26,25 @@ class BoundedQueue
   public:
     /** @param capacity maximum number of buffered entries; must be >0. */
     explicit BoundedQueue(std::size_t capacity)
-        : buf_(capacity)
+        : buf_(capacity), capacity_(capacity)
     {
         AURORA_ASSERT(capacity > 0, "queue capacity must be positive");
     }
 
-    std::size_t capacity() const { return buf_.size(); }
+    std::size_t capacity() const { return capacity_; }
     std::size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
-    bool full() const { return count_ == buf_.size(); }
+    bool full() const { return count_ == capacity_; }
     /** Free slots remaining. */
-    std::size_t space() const { return buf_.size() - count_; }
+    std::size_t space() const { return capacity_ - count_; }
 
     /** Enqueue; the queue must not be full. */
     void
-    push(T value)
+    push(const T &value)
     {
         AURORA_ASSERT(!full(), "push on a full bounded queue");
-        buf_[tail_] = std::move(value);
-        tail_ = advance(tail_);
+        buf_[tail_] = value;
+        tail_ = wrap(tail_ + 1);
         ++count_;
     }
 
@@ -72,14 +72,14 @@ class BoundedQueue
     at(std::size_t idx)
     {
         AURORA_ASSERT(idx < count_, "bounded queue index out of range");
-        return buf_[(head_ + idx) % buf_.size()];
+        return buf_[wrap(head_ + idx)];
     }
 
     const T &
     at(std::size_t idx) const
     {
         AURORA_ASSERT(idx < count_, "bounded queue index out of range");
-        return buf_[(head_ + idx) % buf_.size()];
+        return buf_[wrap(head_ + idx)];
     }
 
     /** Dequeue and return the oldest entry. */
@@ -88,7 +88,7 @@ class BoundedQueue
     {
         AURORA_ASSERT(!empty(), "pop of an empty bounded queue");
         T value = std::move(buf_[head_]);
-        head_ = advance(head_);
+        head_ = wrap(head_ + 1);
         --count_;
         return value;
     }
@@ -102,13 +102,19 @@ class BoundedQueue
     }
 
   private:
+    /**
+     * Reduce a slot index below 2 * capacity into the ring. Capacities
+     * are not all powers of two, and a compare is cheaper than the
+     * division `%` would cost on every push, pop and at().
+     */
     std::size_t
-    advance(std::size_t i) const
+    wrap(std::size_t i) const
     {
-        return (i + 1) % buf_.size();
+        return i >= capacity_ ? i - capacity_ : i;
     }
 
     std::vector<T> buf_;
+    std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t tail_ = 0;
     std::size_t count_ = 0;

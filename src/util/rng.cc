@@ -21,12 +21,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -41,34 +35,13 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
+Rng::uniformReject(std::uint64_t bound, __uint128_t m)
 {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::uniform(std::uint64_t bound)
-{
-    AURORA_ASSERT(bound > 0, "uniform() bound must be positive");
-    // Lemire's multiply-shift rejection method.
-    std::uint64_t x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
     auto low = static_cast<std::uint64_t>(m);
-    if (low < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * bound;
-            low = static_cast<std::uint64_t>(m);
-        }
+    const std::uint64_t threshold = -bound % bound;
+    while (low < threshold) {
+        m = static_cast<__uint128_t>(next()) * bound;
+        low = static_cast<std::uint64_t>(m);
     }
     return static_cast<std::uint64_t>(m >> 64);
 }
@@ -78,23 +51,6 @@ Rng::range(std::uint64_t lo, std::uint64_t hi)
 {
     AURORA_ASSERT(lo <= hi, "range() requires lo <= hi");
     return lo + uniform(hi - lo + 1);
-}
-
-double
-Rng::uniformReal()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniformReal() < p;
 }
 
 std::uint64_t
@@ -126,23 +82,34 @@ Rng::weighted(std::span<const double> weights)
     return weights.size() - 1;
 }
 
-std::uint64_t
-Rng::zipf(std::uint64_t n, double s)
+Rng::ZipfShape
+Rng::zipfShape(std::uint64_t n, double s)
 {
     AURORA_ASSERT(n > 0, "zipf() needs n > 0");
+    ZipfShape shape{n, s};
+    const double n1 = static_cast<double>(n) + 1.0;
+    if (s == 1.0) {
+        shape.t = std::log(n1);
+    } else {
+        shape.t = std::pow(n1, 1.0 - s);
+        shape.inv = 1.0 / (1.0 - s);
+    }
+    return shape;
+}
+
+std::uint64_t
+Rng::zipf(const ZipfShape &shape)
+{
+    const std::uint64_t n = shape.n;
     // Inverse-CDF approximation via the continuous bounding integral;
     // accurate enough for workload skew and O(1) per sample.
-    if (s <= 0.0)
+    if (shape.s <= 0.0)
         return uniform(n);
     const double u = uniformReal();
-    double value;
-    if (s == 1.0) {
-        value = std::exp(u * std::log(static_cast<double>(n) + 1.0));
-    } else {
-        const double t =
-            std::pow(static_cast<double>(n) + 1.0, 1.0 - s);
-        value = std::pow(u * (t - 1.0) + 1.0, 1.0 / (1.0 - s));
-    }
+    const double value =
+        shape.s == 1.0
+            ? std::exp(u * shape.t)
+            : std::pow(u * (shape.t - 1.0) + 1.0, shape.inv);
     auto idx = static_cast<std::uint64_t>(value);
     if (idx >= 1)
         idx -= 1;

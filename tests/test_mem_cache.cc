@@ -130,6 +130,40 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{4096u, 32u}, std::pair{16384u, 32u},
                       std::pair{32768u, 32u}, std::pair{65536u, 32u}));
 
+/**
+ * The shift index matches the division it replaced: for every line
+ * size and capacity, the lines of one capacity-sized block all
+ * coexist, the next block's first line evicts exactly the first, and
+ * lineAddr() keeps its mask.
+ */
+TEST(Cache, IndexFollowsLineAndCapacity)
+{
+    for (const unsigned line : {16u, 32u, 64u}) {
+        for (const unsigned kb : {1u, 2u, 4u, 8u}) {
+            const unsigned size = kb * 1024;
+            for (const Addr addr : {Addr{0}, Addr{0x1234}, Addr{0x7fff0008},
+                                    Addr{0xffffffffu - 2 * 8192}}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "line " << line << " size " << size
+                             << " addr " << addr);
+                DirectMappedCache c(size, line);
+                for (Addr off = 0; off < size; off += line)
+                    c.fill(addr + off);
+                for (Addr off = 0; off < size; off += line)
+                    ASSERT_TRUE(c.probe(addr + off)) << "+" << off;
+
+                c.fill(addr + size);
+                EXPECT_FALSE(c.probe(addr)) << "one capacity apart conflict";
+                EXPECT_TRUE(c.probe(addr + size));
+                EXPECT_TRUE(c.probe(addr + line)) << "one line apart coexist";
+
+                EXPECT_EQ(c.lineAddr(addr), addr / line * line);
+                EXPECT_EQ(c.lineAddr(addr | (line - 1)), addr / line * line);
+            }
+        }
+    }
+}
+
 TEST(CacheDeath, NonPowerOfTwoSizePanics)
 {
     EXPECT_DEATH(DirectMappedCache(1000, 32), "power of 2");

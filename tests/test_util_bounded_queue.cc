@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "util/bounded_queue.hh"
+#include "util/rng.hh"
 
 namespace
 {
@@ -78,6 +81,37 @@ TEST(BoundedQueue, ClearEmpties)
     EXPECT_TRUE(q.empty());
     q.push(9);
     EXPECT_EQ(q.front(), 9);
+}
+
+/**
+ * A seeded random push/pop walk against a std::deque model, across
+ * capacities that are and are not powers of two, checking every live
+ * at() after every operation: the ring wraps many times per capacity.
+ */
+TEST(BoundedQueue, MatchesDequeAcrossWraps)
+{
+    for (const std::size_t cap : {1u, 2u, 3u, 5u, 6u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << cap);
+        BoundedQueue<int> q(cap);
+        std::deque<int> model;
+        aurora::Rng rng(cap);
+        int next_value = 0;
+        for (int op = 0; op < 2000; ++op) {
+            const bool push =
+                model.empty() || (model.size() < cap && rng.chance(0.5));
+            if (push) {
+                q.push(next_value);
+                model.push_back(next_value++);
+            } else {
+                ASSERT_EQ(q.pop(), model.front());
+                model.pop_front();
+            }
+            ASSERT_EQ(q.size(), model.size());
+            ASSERT_EQ(q.full(), model.size() == cap);
+            for (std::size_t i = 0; i < model.size(); ++i)
+                ASSERT_EQ(q.at(i), model[i]) << "at(" << i << ")";
+        }
+    }
 }
 
 TEST(BoundedQueueDeath, PushWhenFullPanics)

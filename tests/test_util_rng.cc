@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/rng.hh"
 
@@ -162,6 +163,55 @@ TEST(Rng, ZipfZeroExponentIsUniform)
     for (int i = 0; i < n; ++i)
         sum += static_cast<double>(rng.zipf(1000, 0.0));
     EXPECT_NEAR(sum / n, 500.0, 25.0);
+}
+
+/**
+ * The first draws of one seed, recorded as literals: any change to a
+ * draw, its order, or its floating-point steps shows here before it
+ * shows as a golden-stats diff three layers up.
+ */
+TEST(Rng, GoldenDraws)
+{
+    constexpr std::uint64_t SEED = 20240601;
+    const auto draws = [&](auto draw) {
+        Rng rng(SEED);
+        std::vector<decltype(draw(rng))> out;
+        for (int i = 0; i < 8; ++i)
+            out.push_back(draw(rng));
+        return out;
+    };
+    using U = std::vector<std::uint64_t>;
+    EXPECT_EQ(draws([](Rng &r) { return r.next(); }),
+              (U{0x59761096949c683dull, 0x7e436068556fab29ull,
+                 0xe6a51fbfd60edd06ull, 0x938809d8706c1c30ull,
+                 0xb143626883885b9dull, 0x57712c108ea92b14ull,
+                 0x11788409a79457d5ull, 0x6d337f338123eabbull}));
+    EXPECT_EQ(draws([](Rng &r) { return r.uniform(25); }),
+              (U{8, 12, 22, 14, 17, 8, 1, 10}));
+    EXPECT_EQ(draws([](Rng &r) { return r.uniform(1 << 20); }),
+              (U{366433, 517174, 944721, 604288, 726070, 358162, 71560,
+                 447287}));
+    EXPECT_EQ(draws([](Rng &r) { return r.uniformReal(); }),
+              (std::vector<double>{
+                  0x1.65d8425a5271ap-2, 0x1.f90d81a155beap-2,
+                  0x1.cd4a3f7fac1dbp-1, 0x1.271013b0e0d83p-1,
+                  0x1.6286c4d10710bp-1, 0x1.5dc4b0423aa4ap-2,
+                  0x1.1788409a7945p-4, 0x1.b4cdfcce048fap-2}));
+    EXPECT_EQ(draws([](Rng &r) { return r.chance(0.3); }),
+              (std::vector<bool>{false, false, false, false, false,
+                                 false, true, false}));
+    EXPECT_EQ(draws([](Rng &r) { return r.geometric(1.0 / 16); }),
+              (U{7, 11, 36, 14, 19, 7, 2, 9}));
+    EXPECT_EQ(draws([](Rng &r) { return r.zipf(1024, 1.05); }),
+              (U{7, 21, 457, 39, 92, 7, 0, 13}));
+    EXPECT_EQ(draws([](Rng &r) { return r.zipf(1024, 1.0); }),
+              (U{10, 29, 514, 53, 120, 9, 0, 18}));
+    EXPECT_EQ(draws([](Rng &r) { return r.zipf(1024, 0.0); }),
+              (U{357, 505, 922, 590, 709, 349, 69, 436}));
+    EXPECT_EQ(draws([](Rng &r) {
+                  return r.weighted({0.5, 2.0, 1.0, 0.25});
+              }),
+              (std::vector<std::size_t>{1, 1, 2, 1, 2, 1, 0, 1}));
 }
 
 /** Determinism must hold for every seed, not just a lucky one. */
