@@ -406,8 +406,9 @@ journalResumeStorm(Count insts)
         SweepOptions opts = base;
         opts.workers = 2;
         opts.journal = journal;
-        opts.on_job_done = [n](std::size_t done, std::size_t) {
-            if (done >= n / 2)
+        opts.progress_every = 1;
+        opts.on_progress = [n](const SweepProgress &p) {
+            if (p.done >= n / 2)
                 ::kill(::getpid(), SIGKILL);
         };
         SweepRunner runner(opts);

@@ -47,18 +47,24 @@ gridFingerprint(const std::vector<SweepJob> &grid,
 }
 
 JournalRecord
+jobRecord(const SweepJob &job, std::size_t index,
+          const std::optional<std::uint64_t> &base_seed,
+          SweepOutcome outcome)
+{
+    return {index, machineHash(job.machine), jobSeed(job, base_seed),
+            std::move(outcome)};
+}
+
+JournalRecord
 runJob(const SweepJob &job, std::size_t index, SweepOptions policy)
 {
     policy.workers = 1;
     policy.preflight = false;
     policy.span_job_base = index;
-    JournalRecord rec;
-    rec.job_index = index;
-    rec.machine_hash = machineHash(job.machine);
-    rec.seed = jobSeed(job, policy.base_seed);
-    rec.outcome = std::move(
-        SweepRunner(std::move(policy)).runOutcomes({job}).front());
-    return rec;
+    const std::optional<std::uint64_t> base_seed = policy.base_seed;
+    return jobRecord(
+        job, index, base_seed,
+        std::move(SweepRunner(std::move(policy)).runOutcomes({job}).front()));
 }
 
 LoadedJournal

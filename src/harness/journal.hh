@@ -183,6 +183,14 @@ std::uint64_t gridFingerprint(
     const std::optional<std::uint64_t> &base_seed);
 
 /**
+ * The record journaling @p outcome as grid job @p index: @p job's
+ * machineHash and the seed it runs with under @p base_seed.
+ */
+JournalRecord jobRecord(const SweepJob &job, std::size_t index,
+                        const std::optional<std::uint64_t> &base_seed,
+                        SweepOutcome outcome);
+
+/**
  * Run grid job @p job (grid index @p index) on its own, returning
  * the record a serial journaled SweepRunner would append for it —
  * byte for byte. Takes @p policy's seed, retry, deadline, backoff,

@@ -102,10 +102,10 @@ SweepReport::summary() const
        << " M sim-insts/s over " << total_instructions << " insts";
     if (synthesized_instructions)
         os << " (" << synthesized_instructions << " synthesized)";
-    // Isolation accounting only appears once an outcome run happened,
-    // so fail-fast sweeps keep the historical one-line shape.
-    if (ok_jobs || failed_jobs || retried_jobs || timed_out_jobs ||
-        skipped_jobs || cancelled_jobs) {
+    // Isolation accounting only appears once some job did not simply
+    // succeed, so a clean sweep keeps the one-line shape.
+    if (failed_jobs || retried_jobs || timed_out_jobs || skipped_jobs ||
+        cancelled_jobs) {
         os << " | ok " << ok_jobs << " / failed " << failed_jobs
            << " / retried " << retried_jobs;
         if (timed_out_jobs)
@@ -467,7 +467,7 @@ class ProgressMeter
 
     bool enabled() const { return callback_ || log_; }
 
-    /** Record one completed isolated job. */
+    /** Record one completed job. */
     void
     onOutcome(const SweepOutcome &out)
     {
@@ -481,16 +481,6 @@ class ProgressMeter
             ++progress_.failed;
         if (out.attempts > 1)
             ++progress_.retried;
-        maybeEmit();
-    }
-
-    /** Record one completed fail-fast job (always a result). */
-    void
-    onResult()
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++progress_.done;
-        ++progress_.ok;
         maybeEmit();
     }
 
@@ -539,9 +529,9 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
                              : core::defaultWatchdog());
     std::vector<std::size_t> all(grid.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
-    return runUnits(grid.size(),
-                    planUnits(grid, all, options_.base_seed, workers()),
-                    gridAttempt(grid, options_, deadlineMs()));
+    return runFailFast(grid.size(),
+                       planUnits(grid, all, options_.base_seed, workers()),
+                       gridAttempt(grid, options_, deadlineMs()));
 }
 
 std::vector<SweepOutcome>
@@ -577,35 +567,15 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
             log->addAttempt(job, /*attempt=*/0, label, now, now);
             log->addJob(job, label, now, now);
         }
-    if (options_.progress && pending.size() < n)
-        inform(detail::concat("sweep: resuming '", options_.journal,
-                              "': ", n - pending.size(), "/", n,
-                              " jobs replayed from the journal"));
 
-    // Completion counter spans the whole grid (replays included) so
-    // on_job_done sees grid-relative progress.
-    std::atomic<std::size_t> done{n - pending.size()};
     std::function<void(std::size_t, const SweepOutcome &)> on_complete;
     if (writer)
         on_complete = [&](std::size_t i, const SweepOutcome &out) {
-            JournalRecord rec;
-            rec.job_index = i;
-            rec.machine_hash = machineHash(grid[i].machine);
-            rec.seed = jobSeed(grid[i], options_.base_seed);
-            rec.outcome = out;
-            writer->append(rec);
-            const std::size_t d =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (options_.on_job_done)
-                options_.on_job_done(d, n);
+            writer->append(jobRecord(grid[i], i, options_.base_seed, out));
         };
-
-    WallTimer wall;
-    const Count synthesized = executeOutcomes(
-        outcomes, planUnits(grid, pending, options_.base_seed, workers()),
-        gridAttempt(grid, options_, deadlineMs()), on_complete, n,
-        n - pending.size());
-    accountOutcomes(outcomes, wall.seconds(), synthesized);
+    executeOutcomes(outcomes,
+                    planUnits(grid, pending, options_.base_seed, workers()),
+                    gridAttempt(grid, options_, deadlineMs()), on_complete);
     return outcomes;
 }
 
@@ -613,136 +583,52 @@ std::vector<core::RunResult>
 SweepRunner::runTasks(
     const std::vector<std::function<core::RunResult()>> &tasks)
 {
-    return runUnits(tasks.size(), singletons(tasks.size()),
-                    taskAttempt(tasks));
-}
-
-std::vector<core::RunResult>
-SweepRunner::runUnits(std::size_t n, const std::vector<Unit> &units,
-                      const UnitAttempt &attempt)
-{
-    enum : std::uint8_t { NOT_RUN, OK, FAILED };
-    std::vector<core::RunResult> results(n);
-    std::vector<double> job_seconds(n, 0.0);
-    std::vector<std::uint8_t> state(n, NOT_RUN);
-    std::atomic<std::size_t> completed{0};
-    std::atomic<Count> synthesized{0};
-
-    const unsigned pool = workers();
-    WallTimer wall;
-    ProgressMeter meter(options_, n, /*already_done=*/0);
-    const auto account = [&]() {
-        report_.workers = static_cast<unsigned>(
-            std::min<std::size_t>(pool, std::max<std::size_t>(n, 1)));
-        report_.jobs += n;
-        report_.wall_seconds += wall.seconds();
-        report_.job_seconds = std::move(job_seconds);
-        report_.synthesized_instructions += synthesized.load();
-    };
-    try {
-        parallelFor(units.size(), pool, [&](std::size_t u) {
-            core::SharedRun run = attempt(units[u]);
-            synthesized += run.synthesized;
-            // The unit's healthy members complete; its first error
-            // then aborts the grid.
-            std::exception_ptr error;
-            for (std::size_t k = 0; k < units[u].size(); ++k) {
-                const std::size_t i = units[u][k];
-                core::SharedMachineRun &m = run.machines[k];
-                job_seconds[i] = m.seconds;
-                if (m.error) {
-                    state[i] = FAILED;
-                    if (!error)
-                        error = m.error;
-                    continue;
-                }
-                state[i] = OK;
-                results[i] = std::move(m.result);
-                if (meter.enabled())
-                    meter.onResult();
-                const std::size_t done =
-                    completed.fetch_add(1, std::memory_order_relaxed) + 1;
-                if (options_.progress)
-                    inform(detail::concat(
-                        "sweep: ", done, "/", n, " done (",
-                        results[i].benchmark.empty() ? "job"
-                                                     : results[i].benchmark,
-                        "@",
-                        results[i].model.empty() ? "machine"
-                                                 : results[i].model,
-                        ", ", formatFixed(job_seconds[i], 3), " s)"));
-            }
-            if (error)
-                std::rethrow_exception(error);
-        });
-    } catch (...) {
-        // Fail-fast abort: still balance the books — every job that
-        // never ran is counted, so
-        // jobs == ok + failed + timed_out + skipped holds. The
-        // propagating exception classifies as Timeout or failure;
-        // any further failures count as failed.
-        bool timed_out = false;
-        try {
-            throw;
-        } catch (const util::SimError &e) {
-            timed_out = e.code() == util::SimErrorCode::Timeout;
-        } catch (...) {
-        }
-        const auto count = [&](std::uint8_t s) {
-            return static_cast<std::size_t>(
-                std::count(state.begin(), state.end(), s));
-        };
-        const std::size_t failed = count(FAILED);
-        account();
-        report_.ok_jobs += count(OK);
-        report_.skipped_jobs += count(NOT_RUN);
-        if (timed_out && failed > 0) {
-            ++report_.timed_out_jobs;
-            report_.failed_jobs += failed - 1;
-        } else {
-            report_.failed_jobs += failed;
-        }
-        throw;
-    }
-
-    account();
-    for (std::size_t i = 0; i < n; ++i) {
-        report_.busy_seconds += report_.job_seconds[i];
-        report_.total_instructions += results[i].instructions;
-    }
-    return results;
+    return runFailFast(tasks.size(), singletons(tasks.size()),
+                       taskAttempt(tasks));
 }
 
 std::vector<SweepOutcome>
 SweepRunner::runTaskOutcomes(
     const std::vector<std::function<core::RunResult()>> &tasks)
 {
-    WallTimer wall;
     std::vector<SweepOutcome> outcomes(tasks.size());
-    const Count synthesized =
-        executeOutcomes(outcomes, singletons(tasks.size()),
-                        taskAttempt(tasks), {}, tasks.size(),
-                        /*already_done=*/0);
-    accountOutcomes(outcomes, wall.seconds(), synthesized);
+    executeOutcomes(outcomes, singletons(tasks.size()), taskAttempt(tasks),
+                    {});
     return outcomes;
 }
 
-Count
+std::vector<core::RunResult>
+SweepRunner::runFailFast(std::size_t n, const std::vector<Unit> &units,
+                         const UnitAttempt &attempt)
+{
+    std::vector<SweepOutcome> outcomes(n);
+    std::exception_ptr first_error;
+    executeOutcomes(outcomes, units, attempt, {}, &first_error);
+    if (first_error)
+        std::rethrow_exception(first_error);
+    std::vector<core::RunResult> results;
+    results.reserve(n);
+    for (SweepOutcome &out : outcomes)
+        results.push_back(std::move(out.result));
+    return results;
+}
+
+void
 SweepRunner::executeOutcomes(
     std::vector<SweepOutcome> &outcomes, const std::vector<Unit> &units,
     const UnitAttempt &attempt,
     const std::function<void(std::size_t, const SweepOutcome &)>
         &on_complete,
-    std::size_t grid_total, std::size_t already_done)
+    std::exception_ptr *first_error)
 {
     std::size_t n = 0;
     for (const Unit &unit : units)
         n += unit.size();
-    std::atomic<std::size_t> completed{0};
     std::atomic<Count> synthesized{0};
 
+    const WallTimer wall;
     const unsigned pool = workers();
-    const unsigned max_attempts = retries() + 1;
+    const unsigned max_attempts = first_error ? 1 : retries() + 1;
     const std::uint64_t backoff = backoffMs();
     obs::SpanLog *span_log = options_.span_log;
     const auto now_us = [span_log] {
@@ -750,12 +636,14 @@ SweepRunner::executeOutcomes(
     };
     // Cooperative cancellation: refuse to *start* an attempt once the
     // flag is up; an attempt already simulating is left to finish
-    // (and journal) normally.
-    const std::atomic<bool> *cancel = options_.cancel;
+    // (and journal) normally. A fail-fast run raises its own flag on
+    // its first failure.
+    std::atomic<bool> stop{false};
+    const std::atomic<bool> *cancel = first_error ? &stop : options_.cancel;
     const auto cancelled = [cancel] {
         return cancel && cancel->load(std::memory_order_relaxed);
     };
-    ProgressMeter meter(options_, grid_total, already_done);
+    ProgressMeter meter(options_, outcomes.size(), outcomes.size() - n);
 
     // Close one attempt of job @p i: its span, and its label.
     const auto close_attempt = [&](std::size_t i, unsigned attempt_no,
@@ -791,11 +679,17 @@ SweepRunner::executeOutcomes(
                 out.code = util::SimErrorCode::Cancelled;
                 out.error = "cancelled before execution";
                 out.attempts = 0;
+                if (first_error)
+                    continue; // skipped: never done, never reported
             } else {
                 recordAttempt(out, first.machines[k]);
                 out.attempts = 1;
                 out.seconds = first.machines[k].seconds;
                 close_attempt(i, 1, unit_start, label);
+                // The first failure of a fail-fast run keeps its
+                // original exception and stops the grid.
+                if (first_error && !out.ok && !stop.exchange(true))
+                    *first_error = first.machines[k].error;
             }
             // Retry a failed member alone. A deadline expiry is
             // deterministic for a hung simulation: retrying would
@@ -829,36 +723,16 @@ SweepRunner::executeOutcomes(
                 on_complete(i, out);
             if (meter.enabled())
                 meter.onOutcome(out);
-            const std::size_t done =
-                completed.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (!options_.progress)
-                continue;
-            if (out.ok)
-                inform(detail::concat(
-                    "sweep: ", done, "/", n, " ok (",
-                    out.result.benchmark.empty() ? "job"
-                                                 : out.result.benchmark,
-                    "@",
-                    out.result.model.empty() ? "machine"
-                                             : out.result.model,
-                    ", ", out.attempts, " attempt(s), ",
-                    formatFixed(out.seconds, 3), " s)"));
-            else if (out.code == util::SimErrorCode::Timeout)
-                inform(detail::concat(
-                    "sweep: ", done, "/", n, " TIMED OUT after ",
-                    formatFixed(out.seconds, 3), " s: ", out.error));
-            else
-                inform(detail::concat(
-                    "sweep: ", done, "/", n, " FAILED after ",
-                    out.attempts, " attempt(s): ", out.error));
         }
     });
-    return synthesized.load();
+    accountOutcomes(outcomes, wall.seconds(), synthesized.load(),
+                    first_error != nullptr);
 }
 
 void
 SweepRunner::accountOutcomes(const std::vector<SweepOutcome> &outcomes,
-                             double wall_seconds, Count synthesized)
+                             double wall_seconds, Count synthesized,
+                             bool fail_fast)
 {
     const std::size_t n = outcomes.size();
     report_.workers = static_cast<unsigned>(std::min<std::size_t>(
@@ -885,7 +759,7 @@ SweepRunner::accountOutcomes(const std::vector<SweepOutcome> &outcomes,
         } else if (out.code == util::SimErrorCode::Timeout) {
             ++report_.timed_out_jobs;
         } else if (out.code == util::SimErrorCode::Cancelled) {
-            ++report_.cancelled_jobs;
+            ++(fail_fast ? report_.skipped_jobs : report_.cancelled_jobs);
         } else {
             ++report_.failed_jobs;
         }

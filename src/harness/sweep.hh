@@ -25,12 +25,13 @@
  * one trace as lockstep units over a single synthesized stream
  * (core::simulateShared; docs/harness.md, "Shared-trace lockstep").
  *
- * Fault isolation: run()/runTasks() are fail-fast (first exception
- * aborts the sweep and propagates). The runOutcomes()/
- * runTaskOutcomes() variants instead capture each job's error into a
- * SweepOutcome, optionally retry it with the same derived seed, and
- * always run the full grid — one poisoned configuration cannot take
- * down an overnight sweep (see docs/robustness.md).
+ * Fault isolation: every entry point runs through one executor that
+ * captures each job's error into a SweepOutcome. runOutcomes()/
+ * runTaskOutcomes() optionally retry a failed job with the same
+ * derived seed and always run the full grid — one poisoned
+ * configuration cannot take down an overnight sweep (see
+ * docs/robustness.md). run()/runTasks() are fail-fast: the first
+ * failure stops the grid and its exception propagates.
  */
 
 #ifndef AURORA_HARNESS_SWEEP_HH
@@ -38,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <span>
@@ -106,9 +108,6 @@ struct SweepOptions
      * each profile's own seed.
      */
     std::optional<std::uint64_t> base_seed;
-
-    /** Log a line as each job completes (thread-safe). */
-    bool progress = false;
 
     /**
      * Retry budget per job for the outcome-isolating entry points
@@ -192,17 +191,10 @@ struct SweepOptions
     std::optional<bool> model_advice;
 
     /**
-     * Called after each job completes (journaled runs only), with
-     * (jobs done so far, grid size). Invoked from worker threads
-     * under the journal lock — keep it cheap. The fault-storm bench
-     * uses it to kill a sweep mid-grid at a deterministic point.
-     */
-    std::function<void(std::size_t, std::size_t)> on_job_done;
-
-    /**
      * Progress heartbeat: invoked (from worker threads, serialized)
      * every progress_every completed jobs and at grid completion,
-     * with grid-wide counts, elapsed wall time, and an ETA. The
+     * with grid-wide counts, elapsed wall time, and an ETA. A
+     * journaled job's heartbeat follows its journal append. The
      * emission points depend only on job counts, so a given grid
      * heartbeats at the same `done` values at any worker count.
      * AURORA_PROGRESS=1 additionally logs each heartbeat through
@@ -234,7 +226,8 @@ struct SweepOptions
     std::size_t span_job_base = 0;
 
     /**
-     * Cooperative cancellation for the outcome entry points: checked
+     * Cooperative cancellation for the outcome entry points (the
+     * fail-fast ones stop on their first failure instead): checked
      * before every job attempt. Once the flag reads true, jobs not
      * yet started (and pending retries) complete immediately as
      * Cancelled outcomes without executing; attempts already inside
@@ -299,20 +292,20 @@ struct SweepReport
     Count synthesized_instructions = 0;
     /** Per-job wall seconds of the most recent run, by grid index. */
     std::vector<double> job_seconds;
-    /** Isolated jobs that produced a result (outcome runs only). */
+    /** Jobs that produced a result. */
     std::size_t ok_jobs = 0;
-    /** Isolated jobs that failed every attempt (outcome runs only). */
+    /** Jobs that failed every attempt. */
     std::size_t failed_jobs = 0;
-    /** Isolated jobs that needed more than one attempt. */
+    /** Jobs that needed more than one attempt. */
     std::size_t retried_jobs = 0;
-    /** Isolated jobs whose wall-clock deadline expired (subset of
+    /** Jobs whose wall-clock deadline expired (subset of
      *  neither ok nor failed: jobs == ok + failed + timed_out +
      *  skipped always balances). */
     std::size_t timed_out_jobs = 0;
     /** Jobs replayed from a journal (subset of ok_jobs). */
     std::size_t resumed_jobs = 0;
-    /** Jobs never attempted: queued bodies left behind when a
-     *  fail-fast run aborted on the first exception. */
+    /** Jobs never attempted: units not yet started when a fail-fast
+     *  run stopped on its first failure. */
     std::size_t skipped_jobs = 0;
     /** Jobs cancelled through SweepOptions::cancel before executing
      *  (subset of neither ok nor failed; the balance becomes
@@ -339,9 +332,10 @@ class SweepRunner
 
     /**
      * Execute every job in @p grid and return the results in
-     * submission order. An exception thrown by any job propagates to
-     * the caller after all workers have been joined (and after the
-     * other members of its lockstep unit finished).
+     * submission order. Fail-fast: each job gets one attempt, and the
+     * first failure stops the grid — units already running finish,
+     * later ones are skipped — then its exception propagates to the
+     * caller after all workers have been joined.
      */
     std::vector<core::RunResult> run(const std::vector<SweepJob> &grid);
 
@@ -407,38 +401,39 @@ class SweepRunner
 
   private:
     /**
-     * Fail-fast executor behind run() and runTasks(): runs every unit
-     * through the pool; the first member error aborts the grid once
-     * its unit has finished, with the report still balanced.
-     */
-    std::vector<core::RunResult> runUnits(std::size_t jobs,
-                                          const std::vector<Unit> &units,
-                                          const UnitAttempt &attempt);
-
-    /**
-     * Shared executor behind the outcome entry points: runs each unit
+     * The one executor behind every entry point: runs each unit
      * through the pool with per-job isolation, then retries each
-     * failed member alone with deterministic backoff, except Timeouts.
-     * Writes the outcome of every job in @p units to its slot of
-     * @p outcomes. @p on_complete (when set) observes each finished
-     * outcome from its worker thread — the journal write-through
-     * hook. Does not touch report_.
+     * failed member alone with deterministic backoff, except Timeouts,
+     * and folds the grid into report_. Writes the outcome of every job
+     * in @p units to its slot of @p outcomes; jobs outside @p units
+     * (journal replays) count as already done for the heartbeat.
+     * @p on_complete (when set) observes each finished outcome from
+     * its worker thread — the journal write-through hook.
      *
-     * @p grid_total and @p already_done scope the progress heartbeat
-     * to the whole grid when only a subset executes (journal resume).
-     *
-     * @return instructions synthesized.
+     * Fail-fast when @p first_error is set: one attempt per job, and
+     * the first member failure stores its exception there and stops
+     * the grid in place of SweepOptions::cancel; units not yet
+     * started are skipped.
      */
-    Count executeOutcomes(
+    void executeOutcomes(
         std::vector<SweepOutcome> &outcomes, const std::vector<Unit> &units,
         const UnitAttempt &attempt,
         const std::function<void(std::size_t, const SweepOutcome &)>
             &on_complete,
-        std::size_t grid_total, std::size_t already_done);
+        std::exception_ptr *first_error = nullptr);
 
-    /** Fold a grid-ordered outcome vector into report_. */
+    /** executeOutcomes() fail-fast over jobs 0..n-1: the results, or
+     *  the first failure's exception. */
+    std::vector<core::RunResult> runFailFast(std::size_t n,
+                                             const std::vector<Unit> &units,
+                                             const UnitAttempt &attempt);
+
+    /** Fold a grid-ordered outcome vector into report_; a job that
+     *  never started counts as skipped when @p fail_fast, else as
+     *  cancelled. */
     void accountOutcomes(const std::vector<SweepOutcome> &outcomes,
-                         double wall_seconds, Count synthesized);
+                         double wall_seconds, Count synthesized,
+                         bool fail_fast);
 
     SweepOptions options_;
     SweepReport report_;

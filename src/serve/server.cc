@@ -259,16 +259,12 @@ Server::spoolFile(std::uint64_t fingerprint, const char *suffix) const
 harness::JournalRecord
 Server::cancelRecord(const Grid &grid, std::size_t index) const
 {
-    harness::JournalRecord rec;
-    rec.job_index = index;
-    rec.machine_hash =
-        harness::machineHash(grid.jobs[index].machine);
-    rec.seed = harness::jobSeed(grid.jobs[index], grid.base_seed);
-    rec.outcome.ok = false;
-    rec.outcome.code = util::SimErrorCode::Cancelled;
-    rec.outcome.error = "cancelled while queued";
-    rec.outcome.attempts = 0;
-    return rec;
+    harness::SweepOutcome out;
+    out.code = util::SimErrorCode::Cancelled;
+    out.error = "cancelled while queued";
+    out.attempts = 0;
+    return harness::jobRecord(grid.jobs[index], index, grid.base_seed,
+                              std::move(out));
 }
 
 void
@@ -455,28 +451,61 @@ Server::loadSpool()
     }
 }
 
+Server::Grid *
+Server::claim(bool whole_grid, std::vector<std::size_t> &batch)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::optional<SchedUnit> next;
+    while (!next) {
+        cv_.wait(lock, [this] {
+            return workers_stop_ || scheduler_.hasWork();
+        });
+        if (workers_stop_)
+            return nullptr;
+        next = scheduler_.take();
+    }
+    Grid *grid = grids_.at(next->fingerprint).get();
+    batch.assign(1, next->job_index);
+    // The fleet wants whole grids, so the rotor's pick also claims
+    // the rest of that grid's queued jobs: fairness rotates per grid
+    // instead of per job.
+    if (whole_grid)
+        for (const SchedUnit &unit :
+             scheduler_.dropQueued(grid->tenant, next->fingerprint))
+            batch.push_back(unit.job_index);
+    for (const std::size_t index : batch)
+        grid->state[index] = Grid::JobState::Running;
+    running_jobs_ += batch.size();
+    return grid;
+}
+
+void
+Server::commit(Grid &grid, std::vector<harness::JournalRecord> records)
+{
+    // Durable before visible: every append is flushed before any
+    // completion is posted, so a SIGKILL landing here loses nothing a
+    // client was ever told about.
+    for (const harness::JournalRecord &rec : records)
+        grid.journal->append(rec);
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        for (harness::JournalRecord &rec : records) {
+            const std::size_t index = rec.job_index;
+            applyRecord(grid, std::move(rec), /*from_journal=*/false);
+            scheduler_.jobFinished(grid.tenant);
+            completions_.emplace_back(grid.fingerprint, index);
+        }
+        running_jobs_ -= records.size();
+    }
+    wake_.notify();
+}
+
 void
 Server::workerMain()
 {
-    for (;;) {
-        SchedUnit unit;
-        Grid *grid = nullptr;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] {
-                return workers_stop_ || scheduler_.hasWork();
-            });
-            if (workers_stop_)
-                return;
-            const std::optional<SchedUnit> next = scheduler_.take();
-            if (!next)
-                continue;
-            unit = *next;
-            grid = grids_.at(unit.fingerprint).get();
-            grid->state[unit.job_index] = Grid::JobState::Running;
-            ++running_jobs_;
-        }
-
+    std::vector<std::size_t> batch;
+    while (Grid *grid = claim(/*whole_grid=*/false, batch)) {
+        const std::size_t index = batch.front();
         harness::SweepOptions policy;
         policy.base_seed = grid->base_seed;
         policy.retries = grid->retries;
@@ -484,23 +513,10 @@ Server::workerMain()
         policy.backoff_ms = grid->backoff_ms;
         policy.cancel = &grid->cancelled;
         policy.span_log = &grid->span_log;
-        harness::JournalRecord rec =
-            harness::runJob(grid->jobs[unit.job_index], unit.job_index,
-                            std::move(policy));
-        // Durable before visible: the journal append is flushed
-        // before the completion is posted, so a SIGKILL landing here
-        // loses nothing a client was ever told about.
-        grid->journal->append(rec);
-
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            applyRecord(*grid, std::move(rec), /*from_journal=*/false);
-            scheduler_.jobFinished(grid->tenant);
-            completions_.emplace_back(unit.fingerprint,
-                                      unit.job_index);
-            --running_jobs_;
-        }
-        wake_.notify();
+        std::vector<harness::JournalRecord> records;
+        records.push_back(harness::runJob(grid->jobs[index], index,
+                                          std::move(policy)));
+        commit(*grid, std::move(records));
     }
 }
 
@@ -537,32 +553,8 @@ Server::shardMain()
         return *swarm;
     };
 
-    for (;;) {
-        Grid *grid = nullptr;
-        std::vector<std::size_t> batch;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] {
-                return workers_stop_ || scheduler_.hasWork();
-            });
-            if (workers_stop_)
-                return;
-            const std::optional<SchedUnit> next = scheduler_.take();
-            if (!next)
-                continue;
-            grid = grids_.at(next->fingerprint).get();
-            batch.push_back(next->job_index);
-            // The fleet wants whole grids, so the rotor's pick also
-            // claims the rest of that grid's queued jobs: fairness
-            // rotates per grid instead of per job.
-            for (const SchedUnit &unit : scheduler_.dropQueued(
-                     grid->tenant, next->fingerprint))
-                batch.push_back(unit.job_index);
-            for (const std::size_t index : batch)
-                grid->state[index] = Grid::JobState::Running;
-            running_jobs_ += batch.size();
-        }
-
+    std::vector<std::size_t> batch;
+    while (Grid *grid = claim(/*whole_grid=*/true, batch)) {
         std::vector<harness::SweepJob> jobs;
         jobs.reserve(batch.size());
         for (const std::size_t index : batch)
@@ -644,34 +636,13 @@ Server::shardMain()
             }
         }
 
-        // Durable before visible, batch-wise: every record is
-        // journaled before any completion is posted.
         std::vector<harness::JournalRecord> records;
         records.reserve(batch.size());
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            const harness::SweepJob &job = grid->jobs[batch[k]];
-            harness::JournalRecord rec;
-            rec.job_index = batch[k];
-            rec.machine_hash = harness::machineHash(job.machine);
-            rec.seed = harness::jobSeed(job, grid->base_seed);
-            rec.outcome = std::move(outcomes[k]);
-            grid->journal->append(rec);
-            records.push_back(std::move(rec));
-        }
-
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            const std::size_t n = records.size();
-            for (harness::JournalRecord &rec : records) {
-                const std::size_t index = rec.job_index;
-                applyRecord(*grid, std::move(rec),
-                            /*from_journal=*/false);
-                scheduler_.jobFinished(grid->tenant);
-                completions_.emplace_back(grid->fingerprint, index);
-            }
-            running_jobs_ -= n;
-        }
-        wake_.notify();
+        for (std::size_t k = 0; k < batch.size(); ++k)
+            records.push_back(harness::jobRecord(
+                grid->jobs[batch[k]], batch[k], grid->base_seed,
+                std::move(outcomes[k])));
+        commit(*grid, std::move(records));
     }
 }
 
@@ -910,12 +881,10 @@ void
 Server::handleHello(Session &session, const std::string &payload)
 {
     const wire::HelloMsg hello = wire::decodeHello(payload);
-    if (hello.version < wire::MIN_PROTOCOL_VERSION ||
-        hello.version > wire::PROTOCOL_VERSION) {
+    if (hello.version != wire::PROTOCOL_VERSION) {
         reject(session, "AUR207", util::SimErrorCode::BadWire,
                detail::concat("client speaks protocol version ",
                               hello.version, "; this daemon speaks ",
-                              wire::MIN_PROTOCOL_VERSION, "..",
                               wire::PROTOCOL_VERSION),
                /*fatal=*/true);
         return;
@@ -928,11 +897,8 @@ Server::handleHello(Session &session, const std::string &payload)
         return;
     }
     session.setTenant(hello.tenant);
-    // The negotiated version (== the client's, since ours is the
-    // ceiling) gates every v2-only field sent on this session.
-    session.setVersion(hello.version);
     session.queueFrame(wire::encode(
-        wire::WelcomeMsg{session.version(), draining_}));
+        wire::WelcomeMsg{wire::PROTOCOL_VERSION, draining_}));
 }
 
 void
@@ -1052,10 +1018,8 @@ Server::handleSubmit(Session &session, const std::string &payload)
 
     session.watch(fp);
     session.submitted().push_back(fp);
-    wire::AcceptedMsg accepted{fp, total, 0, /*attached=*/false};
-    if (session.version() >= 2)
-        accepted.trace_id = trace;
-    session.queueFrame(wire::encode(accepted));
+    session.queueFrame(wire::encode(
+        wire::AcceptedMsg{fp, total, 0, /*attached=*/false, trace}));
     if (config_.verbose)
         inform(detail::concat("aurora_serve: accepted grid ",
                               spoolFile(fp, ""), " (", total,
@@ -1084,11 +1048,9 @@ Server::handleAttach(Session &session, const std::string &payload)
     }
     Grid &grid = *it->second;
     session.watch(grid.fingerprint);
-    wire::AcceptedMsg accepted{grid.fingerprint, grid.jobs.size(),
-                               grid.done, /*attached=*/true};
-    if (session.version() >= 2)
-        accepted.trace_id = grid.trace_id;
-    session.queueFrame(wire::encode(accepted));
+    session.queueFrame(wire::encode(
+        wire::AcceptedMsg{grid.fingerprint, grid.jobs.size(), grid.done,
+                          /*attached=*/true, grid.trace_id}));
     // Replay every terminal outcome in job order — byte-identical to
     // what a continuously-connected client received.
     for (std::size_t i = 0; i < grid.jobs.size(); ++i)

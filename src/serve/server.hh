@@ -218,6 +218,20 @@ class Server
                                    std::vector<harness::SweepJob> jobs);
     void startWorkers();
     void stopWorkers();
+    /**
+     * Dispatch step one, shared by both loops: wait for queued work
+     * and claim it under mutex_ — the scheduler's next job into
+     * @p batch, plus, when @p whole_grid, the rest of that grid's
+     * queued jobs — marking each Running. Returns the jobs' grid, or
+     * nullptr once the workers are told to stop.
+     */
+    Grid *claim(bool whole_grid, std::vector<std::size_t> &batch);
+    /**
+     * Dispatch step two: journal every one of @p records, then post
+     * them all (applyRecord, release the tenant's charge, queue the
+     * completion) under one mutex_ hold and wake the poll loop.
+     */
+    void commit(Grid &grid, std::vector<harness::JournalRecord> records);
     void workerMain();
     void shardMain();
     void beginDrain();

@@ -50,11 +50,6 @@ class Session
     void setTenant(std::string tenant) { tenant_ = std::move(tenant); }
     bool greeted() const { return !tenant_.empty(); }
 
-    /** Negotiated protocol version (min of ours and the Hello's);
-     *  v2-only fields are sent to this session iff >= 2. */
-    std::uint32_t version() const { return version_; }
-    void setVersion(std::uint32_t v) { version_ = v; }
-
     /** Grids whose Results/Progress stream to this session. */
     std::vector<std::uint64_t> &watching() { return watching_; }
     /** Grids submitted on this connection (disconnect-policy scope:
@@ -74,7 +69,6 @@ class Session
     std::string out_;
     std::size_t out_pos_ = 0;
     std::string tenant_;
-    std::uint32_t version_ = wire::MIN_PROTOCOL_VERSION;
     std::vector<std::uint64_t> watching_;
     std::vector<std::uint64_t> submitted_;
     bool dead_ = false;

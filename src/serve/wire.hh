@@ -59,17 +59,12 @@ namespace aurora::serve::wire
 inline constexpr std::uint32_t WIRE_MAGIC = 0x31505741u;
 
 /**
- * Protocol version carried in Hello/Welcome. The server accepts any
- * version in [MIN_PROTOCOL_VERSION, PROTOCOL_VERSION] and echoes the
- * negotiated minimum in Welcome; anything else is AUR207.
- *
- * v2 adds the observability plane: an optional trailing trace id on
- * Submit/Accepted (written only when nonzero, read only when bytes
- * remain — a v1 peer's frames decode unchanged, and a v1 session is
- * never sent the new field) and the Metrics/MetricsReport pair.
+ * Protocol version carried in Hello/Welcome. The server speaks this
+ * one version; a Hello carrying any other is refused with AUR207.
+ * Submit/Accepted end in an optional trailing trace id, written only
+ * when nonzero and read only when bytes remain.
  */
 inline constexpr std::uint32_t PROTOCOL_VERSION = 2;
-inline constexpr std::uint32_t MIN_PROTOCOL_VERSION = 1;
 
 /** Payload byte 0. Client→server types are low, server→client high. */
 enum class MsgType : std::uint8_t
@@ -214,9 +209,9 @@ struct SubmitMsg
     std::uint64_t backoff_ms = 0;
     std::vector<SubmitJob> jobs;
     /**
-     * v2: caller-supplied causal trace id (0 = let the server mint
+     * Caller-supplied causal trace id (0 = let the server mint
      * one from the grid fingerprint). Optional trailing field —
-     * encoded only when nonzero, absent on v1 frames.
+     * encoded only when nonzero.
      */
     std::uint64_t trace_id = 0;
 
@@ -282,7 +277,7 @@ enumLimit(MetricsFormat)
     return MetricsFormat::Json;
 }
 
-/** v2: ask for a metrics exposition (aurora_top's poll). */
+/** Ask for a metrics exposition (aurora_top's poll). */
 struct MetricsMsg
 {
     static constexpr MsgType TAG = MsgType::Metrics;
@@ -330,8 +325,8 @@ struct AcceptedMsg
     /** True when this Accepted answers an Attach, not a Submit. */
     bool attached = false;
     /**
-     * v2: the grid's causal trace id. Optional trailing field — the
-     * server includes it only on v2 sessions (0 = not conveyed).
+     * The grid's causal trace id. Optional trailing field (0 = not
+     * conveyed).
      */
     std::uint64_t trace_id = 0;
 
@@ -475,7 +470,7 @@ struct DrainingMsg
     }
 };
 
-/** v2: one metrics exposition (obs::renderPrometheus / renderMetricsJson). */
+/** One metrics exposition (obs::renderPrometheus / renderMetricsJson). */
 struct MetricsReportMsg
 {
     static constexpr MsgType TAG = MsgType::MetricsReport;

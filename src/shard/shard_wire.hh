@@ -55,15 +55,12 @@ namespace aurora::shard::wire
 inline constexpr std::uint32_t SHARD_MAGIC = 0x31575341u;
 
 /**
- * Protocol version carried in Hello/Welcome. The coordinator accepts
- * any version in [MIN_SHARD_PROTOCOL_VERSION, SHARD_PROTOCOL_VERSION]
- * and echoes the negotiated minimum in Welcome; anything else is
- * AUR305. v2 adds an optional trailing trace id on Assign — written
- * only when nonzero and only to v2 shards, so a v1 worker's decode
- * path never sees it.
+ * Protocol version carried in Hello/Welcome. The coordinator speaks
+ * this one version; a Hello carrying any other is refused with
+ * AUR305. Assign ends in an optional trailing trace id, written only
+ * when nonzero.
  */
 inline constexpr std::uint32_t SHARD_PROTOCOL_VERSION = 2;
-inline constexpr std::uint32_t MIN_SHARD_PROTOCOL_VERSION = 1;
 
 /** Payload byte 0. Shard→coordinator types are low, replies high. */
 enum class MsgType : std::uint8_t
@@ -252,7 +249,7 @@ struct AssignMsg
     std::uint64_t epoch = 0;
     std::vector<JobSpec> jobs;
     /**
-     * v2: the grid's causal trace id (0 = untraced). The shard
+     * The grid's causal trace id (0 = untraced). The shard
      * derives its attempt-span identities from it (obs/ids.hh), so
      * the coordinator's merged trace parents them without any id
      * exchange. Optional trailing field.

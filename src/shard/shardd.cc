@@ -137,8 +137,7 @@ runShardWorker(const ShardWorkerConfig &config)
                             e.what()));
         return SHARD_EXIT_ERROR;
     }
-    if (welcome.version < wire::MIN_SHARD_PROTOCOL_VERSION ||
-        welcome.version > wire::SHARD_PROTOCOL_VERSION) {
+    if (welcome.version != wire::SHARD_PROTOCOL_VERSION) {
         warn(detail::concat("shard worker: coordinator speaks "
                             "protocol v", welcome.version,
                             ", this worker v",
@@ -185,7 +184,7 @@ runShardWorker(const ShardWorkerConfig &config)
 
     std::deque<wire::JobSpec> queue;
     std::uint64_t done = 0;
-    std::uint64_t trace_id = 0; // from Assign (v2 coordinators only)
+    std::uint64_t trace_id = 0; // from Assign
     bool beats_enabled = true;
     bool fault_armed = config.fault.has_value();
     Clock::time_point last_beat = Clock::now();

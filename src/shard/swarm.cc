@@ -147,7 +147,6 @@ Swarm::grantLease(Loner &&dialer, std::uint64_t pid)
     slot.outbuf = std::move(dialer.outbuf);
     slot.outpos = dialer.outpos;
     slot.pid = static_cast<long>(pid);
-    slot.version = dialer.version;
     slot.lease_start_us = obsNowUs();
     ++stats_.granted_leases;
 
@@ -160,10 +159,11 @@ Swarm::grantLease(Loner &&dialer, std::uint64_t pid)
                               slot.epoch, " to pid ", pid));
     flight_.note("lease.grant", {},
                  detail::concat("slot=", index, " epoch=", slot.epoch,
-                                " pid=", pid, " v", slot.version));
+                                " pid=", pid, " v",
+                                wire::SHARD_PROTOCOL_VERSION));
     queueFrame(index,
                wire::encode(wire::WelcomeMsg{
-                   slot.version, index, slot.epoch,
+                   wire::SHARD_PROTOCOL_VERSION, index, slot.epoch,
                    config_.lease_ms, config_.beat_ms}));
 }
 
@@ -245,14 +245,8 @@ Swarm::assignPending()
             Ticket &state = tickets_.at(ticket);
             state.assigned_us = obsNowUs();
             state.assigned_epoch = slot.epoch;
-            wire::AssignMsg assign;
-            assign.epoch = slot.epoch;
-            assign.jobs.push_back(state.spec);
-            // The trace id rides only to v2 workers: a v1 decoder
-            // treats any trailing bytes as a format mismatch.
-            if (slot.version >= 2)
-                assign.trace_id = trace_id_;
-            queueFrame(i, wire::encode(assign));
+            queueFrame(i, wire::encode(wire::AssignMsg{
+                              slot.epoch, {state.spec}, trace_id_}));
             progress = true;
         }
     }
@@ -389,15 +383,13 @@ Swarm::handleLonerMessage(Loner &loner, const std::string &payload)
         if (type != wire::MsgType::Hello)
             return false;
         const wire::HelloMsg hello = wire::decodeHello(payload);
-        if (hello.version < wire::MIN_SHARD_PROTOCOL_VERSION ||
-            hello.version > wire::SHARD_PROTOCOL_VERSION) {
+        if (hello.version != wire::SHARD_PROTOCOL_VERSION) {
             warn(detail::concat("swarm: AUR305: dialer speaks "
                                 "protocol v", hello.version,
                                 "; refusing"));
             ++stats_.protocol_errors;
             return false;
         }
-        loner.version = hello.version;
         grantLease(std::move(loner), hello.pid);
         return false; // fd moved into the slot (or closed)
     }

@@ -145,7 +145,7 @@ struct GridOptions
     /** Lint the grid before dealing any work (preflightGrid()). */
     bool preflight = true;
     /**
-     * Causal trace id of the grid (0 = untraced). Carried to v2
+     * Causal trace id of the grid (0 = untraced). Carried to the
      * shards in Assign so the whole fabric derives one span family.
      */
     std::uint64_t trace_id = 0;
@@ -240,9 +240,6 @@ class Swarm
         std::size_t outpos = 0;
         /** Spawned child pid (Fork/Exec; -1 otherwise). */
         long pid = -1;
-        /** Negotiated wire version (min of ours and the Hello's);
-         *  Assign carries the trace id only at v2+. */
-        std::uint32_t version = wire::MIN_SHARD_PROTOCOL_VERSION;
         /** Lease-grant timestamp on the obs clock (lease span start). */
         double lease_start_us = 0.0;
     };
@@ -258,8 +255,6 @@ class Swarm
         std::string outbuf;
         std::size_t outpos = 0;
         Clock::time_point opened{};
-        /** Version from the dialer's Hello (set before grantLease). */
-        std::uint32_t version = wire::MIN_SHARD_PROTOCOL_VERSION;
     };
 
     /** One grid job's coordination state. */

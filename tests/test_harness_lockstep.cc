@@ -142,25 +142,45 @@ TEST(Lockstep, SimulateSharedIsolatesEveryMember)
     }
 }
 
-TEST(Lockstep, WedgedMemberFailsAloneAndRetriesAlone)
+/** Grid index of the wedged machine in wedgedGrid(). */
+constexpr std::size_t WEDGED_JOB = 1;
+
+/**
+ * Three traces x three machines; the nasa7 group, first in grid
+ * order, also holds the wedged machine at WEDGED_JOB. At one worker
+ * the rule makes one unit per trace.
+ */
+std::vector<SweepJob>
+wedgedGrid()
 {
-    // Three traces; the nasa7 group holds the wedged machine. At one
-    // worker the rule makes one unit per trace.
     std::vector<SweepJob> grid;
     for (const auto &profile :
          {trace::nasa7(), trace::hydro2d(), trace::espresso()})
         for (const MachineConfig &m :
              {baselineModel(), largeModel(), smallModel()})
             grid.push_back({m, profile, N});
-    const std::size_t bad = 1;
-    grid.insert(grid.begin() + bad, {wedged(), trace::nasa7(), N});
+    grid.insert(grid.begin() + WEDGED_JOB, {wedged(), trace::nasa7(), N});
+    return grid;
+}
 
+/** One worker, a 2000-cycle stall watchdog, and no preflight, so the
+ *  wedge reaches the simulator. */
+SweepOptions
+wedgedOptions()
+{
     SweepOptions opts;
     opts.workers = 1;
-    opts.preflight = false; // the wedge must reach the simulator
+    opts.preflight = false;
     opts.watchdog = WatchdogConfig{2000, 0};
     opts.retries = 1;
-    SweepRunner runner(opts);
+    return opts;
+}
+
+TEST(Lockstep, WedgedMemberFailsAloneAndRetriesAlone)
+{
+    const std::vector<SweepJob> grid = wedgedGrid();
+    const std::size_t bad = WEDGED_JOB;
+    SweepRunner runner(wedgedOptions());
     const auto outcomes = runner.runOutcomes(grid);
 
     EXPECT_FALSE(outcomes[bad].ok);
@@ -181,6 +201,27 @@ TEST(Lockstep, WedgedMemberFailsAloneAndRetriesAlone)
     // which stops synthesizing soon after the machine stops reading.
     EXPECT_GT(rep.synthesized_instructions, 3 * N);
     EXPECT_LT(rep.synthesized_instructions, 4 * N);
+}
+
+TEST(Lockstep, FailFastFinishesTheFailingUnitAndSkipsTheRest)
+{
+    // Fail-fast over the same grid: the nasa7 unit runs to its end,
+    // the wedge's watchdog error propagates without a retry, and the
+    // two later units never start.
+    const std::vector<SweepJob> grid = wedgedGrid();
+    SweepRunner runner(wedgedOptions());
+    EXPECT_THROW(runner.run(grid), WatchdogError);
+
+    const SweepReport &rep = runner.report();
+    EXPECT_EQ(rep.jobs, grid.size());
+    EXPECT_EQ(rep.ok_jobs, 3u);
+    EXPECT_EQ(rep.failed_jobs, 1u);
+    EXPECT_EQ(rep.retried_jobs, 0u);
+    EXPECT_EQ(rep.skipped_jobs, 6u);
+    EXPECT_EQ(rep.jobs, rep.ok_jobs + rep.failed_jobs +
+                            rep.timed_out_jobs + rep.skipped_jobs);
+    EXPECT_EQ(rep.synthesized_instructions, N);
+    EXPECT_EQ(rep.total_instructions, 3 * N);
 }
 
 TEST(Lockstep, DeadlineTimesOutOneMemberOnly)

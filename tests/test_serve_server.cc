@@ -661,4 +661,22 @@ TEST(ServeServer, ProtocolViolationIsFatalWithAur207)
         wire::recvFrame(fd.get(), decoder, RECV_TIMEOUT_MS).has_value());
 }
 
+TEST(ServeServer, V1HelloIsRefusedWithAur207)
+{
+    TestDaemon daemon(baseConfig("serve_v1"));
+    util::Fd fd = util::connectUnix(daemon.server().socketPath());
+    wire::sendFrame(fd.get(), wire::encode(wire::HelloMsg{1, "alice"}));
+    wire::FrameDecoder decoder;
+    const auto reply = wire::recvFrame(fd.get(), decoder,
+                                       RECV_TIMEOUT_MS);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(wire::peekType(*reply), wire::MsgType::Rejected);
+    const auto rejected = wire::decodeRejected(*reply);
+    EXPECT_EQ(rejected.id, "AUR207");
+    EXPECT_NE(rejected.message.find("version 1"), std::string::npos)
+        << rejected.message;
+    EXPECT_FALSE(
+        wire::recvFrame(fd.get(), decoder, RECV_TIMEOUT_MS).has_value());
+}
+
 } // namespace

@@ -2,23 +2,27 @@
  * @file
  * Coordinator supervision tests: lease fencing and migration under
  * each scripted ShardFault, the zombie-append refusal (AUR304), the
- * commit journal's resume path, configuration rejection, and the
- * external-fleet loss timeout.
+ * commit journal's resume path, configuration rejection, the
+ * external-fleet loss timeout, and the refusal of a foreign protocol
+ * version (AUR305).
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config_io.hh"
 #include "faultinject/faultinject.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
+#include "shard/shard_wire.hh"
 #include "shard/swarm.hh"
 #include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
+#include "util/socket.hh"
 
 namespace
 {
@@ -206,6 +210,37 @@ TEST(SwarmSupervision, ExternalFleetThatNeverDialsIsLost)
         EXPECT_NE(std::string(e.what()).find("fleet lost"),
                   std::string::npos);
     }
+}
+
+TEST(SwarmSupervision, V1HelloIsRefusedWithAur305)
+{
+    // A dialer speaking protocol v1 gets no lease: the coordinator
+    // closes the connection without a Welcome and counts a protocol
+    // error. No real worker ever dials, so the grid then ends as a
+    // lost fleet.
+    shard::SwarmConfig config = baseConfig("v1");
+    config.spawn = shard::SpawnMode::External;
+    config.idle_timeout_ms = 1000;
+    shard::Swarm swarm(config);
+    std::string error;
+    std::thread coordinator([&] {
+        try {
+            (void)swarm.runGrid(testGrid(), {});
+        } catch (const SimError &e) {
+            error = e.what();
+        }
+    });
+
+    const util::Fd fd = util::connectUnix(config.socket_path);
+    shard::wire::sendFrame(fd.get(),
+                           shard::wire::encode(shard::wire::HelloMsg{1, 7}));
+    shard::wire::FrameDecoder decoder;
+    EXPECT_FALSE(util::recvFrame(fd.get(), decoder, 60'000).has_value());
+    coordinator.join();
+
+    EXPECT_NE(error.find("fleet lost"), std::string::npos) << error;
+    EXPECT_EQ(swarm.stats().protocol_errors, 1u);
+    EXPECT_EQ(swarm.stats().granted_leases, 0u);
 }
 
 } // namespace

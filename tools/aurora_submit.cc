@@ -187,15 +187,10 @@ handshake(int fd, wire::FrameDecoder &decoder, const Options &opt)
                          "daemon rejected the handshake");
     }
     const auto welcome = wire::decodeWelcome(*reply);
-    // The daemon echoes the negotiated version: ours, or lower when
-    // it is an older build. Anything in the supported range works —
-    // v2-only fields simply stay absent on a v1 daemon.
-    if (welcome.version < wire::MIN_PROTOCOL_VERSION ||
-        welcome.version > wire::PROTOCOL_VERSION)
+    if (welcome.version != wire::PROTOCOL_VERSION)
         util::raiseError(util::SimErrorCode::BadWire,
-                         "daemon negotiated protocol version ",
+                         "daemon speaks protocol version ",
                          welcome.version, ", this client speaks ",
-                         wire::MIN_PROTOCOL_VERSION, "..",
                          wire::PROTOCOL_VERSION);
     return welcome.draining;
 }

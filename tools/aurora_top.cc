@@ -13,9 +13,9 @@
  * JSON) instead of the dashboard — the mode to use when piping into
  * a scrape pipeline or jq.
  *
- * Requires a v2 daemon (the Metrics request is a v2 message); a v1
- * daemon rejects the poll and aurora_top reports the skew instead of
- * rendering an empty screen.
+ * A daemon that speaks another protocol version refuses the Hello
+ * (AUR207), which aurora_top reports instead of rendering an empty
+ * screen.
  *
  * Exit codes: 0 ok; 1 connection/protocol errors; 2 usage.
  */
@@ -240,13 +240,7 @@ run(int argc, char **argv)
     wire::HelloMsg hello;
     hello.tenant = opt.tenant;
     wire::sendFrame(fd.get(), wire::encode(hello));
-    const auto welcome = wire::decodeWelcome(
-        recvOfType(fd.get(), decoder, opt, wire::MsgType::Welcome));
-    if (welcome.version < 2)
-        util::raiseError(util::SimErrorCode::BadWire,
-                         "daemon speaks protocol version ",
-                         welcome.version,
-                         " which predates the Metrics request");
+    recvOfType(fd.get(), decoder, opt, wire::MsgType::Welcome);
 
     while (true) {
         wire::sendFrame(fd.get(), wire::encode(wire::StatusMsg{}));
