@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -585,7 +586,9 @@ timelineStorm(Count insts)
     ropts.journal = journal;
     ropts.resume = true;
     ropts.span_log = &spans;
-    ropts.span_job_base = tasks.size();
+    ropts.span_jobs.resize(grid.size());
+    std::iota(ropts.span_jobs.begin(), ropts.span_jobs.end(),
+              tasks.size());
     SweepRunner replayer(ropts);
     replayer.runOutcomes(grid);
 

@@ -214,8 +214,9 @@ ShardFault anyShardFault(std::uint64_t seed);
 const char *shardFaultDiagnosticId(ShardFault fault);
 
 /**
- * One shard's scripted failure: arm @p fault after the shard has
- * completed @p after_jobs jobs. Carried to in-process shard workers
+ * One shard's scripted failure: arm @p fault after the shard has sent
+ * @p after_jobs Results (between two members of a unit, when the
+ * count falls inside one). Carried to in-process shard workers
  * directly and to exec'd `aurora_shardd` processes through the
  * AURORA_SHARD_FAULT environment variable.
  */

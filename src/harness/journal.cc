@@ -55,16 +55,22 @@ jobRecord(const SweepJob &job, std::size_t index,
             std::move(outcome)};
 }
 
-JournalRecord
-runJob(const SweepJob &job, std::size_t index, SweepOptions policy)
+std::vector<JournalRecord>
+runJob(const std::vector<SweepJob> &jobs,
+       const std::vector<std::size_t> &indices, SweepOptions policy)
 {
     policy.workers = 1;
     policy.preflight = false;
-    policy.span_job_base = index;
+    policy.span_jobs = indices;
     const std::optional<std::uint64_t> base_seed = policy.base_seed;
-    return jobRecord(
-        job, index, base_seed,
-        std::move(SweepRunner(std::move(policy)).runOutcomes({job}).front()));
+    std::vector<SweepOutcome> outcomes =
+        SweepRunner(std::move(policy)).runOutcomes(jobs);
+    std::vector<JournalRecord> records;
+    records.reserve(jobs.size());
+    for (std::size_t k = 0; k < jobs.size(); ++k)
+        records.push_back(jobRecord(jobs[k], indices[k], base_seed,
+                                    std::move(outcomes[k])));
+    return records;
 }
 
 LoadedJournal

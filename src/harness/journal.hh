@@ -191,17 +191,24 @@ JournalRecord jobRecord(const SweepJob &job, std::size_t index,
                         SweepOutcome outcome);
 
 /**
- * Run grid job @p job (grid index @p index) on its own, returning
- * the record a serial journaled SweepRunner would append for it —
- * byte for byte. Takes @p policy's seed, retry, deadline, backoff,
- * cancel, and span settings; forces one worker, no preflight (the
- * grid's owner lints at admission), and span job ids offset by
- * @p index. aurora_serve's worker pool and aurora_shardd
- * both execute every job through here, which is what makes serial,
- * serve, and shard results bit-identical by construction.
+ * Run @p jobs (grid indices @p indices) as one sub-grid at one worker,
+ * so jobs that replay one trace run in lockstep, and return the record
+ * a serial journaled SweepRunner would append for each, byte for byte.
+ * Takes @p policy's seed, retry, deadline, backoff, cancel and span
+ * settings; skips preflight (the grid's owner lints at admission).
+ * aurora_serve and aurora_shardd execute every job through here, which
+ * makes serial, serve and shard results bit-identical by construction.
  */
-JournalRecord runJob(const SweepJob &job, std::size_t index,
-                     SweepOptions policy);
+std::vector<JournalRecord> runJob(const std::vector<SweepJob> &jobs,
+                                  const std::vector<std::size_t> &indices,
+                                  SweepOptions policy);
+
+/** runJob() of the one-member sub-grid {@p job} at index @p index. */
+inline JournalRecord
+runJob(const SweepJob &job, std::size_t index, SweepOptions policy)
+{
+    return std::move(runJob(std::vector{job}, {index}, policy).front());
+}
 
 /**
  * Parse a journal file. Throws util::SimError (BadJournal) on a

@@ -344,60 +344,6 @@ singletons(std::size_t n)
     return units;
 }
 
-/**
- * Shared-trace lockstep (docs/harness.md): group the @p pending grid
- * jobs that replay one trace, i.e. have an equal effective profile
- * (job seed included) and instruction count, and cut each group into
- * ceil(min(pending, 3 x workers) / groups) units of near-equal size
- * (at most one per job), so every worker has several units to balance
- * over. Groups keep their first job's grid order; units keep job
- * order. The plan depends only on the grid, the pending set and the
- * worker count.
- */
-std::vector<Unit>
-planUnits(const std::vector<SweepJob> &grid,
-          const std::vector<std::size_t> &pending,
-          const std::optional<std::uint64_t> &base_seed, unsigned workers)
-{
-    std::vector<Unit> groups;
-    std::vector<trace::WorkloadProfile> traces; // one per group
-    // (name, seed, length) narrows the search to a few whole-profile
-    // comparisons per job.
-    std::map<std::tuple<std::string, std::uint64_t, Count>,
-             std::vector<std::size_t>>
-        buckets;
-    for (const std::size_t i : pending) {
-        trace::WorkloadProfile profile = grid[i].profile;
-        profile.seed = jobSeed(grid[i], base_seed);
-        std::vector<std::size_t> &bucket =
-            buckets[{profile.name, profile.seed, grid[i].instructions}];
-        const auto same =
-            std::find_if(bucket.begin(), bucket.end(),
-                         [&](std::size_t g) { return traces[g] == profile; });
-        if (same != bucket.end()) {
-            groups[*same].push_back(i);
-            continue;
-        }
-        bucket.push_back(groups.size());
-        groups.push_back({i});
-        traces.push_back(std::move(profile));
-    }
-    if (groups.empty())
-        return {};
-    const std::size_t target =
-        std::min(pending.size(), std::size_t{3} * workers);
-    const std::size_t split = (target + groups.size() - 1) / groups.size();
-    std::vector<Unit> units;
-    for (const Unit &group : groups) {
-        const std::size_t parts = std::min(split, group.size());
-        for (std::size_t p = 0; p < parts; ++p)
-            units.emplace_back(group.begin() + group.size() * p / parts,
-                               group.begin() +
-                                   group.size() * (p + 1) / parts);
-    }
-    return units;
-}
-
 /** Classify one member's attempt into @p out (result or error). */
 void
 recordAttempt(SweepOutcome &out, core::SharedMachineRun &run)
@@ -518,6 +464,53 @@ class ProgressMeter
 
 } // namespace
 
+std::vector<SweepRunner::Unit>
+planUnits(const std::vector<SweepJob> &grid,
+          const std::vector<std::size_t> &pending,
+          const std::optional<std::uint64_t> &base_seed, unsigned workers)
+{
+    std::vector<Unit> groups;
+    std::vector<trace::WorkloadProfile> traces; // one per group
+    // (name, seed, length) narrows the search to a few whole-profile
+    // comparisons per job.
+    std::map<std::tuple<std::string, std::uint64_t, Count>,
+             std::vector<std::size_t>>
+        buckets;
+    for (const std::size_t i : pending) {
+        trace::WorkloadProfile profile = grid[i].profile;
+        profile.seed = jobSeed(grid[i], base_seed);
+        std::vector<std::size_t> &bucket =
+            buckets[{profile.name, profile.seed, grid[i].instructions}];
+        const auto same =
+            std::find_if(bucket.begin(), bucket.end(),
+                         [&](std::size_t g) { return traces[g] == profile; });
+        if (same != bucket.end()) {
+            groups[*same].push_back(i);
+            continue;
+        }
+        bucket.push_back(groups.size());
+        groups.push_back({i});
+        traces.push_back(std::move(profile));
+    }
+    if (groups.empty())
+        return {};
+    // One worker has nothing to balance: a cut would only synthesize
+    // the trace again.
+    const std::size_t target =
+        std::min(pending.size(), std::size_t{3} * workers);
+    const std::size_t split =
+        workers <= 1 ? 1 : (target + groups.size() - 1) / groups.size();
+    std::vector<Unit> units;
+    for (const Unit &group : groups) {
+        const std::size_t parts = std::min(split, group.size());
+        for (std::size_t p = 0; p < parts; ++p)
+            units.emplace_back(group.begin() + group.size() * p / parts,
+                               group.begin() +
+                                   group.size() * (p + 1) / parts);
+    }
+    return units;
+}
+
 std::vector<core::RunResult>
 SweepRunner::run(const std::vector<SweepJob> &grid)
 {
@@ -560,7 +553,7 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
         for (std::size_t i = 0; i < n; ++i) {
             if (!outcomes[i].resumed)
                 continue;
-            const std::size_t job = options_.span_job_base + i;
+            const std::size_t job = spanJob(i);
             const std::string label =
                 grid[i].profile.name + "@" + grid[i].machine.name;
             const double now = log->nowUs();
@@ -651,7 +644,7 @@ SweepRunner::executeOutcomes(
         if (!span_log)
             return;
         const SweepOutcome &out = outcomes[i];
-        const std::size_t job = options_.span_job_base + i;
+        const std::size_t job = spanJob(i);
         label = out.ok && !out.result.benchmark.empty()
                     ? out.result.benchmark + "@" + out.result.model
                     : "job " + std::to_string(job);
@@ -717,7 +710,7 @@ SweepRunner::executeOutcomes(
                 close_attempt(i, attempt_no, start, label);
             }
             if (span_log && out.attempts > 0)
-                span_log->addJob(options_.span_job_base + i, label,
+                span_log->addJob(spanJob(i), label,
                                  unit_start, now_us());
             if (on_complete)
                 on_complete(i, out);
@@ -727,6 +720,12 @@ SweepRunner::executeOutcomes(
     });
     accountOutcomes(outcomes, wall.seconds(), synthesized.load(),
                     first_error != nullptr);
+}
+
+std::size_t
+SweepRunner::spanJob(std::size_t i) const
+{
+    return options_.span_jobs.empty() ? i : options_.span_jobs[i];
 }
 
 void

@@ -218,12 +218,13 @@ struct SweepOptions
     obs::SpanLog *span_log = nullptr;
 
     /**
-     * Offset added to every span's job index. The service and shard
-     * paths run one-job sub-grids into a grid-wide span log; the base
-     * maps the sub-grid's job 0 back to its true grid index so its
-     * spans carry the right job ids. Ignored without a span log.
+     * Span job id of each job, by position (empty = the position
+     * itself). The service and shard paths run sub-grids into a
+     * grid-wide span log; this maps each sub-grid job back to its true
+     * grid index so its spans carry the right job ids. Ignored without
+     * a span log.
      */
-    std::size_t span_job_base = 0;
+    std::vector<std::size_t> span_jobs;
 
     /**
      * Cooperative cancellation for the outcome entry points (the
@@ -435,9 +436,26 @@ class SweepRunner
                          double wall_seconds, Count synthesized,
                          bool fail_fast);
 
+    /** Span job id of grid job @p i (SweepOptions::span_jobs). */
+    std::size_t spanJob(std::size_t i) const;
+
     SweepOptions options_;
     SweepReport report_;
 };
+
+/**
+ * Shared-trace lockstep (docs/harness.md, "Unit rule"): group the
+ * @p pending grid jobs that replay one trace (equal effective profile,
+ * job seed included, and instruction count). At one worker a group is
+ * one unit; otherwise it is cut into ceil(min(pending, 3 x workers) /
+ * groups) near-equal units, at most one per job. Groups keep their
+ * first job's grid order, units keep job order. SweepRunner plans over
+ * its threads, shard::Swarm over its shards.
+ */
+std::vector<SweepRunner::Unit>
+planUnits(const std::vector<SweepJob> &grid,
+          const std::vector<std::size_t> &pending,
+          const std::optional<std::uint64_t> &base_seed, unsigned workers);
 
 /**
  * Stable 64-bit digest of every configuration knob (FNV-1a over the

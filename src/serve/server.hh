@@ -144,8 +144,8 @@ struct ServerConfig
     unsigned shards = 0;
     /** Path to the aurora_shardd binary (required when shards > 0). */
     std::string shardd_path;
-    /** Shard lease in milliseconds (0 = shard::SwarmConfig default).
-     *  Must exceed the worst-case single-job wall time. */
+    /** Shard lease in milliseconds (0 = shard::SwarmConfig default):
+     *  the longest a shard may go without a beat. */
     std::uint64_t shard_lease_ms = 0;
 };
 

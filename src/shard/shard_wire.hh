@@ -141,9 +141,8 @@ struct HelloMsg
     }
 };
 
-/** Lease renewal. Sent between jobs and while idle; a shard deep in
- *  one long simulation cannot beat, so the lease must exceed the
- *  worst-case job time (docs/distributed.md). */
+/** Lease renewal. Sent between Results, while idle, and from a second
+ *  thread while a unit simulates (docs/distributed.md). */
 struct BeatMsg
 {
     static constexpr MsgType TAG = MsgType::Beat;

@@ -4,9 +4,13 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <deque>
+#include <exception>
 #include <filesystem>
 #include <memory>
+#include <mutex>
+#include <stop_token>
 #include <thread>
 #include <utility>
 
@@ -54,24 +58,30 @@ buildJob(const wire::JobSpec &spec)
 }
 
 /**
- * Execute one assigned job through harness::runJob, so its journal
- * record is bit-identical to what a serial SweepRunner run of the
- * same grid would write for this index. @p spans (observation only)
- * receives its attempt spans.
+ * Execute one assigned unit through harness::runJob, so each member's
+ * journal record is bit-identical to what a serial SweepRunner run of
+ * the same grid would write for its index. @p spans (observation
+ * only) receives the attempt spans.
  */
-harness::JournalRecord
-runAssignedJob(const wire::JobSpec &spec, obs::SpanLog *spans)
+std::vector<harness::JournalRecord>
+runAssignedUnit(const std::vector<wire::JobSpec> &unit, obs::SpanLog *spans)
 {
+    std::vector<harness::SweepJob> jobs;
+    std::vector<std::size_t> indices;
+    for (const wire::JobSpec &spec : unit) {
+        jobs.push_back(buildJob(spec));
+        indices.push_back(static_cast<std::size_t>(spec.job_index));
+    }
+    // The grid's policy rides on every spec of the unit alike.
+    const wire::JobSpec &lead = unit.front();
     harness::SweepOptions policy;
-    if (spec.has_base_seed)
-        policy.base_seed = spec.base_seed;
-    policy.retries = spec.retries;
-    policy.deadline_ms = spec.deadline_ms;
-    policy.backoff_ms = spec.backoff_ms;
+    if (lead.has_base_seed)
+        policy.base_seed = lead.base_seed;
+    policy.retries = lead.retries;
+    policy.deadline_ms = lead.deadline_ms;
+    policy.backoff_ms = lead.backoff_ms;
     policy.span_log = spans;
-    return harness::runJob(buildJob(spec),
-                           static_cast<std::size_t>(spec.job_index),
-                           std::move(policy));
+    return harness::runJob(jobs, indices, std::move(policy));
 }
 
 /** Sleep in interruptible 50 ms slices (keeps a wedged/zombie shard
@@ -182,7 +192,8 @@ runShardWorker(const ShardWorkerConfig &config)
         return SHARD_EXIT_ERROR;
     }
 
-    std::deque<wire::JobSpec> queue;
+    std::deque<std::vector<wire::JobSpec>> units; // one per Assign
+    std::deque<wire::ResultMsg> results;          // simulated, unsent
     std::uint64_t done = 0;
     std::uint64_t trace_id = 0; // from Assign
     bool beats_enabled = true;
@@ -197,35 +208,72 @@ runShardWorker(const ShardWorkerConfig &config)
         last_beat = Clock::now();
     };
 
-    /** Run the front job, persist locally, then offer upstream.
+    /** Simulate the front unit in lockstep and queue one Result per
+     *  member. The lease is renewed from a second thread while the
+     *  unit runs; it is joined before any Result is written, so the
+     *  socket has one writer at a time. */
+    const auto runFrontUnit = [&] {
+        const std::vector<wire::JobSpec> unit = std::move(units.front());
+        units.pop_front();
+        // Attempt spans parent to the coordinator's dispatch span for
+        // their ticket — both sides derive the same id from (trace,
+        // ticket, epoch), so no ids cross the wire.
+        const auto dispatch = [&](const wire::JobSpec &spec) {
+            return obs::dispatchSpanId(trace_id, spec.ticket,
+                                       welcome.epoch);
+        };
+        obs::SpanLog unit_spans(obs::TraceContext{
+            trace_id, static_cast<std::uint32_t>(100 + welcome.epoch),
+            welcome.epoch, dispatch(unit.front())});
+        const bool tracing = spans != nullptr && trace_id != 0;
+        std::vector<harness::JournalRecord> records;
+        std::exception_ptr beat_error;
+        {
+            std::jthread beater;
+            if (beats_enabled)
+                beater = std::jthread([&](std::stop_token stop) {
+                    std::mutex mutex;
+                    std::condition_variable_any wake;
+                    std::unique_lock<std::mutex> lock(mutex);
+                    try {
+                        while (!wake.wait_for(
+                            lock, stop,
+                            std::chrono::milliseconds(welcome.beat_ms),
+                            [&] { return stop.stop_requested(); }))
+                            sendBeat();
+                    } catch (...) {
+                        beat_error = std::current_exception();
+                    }
+                });
+            records = runAssignedUnit(unit, tracing ? &unit_spans
+                                                    : nullptr);
+        }
+        if (beat_error)
+            std::rethrow_exception(beat_error);
+        const std::vector<obs::Span> attempts = unit_spans.spans();
+        std::string jobs;
+        for (std::size_t k = 0; k < unit.size(); ++k) {
+            for (obs::Span span : attempts)
+                if (span.job == unit[k].job_index) {
+                    span.parent_id = dispatch(unit[k]);
+                    spans->append(span);
+                }
+            results.push_back({welcome.slot, welcome.epoch, unit[k].ticket,
+                               harness::encodeJournalRecord(records[k])});
+            jobs += detail::concat(k ? "," : "", unit[k].job_index);
+        }
+        flight.note("unit.done", {}, "jobs=" + jobs);
+    };
+
+    /** Persist the front Result locally, then offer it upstream.
      *  Append-before-send is the durable-before-visible rule the
      *  merge's byte-equality cross-check verifies. */
-    const auto runFrontJob = [&] {
-        const wire::JobSpec spec = queue.front();
-        queue.pop_front();
-        // Attempt spans parent to the coordinator's dispatch span
-        // for this ticket — both sides derive the same id from
-        // (trace, ticket, epoch), so no ids cross the wire.
-        obs::SpanLog job_spans(obs::TraceContext{
-            trace_id, static_cast<std::uint32_t>(100 + welcome.epoch),
-            welcome.epoch,
-            obs::dispatchSpanId(trace_id, spec.ticket, welcome.epoch)});
-        const bool tracing = spans != nullptr && trace_id != 0;
-        const harness::JournalRecord rec =
-            runAssignedJob(spec, tracing ? &job_spans : nullptr);
-        const std::string bytes = harness::encodeJournalRecord(rec);
-        journal->append({welcome.epoch, spec.ticket, bytes});
-        if (tracing)
-            for (const obs::Span &span : job_spans.spans())
-                spans->append(span);
-        wire::sendFrame(fd.get(),
-                        wire::encode(wire::ResultMsg{
-                            welcome.slot, welcome.epoch, spec.ticket,
-                            bytes}));
+    const auto sendFrontResult = [&] {
+        const wire::ResultMsg result = std::move(results.front());
+        results.pop_front();
+        journal->append({result.epoch, result.ticket, result.record});
+        wire::sendFrame(fd.get(), wire::encode(result));
         ++done;
-        flight.note("job.done", {},
-                    detail::concat("ticket=", spec.ticket, " job=",
-                                   spec.job_index));
     };
 
     try {
@@ -272,8 +320,8 @@ runShardWorker(const ShardWorkerConfig &config)
                         return SHARD_EXIT_ERROR;
                     if (assign.trace_id != 0)
                         trace_id = assign.trace_id;
-                    for (wire::JobSpec &job : assign.jobs)
-                        queue.push_back(std::move(job));
+                    if (!assign.jobs.empty())
+                        units.push_back(std::move(assign.jobs));
                     break;
                   }
                   case wire::MsgType::Fenced:
@@ -298,7 +346,8 @@ runShardWorker(const ShardWorkerConfig &config)
             }
 
             // Scripted sabotage fires once, after `after_jobs`
-            // completions (see faultinject::ShardFault).
+            // Results (see faultinject::ShardFault) — mid-unit when
+            // the count falls inside one, never while a unit runs.
             if (fault_armed && done >= config.fault->after_jobs) {
                 fault_armed = false;
                 flight.note("fault",
@@ -324,13 +373,16 @@ runShardWorker(const ShardWorkerConfig &config)
                   case ShardFault::ZombieAppend: {
                     // Go dark past the lease so the coordinator
                     // fences this epoch and migrates the queue...
+                    beats_enabled = false;
                     sleepMs(welcome.lease_ms * 3);
                     // ...then wake up and push one more result under
                     // the stale epoch. The local append lands (in
                     // this epoch's own journal file — it can damage
                     // nothing live) and the Result must be refused.
-                    if (!queue.empty())
-                        runFrontJob();
+                    if (results.empty() && !units.empty())
+                        runFrontUnit();
+                    if (!results.empty())
+                        sendFrontResult();
                     return SHARD_EXIT_FENCED;
                   }
                 }
@@ -339,9 +391,13 @@ runShardWorker(const ShardWorkerConfig &config)
             if (beats_enabled && msSince(last_beat) >= welcome.beat_ms)
                 sendBeat();
 
-            if (!queue.empty()) {
-                runFrontJob();
-                continue; // re-drain and re-beat between jobs
+            if (!results.empty()) {
+                sendFrontResult();
+                continue; // re-drain, re-check faults between Results
+            }
+            if (!units.empty()) {
+                runFrontUnit();
+                continue;
             }
 
             // Idle: wait for traffic until the next beat is due.

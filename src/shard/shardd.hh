@@ -3,13 +3,14 @@
  * Shard worker: one process's share of a distributed sweep.
  *
  * A shard worker dials the coordinator's Unix socket, receives a
- * slot + lease epoch (Welcome), and then loops: pull assigned jobs,
- * execute each through harness::runJob() (the one-job runner
- * aurora_serve uses too, so results are bit-identical to both the
- * daemon and a serial run), append the outcome to its
- * per-epoch local journal, *then* offer it to the coordinator
- * (durable-before-visible), heartbeating between jobs to renew its
- * lease.
+ * slot + lease epoch (Welcome), and then loops: pull assigned units
+ * (one per Assign: jobs that replay one trace), run each in lockstep
+ * through harness::runJob() (the runner aurora_serve uses too, so
+ * results are bit-identical to both the daemon and a serial run),
+ * append each member's outcome to its per-epoch local journal, *then*
+ * offer it to the coordinator (durable-before-visible). It beats to
+ * renew its lease between Results and, from a second thread, while a
+ * unit simulates.
  *
  * The worker is deliberately trusting and dumb: all placement,
  * migration, fencing, and exactly-once logic lives in the
@@ -19,8 +20,8 @@
  *
  * Fault plans (faultinject::ShardFaultPlan) script the four failure
  * modes the supervision layer must absorb — crash, wedge, silent
- * partition, and post-fence zombie append — at a deterministic point
- * in the job stream. Exec'd workers read the plan from the
+ * partition, and post-fence zombie append — after a set number of
+ * Results. Exec'd workers read the plan from the
  * AURORA_SHARD_FAULT environment variable; in-process workers get it
  * in the config.
  */

@@ -170,19 +170,20 @@ Swarm::grantLease(Loner &&dialer, std::uint64_t pid)
 void
 Swarm::migrateAssigned(Slot &slot)
 {
-    for (const std::uint64_t t : slot.assigned) {
-        const auto it = tickets_.find(t);
-        if (it != tickets_.end())
-            obsDispatchEnd(it->second, /*committed=*/false, "migrated");
-    }
-    // Reverse push_front keeps submission order at the queue head, so
+    // Reverse push_front keeps unit order at the queue head, so
     // migrated work still completes (and journals) lowest-index first.
+    std::size_t moved = 0;
     for (auto it = slot.assigned.rbegin(); it != slot.assigned.rend();
-         ++it)
-        pending_.push_front(*it);
-    stats_.migrated_jobs += slot.assigned.size();
-    if (config_.verbose && !slot.assigned.empty())
-        inform(detail::concat("swarm: migrated ", slot.assigned.size(),
+         ++it) {
+        for (const std::uint64_t t : *it)
+            obsDispatchEnd(tickets_.at(t), /*committed=*/false,
+                           "migrated");
+        moved += it->size();
+        pending_.push_front(std::move(*it));
+    }
+    stats_.migrated_jobs += moved;
+    if (config_.verbose && moved > 0)
+        inform(detail::concat("swarm: migrated ", moved,
                               " job(s) off fenced epoch ", slot.epoch));
     slot.assigned.clear();
 }
@@ -228,7 +229,7 @@ Swarm::fenceSlot(std::uint32_t slot_index, const char *diagnostic,
 void
 Swarm::assignPending()
 {
-    // Round-robin one ticket at a time so a refilled fleet shares the
+    // Round-robin one unit at a time so a refilled fleet shares the
     // backlog instead of the first slot swallowing it.
     bool progress = true;
     while (!pending_.empty() && progress) {
@@ -239,14 +240,16 @@ Swarm::assignPending()
             if (!slot.fd.valid() ||
                 slot.assigned.size() >= config_.chunk)
                 continue;
-            const std::uint64_t ticket = pending_.front();
+            wire::AssignMsg assign{slot.epoch, {}, trace_id_};
+            for (const std::uint64_t ticket : pending_.front()) {
+                Ticket &state = tickets_.at(ticket);
+                state.assigned_us = obsNowUs();
+                state.assigned_epoch = slot.epoch;
+                assign.jobs.push_back(state.spec);
+            }
+            slot.assigned.push_back(std::move(pending_.front()));
             pending_.pop_front();
-            slot.assigned.push_back(ticket);
-            Ticket &state = tickets_.at(ticket);
-            state.assigned_us = obsNowUs();
-            state.assigned_epoch = slot.epoch;
-            queueFrame(i, wire::encode(wire::AssignMsg{
-                              slot.epoch, {state.spec}, trace_id_}));
+            queueFrame(i, wire::encode(assign));
             progress = true;
         }
     }
@@ -322,11 +325,14 @@ Swarm::handleSlotMessage(std::uint32_t slot_index,
             return;
         }
         const auto it = tickets_.find(result.ticket);
-        const auto assigned_at =
-            std::find(slot.assigned.begin(), slot.assigned.end(),
-                      result.ticket);
+        const auto unit_at = std::find_if(
+            slot.assigned.begin(), slot.assigned.end(),
+            [&](const Unit &unit) {
+                return std::find(unit.begin(), unit.end(),
+                                 result.ticket) != unit.end();
+            });
         if (it == tickets_.end() || it->second.committed ||
-            assigned_at == slot.assigned.end()) {
+            unit_at == slot.assigned.end()) {
             ++stats_.protocol_errors;
             fenceSlot(slot_index,
                       "AUR305: result for a ticket this incarnation "
@@ -358,7 +364,9 @@ Swarm::handleSlotMessage(std::uint32_t slot_index,
                                   slot.epoch, result.ticket,
                                   std::move(result.record)};
         obsDispatchEnd(ticket, /*committed=*/true, nullptr);
-        slot.assigned.erase(assigned_at);
+        std::erase(*unit_at, result.ticket);
+        if (unit_at->empty())
+            slot.assigned.erase(unit_at);
         --open_tickets_;
         ++stats_.committed;
         if (commit_journal_)
@@ -783,13 +791,18 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
                  detail::concat("fingerprint=", fingerprint,
                                 " jobs=", n));
 
-    // Issue tickets in submission order for every job not replayed.
+    // Issue tickets in submission order for every job not replayed,
+    // then deal them as the units a SweepRunner over one thread per
+    // shard would run.
     const std::uint64_t first_ticket = next_ticket_ + 1;
+    std::vector<std::size_t> pending;
+    std::vector<std::uint64_t> ticket_of(n);
     for (std::size_t i = 0; i < n; ++i) {
         if (outcomes[i].resumed) {
             ++stats_.resumed;
             continue;
         }
+        pending.push_back(i);
         const harness::SweepJob &job = grid[i];
         wire::JobSpec spec;
         spec.ticket = ++next_ticket_;
@@ -804,9 +817,16 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
         spec.retries = options.retries;
         spec.backoff_ms = options.backoff_ms;
         tickets_.emplace(spec.ticket, Ticket{spec, false, {}});
-        pending_.push_back(spec.ticket);
+        ticket_of[i] = spec.ticket;
     }
-    open_tickets_ = pending_.size();
+    open_tickets_ = pending.size();
+    for (const auto &unit : harness::planUnits(grid, pending,
+                                               options.base_seed,
+                                               config_.shards)) {
+        Unit &tickets = pending_.emplace_back();
+        for (const std::size_t i : unit)
+            tickets.push_back(ticket_of[i]);
+    }
 
     // A fully-resumed grid needs no fleet at all.
     if (open_tickets_ > 0 && config_.spawn != SpawnMode::External)

@@ -3,7 +3,9 @@
  * Swarm coordinator: lease-fenced supervision of a shard fleet.
  *
  * The coordinator owns a sweep grid end to end: it partitions the
- * grid into coordinator-issued **tickets**, leases work to N shard
+ * grid into coordinator-issued **tickets**, groups the tickets whose
+ * jobs replay one trace into lockstep **units** (harness::planUnits
+ * over the shard count), leases one unit per Assign to N shard
  * worker processes over the 'ASW1' wire protocol, and is the single
  * commit point — a job is done exactly when the coordinator accepts
  * its Result, and it can be accepted at most once.
@@ -20,12 +22,12 @@
  *    fenced shard's connection is *kept open* when possible, so a
  *    zombie's late Result can be observed, counted (AUR304), and
  *    answered with Fenced rather than silently ignored.
- *  - **Migration**: tickets in flight on a fenced incarnation return
- *    to the front of the pending queue, in submission order, and
- *    reassign to live shards. Determinism makes this safe: a job's
- *    result depends only on the job, so running it on a different
- *    shard — or twice, once behind the fence — cannot change what
- *    commits.
+ *  - **Migration**: what is left of each unit in flight on a fenced
+ *    incarnation returns to the front of the pending queue as a
+ *    unit, in order, and reassigns to live shards. Determinism makes
+ *    this safe: a job's result depends only on the job, so running
+ *    it on a different shard — or twice, once behind the fence —
+ *    cannot change what commits.
  *  - **Respawn**: in Fork/Exec spawn modes a fenced slot is refilled
  *    with a fresh process (bounded by max_respawns); in External
  *    mode the coordinator simply keeps going on the surviving
@@ -98,13 +100,13 @@ struct SwarmConfig
     SpawnMode spawn = SpawnMode::Fork;
     /** aurora_shardd binary (Exec mode). */
     std::string shardd_path;
-    /** Miss Beats for this long and the lease is fenced. Must exceed
-     *  the worst-case single-job wall time: a shard deep in one
-     *  simulation cannot beat. */
+    /** Miss Beats for this long and the lease is fenced. A shard
+     *  beats while it simulates too, so the lease bounds silence, not
+     *  job time: a wedged unit is ended by the watchdog and deadline. */
     std::uint64_t lease_ms = 10'000;
     /** Beat cadence granted to shards (0 = lease_ms / 4). */
     std::uint64_t beat_ms = 0;
-    /** Target in-flight tickets per shard. Two keeps a shard busy
+    /** Target in-flight units per shard. Two keeps a shard busy
      *  while its next assignment is in transit; the tail of the grid
      *  naturally drains to one. */
     std::uint32_t chunk = 2;
@@ -223,6 +225,9 @@ class Swarm
 
   private:
     using Clock = std::chrono::steady_clock;
+    /** Tickets of grid jobs that replay one trace, dealt in one
+     *  Assign and run in lockstep (harness::planUnits). */
+    using Unit = std::vector<std::uint64_t>;
 
     /** One shard slot (current incarnation, if any). */
     struct Slot
@@ -232,8 +237,9 @@ class Swarm
         std::uint64_t epoch = 0;
         Clock::time_point last_beat{};
         Clock::time_point last_msg{};
-        /** Tickets in flight on this incarnation, oldest first. */
-        std::deque<std::uint64_t> assigned;
+        /** Units in flight on this incarnation, oldest first, each
+         *  down to its uncommitted tickets. */
+        std::deque<Unit> assigned;
         /** Buffered unsent frames (a wedged shard must not block
          *  the coordinator in a blocking send). */
         std::string outbuf;
@@ -312,7 +318,7 @@ class Swarm
     std::uint64_t next_epoch_ = 0;
     std::uint64_t next_ticket_ = 0;
     std::map<std::uint64_t, Ticket> tickets_;
-    std::deque<std::uint64_t> pending_;
+    std::deque<Unit> pending_;
     std::uint64_t open_tickets_ = 0;
     std::set<std::uint64_t> fenced_epochs_;
     std::vector<ShardJournalRef> journal_refs_;

@@ -109,6 +109,27 @@ TEST(Lockstep, Fig4GridMatchesPerJobSimulate)
     }
 }
 
+TEST(Lockstep, OneWorkerNeverCutsAGroup)
+{
+    // One trace, six machines, one worker: nothing to balance, so the
+    // group runs as one unit and the trace is synthesized once.
+    std::vector<SweepJob> grid;
+    for (const MachineConfig &model : studyModels())
+        for (const unsigned issue : {1u, 2u})
+            grid.push_back({model.withIssueWidth(issue), trace::li(), N});
+    const std::vector<std::string> solo = soloBytes(grid);
+    SweepOptions opts;
+    opts.workers = 1;
+    SweepRunner runner(opts);
+    const auto outcomes = runner.runOutcomes(grid);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+        EXPECT_EQ(runResultBytes(outcomes[i].result), solo[i])
+            << "job " << i;
+    }
+    EXPECT_EQ(runner.report().synthesized_instructions, N);
+}
+
 TEST(Lockstep, SimulateSharedIsolatesEveryMember)
 {
     MachineConfig invalid = baselineModel();

@@ -289,7 +289,7 @@ TEST(SpanLog, OneJobRunnersShareOneTrackPerWorkerThread)
         jobs.insert(span.job);
     }
     EXPECT_EQ(tracks, (std::set<std::uint32_t>{0, 1}));
-    EXPECT_EQ(jobs.size(), grid.size()); // span_job_base = index
+    EXPECT_EQ(jobs.size(), grid.size()); // span job id = index
 }
 
 TEST(SpanLog, RendersAsValidTraceEventDocument)

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -222,7 +223,9 @@ TEST(SweepSpans, WorkerPoolAttemptsParentToJobSpansUnderTheRoot)
     harness::SweepRunner(jopts).runOutcomes(smallGrid());
     jopts.resume = true;
     jopts.span_log = &log;
-    jopts.span_job_base = tasks.size();
+    jopts.span_jobs.resize(smallGrid().size());
+    std::iota(jopts.span_jobs.begin(), jopts.span_jobs.end(),
+              tasks.size());
     harness::SweepRunner(jopts).runOutcomes(smallGrid());
     fs::remove(journal);
 

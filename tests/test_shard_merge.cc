@@ -45,12 +45,18 @@ tempPath(const std::string &name)
     return (fs::path(::testing::TempDir()) / name).string();
 }
 
+/** Two machines per trace, so every unit has two members at one and
+ *  two shards and a fault after one Result lands mid-unit. */
 std::vector<harness::SweepJob>
 testGrid()
 {
-    const core::MachineConfig machine =
-        core::parseMachineSpec("model=small");
-    return harness::suiteJobs(machine, trace::integerSuite(), 2000);
+    std::vector<harness::SweepJob> grid;
+    for (const char *spec : {"model=small", "model=baseline"}) {
+        const auto row = harness::suiteJobs(core::parseMachineSpec(spec),
+                                            trace::integerSuite(), 2000);
+        grid.insert(grid.end(), row.begin(), row.end());
+    }
+    return grid;
 }
 
 /** Serial ground truth, computed once per binary run. */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Coordinator supervision tests: lease fencing and migration under
- * each scripted ShardFault, the zombie-append refusal (AUR304), the
+ * each scripted ShardFault, the zombie-append refusal (AUR304), one
+ * shard running a trace group as one lockstep unit, the
  * commit journal's resume path, configuration rejection, the
  * external-fleet loss timeout, and the refusal of a foreign protocol
  * version (AUR305).
@@ -18,6 +19,7 @@
 #include "faultinject/faultinject.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
+#include "obs/flight.hh"
 #include "shard/shard_wire.hh"
 #include "shard/swarm.hh"
 #include "trace/spec_profiles.hh"
@@ -49,20 +51,22 @@ testGrid(Count insts = 2000)
 }
 
 /**
- * A grid for faults that must land mid-grid. A shard beats only
- * between jobs, so each job stays far below the 400 ms lease; twelve
- * of them together outlast the lease and the 250 ms respawn throttle
- * with margin, even on a fast host.
+ * A grid for faults that must land mid-grid. A shard beats while it
+ * simulates, so no unit length threatens the 400 ms lease; three
+ * machines per trace make units of three jobs, and the eighteen jobs
+ * together outlast the lease and the 250 ms respawn throttle with
+ * margin, even on a fast host.
  */
 std::vector<harness::SweepJob>
 longGrid()
 {
     constexpr Count INSTS = 600'000;
     auto grid = testGrid(INSTS);
-    const auto more = harness::suiteJobs(
-        core::parseMachineSpec("model=baseline"), trace::integerSuite(),
-        INSTS);
-    grid.insert(grid.end(), more.begin(), more.end());
+    for (const char *spec : {"model=baseline", "model=large"}) {
+        const auto more = harness::suiteJobs(
+            core::parseMachineSpec(spec), trace::integerSuite(), INSTS);
+        grid.insert(grid.end(), more.begin(), more.end());
+    }
     return grid;
 }
 
@@ -144,6 +148,46 @@ TEST(SwarmSupervision, DropHeartbeatsIsFencedWhileResultsFlow)
     const auto grid = longGrid();
     expectAllOk(swarm.runGrid(grid, {}), grid.size());
     EXPECT_GE(swarm.stats().lease_expiries, 1u);
+    EXPECT_EQ(swarm.stats().committed, grid.size());
+}
+
+TEST(SwarmSupervision, OneShardRunsATraceGroupAsOneUnit)
+{
+    // One trace replayed by six machines: the coordinator deals the
+    // whole group as one unit, and the shard simulates it over one
+    // synthesized stream (one unit.done note listing all six jobs).
+    std::vector<harness::SweepJob> grid;
+    for (const core::MachineConfig &model : core::studyModels())
+        for (const unsigned issue : {1u, 2u})
+            grid.push_back(
+                {model.withIssueWidth(issue), trace::espresso(), 2000});
+    shard::SwarmConfig config = baseConfig("lockstep");
+    config.shards = 1;
+    config.flight_dir = tempPath("swarm-lockstep.obs");
+    fs::remove_all(config.flight_dir);
+    shard::Swarm swarm(config);
+    const auto outcomes = swarm.runGrid(grid, {});
+
+    harness::SweepOptions serial;
+    serial.workers = 1;
+    const auto want = harness::SweepRunner(serial).runOutcomes(grid);
+    ASSERT_EQ(outcomes.size(), want.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+        EXPECT_EQ(harness::runResultBytes(outcomes[i].result),
+                  harness::runResultBytes(want[i].result))
+            << "job " << i;
+    }
+
+    std::vector<std::string> units;
+    for (const auto &entry : fs::directory_iterator(config.flight_dir))
+        if (entry.path().extension() == ".flight" &&
+            entry.path().filename().string().starts_with("shard-"))
+            for (const obs::FlightEvent &event :
+                 obs::loadFlightFile(entry.path().string()).events)
+                if (event.event == "unit.done")
+                    units.push_back(event.detail);
+    EXPECT_EQ(units, std::vector<std::string>{"jobs=0,1,2,3,4,5"});
     EXPECT_EQ(swarm.stats().committed, grid.size());
 }
 

@@ -20,8 +20,8 @@
  *                       N aurora_shardd processes under lease-fenced
  *                       supervision instead of in-process workers
  *   --shardd PATH       aurora_shardd binary (required with --shards)
- *   --shard-lease-ms N  shard lease; must exceed the worst-case
- *                       single-job wall time (default 10000)
+ *   --shard-lease-ms N  shard lease: the longest a shard may go
+ *                       without a beat (default 10000)
  *   --quiet             suppress lifecycle log lines
  *
  * Lifecycle: runs until SIGTERM/SIGINT, then drains — running jobs

@@ -28,7 +28,8 @@
  *
  * --fault scripts sabotage into a spawned slot, e.g.
  * `--fault 1:kill-shard:2` SIGKILL-shapes slot 1's initial worker
- * after two jobs (see `aurora_lint explain AUR302`).
+ * after two Results (see `aurora_lint explain AUR302`). --chunk counts
+ * the lockstep units in flight per shard.
  *
  * --trace-out mints a causal trace id for the grid and writes the
  * merged Chrome trace — coordinator lease/dispatch/merge spans plus
