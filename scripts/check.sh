@@ -333,14 +333,15 @@ run_serve_drill() {
     echo "serve drill: admission daemon drained, exited 0"
 }
 
-# Distributed chaos drill against the real binaries: an external-mode
-# coordinator (aurora_swarm --spawn external) with a four-worker
-# aurora_shardd fleet owned by this script. Two workers are SIGKILLed
-# mid-grid; a third runs the zombie-append sabotage (silent past its
+# Distributed chaos drill against the real binaries: an exec-mode
+# coordinator (aurora_swarm --spawn exec) forks four aurora_shardd
+# workers; slot 3 runs the zombie-append sabotage (silent past its
 # lease, then one post-fence Result the coordinator must refuse with
-# AUR304). Every job must complete exactly once under AURORA_AUDIT=1
-# and the merged CSV must be byte-identical to a serial aurora_sim
-# run of the same grid.
+# AUR304). Once all four are exec'd, this script SIGKILLs two of the
+# healthy ones mid-grid, found as the coordinator's children whose
+# environment carries no AURORA_SHARD_FAULT. Every job must complete
+# exactly once under AURORA_AUDIT=1 and the merged CSV must be
+# byte-identical to a serial aurora_sim run of the same grid.
 run_shard_drill() {
     echo "==== check: shard ===="
     cmake --preset release
@@ -360,28 +361,38 @@ run_shard_drill() {
         > "${dir}/serial.csv"
 
     AURORA_AUDIT=1 "${swarm}" --socket "${sock}" \
-        --journal-dir "${jdir}" --shards 4 --spawn external \
+        --journal-dir "${jdir}" --shards 4 --spawn exec \
+        --shardd "${shardd}" --fault 3:zombie-append:1 \
         --bench all --insts "${insts}" --csv --lease-ms 800 \
         --stats > "${dir}/merged.csv" 2> "${dir}/swarm.log" &
     local coord=$!
-    while [ ! -S "${sock}" ] && kill -0 "${coord}" 2>/dev/null; do
+
+    # A child counts once it has exec'd: before that it is still a
+    # copy of aurora_swarm, and its environment does not yet show
+    # the fault plan.
+    local workers=()
+    while [ "${#workers[@]}" -lt 4 ] && kill -0 "${coord}" 2>/dev/null; do
         sleep 0.02
+        mapfile -t workers < <(pgrep -P "${coord}" -x aurora_shardd)
     done
-
-    local w
-    local wpids=()
-    for w in 1 2 3; do
-        "${shardd}" --socket "${sock}" --journal-dir "${jdir}" &
-        wpids+=("$!")
-    done
-    # The fourth worker is the zombie: it goes silent after one job,
-    # outlives its fence, then attempts one late append + Result.
-    AURORA_SHARD_FAULT="zombie-append:1" \
-        "${shardd}" --socket "${sock}" --journal-dir "${jdir}" &
-    wpids+=("$!")
-
     sleep 0.4
-    kill -9 "${wpids[0]}" "${wpids[1]}" 2>/dev/null || true
+    local pid
+    local victims=()
+    local environ
+    for pid in "${workers[@]}"; do
+        [ "${#victims[@]}" -lt 2 ] || break
+        environ="$(tr '\0' '\n' < "/proc/${pid}/environ")" || continue
+        if ! grep -q '^AURORA_SHARD_FAULT=' <<< "${environ}"; then
+            victims+=("${pid}")
+        fi
+    done
+    if [ "${#victims[@]}" -lt 2 ]; then
+        echo "shard drill: found ${#victims[@]} healthy shard(s) to" \
+             "kill, need 2" >&2
+        kill "${coord}" 2>/dev/null || true
+        exit 1
+    fi
+    kill -9 "${victims[@]}" 2>/dev/null || true
     echo "shard drill: SIGKILLed two of four shards mid-grid"
 
     local status=0
@@ -391,10 +402,6 @@ run_shard_drill() {
         cat "${dir}/swarm.log" >&2
         exit 1
     fi
-    local pid
-    for pid in "${wpids[@]}"; do
-        wait "${pid}" 2>/dev/null || true
-    done
 
     cmp "${dir}/serial.csv" "${dir}/merged.csv"
     echo "shard drill: merged CSV byte-identical to serial (audit on)"

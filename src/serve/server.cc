@@ -523,10 +523,10 @@ Server::workerMain()
 void
 Server::shardMain()
 {
-    // One dispatcher thread owns one Swarm and deals whole grids to
-    // the shard fleet. The Swarm is built lazily and rebuilt after an
-    // unrecoverable fleet failure, so one lost fleet cannot wedge the
-    // daemon.
+    // One dispatcher thread owns one Swarm and deals it whole grids;
+    // each grid runs on a fresh fleet. The Swarm is built lazily and
+    // rebuilt after an unrecoverable fleet failure, so one lost fleet
+    // cannot wedge the daemon.
     std::unique_ptr<shard::Swarm> swarm;
     const std::string socket = config_.spool_dir + "/swarm.sock";
     const std::string journal_dir = config_.spool_dir + "/swarm.jd";
@@ -545,8 +545,6 @@ Server::shardMain()
             sc.shards = config_.shards;
             sc.spawn = shard::SpawnMode::Exec;
             sc.shardd_path = config_.shardd_path;
-            if (config_.shard_lease_ms != 0)
-                sc.lease_ms = config_.shard_lease_ms;
             sc.verbose = config_.verbose;
             swarm = std::make_unique<shard::Swarm>(std::move(sc));
         }

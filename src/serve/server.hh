@@ -144,9 +144,6 @@ struct ServerConfig
     unsigned shards = 0;
     /** Path to the aurora_shardd binary (required when shards > 0). */
     std::string shardd_path;
-    /** Shard lease in milliseconds (0 = shard::SwarmConfig default):
-     *  the longest a shard may go without a beat. */
-    std::uint64_t shard_lease_ms = 0;
 };
 
 /** Locked snapshot of daemon state (Status requests, tests). */

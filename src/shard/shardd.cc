@@ -106,8 +106,7 @@ shardJournalPath(const std::string &journal_dir, std::uint64_t epoch)
 int
 runShardWorker(const ShardWorkerConfig &config)
 {
-    // Dial the coordinator, retrying while it comes up: external
-    // drills start workers and coordinator in parallel.
+    // Dial the coordinator, retrying while its socket comes up.
     util::Fd fd;
     {
         const Clock::time_point t0 = Clock::now();
@@ -363,7 +362,7 @@ runShardWorker(const ShardWorkerConfig &config)
                     ::_exit(SHARD_EXIT_KILLED);
                   case ShardFault::HangShard:
                     // Wedge: no beats, no reads, no work. Bounded so
-                    // an external drill's orphan cannot linger.
+                    // an orphan cannot linger.
                     sleepMs(welcome.lease_ms * 20);
                     return SHARD_EXIT_FENCED;
                   case ShardFault::DropHeartbeats:

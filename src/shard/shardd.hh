@@ -59,8 +59,8 @@ struct ShardWorkerConfig
     /** Directory for per-epoch local journals (must be shared with
      *  the coordinator — see shardJournalPath()). */
     std::string journal_dir;
-    /** Keep retrying the initial connect for this long (external
-     *  drills may start workers before the coordinator listens). */
+    /** Keep retrying the initial connect for this long (a worker
+     *  started by hand may come up before the coordinator listens). */
     std::uint64_t connect_timeout_ms = 5000;
     /** Scripted failure, if any. */
     std::optional<faultinject::ShardFaultPlan> fault;

@@ -26,6 +26,14 @@ namespace aurora::shard
 namespace
 {
 
+/** Beat cadence granted to shards, as a fraction of the lease. */
+constexpr std::uint64_t BEATS_PER_LEASE = 4;
+/** Units in flight per shard: two keep a shard busy while its next
+ *  assignment is in transit; the tail of the grid drains to one. */
+constexpr std::size_t UNITS_IN_FLIGHT = 2;
+/** Replacement workers per Swarm, across all slots and grids. */
+constexpr std::uint64_t MAX_RESPAWNS = 8;
+
 std::uint64_t
 msSince(std::chrono::steady_clock::time_point t0)
 {
@@ -57,8 +65,6 @@ Swarm::Swarm(SwarmConfig config) : config_(std::move(config))
         util::raiseError(util::SimErrorCode::BadConfig,
                          "swarm: exec spawn mode needs the "
                          "aurora_shardd binary path");
-    if (config_.beat_ms == 0)
-        config_.beat_ms = std::max<std::uint64_t>(1, config_.lease_ms / 4);
     config_.fault_plans.resize(config_.shards);
     std::filesystem::create_directories(config_.journal_dir);
     if (!config_.flight_dir.empty()) {
@@ -164,7 +170,9 @@ Swarm::grantLease(Loner &&dialer, std::uint64_t pid)
     queueFrame(index,
                wire::encode(wire::WelcomeMsg{
                    wire::SHARD_PROTOCOL_VERSION, index, slot.epoch,
-                   config_.lease_ms, config_.beat_ms}));
+                   config_.lease_ms,
+                   std::max<std::uint64_t>(
+                       1, config_.lease_ms / BEATS_PER_LEASE)}));
 }
 
 void
@@ -238,7 +246,7 @@ Swarm::assignPending()
              i < config_.shards && !pending_.empty(); ++i) {
             Slot &slot = slots_[i];
             if (!slot.fd.valid() ||
-                slot.assigned.size() >= config_.chunk)
+                slot.assigned.size() >= UNITS_IN_FLIGHT)
                 continue;
             wire::AssignMsg assign{slot.epoch, {}, trace_id_};
             for (const std::uint64_t ticket : pending_.front()) {
@@ -589,7 +597,6 @@ Swarm::pollOnce(int timeout_ms)
             dialer.fd = std::move(conn);
             dialer.opened = Clock::now();
             loners_.push_back(std::move(dialer));
-            last_live_ = Clock::now();
         }
     }
 }
@@ -644,18 +651,7 @@ Swarm::shutdownFleet()
     // refused over the wire (AUR304) instead of dying unheard — the
     // refusal is part of the fencing contract, not best-effort.
     const Clock::time_point t0 = Clock::now();
-    // External mode has no children to reap, but a fenced zombie's
-    // kept-open connection (a Loner with a granted epoch) deserves
-    // the same grace: keep polling until it exits or sends the late
-    // Result we owe a refusal.
-    const auto fencedLonerOpen = [this] {
-        for (const Loner &loner : loners_)
-            if (loner.fd.valid() && loner.epoch != 0)
-                return true;
-        return false;
-    };
-    while ((!children_.empty() || fencedLonerOpen()) &&
-           msSince(t0) < 2000) {
+    while (!children_.empty() && msSince(t0) < 2000) {
         pollOnce(20);
         reapChildren();
     }
@@ -759,6 +755,11 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
 {
     if (options.preflight)
         harness::preflightGrid(grid);
+    // Each grid merges only its own tickets and its own epochs'
+    // journals: the previous grid's fleet drained cleanly, so its
+    // journals hold entries no commit of this grid accounts for.
+    tickets_.clear();
+    journal_refs_.clear();
     draining_ = false;
     trace_id_ = options.trace_id;
     span_log_ = options.span_log;
@@ -794,7 +795,6 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     // Issue tickets in submission order for every job not replayed,
     // then deal them as the units a SweepRunner over one thread per
     // shard would run.
-    const std::uint64_t first_ticket = next_ticket_ + 1;
     std::vector<std::size_t> pending;
     std::vector<std::uint64_t> ticket_of(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -829,17 +829,15 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     }
 
     // A fully-resumed grid needs no fleet at all.
-    if (open_tickets_ > 0 && config_.spawn != SpawnMode::External)
+    if (open_tickets_ > 0)
         for (std::uint32_t i = 0; i < config_.shards; ++i)
             spawnWorker(config_.fault_plans[i]);
-    last_live_ = Clock::now();
 
     while (open_tickets_ > 0) {
         assignPending();
         pollOnce(20);
         checkLeases();
-        if (config_.spawn != SpawnMode::External)
-            reapChildren();
+        reapChildren();
 
         const bool any_live =
             std::any_of(slots_.begin(), slots_.end(),
@@ -847,46 +845,30 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
         const bool any_dialer =
             std::any_of(loners_.begin(), loners_.end(),
                         [](const Loner &l) { return l.epoch == 0; });
-        if (any_live || any_dialer)
-            last_live_ = Clock::now();
-
-        if (config_.spawn != SpawnMode::External) {
-            const bool need = !any_live || !pending_.empty();
-            if (need && !any_dialer &&
-                stats_.respawns < config_.max_respawns &&
-                msSince(last_spawn_) >= 250) {
-                std::uint32_t vacant = 0;
-                for (const Slot &slot : slots_)
-                    if (!slot.fd.valid())
-                        ++vacant;
-                if (vacant > 0) {
-                    ++stats_.respawns;
-                    flight_.note("shard.respawn", {},
-                                 detail::concat(stats_.respawns, "/",
-                                                config_.max_respawns));
-                    spawnWorker(std::nullopt);
-                    if (config_.verbose)
-                        inform(detail::concat(
-                            "swarm: respawned a worker (",
-                            stats_.respawns, "/",
-                            config_.max_respawns, " used)"));
-                }
-            }
-            if (!any_live && !any_dialer && children_.empty() &&
-                stats_.respawns >= config_.max_respawns)
-                util::raiseError(
-                    util::SimErrorCode::Internal,
-                    "swarm: shard fleet lost with ", open_tickets_,
-                    " job(s) open and the respawn budget (",
-                    config_.max_respawns, ") exhausted");
-        } else if (!any_live && !any_dialer &&
-                   msSince(last_live_) > config_.idle_timeout_ms) {
-            util::raiseError(
-                util::SimErrorCode::Internal,
-                "swarm: no shard worker for ",
-                config_.idle_timeout_ms, " ms with ", open_tickets_,
-                " job(s) open — fleet lost");
+        const bool need = !any_live || !pending_.empty();
+        const bool vacant =
+            std::any_of(slots_.begin(), slots_.end(),
+                        [](const Slot &s) { return !s.fd.valid(); });
+        if (need && vacant && !any_dialer &&
+            stats_.respawns < MAX_RESPAWNS &&
+            msSince(last_spawn_) >= 250) {
+            ++stats_.respawns;
+            flight_.note("shard.respawn", {},
+                         detail::concat(stats_.respawns, "/",
+                                        MAX_RESPAWNS));
+            spawnWorker(std::nullopt);
+            if (config_.verbose)
+                inform(detail::concat("swarm: respawned a worker (",
+                                      stats_.respawns, "/",
+                                      MAX_RESPAWNS, " used)"));
         }
+        if (!any_live && !any_dialer && children_.empty() &&
+            stats_.respawns >= MAX_RESPAWNS)
+            util::raiseError(util::SimErrorCode::Internal,
+                             "swarm: shard fleet lost with ",
+                             open_tickets_,
+                             " job(s) open and the respawn budget (",
+                             MAX_RESPAWNS, ") exhausted");
     }
 
     shutdownFleet();
@@ -899,11 +881,9 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     journals.reserve(journal_refs_.size());
     std::vector<CommitRef> commits;
     commits.reserve(tickets_.size());
-    for (std::uint64_t t = first_ticket; t <= next_ticket_; ++t) {
-        const auto it = tickets_.find(t);
-        if (it != tickets_.end() && it->second.committed)
-            commits.push_back(it->second.commit);
-    }
+    for (const auto &[id, ticket] : tickets_)
+        if (ticket.committed)
+            commits.push_back(ticket.commit);
     for (const ShardJournalRef &ref : journal_refs_) {
         if (std::filesystem::exists(ref.path)) {
             journals.push_back(ref);
@@ -967,8 +947,10 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
             if (!std::filesystem::exists(spans_path))
                 continue;
             try {
-                // A reused fabric's flight dir accumulates span files
-                // across grids; only this grid's trace folds in.
+                // A rebuilt coordinator counts epochs from 1 again, so
+                // an incarnation that died before reopening its span
+                // file leaves an older grid's spans under its name;
+                // only this grid's trace folds in.
                 std::vector<obs::Span> spans =
                     obs::loadSpanFile(spans_path).spans;
                 spans.erase(std::remove_if(

@@ -28,10 +28,10 @@
  *    this safe: a job's result depends only on the job, so running
  *    it on a different shard — or twice, once behind the fence —
  *    cannot change what commits.
- *  - **Respawn**: in Fork/Exec spawn modes a fenced slot is refilled
- *    with a fresh process (bounded by max_respawns); in External
- *    mode the coordinator simply keeps going on the surviving
- *    shards, and a newly-dialled worker may claim the vacant slot.
+ *  - **Respawn**: a fenced slot is refilled with a fresh child
+ *    process, at most eight times per Swarm across all slots; a
+ *    grid fails as a lost fleet only once that budget is spent and
+ *    no worker is left.
  *
  * The final step of runGrid() is the deterministic merge
  * (shard_journal.hh): every commit is cross-checked byte-for-byte
@@ -82,10 +82,6 @@ enum class SpawnMode
      *  SwarmConfig::shardd_path — required inside multithreaded
      *  hosts (aurora_serve), where fork-without-exec is unsafe. */
     Exec,
-    /** Workers are started externally (the chaos drill's mode: the
-     *  script owns the pids so it can SIGKILL them mid-grid). The
-     *  coordinator only accepts connections. */
-    External,
 };
 
 struct SwarmConfig
@@ -100,30 +96,20 @@ struct SwarmConfig
     SpawnMode spawn = SpawnMode::Fork;
     /** aurora_shardd binary (Exec mode). */
     std::string shardd_path;
-    /** Miss Beats for this long and the lease is fenced. A shard
-     *  beats while it simulates too, so the lease bounds silence, not
-     *  job time: a wedged unit is ended by the watchdog and deadline. */
+    /** Miss Beats for this long and the lease is fenced; shards are
+     *  told to beat every lease_ms / 4. A shard beats while it
+     *  simulates too, so the lease bounds silence, not job time: a
+     *  wedged unit is ended by the watchdog and deadline. */
     std::uint64_t lease_ms = 10'000;
-    /** Beat cadence granted to shards (0 = lease_ms / 4). */
-    std::uint64_t beat_ms = 0;
-    /** Target in-flight units per shard. Two keeps a shard busy
-     *  while its next assignment is in transit; the tail of the grid
-     *  naturally drains to one. */
-    std::uint32_t chunk = 2;
-    /** Replacement processes per run across all slots (Fork/Exec). */
-    std::uint32_t max_respawns = 8;
-    /** External mode: give up when the fleet is empty and no worker
-     *  has dialled in for this long. */
-    std::uint64_t idle_timeout_ms = 30'000;
-    /** Scripted sabotage per initial slot (Fork/Exec spawns only;
-     *  respawned replacements are always healthy). */
+    /** Scripted sabotage per initial slot (respawned replacements
+     *  are always healthy). */
     std::vector<std::optional<faultinject::ShardFaultPlan>> fault_plans;
     /** Log supervision events (fences, migrations, respawns). */
     bool verbose = false;
     /**
      * Observability directory: the coordinator spools its flight
      * recorder to `<dir>/swarm.flight`, and every worker it spawns
-     * (any mode via ShardWorkerConfig / --flight-dir) writes
+     * (via ShardWorkerConfig or --flight-dir) writes
      * `<dir>/shard-e<epoch>.flight` + `.spans` there. Empty = no
      * flight recording and no shard span files.
      */
@@ -174,7 +160,7 @@ struct SwarmStats
     std::uint64_t protocol_errors = 0;
     /** Tickets migrated off fenced incarnations. */
     std::uint64_t migrated_jobs = 0;
-    /** Replacement workers spawned (Fork/Exec). */
+    /** Replacement workers spawned. */
     std::uint64_t respawns = 0;
     /** Results committed (exactly-once; excludes resumed). */
     std::uint64_t committed = 0;
@@ -189,8 +175,9 @@ struct SwarmStats
  * The coordinator. Construction binds the socket; runGrid() runs one
  * grid to completion in the calling thread (single-threaded poll
  * loop — fork()-spawning is safe because the coordinator never holds
- * locks across fork()). A Swarm may run several grids in sequence;
- * stats accumulate.
+ * locks across fork()). A Swarm may run several grids in sequence:
+ * each grid spawns a fresh fleet and merges only its own epochs'
+ * journals; stats and the fenced-epoch set accumulate.
  */
 class Swarm
 {
@@ -204,8 +191,8 @@ class Swarm
     /**
      * Execute @p grid across the shard fleet and return submission-
      * order outcomes bit-identical to a single-process
-     * SweepRunner::runOutcomes() of the same grid. Spawns workers
-     * (Fork/Exec) or awaits them (External), supervises leases,
+     * SweepRunner::runOutcomes() of the same grid. Spawns a fleet of
+     * SwarmConfig::shards workers, supervises leases,
      * migrates work off fenced shards, then merge-verifies the
      * per-epoch shard journals before returning. Throws SimError on
      * unrecoverable failure (merge violation, fleet lost and
@@ -244,7 +231,7 @@ class Swarm
          *  the coordinator in a blocking send). */
         std::string outbuf;
         std::size_t outpos = 0;
-        /** Spawned child pid (Fork/Exec; -1 otherwise). */
+        /** Pid the worker reported in its Hello (-1 = vacant). */
         long pid = -1;
         /** Lease-grant timestamp on the obs clock (lease span start). */
         double lease_start_us = 0.0;
@@ -313,7 +300,7 @@ class Swarm
     util::Fd listener_;
     std::vector<Slot> slots_;
     std::vector<Loner> loners_;
-    /** Unreaped pids of every spawned worker (Fork/Exec). */
+    /** Unreaped pids of every spawned worker. */
     std::vector<long> children_;
     std::uint64_t next_epoch_ = 0;
     std::uint64_t next_ticket_ = 0;
@@ -323,7 +310,6 @@ class Swarm
     std::set<std::uint64_t> fenced_epochs_;
     std::vector<ShardJournalRef> journal_refs_;
     harness::JournalWriter *commit_journal_ = nullptr; // runGrid-local
-    Clock::time_point last_live_{};
     Clock::time_point last_spawn_{};
     /** Set while shutdownFleet() drains: slot EOFs are clean exits
      *  (not AUR302) and late dialers get Shutdown, not a lease. */

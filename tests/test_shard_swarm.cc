@@ -2,17 +2,16 @@
  * @file
  * Coordinator supervision tests: lease fencing and migration under
  * each scripted ShardFault, the zombie-append refusal (AUR304), one
- * shard running a trace group as one lockstep unit, the
- * commit journal's resume path, configuration rejection, the
- * external-fleet loss timeout, and the refusal of a foreign protocol
- * version (AUR305).
+ * shard running a trace group as one lockstep unit, one Swarm running
+ * two grids in turn, the commit journal's resume path, configuration
+ * rejection, a fleet lost once its respawn budget is spent, and the
+ * refusal of a foreign protocol version (AUR305).
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/config_io.hh"
@@ -191,6 +190,34 @@ TEST(SwarmSupervision, OneShardRunsATraceGroupAsOneUnit)
     EXPECT_EQ(swarm.stats().committed, grid.size());
 }
 
+TEST(SwarmSupervision, ReusedSwarmRunsASecondGrid)
+{
+    // aurora_serve keeps one Swarm for every grid. Each grid spawns a
+    // fresh fleet, and its merge must see only its own tickets and
+    // epochs: the first grid's cleanly drained journals hold entries
+    // no commit of the second grid accounts for.
+    shard::Swarm swarm(baseConfig("reuse"));
+    harness::SweepOptions serial;
+    serial.workers = 1;
+    std::size_t jobs = 0;
+    for (const Count insts : {2000, 3000}) {
+        SCOPED_TRACE("grid of " + std::to_string(insts) + " insts");
+        const auto grid = testGrid(insts);
+        const auto outcomes = swarm.runGrid(grid, {});
+        const auto want = harness::SweepRunner(serial).runOutcomes(grid);
+        ASSERT_EQ(outcomes.size(), want.size());
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+            EXPECT_EQ(harness::runResultBytes(outcomes[i].result),
+                      harness::runResultBytes(want[i].result))
+                << "job " << i;
+        }
+        jobs += grid.size();
+    }
+    EXPECT_EQ(swarm.stats().committed, jobs);
+    EXPECT_EQ(swarm.stats().granted_leases, 4u);
+}
+
 TEST(SwarmSupervision, CommitJournalResumeReplaysWithoutShards)
 {
     const auto grid = testGrid();
@@ -241,50 +268,46 @@ TEST(SwarmSupervision, ExecModeWithoutBinaryIsBadConfig)
     }
 }
 
-TEST(SwarmSupervision, ExternalFleetThatNeverDialsIsLost)
+TEST(SwarmSupervision, ExecFleetWithoutABinaryIsLost)
 {
-    shard::SwarmConfig config = baseConfig("ghost");
-    config.spawn = shard::SpawnMode::External;
-    config.idle_timeout_ms = 300;
+    // Every exec fails, so no worker ever dials: the coordinator
+    // spends its whole respawn budget, then gives the grid up.
+    shard::SwarmConfig config = baseConfig("nobinary");
+    config.spawn = shard::SpawnMode::Exec;
+    config.shardd_path = tempPath("no-such-aurora_shardd");
+    fs::remove(config.shardd_path);
     shard::Swarm swarm(config);
     try {
         (void)swarm.runGrid(testGrid(), {});
         FAIL() << "grid completed with no workers";
     } catch (const SimError &e) {
         EXPECT_NE(std::string(e.what()).find("fleet lost"),
-                  std::string::npos);
+                  std::string::npos)
+            << e.what();
     }
+    EXPECT_EQ(swarm.stats().respawns, 8u);
+    EXPECT_EQ(swarm.stats().granted_leases, 0u);
 }
 
 TEST(SwarmSupervision, V1HelloIsRefusedWithAur305)
 {
     // A dialer speaking protocol v1 gets no lease: the coordinator
     // closes the connection without a Welcome and counts a protocol
-    // error. No real worker ever dials, so the grid then ends as a
-    // lost fleet.
+    // error, while its own fleet runs the grid. The listener is bound
+    // at construction, so the dialer's Hello waits in the socket until
+    // runGrid starts polling.
     shard::SwarmConfig config = baseConfig("v1");
-    config.spawn = shard::SpawnMode::External;
-    config.idle_timeout_ms = 1000;
     shard::Swarm swarm(config);
-    std::string error;
-    std::thread coordinator([&] {
-        try {
-            (void)swarm.runGrid(testGrid(), {});
-        } catch (const SimError &e) {
-            error = e.what();
-        }
-    });
-
     const util::Fd fd = util::connectUnix(config.socket_path);
     shard::wire::sendFrame(fd.get(),
                            shard::wire::encode(shard::wire::HelloMsg{1, 7}));
+
+    const auto grid = testGrid();
+    expectAllOk(swarm.runGrid(grid, {}), grid.size());
+    EXPECT_EQ(swarm.stats().protocol_errors, 1u);
+    EXPECT_EQ(swarm.stats().granted_leases, 2u);
     shard::wire::FrameDecoder decoder;
     EXPECT_FALSE(util::recvFrame(fd.get(), decoder, 60'000).has_value());
-    coordinator.join();
-
-    EXPECT_NE(error.find("fleet lost"), std::string::npos) << error;
-    EXPECT_EQ(swarm.stats().protocol_errors, 1u);
-    EXPECT_EQ(swarm.stats().granted_leases, 0u);
 }
 
 } // namespace

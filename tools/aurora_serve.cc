@@ -20,8 +20,6 @@
  *                       N aurora_shardd processes under lease-fenced
  *                       supervision instead of in-process workers
  *   --shardd PATH       aurora_shardd binary (required with --shards)
- *   --shard-lease-ms N  shard lease: the longest a shard may go
- *                       without a beat (default 10000)
  *   --quiet             suppress lifecycle log lines
  *
  * Lifecycle: runs until SIGTERM/SIGINT, then drains — running jobs
@@ -52,8 +50,7 @@ usage()
         << "                    [--workers N] [--quota-grids N]\n"
         << "                    [--quota-jobs N] [--queue-depth N]\n"
         << "                    [--grid-jobs N] [--progress-every N]\n"
-        << "                    [--shards N --shardd PATH]\n"
-        << "                    [--shard-lease-ms N] [--quiet]\n";
+        << "                    [--shards N --shardd PATH] [--quiet]\n";
     std::exit(2);
 }
 
@@ -102,8 +99,6 @@ run(int argc, char **argv)
                 static_cast<unsigned>(numericOption(arg, argv[++i]));
         } else if (arg == "--shardd" && i + 1 < argc) {
             config.shardd_path = argv[++i];
-        } else if (arg == "--shard-lease-ms" && i + 1 < argc) {
-            config.shard_lease_ms = numericOption(arg, argv[++i]);
         } else if (arg == "--quiet") {
             config.verbose = false;
         } else if (arg == "--help" || arg == "-h") {

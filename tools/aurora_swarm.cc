@@ -3,10 +3,9 @@
  * aurora_swarm — distributed sweep coordinator CLI.
  *
  *   aurora_swarm --socket PATH --journal-dir DIR [--shards N]
- *                [--spawn fork|exec|external] [--shardd PATH]
+ *                [--spawn fork|exec] [--shardd PATH]
  *                [--bench NAME|int|fp|all] [--insts N] [--csv]
- *                [--seed N] [--lease-ms N] [--beat-ms N] [--chunk N]
- *                [--max-respawns N] [--idle-timeout-ms N]
+ *                [--seed N] [--lease-ms N]
  *                [--journal FILE] [--resume] [--retries N]
  *                [--deadline-ms N] [--backoff-ms N]
  *                [--fault SLOT:NAME:AFTER] [--verbose] [--stats]
@@ -22,14 +21,13 @@
  * `scripts/check.sh shard` does.
  *
  * Spawn modes: `fork` (default) forks in-process workers; `exec`
- * launches the aurora_shardd binary named by --shardd; `external`
- * only listens — the caller starts (and may kill) the workers, the
- * chaos-drill shape.
+ * launches the aurora_shardd binary named by --shardd, so every
+ * worker is a real process the caller can find (`pgrep -P`) and
+ * SIGKILL — the chaos-drill shape.
  *
  * --fault scripts sabotage into a spawned slot, e.g.
  * `--fault 1:kill-shard:2` SIGKILL-shapes slot 1's initial worker
- * after two Results (see `aurora_lint explain AUR302`). --chunk counts
- * the lockstep units in flight per shard.
+ * after two Results (see `aurora_lint explain AUR302`).
  *
  * --trace-out mints a causal trace id for the grid and writes the
  * merged Chrome trace — coordinator lease/dispatch/merge spans plus
@@ -70,15 +68,11 @@ usage()
 {
     std::cerr
         << "usage: aurora_swarm --socket PATH --journal-dir DIR\n"
-        << "                    [--shards N] [--spawn fork|exec|"
-           "external]\n"
+        << "                    [--shards N] [--spawn fork|exec]\n"
         << "                    [--shardd PATH] [--bench NAME|int|fp|"
            "all]\n"
         << "                    [--insts N] [--csv] [--seed N]\n"
-        << "                    [--lease-ms N] [--beat-ms N] "
-           "[--chunk N]\n"
-        << "                    [--max-respawns N] "
-           "[--idle-timeout-ms N]\n"
+        << "                    [--lease-ms N]\n"
         << "                    [--journal FILE] [--resume]\n"
         << "                    [--retries N] [--deadline-ms N]\n"
         << "                    [--backoff-ms N]\n"
@@ -127,12 +121,10 @@ run(int argc, char **argv)
                 config.spawn = shard::SpawnMode::Fork;
             else if (mode == "exec")
                 config.spawn = shard::SpawnMode::Exec;
-            else if (mode == "external")
-                config.spawn = shard::SpawnMode::External;
             else
                 util::raiseError(util::SimErrorCode::BadConfig,
                                  "--spawn: unknown mode '", mode,
-                                 "' (accepted: fork, exec, external)");
+                                 "' (accepted: fork, exec)");
         } else if (arg == "--shardd" && i + 1 < argc) {
             config.shardd_path = argv[++i];
         } else if (arg == "--bench" && i + 1 < argc) {
@@ -143,16 +135,6 @@ run(int argc, char **argv)
             grid_options.base_seed = numericOption(arg, argv[++i]);
         } else if (arg == "--lease-ms" && i + 1 < argc) {
             config.lease_ms = numericOption(arg, argv[++i]);
-        } else if (arg == "--beat-ms" && i + 1 < argc) {
-            config.beat_ms = numericOption(arg, argv[++i]);
-        } else if (arg == "--chunk" && i + 1 < argc) {
-            config.chunk = static_cast<std::uint32_t>(
-                numericOption(arg, argv[++i]));
-        } else if (arg == "--max-respawns" && i + 1 < argc) {
-            config.max_respawns = static_cast<std::uint32_t>(
-                numericOption(arg, argv[++i]));
-        } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-            config.idle_timeout_ms = numericOption(arg, argv[++i]);
         } else if (arg == "--journal" && i + 1 < argc) {
             grid_options.journal = argv[++i];
         } else if (arg == "--resume") {
