@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator itself: trace
- * generation rate, the core replaying a collected trace, component
- * costs, and end-to-end simulation throughput. These guard against
+ * generation rate, the core replaying a collected trace, a lockstep
+ * unit replaying one shared trace, component costs, and end-to-end
+ * simulation throughput. These guard against
  * performance regressions in the library (the table/figure harness
  * runs millions of instructions).
  */
@@ -57,6 +58,30 @@ BM_CoreReplay(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CoreReplay)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+/**
+ * Replay through the shared trace window: the six study machines
+ * (three models at issue width 1 and 2) of one lockstep unit over one
+ * synthesized espresso trace. Items are machine-instructions.
+ */
+void
+BM_LockstepReplay(benchmark::State &state)
+{
+    std::vector<core::MachineConfig> machines;
+    for (const core::MachineConfig &model : core::studyModels())
+        for (const unsigned issue : {1u, 2u})
+            machines.push_back(model.withIssueWidth(issue));
+    const auto profile = trace::espresso();
+    const auto insts = static_cast<Count>(state.range(0));
+    for (auto _ : state) {
+        const auto run = core::simulateShared(machines, profile, insts);
+        benchmark::DoNotOptimize(run.machines.front().result.cycles);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(insts * machines.size()) *
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LockstepReplay)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -140,6 +140,13 @@ catalog()
          "to-back loads drain the ROB before the first hit returns — "
          "the small model's dominant stall in Figure 4.",
          "size rob x retire to at least dcache_lat"},
+        {"AUR019", Severity::Error, "write cache has no lines or a non-power-of-two page",
+         "Stores retire through the coalescing write cache (Section "
+         "2.3), so it needs at least one line; its micro-TLB compares "
+         "page fields of the address, which exist only for a page size "
+         "that is a power of two.",
+         "set wc_lines to at least 1 (Table 1: 2/4/8) and wc_page to a "
+         "power of two (4096)"},
         {"AUR020", Severity::Error, "ALU latency below one cycle",
          "Results cannot feed dependents before they exist; even the "
          "fully-forwarded four-stage Aurora III pipelines (Section "

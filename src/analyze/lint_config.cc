@@ -1,6 +1,7 @@
 #include "lint_config.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "cost/rbe.hh"
@@ -78,6 +79,12 @@ lintStructure(const core::MachineConfig &m, std::vector<Diagnostic> &out)
         emit(out, "AUR002", "mshr", "0", "");
     if (m.prefetch.enabled && m.prefetch.num_buffers == 0)
         emit(out, "AUR011", "pf_buffers", "0", "");
+    if (m.write_cache.lines == 0)
+        emit(out, "AUR019", "wc_lines", "0", "write cache has no lines");
+    if (!std::has_single_bit(m.write_cache.page_bytes))
+        emit(out, "AUR019", "wc_page", str(m.write_cache.page_bytes),
+             detail::concat("wc_page=", m.write_cache.page_bytes,
+                            " is not a power of two"));
 
     const struct
     {

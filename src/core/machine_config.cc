@@ -1,5 +1,7 @@
 #include "machine_config.hh"
 
+#include <bit>
+
 #include "fpu/result_bus.hh"
 #include "util/sim_error.hh"
 
@@ -64,6 +66,13 @@ MachineConfig::validate() const
     if (lsu.mshr_entries == 0)
         raiseError(SimErrorCode::BadConfig,
                    "the LSU needs at least one MSHR");
+    if (write_cache.lines == 0)
+        raiseError(SimErrorCode::BadConfig,
+                   "the write cache needs at least one line");
+    if (!std::has_single_bit(write_cache.page_bytes))
+        raiseError(SimErrorCode::BadConfig,
+                   "write cache page size (", write_cache.page_bytes,
+                   ") must be a nonzero power of two");
     if (prefetch.enabled && prefetch.num_buffers == 0)
         raiseError(SimErrorCode::BadConfig,
                    "enabled prefetch unit needs buffers");

@@ -51,7 +51,7 @@ Processor::done() const
     return ifu_.exhausted() && rob_.empty() && fpu_.idle();
 }
 
-bool
+[[gnu::always_inline]] inline bool
 Processor::canIssue(const Inst &inst, StallCause &cause) const
 {
     const auto blocked = [&](StallCause why) {
@@ -64,7 +64,8 @@ Processor::canIssue(const Inst &inst, StallCause &cause) const
     // the cache busses filling cannot even enter the LSU pipeline.
     // With a single MSHR this makes LSU-Busy the dominant stall of
     // the small model, as in Figure 6.
-    if (trace::isMem(inst.op) && !lsu_.canAccept(now_))
+    const std::uint8_t flags = inst.predecoded;
+    if ((flags & isa::PD_MEM) && !lsu_.canAccept(now_))
         return blocked(StallCause::LsuBusy);
 
     // Integer operand readiness: forwarding hides ALU latencies, so
@@ -74,11 +75,11 @@ Processor::canIssue(const Inst &inst, StallCause &cause) const
         !scoreboard_.ready(inst.src_b, now_))
         return blocked(StallCause::Load);
 
-    if (inst.op == OpClass::FpLoad && !fpu_.canAcceptLoad())
+    if ((flags & isa::PD_FP_LOAD) && !fpu_.canAcceptLoad())
         return blocked(StallCause::FpQueue);
-    if (inst.op == OpClass::FpStore && !fpu_.canAcceptStore())
+    if ((flags & isa::PD_FP_STORE) && !fpu_.canAcceptStore())
         return blocked(StallCause::FpQueue);
-    if (trace::isFpArith(inst.op)) {
+    if (flags & isa::PD_FP_ARITH) {
         if (!fpu_.canAcceptArith())
             return blocked(StallCause::FpQueue);
         // §3.1 precise mode: an op that might fault may not be
@@ -92,64 +93,6 @@ Processor::canIssue(const Inst &inst, StallCause &cause) const
         return blocked(StallCause::RobFull);
 
     return true;
-}
-
-void
-Processor::doIssue(const Inst &inst)
-{
-    switch (inst.op) {
-      case OpClass::IntAlu: {
-        scoreboard_.setWriter(inst.dst, now_ + config_.alu_latency,
-                              /*is_load=*/false);
-        rob_.allocate(now_ + config_.alu_latency);
-        break;
-      }
-      case OpClass::Branch:
-      case OpClass::Jump:
-      case OpClass::Nop:
-      case OpClass::FpMove: {
-        rob_.allocate(now_ + 1);
-        break;
-      }
-      case OpClass::Load: {
-        const Cycle ready = observedLoad(inst);
-        scoreboard_.setWriter(inst.dst, ready, /*is_load=*/true);
-        rob_.allocate(ready);
-        break;
-      }
-      case OpClass::Store: {
-        lsu_.store(inst.eff_addr, inst.size, now_);
-        rob_.allocate(now_ + 1);
-        break;
-      }
-      case OpClass::FpLoad: {
-        const Cycle ready = observedLoad(inst);
-        fpu_.dispatchLoad(inst.fdst, ready, now_);
-        rob_.allocate(now_ + 1);
-        ++fpDispatched_;
-        break;
-      }
-      case OpClass::FpStore: {
-        lsu_.store(inst.eff_addr, inst.size, now_);
-        fpu_.dispatchStore(inst.fsrc_a, now_);
-        rob_.allocate(now_ + 1);
-        ++fpDispatched_;
-        break;
-      }
-      case OpClass::FpAdd:
-      case OpClass::FpMul:
-      case OpClass::FpDiv:
-      case OpClass::FpCvt: {
-        fpu_.dispatchArith(inst, now_);
-        rob_.allocate(now_ + 1);
-        ++fpDispatched_;
-        break;
-      }
-      default:
-        AURORA_PANIC("unhandled op class ",
-                     static_cast<int>(inst.op));
-    }
-    ++instructions_;
 }
 
 Cycle
@@ -175,51 +118,6 @@ Processor::provablySafe(const Inst &inst) const
     const double u =
         static_cast<double>(hash >> 8) / static_cast<double>(1u << 24);
     return u < config_.fpu.provably_safe_frac;
-}
-
-void
-Processor::issueStage()
-{
-    unsigned issued = 0;
-    StallCause cause = StallCause::ICache;
-
-    // Instructions issue from the fetch buffer in place and leave it
-    // together once the group is complete.
-    while (issued < config_.issue_width) {
-        if (ifu_.available() == issued) {
-            // Buffer drained: an I-cache miss, a fetch bubble, or the
-            // end of the trace.
-            break;
-        }
-        const Inst &inst = ifu_.peek(issued);
-        // The Figure 3 predecode rules (alignment, DI bit, single
-        // memory access per cycle) live in the ISA layer.
-        if (issued == 1 && !isa::dualIssueAllowed(ifu_.peek(0), inst))
-            break;
-        StallCause blocked = StallCause::ICache;
-        if (!canIssue(inst, blocked)) {
-            if (issued == 0)
-                cause = blocked;
-            break;
-        }
-        doIssue(inst);
-        if (observer_)
-            observer_->onIssue(now_, inst, issued);
-        ++issued;
-    }
-    for (unsigned i = 0; i < issued; ++i)
-        ifu_.pop();
-
-    if (issued > 0) {
-        ++issuingCycles_;
-    } else if (ifu_.exhausted()) {
-        ++tailCycles_;
-    } else {
-        ++stalls_[static_cast<std::size_t>(cause)];
-        if (observer_)
-            observer_->onStall(now_, cause);
-    }
-    ++issueWidthCycles_[issued];
 }
 
 Processor::ObsSnapshot
@@ -332,7 +230,101 @@ Processor::tick()
         lastRetire_ = now_;
     if (observer_ && retired)
         observer_->onRetire(now_, retired);
-    issueStage();
+
+    // The issue stage. Instructions issue from the fetch buffer in
+    // place and leave it together once the group is complete.
+    unsigned issued = 0;
+    StallCause cause = StallCause::ICache;
+    while (issued < config_.issue_width) {
+        if (ifu_.available() == issued) {
+            // Buffer drained: an I-cache miss, a fetch bubble, or the
+            // end of the trace.
+            break;
+        }
+        const Inst &inst = ifu_.peek(issued);
+        // The Figure 3 pairing rules (alignment, DI bit, single memory
+        // access per cycle), predecoded against the instruction ahead.
+        if (issued == 1 && !(inst.predecoded & isa::PD_DUAL))
+            break;
+        StallCause blocked = StallCause::ICache;
+        if (!canIssue(inst, blocked)) {
+            if (issued == 0)
+                cause = blocked;
+            break;
+        }
+        // Commit the instruction to the pipeline model.
+        switch (inst.op) {
+          case OpClass::IntAlu: {
+            scoreboard_.setWriter(inst.dst, now_ + config_.alu_latency,
+                                  /*is_load=*/false);
+            rob_.allocate(now_ + config_.alu_latency);
+            break;
+          }
+          case OpClass::Branch:
+          case OpClass::Jump:
+          case OpClass::Nop:
+          case OpClass::FpMove: {
+            rob_.allocate(now_ + 1);
+            break;
+          }
+          case OpClass::Load: {
+            const Cycle ready = observedLoad(inst);
+            scoreboard_.setWriter(inst.dst, ready, /*is_load=*/true);
+            rob_.allocate(ready);
+            break;
+          }
+          case OpClass::Store: {
+            lsu_.store(inst.eff_addr, inst.size, now_);
+            rob_.allocate(now_ + 1);
+            break;
+          }
+          case OpClass::FpLoad: {
+            const Cycle ready = observedLoad(inst);
+            fpu_.dispatchLoad(inst.fdst, ready, now_);
+            rob_.allocate(now_ + 1);
+            ++fpDispatched_;
+            break;
+          }
+          case OpClass::FpStore: {
+            lsu_.store(inst.eff_addr, inst.size, now_);
+            fpu_.dispatchStore(inst.fsrc_a, now_);
+            rob_.allocate(now_ + 1);
+            ++fpDispatched_;
+            break;
+          }
+          case OpClass::FpAdd:
+          case OpClass::FpMul:
+          case OpClass::FpDiv:
+          case OpClass::FpCvt: {
+            fpu_.dispatchArith(inst, now_);
+            rob_.allocate(now_ + 1);
+            ++fpDispatched_;
+            break;
+          }
+          default:
+            AURORA_PANIC("unhandled op class ",
+                         static_cast<int>(inst.op));
+        }
+        ++instructions_;
+        if (observer_)
+            observer_->onIssue(now_, inst, issued);
+        ++issued;
+    }
+    for (unsigned i = 0; i < issued; ++i)
+        ifu_.pop();
+
+    if (issued > 0) {
+        ++issuingCycles_;
+    } else if (ifu_.exhausted()) {
+        ++tailCycles_;
+    } else {
+        ++stalls_[static_cast<std::size_t>(cause)];
+        if (observer_)
+            observer_->onStall(now_, cause);
+    }
+    ++issueWidthCycles_[issued];
+
+    // Fetch: instructions fetched now are issueable from now_ + 1.
     ifu_.tick(now_);
     robOccupancy_.sample(rob_.size(), now_);
     mshrOccupancy_.sample(lsu_.mshrs().inUse(), now_);

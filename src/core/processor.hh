@@ -310,20 +310,22 @@ class Processor
     /** lsu_.load() wrapper that reports latency/miss to the observer. */
     Cycle observedLoad(const trace::Inst &inst);
 
-    /** Resource/operand check; false sets the stall in @p cause. */
+    /**
+     * Resource/operand check; false sets the stall in @p cause. The
+     * op-class tests read the record's predecoded bits. Always inlined
+     * into its two callers, tick() and skipIdle().
+     */
     bool canIssue(const trace::Inst &inst, StallCause &cause) const;
-
-    /** Commit one instruction to the pipeline model. */
-    void doIssue(const trace::Inst &inst);
 
     /** §3.1: is @p inst provably unable to raise an FP exception? */
     bool provablySafe(const trace::Inst &inst) const;
 
-    /** Cycle now_ of every unit: step() without observer events. */
+    /**
+     * Cycle now_ of every unit, step() without observer events: the
+     * LSU, FPU and ROB ticks, the issue stage with each instruction's
+     * commit to the pipeline model, then fetch, in one body.
+     */
     void tick();
-
-    /** The issue stage for the current cycle. */
-    void issueStage();
 
     /** A per-cycle occupancy histogram, added to once per run. */
     struct Occupancy

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "isa/predecode.hh"
 #include "trace/synthetic_workload.hh"
 #include "util/logging.hh"
 
@@ -29,7 +30,10 @@ class TraceWindow
         : source_(source), length_(length), ring_(WINDOW)
     {}
 
-    /** Produce up to one window past @p slowest, the oldest held. */
+    /**
+     * Produce up to one window past @p slowest, the oldest held, and
+     * predecode each block once for every machine reading the ring.
+     */
     void
     refill(Count slowest)
     {
@@ -37,7 +41,12 @@ class TraceWindow
         while (filled_ < target) {
             const Count at = filled_ % WINDOW;
             const Count want = std::min(target - filled_, WINDOW - at);
-            source_.fill(std::span(ring_.data() + at, want));
+            // A whole-ring block overwrites the slot of the instruction
+            // before it, so that one is copied out first.
+            const trace::Inst prev = ring_[(at + WINDOW - 1) % WINDOW];
+            const std::span block(ring_.data() + at, want);
+            source_.fill(block);
+            isa::predecode(block, filled_ > 0 ? &prev : nullptr);
             filled_ += want;
         }
     }

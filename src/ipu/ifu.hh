@@ -20,11 +20,13 @@
 #ifndef AURORA_IPU_IFU_HH
 #define AURORA_IPU_IFU_HH
 
+#include "isa/predecode.hh"
 #include "mem/biu.hh"
 #include "mem/cache.hh"
 #include "mem/stream_buffer.hh"
 #include "trace/trace_source.hh"
 #include "util/bounded_queue.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace aurora::ipu
@@ -57,8 +59,75 @@ class Ifu
     Ifu(const IfuConfig &config, trace::TraceSource &source,
         mem::PrefetchUnit &prefetch);
 
-    /** Fetch up to fetch_width instructions into the buffer. */
-    void tick(Cycle now);
+    /**
+     * Fetch up to fetch_width instructions into the buffer. The pair
+     * and redirect tests read the records' predecoded bits. Always
+     * inlined into Processor::tick, the per-cycle caller: left to
+     * itself the compiler keeps a function this size out of line.
+     */
+    [[gnu::always_inline]] void
+    tick(Cycle now)
+    {
+        if (now < resumeAt_)
+            return;
+        missStall_ = false;
+
+        unsigned fetched = 0;
+        Addr looked_up_line = 1; // sentinel: no line looked up yet
+
+        while (fetched < config_.fetch_width) {
+            pump();
+            if (!haveNext_ || buffer_.full())
+                return;
+
+            const trace::Inst &inst = span_[head_];
+
+            // Pair constraint: the second instruction of a fetch group
+            // must be the ODD mate of the first (aligned 8-byte pair).
+            if (fetched == 1 && !(inst.predecoded & isa::PD_ODD_MATE))
+                return;
+
+            // Instruction cache lookup, once per line per group.
+            const Addr line = inst.pc & ~static_cast<Addr>(
+                                            config_.line_bytes - 1);
+            if (line != looked_up_line) {
+                if (!icache_.access(inst.pc)) {
+                    const auto res = prefetch_.missLookup(
+                        inst.pc, now, /*is_instruction=*/true);
+                    icache_.fill(inst.pc);
+                    resumeAt_ = res.ready;
+                    missStall_ = true;
+                    return;
+                }
+                looked_up_line = line;
+            }
+
+            const bool redirect = inst.predecoded & isa::PD_REDIRECT;
+            buffer_.push(span_[head_++]);
+            haveNext_ = false;
+            ++fetched;
+
+            if (redirect) {
+                // Fetch the architectural delay slot with the branch,
+                // then redirect. Folding (the NEXT field) makes the
+                // redirect free; otherwise it costs one fetch cycle.
+                pump();
+                // The delay slot may be the branch's pair mate and
+                // co-fetched; if it lies in the next pair it costs
+                // the next fetch slot, modelled by ending the group.
+                if (haveNext_ && !buffer_.full() &&
+                    fetched < config_.fetch_width &&
+                    (span_[head_].predecoded & isa::PD_ODD_MATE)) {
+                    buffer_.push(span_[head_++]);
+                    haveNext_ = false;
+                    ++fetched;
+                }
+                if (!config_.branch_folding)
+                    resumeAt_ = now + 2;
+                return;
+            }
+        }
+    }
 
     /**
      * Earliest cycle >= @p now at which tick() can change state:
@@ -117,7 +186,27 @@ class Ifu
      * Pull span_[head_], reading the source a span at a time, unless
      * one is pulled already or the trace ended.
      */
-    void pump();
+    void
+    pump()
+    {
+        if (done_ || haveNext_)
+            return;
+        if (head_ == span_.size()) {
+            span_ = source_.read(READ_SPAN);
+            head_ = 0;
+            if (span_.empty()) {
+                done_ = true;
+                return;
+            }
+            // Every read() provider predecodes its views; a view's
+            // first record stands for the rest.
+            AURORA_ASSERT(span_.front().predecoded & isa::PD_VALID,
+                          "IFU read a trace view that was not "
+                          "predecoded");
+        }
+        haveNext_ = true;
+        ++fetchedFromSource_;
+    }
 
     IfuConfig config_;
     trace::TraceSource &source_;

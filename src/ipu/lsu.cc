@@ -33,17 +33,6 @@ Lsu::landFills(Cycle now)
 }
 
 Cycle
-Lsu::nextEvent(Cycle now) const
-{
-    Cycle next = mshrs_.nextReady();
-    if (!fills_.empty() && fills_.front().ready < next)
-        next = fills_.front().ready;
-    if (portBusyUntil_ > now && portBusyUntil_ < next)
-        next = portBusyUntil_;
-    return next;
-}
-
-Cycle
 Lsu::load(Addr addr, unsigned size, Cycle now)
 {
     AURORA_ASSERT(canAccept(now), "load issued while LSU busy");

@@ -81,7 +81,16 @@ class Lsu
      * change: an MSHR release, the head fill landing, or the data
      * busses freeing. NEVER when nothing is pending.
      */
-    Cycle nextEvent(Cycle now) const;
+    Cycle
+    nextEvent(Cycle now) const
+    {
+        Cycle next = mshrs_.nextReady();
+        if (!fills_.empty() && fills_.front().ready < next)
+            next = fills_.front().ready;
+        if (portBusyUntil_ > now && portBusyUntil_ < next)
+            next = portBusyUntil_;
+        return next;
+    }
 
     /**
      * Can a new memory operation start this cycle? Requires a free

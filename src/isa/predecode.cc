@@ -1,11 +1,10 @@
 #include "predecode.hh"
 
-#include "util/logging.hh"
-
 namespace aurora::isa
 {
 
 using trace::Inst;
+using trace::OpClass;
 
 bool
 trueDependency(const Inst &first, const Inst &second)
@@ -40,40 +39,32 @@ dualIssueAllowed(const Inst &first, const Inst &second)
     return true;
 }
 
-PairFields
-predecodePair(const Inst &even, const Inst &odd, Addr index_mask)
+void
+predecode(std::span<Inst> block, const Inst *prev)
 {
-    AURORA_ASSERT(isAlignedPair(even, odd),
-                  "predecode requires an aligned EVEN/ODD pair");
-    PairFields fields;
-    fields.di = trueDependency(even, odd);
-    fields.dual_mem =
-        trace::isMem(even.op) && trace::isMem(odd.op);
-    // The MIPS ISA prohibits a branch in a branch delay slot, so at
-    // most one slot is control flow (§2).
-    const bool even_ctl = trace::isControl(even.op);
-    const bool odd_ctl = trace::isControl(odd.op);
-    AURORA_ASSERT(!(even_ctl && odd_ctl),
-                  "two control instructions in one pair");
-    fields.cont = even_ctl || odd_ctl;
-    if (fields.cont) {
-        // The branch target's cache index: the delay slot follows
-        // the branch, so the dynamic successor of the *delay slot*
-        // is the folded target.
-        const Inst &ctl = even_ctl ? even : odd;
-        if (ctl.taken) {
-            // For an even-slot branch the delay slot is the odd
-            // slot, whose dynamic successor is the target. For an
-            // odd-slot branch the delay slot lives in the following
-            // pair; the predecoder can only record the delay slot's
-            // address and the fetch unit resolves the target from
-            // its successor chain.
-            const Addr target =
-                even_ctl ? odd.next_pc : ctl.next_pc;
-            fields.next_index = target & index_mask;
+    for (Inst &inst : block) {
+        std::uint8_t flags = PD_VALID;
+        if (trace::isMem(inst.op))
+            flags |= PD_MEM;
+        if (inst.op == OpClass::FpLoad)
+            flags |= PD_FP_LOAD;
+        if (inst.op == OpClass::FpStore)
+            flags |= PD_FP_STORE;
+        if (trace::isFpArith(inst.op))
+            flags |= PD_FP_ARITH;
+        if (inst.redirectsFetch())
+            flags |= PD_REDIRECT;
+        if (prev) {
+            // The fetch-group rule: the second instruction of a group
+            // must sit in the ODD slot of the first one's 8-byte pair.
+            if ((inst.pc >> 3) == (prev->pc >> 3) && (inst.pc & 0x4u))
+                flags |= PD_ODD_MATE;
+            if (dualIssueAllowed(*prev, inst))
+                flags |= PD_DUAL;
         }
+        inst.predecoded = flags;
+        prev = &inst;
     }
-    return fields;
 }
 
 } // namespace aurora::isa

@@ -2,35 +2,47 @@
  * @file
  * The Figure 3 predecode unit.
  *
- * Instructions are pre-decoded before insertion into the instruction
- * cache: they are grouped into aligned EVEN/ODD pairs, the DI bit
- * records whether an intra-pair true dependency prohibits dual issue,
- * the CONT field records whether the pair contains a control flow
- * instruction, and the NEXT field holds the cache index of the branch
- * target so that a taken branch can be folded (fetched with no
- * bubble). This module is the single source of truth for those
- * semantics: the issue stage consults it for pairing decisions.
+ * The Aurora III pre-decodes instructions before they enter the
+ * instruction cache, so fetch and issue read a few bits instead of
+ * decoding on every attempt: instructions are grouped into aligned
+ * EVEN/ODD pairs, and the DI bit records whether an intra-pair true
+ * dependency prohibits dual issue. The simulator does the same once
+ * per trace block: predecode() writes one flags byte into every
+ * record, and the IFU and the issue stage test those bits. Every
+ * machine replaying a shared trace window reads the one result. This
+ * module is the single source of truth for the pairing rules.
  */
 
 #ifndef AURORA_ISA_PREDECODE_HH
 #define AURORA_ISA_PREDECODE_HH
+
+#include <cstdint>
+#include <span>
 
 #include "trace/inst.hh"
 
 namespace aurora::isa
 {
 
-/** Figure 3 fields attached to one decoded EVEN/ODD pair. */
-struct PairFields
+/** Bits of trace::Inst::predecoded, written by predecode(). */
+enum Predecoded : std::uint8_t
 {
-    /** A true dependency prohibits dual issue of the pair. */
-    bool di = false;
-    /** The pair contains a control flow instruction. */
-    bool cont = false;
-    /** Both slots access memory (a second structural DI source). */
-    bool dual_mem = false;
-    /** Cache index of the control target (valid when cont). */
-    Addr next_index = 0;
+    /** The record went through predecode() (the IFU checks it). */
+    PD_VALID = 1u << 0,
+    /** References data memory (trace::isMem). */
+    PD_MEM = 1u << 1,
+    /** Loads into the FP register file. */
+    PD_FP_LOAD = 1u << 2,
+    /** Stores from the FP register file. */
+    PD_FP_STORE = 1u << 3,
+    /** Runs on an FPU functional unit (trace::isFpArith). */
+    PD_FP_ARITH = 1u << 4,
+    /** Taken control flow (Inst::redirectsFetch). */
+    PD_REDIRECT = 1u << 5,
+    /** The ODD slot of the previous instruction's 8-byte pair. */
+    PD_ODD_MATE = 1u << 6,
+    /** May issue in the same cycle as the previous instruction. */
+    PD_DUAL = 1u << 7,
 };
 
 /** Does @p second read a register written by @p first? */
@@ -52,14 +64,12 @@ bool dualIssueAllowed(const trace::Inst &first,
                       const trace::Inst &second);
 
 /**
- * Compute the predecoded fields for a pair.
- *
- * @param even        the EVEN-slot instruction.
- * @param odd         the ODD-slot instruction.
- * @param index_mask  mask selecting the I-cache index bits for NEXT.
+ * Write the predecoded flags of every record of @p block, a run of
+ * consecutive dynamic instructions. @p prev is the instruction just
+ * before the block in the stream, or nullptr at the trace's start;
+ * the pair bits of block[0] are computed against it.
  */
-PairFields predecodePair(const trace::Inst &even,
-                         const trace::Inst &odd, Addr index_mask);
+void predecode(std::span<trace::Inst> block, const trace::Inst *prev);
 
 } // namespace aurora::isa
 

@@ -1,34 +1,30 @@
 #include "write_cache.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace aurora::mem
 {
 
 WriteCache::WriteCache(const WriteCacheConfig &config, Biu &biu)
-    : config_(config), biu_(biu)
+    : config_(config), pageShift_(std::countr_zero(config.page_bytes)),
+      biu_(biu)
 {
     AURORA_ASSERT(config_.lines > 0, "write cache needs >= 1 line");
     AURORA_ASSERT(config_.line_bytes == 32,
                   "write cache lines are eight 32-bit words");
+    AURORA_ASSERT(std::has_single_bit(config_.page_bytes),
+                  "write cache page size must be a power of two");
     lines_.resize(config_.lines);
-}
-
-WriteCache::Line *
-WriteCache::findLine(Addr line_base)
-{
-    for (Line &line : lines_)
-        if (line.valid && line.base == line_base)
-            return &line;
-    return nullptr;
 }
 
 bool
 WriteCache::pageMatch(Addr addr) const
 {
-    const Addr page = addr / config_.page_bytes;
+    const Addr page = addr >> pageShift_;
     for (const Line &line : lines_)
-        if (line.valid && line.base / config_.page_bytes == page)
+        if (line.valid && line.base >> pageShift_ == page)
             return true;
     return false;
 }
@@ -92,19 +88,6 @@ WriteCache::store(Addr addr, unsigned size, Cycle now)
     victim->valid_words = mask;
     victim->last_write = now;
     victim->evict_ready = evict_ready;
-}
-
-bool
-WriteCache::loadProbe(Addr addr, unsigned size)
-{
-    const Addr line_base =
-        addr & ~static_cast<Addr>(config_.line_bytes - 1);
-    const unsigned word = (addr & (config_.line_bytes - 1)) / 4;
-    const std::uint32_t mask = (size == 8 ? 0x3u : 0x1u) << word;
-    Line *line = findLine(line_base);
-    const bool hit = line && (line->valid_words & mask) == mask;
-    hits_.record(hit);
-    return hit;
 }
 
 void

@@ -34,7 +34,7 @@ struct WriteCacheConfig
     unsigned lines = 4;
     /** Line size in bytes (eight 32-bit words). */
     std::uint32_t line_bytes = 32;
-    /** Page size for the write-validation micro-TLB. */
+    /** Page size for the write-validation micro-TLB (a power of two). */
     std::uint32_t page_bytes = 4096;
     /** Model the off-chip MMU validation round trip. */
     bool validate_writes = true;
@@ -66,7 +66,18 @@ class WriteCache
      * is currently buffered. Recorded in the Table 5 hit rate, which
      * "includes both load and store data accesses".
      */
-    bool loadProbe(Addr addr, unsigned size);
+    bool
+    loadProbe(Addr addr, unsigned size)
+    {
+        const Addr line_base =
+            addr & ~static_cast<Addr>(config_.line_bytes - 1);
+        const unsigned word = (addr & (config_.line_bytes - 1)) / 4;
+        const std::uint32_t mask = (size == 8 ? 0x3u : 0x1u) << word;
+        Line *line = findLine(line_base);
+        const bool hit = line && (line->valid_words & mask) == mask;
+        hits_.record(hit);
+        return hit;
+    }
 
     /** Flush all valid lines to the BIU (drain at end of run). */
     void drain(Cycle now);
@@ -106,7 +117,14 @@ class WriteCache
     };
 
     /** Find the valid line holding @p line_base, or nullptr. */
-    Line *findLine(Addr line_base);
+    Line *
+    findLine(Addr line_base)
+    {
+        for (Line &line : lines_)
+            if (line.valid && line.base == line_base)
+                return &line;
+        return nullptr;
+    }
 
     /** True when any valid line lies in the same page as @p addr. */
     bool pageMatch(Addr addr) const;
@@ -115,6 +133,8 @@ class WriteCache
     void evict(Line &line, Cycle now);
 
     WriteCacheConfig config_;
+    /** log2(page_bytes): pageMatch() shifts instead of dividing. */
+    unsigned pageShift_ = 0;
     Biu &biu_;
     std::vector<Line> lines_;
     Ratio hits_;

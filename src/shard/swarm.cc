@@ -31,7 +31,7 @@ constexpr std::uint64_t BEATS_PER_LEASE = 4;
 /** Units in flight per shard: two keep a shard busy while its next
  *  assignment is in transit; the tail of the grid drains to one. */
 constexpr std::size_t UNITS_IN_FLIGHT = 2;
-/** Replacement workers per Swarm, across all slots and grids. */
+/** Replacement workers per grid, across all slots. */
 constexpr std::uint64_t MAX_RESPAWNS = 8;
 
 std::uint64_t
@@ -759,6 +759,7 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     // journals: the previous grid's fleet drained cleanly, so its
     // journals hold entries no commit of this grid accounts for.
     tickets_.clear();
+    grid_respawns_ = 0;
     journal_refs_.clear();
     draining_ = false;
     trace_id_ = options.trace_id;
@@ -850,20 +851,21 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
             std::any_of(slots_.begin(), slots_.end(),
                         [](const Slot &s) { return !s.fd.valid(); });
         if (need && vacant && !any_dialer &&
-            stats_.respawns < MAX_RESPAWNS &&
+            grid_respawns_ < MAX_RESPAWNS &&
             msSince(last_spawn_) >= 250) {
+            ++grid_respawns_;
             ++stats_.respawns;
             flight_.note("shard.respawn", {},
-                         detail::concat(stats_.respawns, "/",
+                         detail::concat(grid_respawns_, "/",
                                         MAX_RESPAWNS));
             spawnWorker(std::nullopt);
             if (config_.verbose)
                 inform(detail::concat("swarm: respawned a worker (",
-                                      stats_.respawns, "/",
+                                      grid_respawns_, "/",
                                       MAX_RESPAWNS, " used)"));
         }
         if (!any_live && !any_dialer && children_.empty() &&
-            stats_.respawns >= MAX_RESPAWNS)
+            grid_respawns_ >= MAX_RESPAWNS)
             util::raiseError(util::SimErrorCode::Internal,
                              "swarm: shard fleet lost with ",
                              open_tickets_,

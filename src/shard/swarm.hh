@@ -29,7 +29,7 @@
  *    it on a different shard — or twice, once behind the fence —
  *    cannot change what commits.
  *  - **Respawn**: a fenced slot is refilled with a fresh child
- *    process, at most eight times per Swarm across all slots; a
+ *    process, at most eight times per grid across all slots; a
  *    grid fails as a lost fleet only once that budget is spent and
  *    no worker is left.
  *
@@ -307,6 +307,9 @@ class Swarm
     std::map<std::uint64_t, Ticket> tickets_;
     std::deque<Unit> pending_;
     std::uint64_t open_tickets_ = 0;
+    /** Replacement workers spawned for the current grid: the respawn
+     *  budget is per grid, so a long-lived Swarm never runs dry. */
+    std::uint64_t grid_respawns_ = 0;
     std::set<std::uint64_t> fenced_epochs_;
     std::vector<ShardJournalRef> journal_refs_;
     harness::JournalWriter *commit_journal_ = nullptr; // runGrid-local

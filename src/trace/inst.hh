@@ -43,6 +43,12 @@ struct Inst
     std::uint8_t size = 0;
     /** Taken flag for control-flow instructions. */
     bool taken = false;
+    /**
+     * Figure 3 predecode flags (isa::Predecoded bits), written by
+     * isa::predecode() once per trace block; 0 until then. They live
+     * in what would otherwise be padding.
+     */
+    std::uint8_t predecoded = 0;
 
     /** True when control flow leaves the fall-through path. */
     bool
@@ -51,6 +57,9 @@ struct Inst
         return isControl(op) && taken;
     }
 };
+
+static_assert(sizeof(Inst) == 24,
+              "predecode flags must fit in Inst's padding");
 
 } // namespace aurora::trace
 

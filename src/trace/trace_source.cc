@@ -1,9 +1,30 @@
 #include "trace_source.hh"
 
+#include "isa/predecode.hh"
 #include "util/logging.hh"
 
 namespace aurora::trace
 {
+
+std::span<const Inst>
+TraceSource::read(std::size_t max)
+{
+    staged_.resize(max);
+    std::size_t n = 0;
+    while (n < max && next(staged_[n]))
+        ++n;
+    const std::span<Inst> view(staged_.data(), n);
+    isa::predecode(view, last_ ? &*last_ : nullptr);
+    if (n > 0)
+        last_ = view.back();
+    return view;
+}
+
+VectorTraceSource::VectorTraceSource(std::vector<Inst> insts)
+    : insts_(std::move(insts))
+{
+    isa::predecode(insts_, nullptr);
+}
 
 InterleavedTraceSource::InterleavedTraceSource(
     std::vector<TraceSource *> sources, Count quantum)

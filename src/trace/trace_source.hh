@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,29 +39,27 @@ class TraceSource
     /**
      * Consume up to @p max (> 0) instructions, what that many next()
      * calls would deliver, as a view valid until the next call. Empty
-     * only at the end of the stream. By default next() stages them.
+     * only at the end of the stream. Every record of the view is
+     * predecoded (isa::predecode), against the previous view's last
+     * instruction. By default next() stages them and this predecodes
+     * the stage.
      */
-    virtual std::span<const Inst>
-    read(std::size_t max)
-    {
-        staged_.resize(max);
-        std::size_t n = 0;
-        while (n < max && next(staged_[n]))
-            ++n;
-        return {staged_.data(), n};
-    }
+    virtual std::span<const Inst> read(std::size_t max);
 
   private:
     std::vector<Inst> staged_;
+    /** The last instruction read() returned (predecode context). */
+    std::optional<Inst> last_;
 };
 
-/** TraceSource over an in-memory vector of instructions. */
+/**
+ * TraceSource over an in-memory vector of instructions, predecoded
+ * once at construction.
+ */
 class VectorTraceSource : public TraceSource
 {
   public:
-    explicit VectorTraceSource(std::vector<Inst> insts)
-        : insts_(std::move(insts))
-    {}
+    explicit VectorTraceSource(std::vector<Inst> insts);
 
     bool
     next(Inst &out) override

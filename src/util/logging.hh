@@ -35,9 +35,13 @@ void inform(const std::string &msg);
 namespace detail
 {
 
-/** Fold a pack of streamable values into one string. */
+/**
+ * Fold a pack of streamable values into one string. Never inlined:
+ * every AURORA_ASSERT in a per-cycle path expands to a call here, and
+ * an inlined ostringstream at each site would bloat those paths.
+ */
 template <typename... Args>
-std::string
+[[gnu::noinline]] std::string
 concat(Args &&...args)
 {
     std::ostringstream os;

@@ -85,6 +85,10 @@ TEST(LintConfig, EveryValidateRejectionHasACatalogId)
         {"AUR020", [](MachineConfig &m) { m.alu_latency = 0; }},
         {"AUR002", [](MachineConfig &m) { m.lsu.mshr_entries = 0; }},
         {"AUR011", [](MachineConfig &m) { m.prefetch.num_buffers = 0; }},
+        {"AUR019", [](MachineConfig &m) { m.write_cache.lines = 0; }},
+        {"AUR019", [](MachineConfig &m) { m.write_cache.page_bytes = 0; }},
+        {"AUR019",
+         [](MachineConfig &m) { m.write_cache.page_bytes = 3000; }},
         {"AUR005", [](MachineConfig &m) { m.fpu.inst_queue = 0; }},
         {"AUR005", [](MachineConfig &m) { m.fpu.load_queue = 0; }},
         {"AUR005", [](MachineConfig &m) { m.fpu.store_queue = 0; }},

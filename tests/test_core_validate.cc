@@ -117,6 +117,32 @@ TEST(ValidateErrors, InvalidConfigNeverReachesSimulation)
     EXPECT_THROW(simulate(m, trace::espresso(), 1000), SimError);
 }
 
+TEST(ValidateErrors, UnusableWriteCacheThrows)
+{
+    auto m = baselineModel();
+    m.write_cache.lines = 0;
+    expectInvalid(m, "write cache needs at least one line");
+    for (const std::uint32_t page : {0u, 3000u}) {
+        m = baselineModel();
+        m.write_cache.page_bytes = page;
+        expectInvalid(m, "page size");
+    }
+}
+
+TEST(ValidateErrors, UnusableWriteCacheNeverReachesSimulation)
+{
+    // wc_lines=0 used to abort in the WriteCache constructor and
+    // wc_page=0 to divide by zero at the first store's page match;
+    // both must fail as a structured error instead.
+    for (const char *spec :
+         {"model=baseline wc_lines=0", "model=baseline wc_page=0"}) {
+        SCOPED_TRACE(spec);
+        EXPECT_THROW(simulate(parseMachineSpec(spec), trace::espresso(),
+                              1000),
+                     SimError);
+    }
+}
+
 TEST(ValidateErrors, BusStarvedFpuPassesValidation)
 {
     // fp_buses=0 is structurally representable (the liveness wedge

@@ -1,13 +1,20 @@
 /**
  * @file
- * Unit tests for the Figure 3 predecode logic.
+ * Unit tests for the Figure 3 predecode logic: the pairing rules, and
+ * the predecoded flags every trace provider writes, each checked
+ * against its definition for every instruction of all 15 profiles.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/simulator.hh"
 #include "isa/predecode.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic_workload.hh"
+#include "trace/trace_source.hh"
 
 namespace
 {
@@ -104,50 +111,185 @@ TEST(Predecode, BranchPlusDelaySlotCanPair)
     EXPECT_TRUE(dualIssueAllowed(br, slot));
 }
 
-TEST(Predecode, PairFieldsDiAndCont)
-{
-    Inst br = at(0x1000, OpClass::Branch, 1, 2, NO_REG);
-    br.dst = NO_REG;
-    br.taken = true;
-    Inst slot = at(0x1004, OpClass::IntAlu, 3, 4, 9);
-    slot.next_pc = 0x2000; // branch target
-    const PairFields f = predecodePair(br, slot, 0x7ff);
-    EXPECT_TRUE(f.cont);
-    EXPECT_FALSE(f.di);
-    EXPECT_EQ(f.next_index, 0x2000u & 0x7ff);
-}
-
-TEST(Predecode, PairFieldsDualMem)
-{
-    Inst m1 = at(0x1000, OpClass::Load, 1, NO_REG, 8);
-    Inst m2 = at(0x1004, OpClass::FpStore);
-    m2.src_a = 2;
-    m2.fsrc_a = 4;
-    m2.dst = NO_REG;
-    const PairFields f = predecodePair(m1, m2, 0x7ff);
-    EXPECT_TRUE(f.dual_mem);
-    EXPECT_FALSE(f.cont);
-}
-
 TEST(Predecode, WorkloadPairsNeverHoldTwoControlOps)
 {
-    // The MIPS delay-slot rule means predecodePair's assertion must
-    // hold over every aligned pair the generator emits.
+    // The MIPS delay-slot rule: no aligned pair the generator emits
+    // holds two control instructions.
     trace::SyntheticWorkload w(trace::gcc());
     Inst prev, cur;
     ASSERT_TRUE(w.next(prev));
     for (int i = 0; i < 50000; ++i) {
         ASSERT_TRUE(w.next(cur));
-        if (isAlignedPair(prev, cur))
-            predecodePair(prev, cur, 0x7ff); // must not panic
+        ASSERT_FALSE(isAlignedPair(prev, cur) &&
+                     trace::isControl(prev.op) && trace::isControl(cur.op))
+            << "pair at " << std::hex << prev.pc;
         prev = cur;
     }
 }
 
-TEST(PredecodeDeath, UnalignedPairPanics)
+/**
+ * The flags of @p cur that differ from their definitions, by name
+ * ("" when all agree). @p prev is the instruction before @p cur in
+ * the stream, or nullptr at its start.
+ */
+std::string
+flagMismatch(const Inst *prev, const Inst &cur)
 {
-    EXPECT_DEATH(predecodePair(at(0x1004), at(0x1008), 0x7ff),
-                 "aligned");
+    const struct
+    {
+        const char *name;
+        Predecoded bit;
+        bool want;
+    } flags[] = {
+        {"valid", PD_VALID, true},
+        {"mem", PD_MEM, trace::isMem(cur.op)},
+        {"fp_load", PD_FP_LOAD, cur.op == OpClass::FpLoad},
+        {"fp_store", PD_FP_STORE, cur.op == OpClass::FpStore},
+        {"fp_arith", PD_FP_ARITH, trace::isFpArith(cur.op)},
+        {"redirect", PD_REDIRECT, cur.redirectsFetch()},
+        {"odd_mate", PD_ODD_MATE,
+         prev && (cur.pc >> 3) == (prev->pc >> 3) && (cur.pc & 0x4u)},
+        {"dual", PD_DUAL, prev && dualIssueAllowed(*prev, cur)},
+    };
+    std::string wrong;
+    for (const auto &f : flags)
+        if (((cur.predecoded & f.bit) != 0) != f.want)
+            wrong += std::string(wrong.empty() ? "" : ",") + f.name;
+    return wrong;
+}
+
+/** Check every record of @p stream, which starts a trace. */
+void
+expectPredecoded(const std::vector<Inst> &stream)
+{
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        ASSERT_EQ(flagMismatch(i ? &stream[i - 1] : nullptr, stream[i]),
+                  "")
+            << "instruction " << i << " (pc " << std::hex
+            << stream[i].pc << ")";
+}
+
+/** Everything @p src delivers, read in views of @p span. */
+std::vector<Inst>
+readAll(trace::TraceSource &src, std::size_t span)
+{
+    std::vector<Inst> out;
+    for (auto view = src.read(span); !view.empty();
+         view = src.read(span))
+        out.insert(out.end(), view.begin(), view.end());
+    return out;
+}
+
+std::vector<trace::WorkloadProfile>
+allProfiles()
+{
+    auto all = trace::integerSuite();
+    const auto fp = trace::floatSuite();
+    all.insert(all.end(), fp.begin(), fp.end());
+    return all;
+}
+
+/** Long enough to wrap the 512-slot trace window several times. */
+constexpr Count N = 10000;
+
+/** Records every issued instruction, in order (issue is in order). */
+class IssueLog : public core::PipelineObserver
+{
+  public:
+    void
+    onIssue(Cycle, const Inst &inst, unsigned) override
+    {
+        issued.push_back(inst);
+    }
+
+    std::vector<Inst> issued;
+};
+
+void
+expectWindowPredecoded(const std::vector<core::MachineConfig> &machines)
+{
+    for (const auto &profile : allProfiles()) {
+        SCOPED_TRACE(profile.name);
+        std::vector<IssueLog> logs(machines.size());
+        std::vector<core::PipelineObserver *> observers;
+        for (IssueLog &log : logs)
+            observers.push_back(&log);
+        const core::SharedRun run = core::simulateShared(
+            machines, profile, N, core::defaultWatchdog(), observers);
+        for (std::size_t m = 0; m < machines.size(); ++m) {
+            SCOPED_TRACE(machines[m].name);
+            ASSERT_FALSE(run.machines[m].error);
+            ASSERT_EQ(logs[m].issued.size(), N);
+            expectPredecoded(logs[m].issued);
+        }
+    }
+}
+
+TEST(PredecodeFlags, WindowCursorOneMachine)
+{
+    // One reader: each round refills up to one window past it, so
+    // blocks begin mid-ring and split where the ring wraps.
+    expectWindowPredecoded({core::baselineModel()});
+}
+
+TEST(PredecodeFlags, WindowCursorSixMachines)
+{
+    // Six readers at different speeds: blocks start wherever the
+    // slowest reader left the ring.
+    std::vector<core::MachineConfig> machines;
+    for (const auto &m : core::studyModels()) {
+        machines.push_back(m);
+        machines.push_back(m.withLatency(35));
+    }
+    ASSERT_EQ(machines.size(), 6u);
+    expectWindowPredecoded(machines);
+}
+
+TEST(PredecodeFlags, VectorTraceSource)
+{
+    ASSERT_EQ(allProfiles().size(), 15u);
+    for (const auto &profile : allProfiles()) {
+        SCOPED_TRACE(profile.name);
+        trace::SyntheticWorkload w(profile);
+        trace::VectorTraceSource src(trace::collect(w, N));
+        expectPredecoded(src.insts());
+        EXPECT_EQ(readAll(src, 64).size(), N);
+    }
+}
+
+TEST(PredecodeFlags, StagedReadThroughLimitedSource)
+{
+    // Odd view sizes put view boundaries at every pair position.
+    for (const auto &profile : allProfiles()) {
+        for (const std::size_t span : {1u, 7u, 64u}) {
+            SCOPED_TRACE(profile.name + " span " + std::to_string(span));
+            trace::SyntheticWorkload w(profile);
+            trace::LimitedTraceSource src(w, N);
+            const auto stream = readAll(src, span);
+            ASSERT_EQ(stream.size(), N);
+            expectPredecoded(stream);
+        }
+    }
+}
+
+TEST(PredecodeFlags, StagedReadThroughInterleavedSource)
+{
+    // Context switches splice two streams: the pair bits follow the
+    // delivered stream, not either source's own.
+    const auto profiles = allProfiles();
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        const auto &other = profiles[(i + 1) % profiles.size()];
+        SCOPED_TRACE(profiles[i].name + "+" + other.name);
+        trace::SyntheticWorkload a(profiles[i]);
+        trace::SyntheticWorkload b(other);
+        trace::LimitedTraceSource la(a, N / 2);
+        trace::LimitedTraceSource lb(b, N / 2);
+        trace::InterleavedTraceSource src({&la, &lb}, 37);
+        const auto stream = readAll(src, 64);
+        ASSERT_EQ(stream.size(), N);
+        EXPECT_GT(src.switches(), 0u);
+        expectPredecoded(stream);
+    }
 }
 
 } // namespace

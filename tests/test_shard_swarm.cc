@@ -3,7 +3,8 @@
  * Coordinator supervision tests: lease fencing and migration under
  * each scripted ShardFault, the zombie-append refusal (AUR304), one
  * shard running a trace group as one lockstep unit, one Swarm running
- * two grids in turn, the commit journal's resume path, configuration
+ * two grids in turn, a respawn budget that each grid gets afresh, the
+ * commit journal's resume path, configuration
  * rejection, a fleet lost once its respawn budget is spent, and the
  * refusal of a foreign protocol version (AUR305).
  */
@@ -216,6 +217,24 @@ TEST(SwarmSupervision, ReusedSwarmRunsASecondGrid)
     }
     EXPECT_EQ(swarm.stats().committed, jobs);
     EXPECT_EQ(swarm.stats().granted_leases, 4u);
+}
+
+TEST(SwarmSupervision, RespawnBudgetIsPerGrid)
+{
+    // aurora_serve --shards keeps one Swarm for its whole life. Each
+    // grid's only initial worker dies before its first result, so
+    // every grid needs exactly one respawn: a budget counted per Swarm
+    // (eight) would lose the fleet on the ninth grid.
+    shard::SwarmConfig config = baseConfig("budget");
+    config.shards = 1;
+    config.fault_plans = {ShardFaultPlan{ShardFault::KillShard, 0}};
+    shard::Swarm swarm(config);
+    const auto grid = testGrid();
+    for (std::uint64_t g = 1; g <= 9; ++g) {
+        SCOPED_TRACE("grid " + std::to_string(g));
+        expectAllOk(swarm.runGrid(grid, {}), grid.size());
+        EXPECT_EQ(swarm.stats().respawns, g);
+    }
 }
 
 TEST(SwarmSupervision, CommitJournalResumeReplaysWithoutShards)
