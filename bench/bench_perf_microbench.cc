@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator itself: trace
- * generation rate, the core replaying a collected trace, a lockstep
- * unit replaying one shared trace, component costs, and end-to-end
+ * generation rate, the core replaying a collected integer or FP trace,
+ * a lockstep unit replaying one shared trace, component costs, and end-to-end
  * simulation throughput. These guard against
  * performance regressions in the library (the table/figure harness
  * runs millions of instructions).
@@ -58,6 +58,28 @@ BM_CoreReplay(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CoreReplay)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+/**
+ * The core's FPU path alone: the small model at a 100-cycle latency
+ * (stall_bound's machine) replaying a pre-collected nasa7 trace.
+ */
+void
+BM_FpCoreReplay(benchmark::State &state)
+{
+    const auto machine = core::smallModel().withLatency(100);
+    trace::SyntheticWorkload w(trace::nasa7());
+    trace::VectorTraceSource source(
+        trace::collect(w, static_cast<Count>(state.range(0))));
+    for (auto _ : state) {
+        source.rewind();
+        core::Processor cpu(machine, source);
+        benchmark::DoNotOptimize(cpu.run().cycles);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(source.insts().size()) *
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FpCoreReplay)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 /**
  * Replay through the shared trace window: the six study machines

@@ -12,8 +12,10 @@
 #define AURORA_FPU_FUNCTIONAL_UNIT_HH
 
 #include <string>
+#include <utility>
 
 #include "fpu_config.hh"
+#include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -24,10 +26,15 @@ namespace aurora::fpu
 class FunctionalUnit
 {
   public:
-    FunctionalUnit(const FpUnitConfig &config, std::string name);
+    FunctionalUnit(const FpUnitConfig &config, std::string name)
+        : config_(config), name_(std::move(name))
+    {
+        AURORA_ASSERT(config_.latency >= 1,
+                      "functional unit latency must be >= 1");
+    }
 
     /** Can an operation start at @p now? */
-    bool canIssue(Cycle now) const;
+    bool canIssue(Cycle now) const { return freeAt() <= now; }
 
     /** First cycle canIssue() holds (0 before the first issue). */
     Cycle
@@ -42,7 +49,15 @@ class FunctionalUnit
      * Start an operation at @p now (canIssue must hold).
      * @return completion cycle.
      */
-    Cycle issue(Cycle now);
+    Cycle
+    issue(Cycle now)
+    {
+        AURORA_ASSERT(canIssue(now), "issue to busy unit ", name_);
+        ++ops_;
+        lastIssue_ = now;
+        busyUntil_ = now + config_.latency;
+        return now + config_.latency;
+    }
 
     /** Operations executed. */
     Count ops() const { return ops_; }

@@ -207,6 +207,21 @@ TEST(EventSkip, SmallModelAtLatency100SkipsMostCycles)
         << skipped << " of " << cycles << " cycles skipped";
 }
 
+TEST(EventSkip, FpProfileAtLatency100SkipsMostCycles)
+{
+    // The same guard for the FPU's side of the next-event query. ora
+    // (divide bound) keeps FP work queued across many fill waits: it
+    // skips 0.67 of its cycles at this length (the FP suite:
+    // 0.57-0.79), and 0.42 if the FPU answers `now` whenever an
+    // operation is queued.
+    const auto [cycles, skipped] =
+        skipShare(smallModel().withLatency(100), trace::ora(), nullptr);
+    ASSERT_GT(cycles, 0u);
+    EXPECT_GE(static_cast<double>(skipped),
+              0.55 * static_cast<double>(cycles))
+        << skipped << " of " << cycles << " cycles skipped";
+}
+
 /**
  * advance() in random slices of source input, then finish(), against
  * one run() over the same trace: equal results and equal skipping.
