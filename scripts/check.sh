@@ -23,8 +23,9 @@
 #                               # aurora_sim run; also checks quota and
 #                               # preflight rejections and SIGTERM
 #                               # drain exit status
-#   scripts/check.sh shard      # distributed chaos drill: external
-#                               # 4-shard aurora_shardd fleet, SIGKILL
+#   scripts/check.sh shard      # distributed chaos drill: a 4-shard
+#                               # fleet of exec'd aurora_shardd workers
+#                               # (aurora_swarm --spawn exec), SIGKILL
 #                               # two workers mid-grid plus one zombie
 #                               # shard attempting a post-fence append,
 #                               # then demand exactly-once completion

@@ -20,7 +20,6 @@
 #include "obs/ids.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "shard/swarm.hh"
 #include "trace/spec_profiles.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -174,10 +173,10 @@ struct Server::Grid
     /** Causal trace id: client-supplied (kept in the manifest) or
      *  minted from the fingerprint; a restart recovers either. */
     const std::uint64_t trace_id;
-    /** Every span of the grid on this daemon's side — admission, the
-     *  worker pool's job and attempt spans, swarm supervision, folded
-     *  shard attempts (internally locked; observation only, never
-     *  feeds back into outcomes). Its clock is the serve track's. */
+    /** Every span of the grid on this daemon's side — admission and
+     *  the worker pool's job and attempt spans (internally locked;
+     *  observation only, never feeds back into outcomes). Its clock
+     *  is the serve track's. */
     obs::SpanLog span_log;
 
     bool complete() const { return done == jobs.size(); }
@@ -195,16 +194,11 @@ Server::Server(ServerConfig config) : config_(std::move(config))
     AURORA_ASSERT(!config_.socket_path.empty() &&
                       !config_.spool_dir.empty(),
                   "aurora_serve needs a socket path and a spool dir");
-    if (config_.shards > 0 && config_.shardd_path.empty())
-        util::raiseError(util::SimErrorCode::BadConfig,
-                         "the shard backend needs the aurora_shardd "
-                         "binary path (--shardd) when --shards > 0");
     scheduler_ = Scheduler(config_.limits);
     fs::create_directories(config_.spool_dir);
     flight_.spoolTo(config_.spool_dir + "/serve.flight");
     flight_.note("startup", {},
-                 detail::concat("shards=", config_.shards,
-                                " workers=", config_.workers));
+                 detail::concat("workers=", config_.workers));
     loadSpool();
     listener_ = util::listenUnix(config_.socket_path);
 }
@@ -452,7 +446,7 @@ Server::loadSpool()
 }
 
 Server::Grid *
-Server::claim(bool whole_grid, std::vector<std::size_t> &batch)
+Server::claim(std::size_t &index)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     std::optional<SchedUnit> next;
@@ -465,37 +459,26 @@ Server::claim(bool whole_grid, std::vector<std::size_t> &batch)
         next = scheduler_.take();
     }
     Grid *grid = grids_.at(next->fingerprint).get();
-    batch.assign(1, next->job_index);
-    // The fleet wants whole grids, so the rotor's pick also claims
-    // the rest of that grid's queued jobs: fairness rotates per grid
-    // instead of per job.
-    if (whole_grid)
-        for (const SchedUnit &unit :
-             scheduler_.dropQueued(grid->tenant, next->fingerprint))
-            batch.push_back(unit.job_index);
-    for (const std::size_t index : batch)
-        grid->state[index] = Grid::JobState::Running;
-    running_jobs_ += batch.size();
+    index = next->job_index;
+    grid->state[index] = Grid::JobState::Running;
+    ++running_jobs_;
     return grid;
 }
 
 void
-Server::commit(Grid &grid, std::vector<harness::JournalRecord> records)
+Server::commit(Grid &grid, harness::JournalRecord record)
 {
-    // Durable before visible: every append is flushed before any
+    // Durable before visible: the append is flushed before the
     // completion is posted, so a SIGKILL landing here loses nothing a
     // client was ever told about.
-    for (const harness::JournalRecord &rec : records)
-        grid.journal->append(rec);
+    grid.journal->append(record);
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        for (harness::JournalRecord &rec : records) {
-            const std::size_t index = rec.job_index;
-            applyRecord(grid, std::move(rec), /*from_journal=*/false);
-            scheduler_.jobFinished(grid.tenant);
-            completions_.emplace_back(grid.fingerprint, index);
-        }
-        running_jobs_ -= records.size();
+        const std::size_t index = record.job_index;
+        applyRecord(grid, std::move(record), /*from_journal=*/false);
+        scheduler_.jobFinished(grid.tenant);
+        completions_.emplace_back(grid.fingerprint, index);
+        --running_jobs_;
     }
     wake_.notify();
 }
@@ -503,9 +486,8 @@ Server::commit(Grid &grid, std::vector<harness::JournalRecord> records)
 void
 Server::workerMain()
 {
-    std::vector<std::size_t> batch;
-    while (Grid *grid = claim(/*whole_grid=*/false, batch)) {
-        const std::size_t index = batch.front();
+    std::size_t index = 0;
+    while (Grid *grid = claim(index)) {
         harness::SweepOptions policy;
         policy.base_seed = grid->base_seed;
         policy.retries = grid->retries;
@@ -513,146 +495,14 @@ Server::workerMain()
         policy.backoff_ms = grid->backoff_ms;
         policy.cancel = &grid->cancelled;
         policy.span_log = &grid->span_log;
-        std::vector<harness::JournalRecord> records;
-        records.push_back(harness::runJob(grid->jobs[index], index,
-                                          std::move(policy)));
-        commit(*grid, std::move(records));
-    }
-}
-
-void
-Server::shardMain()
-{
-    // One dispatcher thread owns one Swarm and deals it whole grids;
-    // each grid runs on a fresh fleet. The Swarm is built lazily and
-    // rebuilt after an unrecoverable fleet failure, so one lost fleet
-    // cannot wedge the daemon.
-    std::unique_ptr<shard::Swarm> swarm;
-    const std::string socket = config_.spool_dir + "/swarm.sock";
-    const std::string journal_dir = config_.spool_dir + "/swarm.jd";
-    // Fleet counters accumulate across grids inside the Swarm; the
-    // registry wants per-batch deltas, so remember the last snapshot
-    // (zeroed whenever the swarm is rebuilt).
-    shard::SwarmStats prev_stats;
-    const auto fleet = [&]() -> shard::Swarm & {
-        if (!swarm) {
-            std::error_code ec;
-            fs::remove(socket, ec);
-            shard::SwarmConfig sc;
-            sc.socket_path = socket;
-            sc.journal_dir = journal_dir;
-            sc.flight_dir = config_.spool_dir + "/swarm.obs";
-            sc.shards = config_.shards;
-            sc.spawn = shard::SpawnMode::Exec;
-            sc.shardd_path = config_.shardd_path;
-            sc.verbose = config_.verbose;
-            swarm = std::make_unique<shard::Swarm>(std::move(sc));
-        }
-        return *swarm;
-    };
-
-    std::vector<std::size_t> batch;
-    while (Grid *grid = claim(/*whole_grid=*/true, batch)) {
-        std::vector<harness::SweepJob> jobs;
-        jobs.reserve(batch.size());
-        for (const std::size_t index : batch)
-            jobs.push_back(grid->jobs[index]);
-
-        // Job seeds derive from (base_seed, machine hash, profile
-        // name) — position-independent — so a sub-grid of pending
-        // jobs reproduces the full grid's per-job seeds exactly.
-        shard::GridOptions options;
-        options.base_seed = grid->base_seed;
-        options.retries = grid->retries;
-        options.deadline_ms = grid->deadline_ms;
-        options.backoff_ms = grid->backoff_ms;
-        options.preflight = false; // linted once at admission
-        options.trace_id = grid->trace_id;
-        options.span_log = &grid->span_log;
-
-        std::vector<harness::SweepOutcome> outcomes;
-        try {
-            outcomes = fleet().runGrid(jobs, options);
-            const shard::SwarmStats now = fleet().stats();
-            {
-                const std::lock_guard<std::mutex> mlock(
-                    metrics_mutex_);
-                const auto bump = [&](const char *name,
-                                      const char *desc,
-                                      std::uint64_t cur,
-                                      std::uint64_t before) {
-                    metrics_.counter(name, desc).add(cur - before);
-                };
-                bump("fleet.leases_granted", "shard leases granted",
-                     now.granted_leases, prev_stats.granted_leases);
-                bump("fleet.lease_expiries",
-                     "leases fenced for missed beats",
-                     now.lease_expiries, prev_stats.lease_expiries);
-                bump("fleet.shard_exits",
-                     "leases fenced for dropped connections",
-                     now.shard_exits, prev_stats.shard_exits);
-                bump("fleet.fenced_results",
-                     "stale-epoch results refused behind the fence",
-                     now.fenced_results, prev_stats.fenced_results);
-                bump("fleet.protocol_errors",
-                     "shard protocol violations", now.protocol_errors,
-                     prev_stats.protocol_errors);
-                bump("fleet.migrated_jobs",
-                     "tickets migrated off fenced incarnations",
-                     now.migrated_jobs, prev_stats.migrated_jobs);
-                bump("fleet.respawns",
-                     "replacement shard workers spawned",
-                     now.respawns, prev_stats.respawns);
-                bump("fleet.committed",
-                     "results committed exactly-once", now.committed,
-                     prev_stats.committed);
-                bump("fleet.resumed",
-                     "outcomes replayed from the commit journal",
-                     now.resumed, prev_stats.resumed);
-                bump("fleet.lease_ms_total",
-                     "summed lifetime of closed leases (ms)",
-                     now.lease_ms_total, prev_stats.lease_ms_total);
-            }
-            prev_stats = now;
-        } catch (const util::SimError &e) {
-            // Unrecoverable fleet failure (fleet lost, merge
-            // violation): the batch fails terminally — the service
-            // journals outcomes after the retry budget, so every
-            // journaled record is final. The next batch gets a
-            // fresh fleet.
-            warn(detail::concat("shard fleet failed: ", e.what()));
-            flight_.note("fleet.failed", {}, e.what());
-            swarm.reset();
-            prev_stats = shard::SwarmStats{};
-            outcomes.clear();
-            outcomes.resize(batch.size());
-            for (harness::SweepOutcome &out : outcomes) {
-                out.ok = false;
-                out.code = e.code();
-                out.error = e.what();
-                out.attempts = 1;
-            }
-        }
-
-        std::vector<harness::JournalRecord> records;
-        records.reserve(batch.size());
-        for (std::size_t k = 0; k < batch.size(); ++k)
-            records.push_back(harness::jobRecord(
-                grid->jobs[batch[k]], batch[k], grid->base_seed,
-                std::move(outcomes[k])));
-        commit(*grid, std::move(records));
+        commit(*grid, harness::runJob(grid->jobs[index], index,
+                                      std::move(policy)));
     }
 }
 
 void
 Server::startWorkers()
 {
-    if (config_.shards > 0) {
-        // The shard backend replaces the in-process pool with a
-        // single fleet dispatcher.
-        workers_.emplace_back([this] { shardMain(); });
-        return;
-    }
     unsigned count = config_.workers != 0 ? config_.workers
                                           : defaultWorkers();
     count = std::max(1u, count);
@@ -1237,9 +1087,8 @@ Server::streamOutcome(Grid &grid, std::size_t index)
 }
 
 /**
- * Write the grid's spans — admission, the worker pool's job and
- * attempt spans, and everything the swarm and its shards contributed
- * — under the grid root as one Chrome trace next to the grid's spool
+ * Write the grid's spans — admission and the worker pool's job and
+ * attempt spans — under the grid root as one Chrome trace next to the grid's spool
  * pair. Diagnostics must never fail the grid, so every failure path
  * warns and returns. mutex_ held.
  */

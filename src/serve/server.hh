@@ -133,17 +133,6 @@ struct ServerConfig
     std::size_t progress_every = 0;
     /** Log lifecycle lines (accepts, drains, resumes) via inform(). */
     bool verbose = false;
-    /** Horizontal-scale backend: 0 (default) executes jobs on the
-     *  in-process worker pool; N > 0 replaces the pool with one
-     *  dispatcher thread that deals each grid to a fleet of N
-     *  `aurora_shardd` processes under lease-fenced supervision
-     *  (shard::Swarm, Exec spawn mode — fork-without-exec is unsafe
-     *  in this multithreaded host). Fairness then rotates per grid
-     *  rather than per job, and cancellation of dealt jobs takes
-     *  effect at grid boundaries. */
-    unsigned shards = 0;
-    /** Path to the aurora_shardd binary (required when shards > 0). */
-    std::string shardd_path;
 };
 
 /** Locked snapshot of daemon state (Status requests, tests). */
@@ -216,21 +205,19 @@ class Server
     void startWorkers();
     void stopWorkers();
     /**
-     * Dispatch step one, shared by both loops: wait for queued work
-     * and claim it under mutex_ — the scheduler's next job into
-     * @p batch, plus, when @p whole_grid, the rest of that grid's
-     * queued jobs — marking each Running. Returns the jobs' grid, or
-     * nullptr once the workers are told to stop.
+     * Wait for queued work and claim the scheduler's next (grid, job)
+     * under mutex_, marking the job Running. Returns the job's grid
+     * with its index in @p index, or nullptr once the workers are told
+     * to stop.
      */
-    Grid *claim(bool whole_grid, std::vector<std::size_t> &batch);
+    Grid *claim(std::size_t &index);
     /**
-     * Dispatch step two: journal every one of @p records, then post
-     * them all (applyRecord, release the tenant's charge, queue the
-     * completion) under one mutex_ hold and wake the poll loop.
+     * Journal @p record, then post it (applyRecord, release the
+     * tenant's charge, queue the completion) under mutex_ and wake the
+     * poll loop.
      */
-    void commit(Grid &grid, std::vector<harness::JournalRecord> records);
+    void commit(Grid &grid, harness::JournalRecord record);
     void workerMain();
-    void shardMain();
     void beginDrain();
     void pollCycle();
     void acceptPending();

@@ -753,15 +753,10 @@ std::vector<harness::SweepOutcome>
 Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
                const GridOptions &options)
 {
+    AURORA_ASSERT(!ran_, "a Swarm runs one grid; build one per grid");
+    ran_ = true;
     if (options.preflight)
         harness::preflightGrid(grid);
-    // Each grid merges only its own tickets and its own epochs'
-    // journals: the previous grid's fleet drained cleanly, so its
-    // journals hold entries no commit of this grid accounts for.
-    tickets_.clear();
-    grid_respawns_ = 0;
-    journal_refs_.clear();
-    draining_ = false;
     trace_id_ = options.trace_id;
     span_log_ = options.span_log;
     const double grid_start_us = obsNowUs();
@@ -851,21 +846,20 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
             std::any_of(slots_.begin(), slots_.end(),
                         [](const Slot &s) { return !s.fd.valid(); });
         if (need && vacant && !any_dialer &&
-            grid_respawns_ < MAX_RESPAWNS &&
+            stats_.respawns < MAX_RESPAWNS &&
             msSince(last_spawn_) >= 250) {
-            ++grid_respawns_;
             ++stats_.respawns;
             flight_.note("shard.respawn", {},
-                         detail::concat(grid_respawns_, "/",
+                         detail::concat(stats_.respawns, "/",
                                         MAX_RESPAWNS));
             spawnWorker(std::nullopt);
             if (config_.verbose)
                 inform(detail::concat("swarm: respawned a worker (",
-                                      grid_respawns_, "/",
+                                      stats_.respawns, "/",
                                       MAX_RESPAWNS, " used)"));
         }
         if (!any_live && !any_dialer && children_.empty() &&
-            grid_respawns_ >= MAX_RESPAWNS)
+            stats_.respawns >= MAX_RESPAWNS)
             util::raiseError(util::SimErrorCode::Internal,
                              "swarm: shard fleet lost with ",
                              open_tickets_,
@@ -949,9 +943,11 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
             if (!std::filesystem::exists(spans_path))
                 continue;
             try {
-                // A rebuilt coordinator counts epochs from 1 again, so
-                // an incarnation that died before reopening its span
-                // file leaves an older grid's spans under its name;
+                // Every coordinator counts epochs from 1, so two runs
+                // sharing a flight directory (two aurora_swarm runs
+                // with one --journal-dir) reuse span-file names: an
+                // incarnation that died before reopening its file
+                // leaves the older grid's spans under its name, and
                 // only this grid's trace folds in.
                 std::vector<obs::Span> spans =
                     obs::loadSpanFile(spans_path).spans;
@@ -969,7 +965,8 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
         }
     }
     // The fabric's own span: the grid-root span belongs to whoever
-    // minted the trace (aurora_serve or the aurora_swarm CLI).
+    // minted the trace (the aurora_swarm CLI, or the caller that set
+    // GridOptions::trace_id).
     obsSpan(obs::stageSpanId(trace_id_, "swarm"),
             obs::rootSpanId(trace_id_), "swarm", "swarm",
             grid_start_us, obsNowUs() - grid_start_us);

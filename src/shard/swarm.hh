@@ -79,8 +79,9 @@ enum class SpawnMode
      *  default for the CLI and tests (no exec, no binary path). */
     Fork,
     /** fork()+exec() the `aurora_shardd` binary named by
-     *  SwarmConfig::shardd_path — required inside multithreaded
-     *  hosts (aurora_serve), where fork-without-exec is unsafe. */
+     *  SwarmConfig::shardd_path — the mode for a multithreaded host,
+     *  where fork-without-exec is unsafe, and the path the `check.sh
+     *  shard` drill SIGKILLs real worker processes on. */
     Exec,
 };
 
@@ -172,12 +173,10 @@ struct SwarmStats
 };
 
 /**
- * The coordinator. Construction binds the socket; runGrid() runs one
- * grid to completion in the calling thread (single-threaded poll
+ * The coordinator. Construction binds the socket; runGrid() runs its
+ * one grid to completion in the calling thread (single-threaded poll
  * loop — fork()-spawning is safe because the coordinator never holds
- * locks across fork()). A Swarm may run several grids in sequence:
- * each grid spawns a fresh fleet and merges only its own epochs'
- * journals; stats and the fenced-epoch set accumulate.
+ * locks across fork()). A Swarm runs one grid: build one per grid.
  */
 class Swarm
 {
@@ -189,12 +188,12 @@ class Swarm
     Swarm &operator=(const Swarm &) = delete;
 
     /**
-     * Execute @p grid across the shard fleet and return submission-
-     * order outcomes bit-identical to a single-process
-     * SweepRunner::runOutcomes() of the same grid. Spawns a fleet of
-     * SwarmConfig::shards workers, supervises leases,
-     * migrates work off fenced shards, then merge-verifies the
-     * per-epoch shard journals before returning. Throws SimError on
+     * Execute @p grid across the shard fleet (once per Swarm) and
+     * return submission-order outcomes bit-identical to a
+     * single-process SweepRunner::runOutcomes() of the same grid.
+     * Spawns a fleet of SwarmConfig::shards workers, supervises
+     * leases, migrates work off fenced shards, then merge-verifies
+     * the per-epoch shard journals before returning. Throws SimError on
      * unrecoverable failure (merge violation, fleet lost and
      * unrecoverable, preflight rejection, bad resume journal).
      */
@@ -307,9 +306,8 @@ class Swarm
     std::map<std::uint64_t, Ticket> tickets_;
     std::deque<Unit> pending_;
     std::uint64_t open_tickets_ = 0;
-    /** Replacement workers spawned for the current grid: the respawn
-     *  budget is per grid, so a long-lived Swarm never runs dry. */
-    std::uint64_t grid_respawns_ = 0;
+    /** runGrid() has been called (a Swarm runs one grid). */
+    bool ran_ = false;
     std::set<std::uint64_t> fenced_epochs_;
     std::vector<ShardJournalRef> journal_refs_;
     harness::JournalWriter *commit_journal_ = nullptr; // runGrid-local

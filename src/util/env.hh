@@ -7,15 +7,19 @@
  * is worse than a fatal one — strtoull("2OOOOO") yielding 2 would
  * quietly turn a benchmark into a no-op — so every lookup goes
  * through parseCount(), which accepts only a complete non-negative
- * decimal number and reports anything else as absent.
+ * decimal number and reports anything else as absent. Command-line
+ * tools parse their numeric flags through countOption(), the same
+ * rule made fatal.
  */
 
 #ifndef AURORA_UTIL_ENV_HH
 #define AURORA_UTIL_ENV_HH
 
+#include <limits>
 #include <optional>
 #include <string>
 
+#include "sim_error.hh"
 #include "types.hh"
 
 namespace aurora
@@ -27,6 +31,25 @@ namespace aurora
  * trailing garbage, hex, overflow — yields nullopt.
  */
 std::optional<Count> parseCount(const std::string &text);
+
+/**
+ * Parse the value @p text of command-line option @p option as a count
+ * of type @p T. Anything parseCount() rejects, or a value above T's
+ * maximum, raises SimError(BadConfig): "-1" never wraps to a huge
+ * count and "4294967296" never truncates into 32 bits.
+ */
+template <typename T = Count>
+T
+countOption(const std::string &option, const std::string &text)
+{
+    const std::optional<Count> parsed = parseCount(text);
+    if (!parsed || *parsed > std::numeric_limits<T>::max())
+        util::raiseError(util::SimErrorCode::BadConfig, "option ", option,
+                         ": bad numeric value '", text,
+                         "' (accepted: a decimal integer from 0 to ",
+                         std::numeric_limits<T>::max(), ")");
+    return static_cast<T>(*parsed);
+}
 
 /**
  * Read environment variable @p name as a count.

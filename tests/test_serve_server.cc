@@ -603,51 +603,6 @@ TEST(ServeServer, StatusReportCountsWork)
     EXPECT_EQ(stats.sessions, 1u);
 }
 
-TEST(ServeServer, ShardBackendWithoutBinaryIsBadConfig)
-{
-    auto config = baseConfig("serve_shard_nobin");
-    config.shards = 2;
-    try {
-        serve::Server server(std::move(config));
-        FAIL() << "--shards without --shardd accepted";
-    } catch (const util::SimError &e) {
-        EXPECT_EQ(e.code(), util::SimErrorCode::BadConfig);
-    }
-}
-
-#ifdef AURORA_SHARDD_PATH
-TEST(ServeServer, ShardBackendStreamsBitIdenticalToStandaloneRunner)
-{
-    // The horizontal-scale path: the daemon deals the grid to a
-    // lease-fenced fleet of exec'd aurora_shardd processes, and the
-    // streamed results must still be bit-identical to a serial run.
-    // One coordinator serves every grid, so a second grid runs on a
-    // fresh fleet under the same Swarm and must come out right too.
-    const std::vector<std::string> profiles = {"espresso", "li",
-                                               "eqntott"};
-    auto config = baseConfig("serve_shard");
-    config.shards = 2;
-    config.shardd_path = AURORA_SHARDD_PATH;
-    TestDaemon daemon(std::move(config));
-    Client client(daemon.server().socketPath(), "alice");
-
-    for (const std::uint64_t seed : {42u, 43u}) {
-        SCOPED_TRACE("base seed " + std::to_string(seed));
-        client.send(wire::encode(smallSubmit(profiles, 3000, seed)));
-        const auto reply = client.recv();
-        ASSERT_TRUE(reply.has_value());
-        ASSERT_EQ(wire::peekType(*reply), wire::MsgType::Accepted);
-        const auto accepted = wire::decodeAccepted(*reply);
-
-        const GridStream stream =
-            streamToDone(client, accepted.fingerprint);
-        EXPECT_EQ(stream.done.ok, profiles.size());
-        EXPECT_EQ(stream.done.failed, 0u);
-        expectBitIdentical(stream, runSerial(profiles, 3000, seed));
-    }
-}
-#endif
-
 TEST(ServeServer, ProtocolViolationIsFatalWithAur207)
 {
     TestDaemon daemon(baseConfig("serve_proto"));

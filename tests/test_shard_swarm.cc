@@ -2,9 +2,8 @@
  * @file
  * Coordinator supervision tests: lease fencing and migration under
  * each scripted ShardFault, the zombie-append refusal (AUR304), one
- * shard running a trace group as one lockstep unit, one Swarm running
- * two grids in turn, a respawn budget that each grid gets afresh, the
- * commit journal's resume path, configuration
+ * shard running a trace group as one lockstep unit, one grid per
+ * Swarm, the commit journal's resume path, configuration
  * rejection, a fleet lost once its respawn budget is spent, and the
  * refusal of a foreign protocol version (AUR305).
  */
@@ -191,50 +190,12 @@ TEST(SwarmSupervision, OneShardRunsATraceGroupAsOneUnit)
     EXPECT_EQ(swarm.stats().committed, grid.size());
 }
 
-TEST(SwarmSupervision, ReusedSwarmRunsASecondGrid)
+TEST(SwarmSupervision, SecondGridOnOneSwarmPanics)
 {
-    // aurora_serve keeps one Swarm for every grid. Each grid spawns a
-    // fresh fleet, and its merge must see only its own tickets and
-    // epochs: the first grid's cleanly drained journals hold entries
-    // no commit of the second grid accounts for.
-    shard::Swarm swarm(baseConfig("reuse"));
-    harness::SweepOptions serial;
-    serial.workers = 1;
-    std::size_t jobs = 0;
-    for (const Count insts : {2000, 3000}) {
-        SCOPED_TRACE("grid of " + std::to_string(insts) + " insts");
-        const auto grid = testGrid(insts);
-        const auto outcomes = swarm.runGrid(grid, {});
-        const auto want = harness::SweepRunner(serial).runOutcomes(grid);
-        ASSERT_EQ(outcomes.size(), want.size());
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-            EXPECT_EQ(harness::runResultBytes(outcomes[i].result),
-                      harness::runResultBytes(want[i].result))
-                << "job " << i;
-        }
-        jobs += grid.size();
-    }
-    EXPECT_EQ(swarm.stats().committed, jobs);
-    EXPECT_EQ(swarm.stats().granted_leases, 4u);
-}
-
-TEST(SwarmSupervision, RespawnBudgetIsPerGrid)
-{
-    // aurora_serve --shards keeps one Swarm for its whole life. Each
-    // grid's only initial worker dies before its first result, so
-    // every grid needs exactly one respawn: a budget counted per Swarm
-    // (eight) would lose the fleet on the ninth grid.
-    shard::SwarmConfig config = baseConfig("budget");
-    config.shards = 1;
-    config.fault_plans = {ShardFaultPlan{ShardFault::KillShard, 0}};
-    shard::Swarm swarm(config);
-    const auto grid = testGrid();
-    for (std::uint64_t g = 1; g <= 9; ++g) {
-        SCOPED_TRACE("grid " + std::to_string(g));
-        expectAllOk(swarm.runGrid(grid, {}), grid.size());
-        EXPECT_EQ(swarm.stats().respawns, g);
-    }
+    // A Swarm runs one grid; a caller with another builds another.
+    shard::Swarm swarm(baseConfig("once"));
+    EXPECT_TRUE(swarm.runGrid({}, {}).empty());
+    EXPECT_DEATH((void)swarm.runGrid({}, {}), "one grid");
 }
 
 TEST(SwarmSupervision, CommitJournalResumeReplaysWithoutShards)

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include "util/env.hh"
+#include "util/sim_error.hh"
 
 namespace
 {
@@ -53,6 +56,43 @@ TEST(ParseCount, RejectsMalformedInput)
     // One past uint64 max: must report overflow, not wrap.
     EXPECT_FALSE(parseCount("18446744073709551616"));
     EXPECT_FALSE(parseCount("99999999999999999999999"));
+}
+
+/** The message countOption raised for @p text, or "" if it parsed. */
+template <typename T>
+std::string
+countOptionError(const std::string &text)
+{
+    try {
+        (void)countOption<T>("--n", text);
+    } catch (const util::SimError &e) {
+        EXPECT_EQ(e.code(), util::SimErrorCode::BadConfig);
+        return e.what();
+    }
+    return {};
+}
+
+TEST(CountOption, ParsesWhatFitsTheField)
+{
+    EXPECT_EQ(countOption("--n", "42"), Count{42});
+    EXPECT_EQ(countOption<unsigned>("--n", "4294967295"), 4294967295u);
+    EXPECT_EQ(countOption<std::uint32_t>("--n", "0"), 0u);
+}
+
+TEST(CountOption, RefusesWhatWouldWrapOrTruncate)
+{
+    // strtoull("-1") is 2^64 - 1: as --workers that asked for four
+    // billion threads.
+    EXPECT_NE(countOptionError<unsigned>("-1")
+                  .find("option --n: bad numeric value '-1'"),
+              std::string::npos);
+    EXPECT_NE(countOptionError<Count>("-1"), "");
+    // One past the field's maximum used to truncate (to 0 = default).
+    EXPECT_NE(countOptionError<unsigned>("4294967296"), "");
+    EXPECT_NE(countOptionError<std::uint32_t>("4294967296"), "");
+    EXPECT_NE(countOptionError<Count>("18446744073709551616"), "");
+    EXPECT_NE(countOptionError<Count>("12abc"), "");
+    EXPECT_NE(countOptionError<Count>(""), "");
 }
 
 TEST_F(EnvCount, UnsetReturnsFallback)

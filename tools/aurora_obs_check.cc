@@ -42,6 +42,7 @@
 #include "obs/trace.hh"
 #include "telemetry/export.hh"
 #include "telemetry/json.hh"
+#include "util/env.hh"
 #include "util/sim_error.hh"
 
 namespace
@@ -495,9 +496,13 @@ main(int argc, char **argv)
     const std::string path = argv[2];
     if (mode == "postmortem") {
         std::size_t last_n = 8;
-        if (argc == 4)
-            last_n = std::strtoull(argv[3], nullptr, 10);
-        else if (argc != 3)
+        if (argc == 4) {
+            try {
+                last_n = countOption<std::size_t>("postmortem N", argv[3]);
+            } catch (const util::SimError &e) {
+                fail(e.what());
+            }
+        } else if (argc != 3)
             usage();
         return postmortem(path, last_n);
     }

@@ -16,10 +16,6 @@
  *   --queue-depth N     global queued+running job cap (default 16384)
  *   --grid-jobs N       max jobs in one submission (default 2048)
  *   --progress-every N  heartbeat cadence in jobs (default: grid/4)
- *   --shards N          horizontal-scale backend: deal each grid to
- *                       N aurora_shardd processes under lease-fenced
- *                       supervision instead of in-process workers
- *   --shardd PATH       aurora_shardd binary (required with --shards)
  *   --quiet             suppress lifecycle log lines
  *
  * Lifecycle: runs until SIGTERM/SIGINT, then drains — running jobs
@@ -35,6 +31,7 @@
 #include <string>
 
 #include "serve/server.hh"
+#include "util/env.hh"
 #include "util/sim_error.hh"
 
 namespace
@@ -50,20 +47,8 @@ usage()
         << "                    [--workers N] [--quota-grids N]\n"
         << "                    [--quota-jobs N] [--queue-depth N]\n"
         << "                    [--grid-jobs N] [--progress-every N]\n"
-        << "                    [--shards N --shardd PATH] [--quiet]\n";
+        << "                    [--quiet]\n";
     std::exit(2);
-}
-
-std::size_t
-numericOption(const std::string &option, const std::string &value)
-{
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        util::raiseError(util::SimErrorCode::BadConfig, "option ",
-                         option, ": bad numeric value '", value, "'");
-    return static_cast<std::size_t>(parsed);
 }
 
 int
@@ -79,26 +64,22 @@ run(int argc, char **argv)
         } else if (arg == "--spool" && i + 1 < argc) {
             config.spool_dir = argv[++i];
         } else if (arg == "--workers" && i + 1 < argc) {
-            config.workers =
-                static_cast<unsigned>(numericOption(arg, argv[++i]));
+            config.workers = countOption<unsigned>(arg, argv[++i]);
         } else if (arg == "--quota-grids" && i + 1 < argc) {
             config.limits.grids_per_tenant =
-                numericOption(arg, argv[++i]);
+                countOption<std::size_t>(arg, argv[++i]);
         } else if (arg == "--quota-jobs" && i + 1 < argc) {
             config.limits.jobs_per_tenant =
-                numericOption(arg, argv[++i]);
+                countOption<std::size_t>(arg, argv[++i]);
         } else if (arg == "--queue-depth" && i + 1 < argc) {
-            config.limits.total_jobs = numericOption(arg, argv[++i]);
+            config.limits.total_jobs =
+                countOption<std::size_t>(arg, argv[++i]);
         } else if (arg == "--grid-jobs" && i + 1 < argc) {
             config.limits.jobs_per_grid =
-                numericOption(arg, argv[++i]);
+                countOption<std::size_t>(arg, argv[++i]);
         } else if (arg == "--progress-every" && i + 1 < argc) {
-            config.progress_every = numericOption(arg, argv[++i]);
-        } else if (arg == "--shards" && i + 1 < argc) {
-            config.shards =
-                static_cast<unsigned>(numericOption(arg, argv[++i]));
-        } else if (arg == "--shardd" && i + 1 < argc) {
-            config.shardd_path = argv[++i];
+            config.progress_every =
+                countOption<std::size_t>(arg, argv[++i]);
         } else if (arg == "--quiet") {
             config.verbose = false;
         } else if (arg == "--help" || arg == "-h") {

@@ -39,10 +39,8 @@ usage()
     std::exit(2);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     shard::ShardWorkerConfig config;
     for (int i = 1; i < argc; ++i) {
@@ -52,8 +50,7 @@ main(int argc, char **argv)
         } else if (arg == "--journal-dir" && i + 1 < argc) {
             config.journal_dir = argv[++i];
         } else if (arg == "--connect-timeout-ms" && i + 1 < argc) {
-            config.connect_timeout_ms =
-                std::stoull(std::string(argv[++i]));
+            config.connect_timeout_ms = countOption(arg, argv[++i]);
         } else if (arg == "--flight-dir" && i + 1 < argc) {
             config.flight_dir = argv[++i];
         } else if (arg == "--help" || arg == "-h") {
@@ -76,8 +73,16 @@ main(int argc, char **argv)
         }
     }
 
+    return shard::runShardWorker(config);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
     try {
-        return shard::runShardWorker(config);
+        return run(argc, argv);
     } catch (const util::SimError &e) {
         std::cerr << "aurora_shardd: " << e.what() << "\n";
         return shard::SHARD_EXIT_ERROR;

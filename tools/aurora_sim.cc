@@ -100,22 +100,6 @@ usage()
     std::exit(2);
 }
 
-/**
- * Parse a numeric option strictly: strtoull's silent acceptance of
- * "2OOOOO" as 2 would misconfigure a run without a trace, so anything
- * but a complete non-negative decimal is a BadConfig error.
- */
-Count
-numericOption(const std::string &option, const std::string &value)
-{
-    const auto parsed = parseCount(value);
-    if (!parsed)
-        util::raiseError(util::SimErrorCode::BadConfig, "option ",
-                         option, ": bad numeric value '", value,
-                         "' (accepted: a non-negative decimal integer)");
-    return *parsed;
-}
-
 /** Export destination: a file, or stdout when the path is "-". */
 class Output
 {
@@ -230,13 +214,13 @@ run(int argc, char **argv)
         if (arg == "--bench" && i + 1 < argc) {
             bench = argv[++i];
         } else if (arg == "--insts" && i + 1 < argc) {
-            insts = numericOption(arg, argv[++i]);
+            insts = countOption(arg, argv[++i]);
         } else if (arg == "--trace" && i + 1 < argc) {
             trace_file = argv[++i];
         } else if (arg == "--pipeline-trace" && i + 1 < argc) {
-            trace_cycles = numericOption(arg, argv[++i]);
+            trace_cycles = countOption(arg, argv[++i]);
         } else if (arg == "--cycle-budget" && i + 1 < argc) {
-            watchdog.cycle_budget = numericOption(arg, argv[++i]);
+            watchdog.cycle_budget = countOption(arg, argv[++i]);
         } else if (arg == "--journal" && i + 1 < argc) {
             journal = argv[++i];
         } else if (arg == "--resume") {
@@ -248,7 +232,7 @@ run(int argc, char **argv)
         } else if (arg == "--trace-events" && i + 1 < argc) {
             request.trace_events = argv[++i];
         } else if (arg == "--trace-event-cycles" && i + 1 < argc) {
-            request.trace_event_cycles = numericOption(arg, argv[++i]);
+            request.trace_event_cycles = countOption(arg, argv[++i]);
         } else if (arg == "--sweep-trace" && i + 1 < argc) {
             request.sweep_trace = argv[++i];
         } else if (arg == "--csv") {

@@ -49,6 +49,7 @@
 #include "serve/wire.hh"
 #include "telemetry/export.hh"
 #include "trace/spec_profiles.hh"
+#include "util/env.hh"
 #include "util/sim_error.hh"
 #include "util/socket.hh"
 
@@ -73,18 +74,6 @@ usage()
         << "                     [--stats-csv FILE] [--timeout-ms N]\n"
         << "                     [--quiet] [key=value ...]\n";
     std::exit(2);
-}
-
-std::uint64_t
-numericOption(const std::string &option, const std::string &value)
-{
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        util::raiseError(util::SimErrorCode::BadConfig, "option ",
-                         option, ": bad numeric value '", value, "'");
-    return parsed;
 }
 
 /** Parse a grid fingerprint as printed by this tool (16 hex digits). */
@@ -433,19 +422,18 @@ run(int argc, char **argv)
         } else if (arg == "--bench" && i + 1 < argc) {
             opt.bench = argv[++i];
         } else if (arg == "--insts" && i + 1 < argc) {
-            opt.insts = numericOption(arg, argv[++i]);
+            opt.insts = countOption(arg, argv[++i]);
         } else if (arg == "--label" && i + 1 < argc) {
             opt.label = argv[++i];
         } else if (arg == "--base-seed" && i + 1 < argc) {
             opt.has_base_seed = true;
-            opt.base_seed = numericOption(arg, argv[++i]);
+            opt.base_seed = countOption(arg, argv[++i]);
         } else if (arg == "--retries" && i + 1 < argc) {
-            opt.retries =
-                static_cast<std::uint32_t>(numericOption(arg, argv[++i]));
+            opt.retries = countOption<std::uint32_t>(arg, argv[++i]);
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            opt.deadline_ms = numericOption(arg, argv[++i]);
+            opt.deadline_ms = countOption(arg, argv[++i]);
         } else if (arg == "--backoff-ms" && i + 1 < argc) {
-            opt.backoff_ms = numericOption(arg, argv[++i]);
+            opt.backoff_ms = countOption(arg, argv[++i]);
         } else if (arg == "--cancel-on-disconnect") {
             opt.cancel_on_disconnect = true;
         } else if (arg == "--no-wait") {
@@ -453,7 +441,7 @@ run(int argc, char **argv)
         } else if (arg == "--stats-csv" && i + 1 < argc) {
             opt.stats_csv = argv[++i];
         } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            opt.timeout_ms = numericOption(arg, argv[++i]);
+            opt.timeout_ms = countOption(arg, argv[++i]);
         } else if (arg == "--quiet") {
             opt.quiet = true;
         } else if (arg == "--help" || arg == "-h") {

@@ -82,16 +82,6 @@ usage()
     std::exit(2);
 }
 
-std::uint64_t
-numericOption(const std::string &option, const std::string &value)
-{
-    const auto parsed = parseCount(value);
-    if (!parsed)
-        util::raiseError(util::SimErrorCode::BadConfig, "option ",
-                         option, ": bad numeric value '", value, "'");
-    return *parsed;
-}
-
 int
 run(int argc, char **argv)
 {
@@ -113,8 +103,7 @@ run(int argc, char **argv)
         } else if (arg == "--journal-dir" && i + 1 < argc) {
             config.journal_dir = argv[++i];
         } else if (arg == "--shards" && i + 1 < argc) {
-            config.shards = static_cast<std::uint32_t>(
-                numericOption(arg, argv[++i]));
+            config.shards = countOption<std::uint32_t>(arg, argv[++i]);
         } else if (arg == "--spawn" && i + 1 < argc) {
             const std::string mode = argv[++i];
             if (mode == "fork")
@@ -130,22 +119,22 @@ run(int argc, char **argv)
         } else if (arg == "--bench" && i + 1 < argc) {
             bench = argv[++i];
         } else if (arg == "--insts" && i + 1 < argc) {
-            insts = numericOption(arg, argv[++i]);
+            insts = countOption(arg, argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            grid_options.base_seed = numericOption(arg, argv[++i]);
+            grid_options.base_seed = countOption(arg, argv[++i]);
         } else if (arg == "--lease-ms" && i + 1 < argc) {
-            config.lease_ms = numericOption(arg, argv[++i]);
+            config.lease_ms = countOption(arg, argv[++i]);
         } else if (arg == "--journal" && i + 1 < argc) {
             grid_options.journal = argv[++i];
         } else if (arg == "--resume") {
             grid_options.resume = true;
         } else if (arg == "--retries" && i + 1 < argc) {
-            grid_options.retries = static_cast<std::uint32_t>(
-                numericOption(arg, argv[++i]));
+            grid_options.retries =
+                countOption<std::uint32_t>(arg, argv[++i]);
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            grid_options.deadline_ms = numericOption(arg, argv[++i]);
+            grid_options.deadline_ms = countOption(arg, argv[++i]);
         } else if (arg == "--backoff-ms" && i + 1 < argc) {
-            grid_options.backoff_ms = numericOption(arg, argv[++i]);
+            grid_options.backoff_ms = countOption(arg, argv[++i]);
         } else if (arg == "--fault" && i + 1 < argc) {
             const std::string value = argv[++i];
             const std::size_t colon = value.find(':');
@@ -154,8 +143,8 @@ run(int argc, char **argv)
                                  "--fault: expected "
                                  "SLOT:NAME:AFTER, got '",
                                  value, "'");
-            const auto slot = static_cast<std::uint32_t>(
-                numericOption(arg, value.substr(0, colon)));
+            const auto slot =
+                countOption<std::uint32_t>(arg, value.substr(0, colon));
             const auto plan = faultinject::parseShardFaultPlan(
                 value.substr(colon + 1));
             if (!plan)

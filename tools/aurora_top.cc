@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "serve/wire.hh"
+#include "util/env.hh"
 #include "util/sim_error.hh"
 #include "util/socket.hh"
 
@@ -54,18 +55,6 @@ usage()
               << "                  [--watch SECONDS] [--raw prom|json]\n"
               << "                  [--timeout-ms N]\n";
     std::exit(2);
-}
-
-std::uint64_t
-numericOption(const std::string &option, const std::string &value)
-{
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        util::raiseError(util::SimErrorCode::BadConfig, "option ",
-                         option, ": bad numeric value '", value, "'");
-    return parsed;
 }
 
 struct Options
@@ -152,13 +141,11 @@ renderDashboard(const wire::StatusReportMsg &status,
               << " done=" << status.done_jobs << "\n\n";
     const auto samples = parsePrometheus(prom_body);
     printSection("serve", samples, "aurora_serve_");
-    printSection("fleet", samples, "aurora_fleet_");
-    // Anything outside the two known families, verbatim — a renamed
-    // metric should show up oddly placed rather than vanish.
+    // Anything outside the known family, verbatim — a renamed metric
+    // should show up oddly placed rather than vanish.
     bool any = false;
     for (const auto &s : samples) {
-        if (s.name.compare(0, 13, "aurora_serve_") == 0 ||
-            s.name.compare(0, 13, "aurora_fleet_") == 0)
+        if (s.name.compare(0, 13, "aurora_serve_") == 0)
             continue;
         if (!any) {
             std::cout << "other\n";
@@ -207,7 +194,7 @@ run(int argc, char **argv)
         } else if (arg == "--tenant" && i + 1 < argc) {
             opt.tenant = argv[++i];
         } else if (arg == "--watch" && i + 1 < argc) {
-            opt.watch_seconds = numericOption(arg, argv[++i]);
+            opt.watch_seconds = countOption(arg, argv[++i]);
             if (opt.watch_seconds == 0)
                 usage();
         } else if (arg == "--raw" && i + 1 < argc) {
@@ -220,7 +207,7 @@ run(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            opt.timeout_ms = numericOption(arg, argv[++i]);
+            opt.timeout_ms = countOption(arg, argv[++i]);
         } else if (arg == "--help" || arg == "-h") {
             usage();
         } else {
