@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: trace
  * generation rate, the core replaying a collected integer or FP trace,
- * a lockstep unit replaying one shared trace, component costs, and end-to-end
+ * a lockstep unit replaying one shared trace, the fixed cost of a
+ * stepped cycle, component costs, and end-to-end
  * simulation throughput. These guard against
  * performance regressions in the library (the table/figure harness
  * runs millions of instructions).
@@ -104,6 +105,63 @@ BM_LockstepReplay(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LockstepReplay)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+/**
+ * A straight dual-issue IntAlu loop: 32 instructions in four I-cache
+ * lines, closed by a taken branch whose delay slot is its pair mate.
+ * No memory op, no dependency inside a pair, so after the cold
+ * I-cache misses every cycle issues two instructions.
+ */
+std::vector<trace::Inst>
+intAluLoop(Count n)
+{
+    constexpr Addr BASE = 0x1000;
+    constexpr unsigned BODY = 32;
+    constexpr unsigned BRANCH = BODY - 2;
+    std::vector<trace::Inst> insts(n);
+    for (Count i = 0; i < n; ++i) {
+        trace::Inst &inst = insts[i];
+        const auto slot = static_cast<unsigned>(i % BODY);
+        inst.pc = BASE + 4 * slot;
+        inst.next_pc = slot == BODY - 1 ? BASE : inst.pc + 4;
+        inst.src_a = inst.src_b = 0;
+        if (slot == BRANCH) {
+            inst.op = trace::OpClass::Branch;
+            inst.taken = true;
+        } else {
+            inst.op = trace::OpClass::IntAlu;
+            inst.dst = static_cast<RegIndex>(1 + slot % 8);
+        }
+    }
+    return insts;
+}
+
+/**
+ * The fixed cost of a stepped cycle: the large model replaying
+ * intAluLoop(), which never skips a cycle, never misses after warm-up
+ * and never wakes the FPU. Reports host time per simulated cycle.
+ */
+void
+BM_SteppedCycle(benchmark::State &state)
+{
+    const auto machine = core::largeModel();
+    trace::VectorTraceSource source(
+        intAluLoop(static_cast<Count>(state.range(0))));
+    Cycle cycles = 0;
+    for (auto _ : state) {
+        source.rewind();
+        core::Processor cpu(machine, source);
+        cycles += cpu.run().cycles;
+    }
+    // Host seconds per simulated cycle, printed with an SI prefix.
+    state.counters["per_cycle"] = benchmark::Counter(
+        static_cast<double>(cycles),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(source.insts().size()) *
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SteppedCycle)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 void
 BM_CacheAccess(benchmark::State &state)

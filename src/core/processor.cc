@@ -48,7 +48,7 @@ OccupancyStats::fromHistogram(const Histogram &h)
 bool
 Processor::done() const
 {
-    return ifu_.exhausted() && rob_.empty() && fpu_.idle();
+    return ifu_.exhausted() && rob_.empty() && !fpActive_;
 }
 
 [[gnu::always_inline]] inline bool
@@ -224,7 +224,8 @@ void
 Processor::tick()
 {
     lsu_.tick(now_);
-    fpu_.tick(now_);
+    if (fpActive_)
+        fpu_.tickBusy(now_);
     const unsigned retired = rob_.retire(now_);
     if (retired)
         lastRetire_ = now_;
@@ -283,6 +284,7 @@ Processor::tick()
             fpu_.dispatchLoad(inst.fdst, ready, now_);
             rob_.allocate(now_ + 1);
             ++fpDispatched_;
+            fpActive_ = true;
             break;
           }
           case OpClass::FpStore: {
@@ -290,6 +292,7 @@ Processor::tick()
             fpu_.dispatchStore(inst.fsrc_a, now_);
             rob_.allocate(now_ + 1);
             ++fpDispatched_;
+            fpActive_ = true;
             break;
           }
           case OpClass::FpAdd:
@@ -299,6 +302,7 @@ Processor::tick()
             fpu_.dispatchArith(inst, now_);
             rob_.allocate(now_ + 1);
             ++fpDispatched_;
+            fpActive_ = true;
             break;
           }
           default:
@@ -310,8 +314,7 @@ Processor::tick()
             observer_->onIssue(now_, inst, issued);
         ++issued;
     }
-    for (unsigned i = 0; i < issued; ++i)
-        ifu_.pop();
+    ifu_.pop(issued);
 
     if (issued > 0) {
         ++issuingCycles_;
@@ -326,18 +329,27 @@ Processor::tick()
 
     // Fetch: instructions fetched now are issueable from now_ + 1.
     ifu_.tick(now_);
-    robOccupancy_.sample(rob_.size(), now_);
+    // Occupancy is sampled only on cycles whose events can change it:
+    // the ROB moves on an issue or a retirement, and the FP queues
+    // hold nothing while the FPU is inactive.
+    if (issued || retired)
+        robOccupancy_.sample(rob_.size(), now_);
     mshrOccupancy_.sample(lsu_.mshrs().inUse(), now_);
-    fpInstqOccupancy_.sample(fpu_.instQueueSize(), now_);
-    fpLoadqOccupancy_.sample(fpu_.loadQueueSize(), now_);
-    fpStoreqOccupancy_.sample(fpu_.storeQueueSize(), now_);
+    if (fpActive_) {
+        fpInstqOccupancy_.sample(fpu_.instQueueSize(), now_);
+        fpLoadqOccupancy_.sample(fpu_.loadQueueSize(), now_);
+        fpStoreqOccupancy_.sample(fpu_.storeQueueSize(), now_);
+        fpActive_ = !fpu_.idle();
+    }
 }
 
 Cycle
 Processor::nextEvent() const
 {
-    Cycle next = std::min({lsu_.nextEvent(now_), fpu_.nextEvent(now_),
-                           rob_.nextRetire(), ifu_.nextEvent(now_)});
+    Cycle next = std::min({lsu_.nextEvent(now_), rob_.nextRetire(),
+                           ifu_.nextEvent(now_)});
+    if (fpActive_)
+        next = std::min(next, fpu_.nextEvent(now_));
     // A Load stall ends when the issue head's sources become ready.
     if (!ifu_.empty()) {
         const Inst &head = ifu_.peek(0);
@@ -368,7 +380,8 @@ Processor::skipIdle(Cycle limit)
         cause = blocked;
     }
     const Cycle span = until - now_;
-    fpu_.chargeIdle(now_, span);
+    if (fpActive_)
+        fpu_.chargeIdle(now_, span);
     if (cause)
         stalls_[static_cast<std::size_t>(*cause)] += span;
     else
@@ -435,33 +448,50 @@ Processor::advance(Count available)
         const WallTimer timer;
         ~Charge() { total += timer.seconds(); }
     } charge{advanceSeconds_, {}};
+    // Liveness checks live here rather than in step() so the cycle
+    // accounting of a healthy run is untouched and unit tests may
+    // still single-step a deliberately stuck machine. They run only
+    // once the clock reaches check_at, a bound no later than the
+    // first cycle any of them could trip. lastRetire_ only grows, so
+    // a bound taken from an older lastRetire_ is early, never late.
+    Cycle check_at = now_;
     while (!done()) {
         if (ifu_.fetchedFromSource() + pull_bound > available)
             return false;
-        // Liveness checks live here rather than in step() so the
-        // cycle accounting of a healthy run is untouched and unit
-        // tests may still single-step a deliberately stuck machine.
-        if (watchdog_.cycle_budget && now_ >= watchdog_.cycle_budget)
-            throw WatchdogError(
-                util::SimErrorCode::CycleBudgetExceeded, snapshot());
-        if (watchdog_.stall_limit &&
-            now_ - lastRetire_ >= watchdog_.stall_limit)
-            throw WatchdogError(
-                util::SimErrorCode::NoForwardProgress, snapshot());
-        // The wall-clock deadline is sampled every 1024 cycles: a
-        // steady_clock read per cycle would dominate the simulation,
-        // and millisecond deadlines do not need cycle resolution.
-        if (deadline_armed && (now_ & 1023u) == 0 &&
-            (advanceSeconds_ + charge.timer.seconds()) * 1000.0 >=
-                static_cast<double>(watchdog_.deadline_ms))
-            throw WatchdogError(util::SimErrorCode::Timeout,
-                                snapshot());
+        if (now_ >= check_at) {
+            if (watchdog_.cycle_budget && now_ >= watchdog_.cycle_budget)
+                throw WatchdogError(
+                    util::SimErrorCode::CycleBudgetExceeded, snapshot());
+            if (watchdog_.stall_limit &&
+                now_ - lastRetire_ >= watchdog_.stall_limit)
+                throw WatchdogError(
+                    util::SimErrorCode::NoForwardProgress, snapshot());
+            // The wall-clock deadline is sampled every 1024 cycles: a
+            // steady_clock read per cycle would dominate the
+            // simulation, and millisecond deadlines do not need cycle
+            // resolution.
+            if (deadline_armed && (now_ & 1023u) == 0 &&
+                (advanceSeconds_ + charge.timer.seconds()) * 1000.0 >=
+                    static_cast<double>(watchdog_.deadline_ms))
+                throw WatchdogError(util::SimErrorCode::Timeout,
+                                    snapshot());
+            check_at = NEVER;
+            if (watchdog_.cycle_budget)
+                check_at = watchdog_.cycle_budget;
+            if (watchdog_.stall_limit)
+                check_at = std::min(check_at,
+                                    lastRetire_ + watchdog_.stall_limit);
+            if (deadline_armed)
+                check_at =
+                    std::min(check_at, (now_ + 1024) & ~Cycle{1023});
+        }
         const Cycle issuing_before = issuingCycles_;
         step();
         // Event skipping, tried only after a cycle that issued nothing
         // and never under an observer, which sees every cycle. The
-        // jump stops at the next cycle a check above could trip, so
-        // every trip lands on the same cycle with the same snapshot.
+        // jump stops at the next cycle a check above could trip (taken
+        // from the current lastRetire_, not check_at), so every trip
+        // lands on the same cycle with the same snapshot.
         if (observer_ || issuingCycles_ != issuing_before)
             continue;
         Cycle limit = NEVER;
@@ -480,6 +510,7 @@ RunResult
 Processor::finish()
 {
     AURORA_ASSERT(done(), "finish() before advance() drained the machine");
+    AURORA_ASSERT(fpu_.idle(), "processor lost track of FPU work");
     if (!drained_) {
         const Count releases_before = lsu_.mshrs().releases();
         lsu_.drain(now_);

@@ -384,13 +384,21 @@ class Processor
     // per possible occupancy, so overflow is impossible). These feed
     // the RunResult OccupancyStats whether or not telemetry is
     // attached — keeping the *results* identical with and without
-    // observers. A stepped cycle costs five compares; skipped cycles
-    // cost nothing, as no occupancy changes across them.
+    // observers. A stepped cycle samples only what its events can
+    // change (see tick()); skipped cycles cost nothing, as no
+    // occupancy changes across them.
     Occupancy robOccupancy_;
     Occupancy mshrOccupancy_;
     Occupancy fpInstqOccupancy_;
     Occupancy fpLoadqOccupancy_;
     Occupancy fpStoreqOccupancy_;
+    /**
+     * The FPU holds work (!fpu_.idle() at every cycle boundary): set
+     * on every FP dispatch, cleared at the end of the cycle that left
+     * the FPU idle. An integer run never ticks the FPU, samples its
+     * queues or asks it for its next event.
+     */
+    bool fpActive_ = false;
     PipelineObserver *observer_ = nullptr;
     bool drained_ = false;
     /** onDrainStart() already delivered. */

@@ -39,8 +39,11 @@ struct WatchdogConfig
      * Trip with NoForwardProgress after this many consecutive cycles
      * without a retirement. 0 disables the progress check. The
      * default is far above any legitimate retirement gap (the worst
-     * healthy gap is a few memory latencies, i.e. tens of cycles),
-     * so healthy runs never pay more than two compares per cycle.
+     * healthy gap is a few memory latencies, i.e. tens of cycles).
+     * advance() pays one compare per cycle for all three checks: it
+     * compares the clock against the earliest cycle any of them
+     * could trip, and re-checks only on reaching it (about once per
+     * stall_limit cycles in a healthy run).
      */
     Cycle stall_limit = DEFAULT_WATCHDOG_CYCLES;
 

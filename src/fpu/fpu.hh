@@ -124,6 +124,15 @@ class Fpu
     }
 
     /**
+     * tick() for a caller that already knows the FPU holds work (the
+     * processor tracks that from its dispatches). An idle FPU holds
+     * no future result-bus slot, so the bus window it did not advance
+     * catches up here. Out of line on purpose: inlined into the
+     * processor's cycle loop, it made integer-only grids slower.
+     */
+    void tickBusy(Cycle now);
+
+    /**
      * Earliest cycle >= @p now at which tick() changes more than the
      * blocked_* counters: a reorder-buffer retirement, a load- or
      * store-queue pop, or the instruction-queue head issuing or
@@ -243,14 +252,6 @@ class Fpu
     /// @}
 
   private:
-    /**
-     * tick() with work queued. An idle FPU holds no future result-bus
-     * slot, so the bus window it did not advance catches up here.
-     * Out of line on purpose: inlined into the processor's cycle
-     * loop, it made integer-only grids slower.
-     */
-    void tickBusy(Cycle now);
-
     /** A queued FP arithmetic instruction. */
     struct QueuedOp
     {

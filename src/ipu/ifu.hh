@@ -154,8 +154,8 @@ class Ifu
     {
         return buffer_.at(idx);
     }
-    /** Consume the next instruction. */
-    trace::Inst pop() { return buffer_.pop(); }
+    /** Consume the next @p n instructions (an issued group). */
+    void pop(std::size_t n = 1) { buffer_.drop(n); }
     /// @}
 
     /** Is fetch currently stalled on an I-cache miss? */

@@ -11,6 +11,7 @@
 #ifndef AURORA_UTIL_BOUNDED_QUEUE_HH
 #define AURORA_UTIL_BOUNDED_QUEUE_HH
 
+#include <bit>
 #include <cstddef>
 #include <vector>
 
@@ -19,14 +20,19 @@
 namespace aurora
 {
 
-/** Circular-buffer FIFO with a hard capacity. */
+/**
+ * Circular-buffer FIFO with a hard capacity. The ring behind it is
+ * rounded up to a power of two, so an index wraps with a mask; full()
+ * still answers at the capacity, never at the ring's size.
+ */
 template <typename T>
 class BoundedQueue
 {
   public:
     /** @param capacity maximum number of buffered entries; must be >0. */
     explicit BoundedQueue(std::size_t capacity)
-        : buf_(capacity), capacity_(capacity)
+        : buf_(std::bit_ceil(capacity)), capacity_(capacity),
+          mask_(buf_.size() - 1)
     {
         AURORA_ASSERT(capacity > 0, "queue capacity must be positive");
     }
@@ -64,9 +70,9 @@ class BoundedQueue
     }
 
     /**
-     * Entry at FIFO position @p idx (0 == front). Used by the FPU dual
-     * issue logic, which needs to look one below the head of the
-     * instruction queue.
+     * Entry at FIFO position @p idx (0 == front). The FPU's dual issue
+     * logic reads one below the head of its instruction queue, and the
+     * IFU's peek() reads the issue stage's instructions in place.
      */
     T &
     at(std::size_t idx)
@@ -93,6 +99,15 @@ class BoundedQueue
         return value;
     }
 
+    /** Discard the @p n oldest entries; the queue must hold them. */
+    void
+    drop(std::size_t n)
+    {
+        AURORA_ASSERT(n <= count_, "drop past the end of a bounded queue");
+        head_ = wrap(head_ + n);
+        count_ -= n;
+    }
+
     /** Discard all entries. */
     void
     clear()
@@ -103,18 +118,15 @@ class BoundedQueue
 
   private:
     /**
-     * Reduce a slot index below 2 * capacity into the ring. Capacities
-     * are not all powers of two, and a compare is cheaper than the
+     * Reduce a slot index into the ring. Capacities are not all powers
+     * of two, but the ring is, so a mask does what a compare or the
      * division `%` would cost on every push, pop and at().
      */
-    std::size_t
-    wrap(std::size_t i) const
-    {
-        return i >= capacity_ ? i - capacity_ : i;
-    }
+    std::size_t wrap(std::size_t i) const { return i & mask_; }
 
     std::vector<T> buf_;
     std::size_t capacity_;
+    std::size_t mask_;
     std::size_t head_ = 0;
     std::size_t tail_ = 0;
     std::size_t count_ = 0;

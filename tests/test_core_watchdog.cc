@@ -4,6 +4,9 @@
  * converted into a structured NoForwardProgress error with a usable
  * diagnostic snapshot, the hard cycle budget trips deterministically,
  * and healthy runs are bit-identical with or without the watchdog.
+ * Trips land on the cycle their definitions name (last retirement +
+ * stall_limit, the budget) whether the run is stepped, skipped or
+ * resumed in slices.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include "core/watchdog.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic_workload.hh"
+#include "util/rng.hh"
 
 namespace
 {
@@ -142,6 +146,150 @@ TEST(Watchdog, SnapshotIsReadableMidRun)
     EXPECT_GT(after.cycle, 0u);
     EXPECT_EQ(after.instructions, 1000u);
     EXPECT_EQ(after.rob_capacity, baselineModel().rob_entries);
+}
+
+
+/** Receives every event and ignores it; forces single-stepping. */
+struct NullObserver : PipelineObserver
+{};
+
+/** The watchdog trip of a run, and how much of it was skipped. */
+struct Trip
+{
+    util::SimErrorCode code = util::SimErrorCode::Internal;
+    WatchdogDiagnostic diag;
+    Cycle skipped = 0;
+};
+
+/**
+ * Run @p insts on @p m to its watchdog trip. With @p slice_seed != 0
+ * the run goes through advance() in random slices of source input
+ * (each call starts its checks afresh); @p observer forces stepping.
+ */
+Trip
+tripOf(const MachineConfig &m, const std::vector<trace::Inst> &insts,
+       const WatchdogConfig &wd, PipelineObserver *observer = nullptr,
+       std::uint64_t slice_seed = 0)
+{
+    trace::VectorTraceSource src(insts);
+    Processor cpu(m, src, wd);
+    cpu.setObserver(observer);
+    Trip trip;
+    try {
+        if (slice_seed) {
+            Rng rng(slice_seed);
+            Count available = 0;
+            while (!cpu.advance(available))
+                available +=
+                    rng.chance(0.5) ? rng.range(0, 3) : rng.range(0, 500);
+        } else {
+            cpu.run();
+        }
+        ADD_FAILURE() << "watchdog did not trip";
+    } catch (const WatchdogError &e) {
+        trip.code = e.code();
+        trip.diag = e.diagnostic();
+    }
+    trip.skipped = cpu.skippedCycles();
+    return trip;
+}
+
+std::vector<trace::Inst>
+collected(const trace::WorkloadProfile &p, Count n)
+{
+    trace::SyntheticWorkload w(p);
+    return trace::collect(w, n);
+}
+
+/** Every way of running @p insts trips on the same cycle. */
+void
+expectTripEverywhere(const MachineConfig &m,
+                     const std::vector<trace::Inst> &insts,
+                     const WatchdogConfig &wd, util::SimErrorCode code,
+                     Cycle expected_cycle_or_0)
+{
+    NullObserver obs;
+    const Trip stepped = tripOf(m, insts, wd, &obs);
+    ASSERT_EQ(stepped.code, code);
+    EXPECT_EQ(stepped.skipped, 0u);
+    const Cycle at = expected_cycle_or_0
+                         ? expected_cycle_or_0
+                         : stepped.diag.last_retire_cycle + wd.stall_limit;
+    EXPECT_EQ(stepped.diag.cycle, at);
+    WatchdogConfig armed = wd;
+    armed.deadline_ms = 3'600'000;
+    for (const WatchdogConfig &policy : {wd, armed}) {
+        const Trip skipped = tripOf(m, insts, policy);
+        EXPECT_EQ(skipped.code, code);
+        EXPECT_EQ(skipped.diag.cycle, at);
+        EXPECT_EQ(skipped.diag.toString(), stepped.diag.toString());
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            const Trip sliced = tripOf(m, insts, policy, nullptr, seed);
+            EXPECT_EQ(sliced.code, code) << "seed " << seed;
+            EXPECT_EQ(sliced.diag.cycle, at) << "seed " << seed;
+            EXPECT_EQ(sliced.skipped, skipped.skipped) << "seed " << seed;
+        }
+    }
+}
+
+/** Records the cycle of the last retirement it sees. */
+struct LastRetire : PipelineObserver
+{
+    void onRetire(Cycle now, unsigned) override { last = now; }
+    Cycle last = 0;
+};
+
+TEST(WatchdogTrip, WedgeTripsAtLastRetirementPlusLimit)
+{
+    const auto insts = collected(trace::nasa7(), 50'000);
+    for (const Cycle limit : {Cycle{1}, Cycle{1537}, Cycle{2000}}) {
+        SCOPED_TRACE(::testing::Message() << "stall_limit " << limit);
+        const WatchdogConfig wd{limit, 0};
+        // The diagnostic's retirement mark is the last cycle that
+        // retired, as an observer counts it.
+        LastRetire seen;
+        const Trip stepped = tripOf(wedgedMachine(), insts, wd, &seen);
+        ASSERT_EQ(stepped.code, SimErrorCode::NoForwardProgress);
+        EXPECT_EQ(stepped.diag.last_retire_cycle, seen.last);
+        EXPECT_EQ(stepped.diag.cycle, seen.last + limit);
+        expectTripEverywhere(wedgedMachine(), insts, wd,
+                             SimErrorCode::NoForwardProgress, 0);
+    }
+}
+
+TEST(WatchdogTrip, GapInsideASkippedSpanTripsAtLastRetirementPlusLimit)
+{
+    // At latency 100 the retirement gaps of a miss are skipped
+    // spans; a limit of 60 ends inside one, so the jump must stop on
+    // the trip cycle.
+    const MachineConfig m = smallModel().withLatency(100);
+    const auto insts = collected(trace::gcc(), 50'000);
+    const WatchdogConfig wd{60, 0};
+    const Trip skipped = tripOf(m, insts, wd);
+    ASSERT_EQ(skipped.code, SimErrorCode::NoForwardProgress);
+    EXPECT_GT(skipped.skipped, 0u);
+    EXPECT_EQ(skipped.diag.cycle, skipped.diag.last_retire_cycle + 60);
+    expectTripEverywhere(m, insts, wd, SimErrorCode::NoForwardProgress,
+                         0);
+}
+
+TEST(WatchdogTrip, CycleBudgetLandsOnTheBudget)
+{
+    const auto insts = collected(trace::gcc(), 50'000);
+    for (const Cycle budget : {Cycle{1}, Cycle{4097}, Cycle{20'000}}) {
+        SCOPED_TRACE(::testing::Message() << "budget " << budget);
+        for (const MachineConfig &m :
+             {smallModel().withLatency(100), baselineModel()}) {
+            expectTripEverywhere(m, insts, WatchdogConfig{0, budget},
+                                 SimErrorCode::CycleBudgetExceeded,
+                                 budget);
+            // With both checks armed, the earlier one trips.
+            expectTripEverywhere(m, insts,
+                                 WatchdogConfig{1'000'000, budget},
+                                 SimErrorCode::CycleBudgetExceeded,
+                                 budget);
+        }
+    }
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic_workload.hh"
 #include "trace/trace_source.hh"
+#include "util/rng.hh"
 
 namespace
 {
@@ -290,6 +291,43 @@ TEST(PredecodeFlags, StagedReadThroughInterleavedSource)
         EXPECT_GT(src.switches(), 0u);
         expectPredecoded(stream);
     }
+}
+
+
+TEST(PredecodeFlags, RandomRecordsEveryFieldCorner)
+{
+    // Records no profile makes: register 0 and NO_REG in every field,
+    // pairs in and out of alignment, every op class taken or not.
+    // Each field draws from a few values so the corners recur often.
+    Rng rng(7);
+    const RegIndex regs[] = {0, 1, 2, NO_REG};
+    const auto reg = [&] { return regs[rng.range(0, 3)]; };
+    std::vector<Inst> stream(20'000);
+    Addr pc = 0x1000;
+    for (Inst &inst : stream) {
+        pc = rng.chance(0.7) ? pc + 4 : 0x1000 + 4 * rng.range(0, 15);
+        inst.pc = pc;
+        inst.next_pc = pc + 4;
+        inst.op = static_cast<OpClass>(
+            rng.range(0, trace::NUM_OP_CLASSES - 1));
+        inst.taken = rng.chance(0.5);
+        inst.src_a = reg();
+        inst.src_b = reg();
+        inst.dst = reg();
+        inst.fsrc_a = reg();
+        inst.fsrc_b = reg();
+        inst.fdst = reg();
+    }
+    // In blocks of every length up to 7, each against the record
+    // before it, as the trace window predecodes them.
+    std::size_t begin = 0;
+    for (std::size_t len = 1; begin < stream.size(); len = len % 7 + 1) {
+        const std::size_t n = std::min(len, stream.size() - begin);
+        predecode(std::span<Inst>(stream).subspan(begin, n),
+                  begin ? &stream[begin - 1] : nullptr);
+        begin += n;
+    }
+    expectPredecoded(stream);
 }
 
 } // namespace

@@ -114,6 +114,81 @@ TEST(BoundedQueue, MatchesDequeAcrossWraps)
     }
 }
 
+/**
+ * Capacities that are not powers of two sit in a larger ring: full()
+ * must answer at the capacity, not at the ring's size, and order and
+ * at() must hold while head and tail wrap the ring many times.
+ */
+TEST(BoundedQueue, NonPowerOfTwoCapacitiesFillAtCapacity)
+{
+    for (const std::size_t cap : {3u, 5u, 6u, 7u}) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << cap);
+        BoundedQueue<int> q(cap);
+        int next_in = 0;
+        int next_out = 0;
+        // Each round refills to the capacity and pops two, so the
+        // 4 * cap rounds push about 9 * cap entries through a ring
+        // of fewer than 2 * cap slots.
+        for (std::size_t round = 0; round < 4 * cap; ++round) {
+            while (!q.full()) {
+                ASSERT_LT(q.size(), cap);
+                q.push(next_in++);
+            }
+            ASSERT_EQ(q.size(), cap);
+            ASSERT_EQ(q.space(), 0u);
+            for (std::size_t i = 0; i < cap; ++i)
+                ASSERT_EQ(q.at(i), next_out + static_cast<int>(i))
+                    << "at(" << i << ")";
+            ASSERT_EQ(q.pop(), next_out++);
+            ASSERT_EQ(q.pop(), next_out++);
+            ASSERT_FALSE(q.full());
+        }
+        EXPECT_GT(next_in, static_cast<int>(3 * cap));
+        while (!q.empty())
+            ASSERT_EQ(q.pop(), next_out++);
+        EXPECT_EQ(next_out, next_in);
+    }
+}
+
+TEST(BoundedQueue, DropDiscardsTheOldestAcrossWraps)
+{
+    BoundedQueue<int> q(5);
+    int next_in = 0;
+    int next_out = 0;
+    for (int round = 0; round < 40; ++round) {
+        while (!q.full())
+            q.push(next_in++);
+        const std::size_t n = static_cast<std::size_t>(round % 4);
+        q.drop(n);
+        next_out += static_cast<int>(n);
+        ASSERT_EQ(q.size(), 5 - n);
+        ASSERT_EQ(q.front(), next_out);
+        ASSERT_EQ(q.pop(), next_out++);
+    }
+}
+
+TEST(BoundedQueueDeath, DropPastTheEndPanics)
+{
+    BoundedQueue<int> q(3);
+    q.push(1);
+    EXPECT_DEATH(q.drop(2), "drop past the end");
+}
+
+TEST(BoundedQueueDeath, PushAtNonPowerOfTwoCapacityPanics)
+{
+    for (const std::size_t cap : {3u, 5u, 6u, 7u}) {
+        BoundedQueue<int> q(cap);
+        // Wrap the ring first, so head and tail sit mid-ring.
+        for (std::size_t i = 0; i < 3 * cap; ++i) {
+            q.push(static_cast<int>(i));
+            q.pop();
+        }
+        for (std::size_t i = 0; i < cap; ++i)
+            q.push(static_cast<int>(i));
+        EXPECT_DEATH(q.push(-1), "full") << "capacity " << cap;
+    }
+}
+
 TEST(BoundedQueueDeath, PushWhenFullPanics)
 {
     BoundedQueue<int> q(1);
