@@ -422,11 +422,12 @@ journalResumeStorm(Count insts)
            "sweep process died by SIGKILL mid-grid");
 
     const auto loaded = loadJournal(journal);
+    // How many records beat the kill depends on timing (a second
+    // worker's append can land first), so only the property prints.
     expect(loaded.jobs == n && !loaded.records.empty() &&
                loaded.records.size() < n,
-           "journal holds a strict subset of the grid (" +
-               std::to_string(loaded.records.size()) + "/" +
-               std::to_string(n) + " jobs)");
+           "journal holds a strict subset of the grid's " +
+               std::to_string(n) + " jobs");
 
     for (unsigned workers : {1u, 2u, 8u}) {
         const std::string tag =

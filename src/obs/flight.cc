@@ -221,18 +221,19 @@ parseFlightLine(std::string_view line, std::string *error)
 
 } // namespace
 
-LoadedFlight
-loadFlightFile(const std::string &path)
+bool
+readNdjsonFile(
+    const std::string &path, const char *kind,
+    const std::function<bool(std::string_view, std::string &)> &parse)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        util::raiseError(util::SimErrorCode::BadTrace,
-                         "cannot open flight file '", path, "'");
+        util::raiseError(util::SimErrorCode::BadTrace, "cannot open ",
+                         kind, " file '", path, "'");
     std::ostringstream buf;
     buf << in.rdbuf();
     const std::string text = buf.str();
 
-    LoadedFlight loaded;
     std::size_t pos = 0;
     while (pos < text.size()) {
         const std::size_t eol = text.find('\n', pos);
@@ -245,18 +246,31 @@ loadFlightFile(const std::string &path)
         if (line.empty())
             continue;
         std::string error;
-        std::optional<FlightEvent> ev = parseFlightLine(line, &error);
-        if (!ev) {
-            if (torn_candidate) {
-                loaded.dropped_tail = true;
-                break;
-            }
-            util::raiseError(util::SimErrorCode::BadTrace, "'", path,
-                             "': bad flight line at byte ", line_start,
-                             ": ", error);
-        }
-        loaded.events.push_back(std::move(*ev));
+        if (parse(line, error))
+            continue;
+        // The journal's crash contract: an interrupted final append
+        // (no terminating newline) is dropped silently; damage
+        // anywhere else is real corruption.
+        if (torn_candidate)
+            return true;
+        util::raiseError(util::SimErrorCode::BadTrace, "'", path,
+                         "': bad ", kind, " line at byte ", line_start,
+                         ": ", error);
     }
+    return false;
+}
+
+LoadedFlight
+loadFlightFile(const std::string &path)
+{
+    LoadedFlight loaded;
+    loaded.dropped_tail = readNdjsonFile(
+        path, "flight", [&](std::string_view line, std::string &error) {
+            std::optional<FlightEvent> ev = parseFlightLine(line, &error);
+            if (ev)
+                loaded.events.push_back(std::move(*ev));
+            return ev.has_value();
+        });
     return loaded;
 }
 

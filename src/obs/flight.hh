@@ -19,7 +19,8 @@
  *
  * loadFlightFile() is the tolerant reader: a torn final line (the
  * crash happened mid-append) is dropped, exactly like the sweep
- * journal's tail contract.
+ * journal's tail contract. readNdjsonFile() is that reader's line
+ * loop, shared with the span file reader (obs/trace.hh).
  */
 
 #ifndef AURORA_OBS_FLIGHT_HH
@@ -28,6 +29,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -134,6 +136,18 @@ struct LoadedFlight
  * byte offset.
  */
 LoadedFlight loadFlightFile(const std::string &path);
+
+/**
+ * Read the NDJSON file @p path line by line: @p parse gets each
+ * non-empty line and returns false, with its error message set, on a
+ * bad one. A bad final line without a newline is a torn tail (a crash
+ * mid-append) and ends the read: returns true. A missing file, or a
+ * bad line anywhere else, raises SimError(BadTrace) naming the
+ * @p kind of file ("span", "flight") and the line's byte offset.
+ */
+bool readNdjsonFile(
+    const std::string &path, const char *kind,
+    const std::function<bool(std::string_view, std::string &)> &parse);
 
 } // namespace aurora::obs
 

@@ -18,7 +18,7 @@
  *       jobSpanId(trace, job)           queue+run of job   (parent root)
  *         attemptSpanId(trace, job, k)  one attempt        (parent job)
  *       leaseSpanId(trace, epoch)       one shard lease    (parent root)
- *         dispatchSpanId(trace, t, e)   ticket t on epoch e (parent lease)
+ *         dispatchSpanId(trace, j, e)   job j on epoch e   (parent lease)
  *           attemptSpanId(.., epoch=e)  shard-side attempt (parent dispatch)
  *
  * All ids are nonzero; 0 is the reserved "no parent" / "no trace"
@@ -138,15 +138,15 @@ leaseSpanId(std::uint64_t trace_id, std::uint64_t epoch)
 }
 
 /**
- * One ticket assigned under one lease epoch (parent = that lease).
- * Migration re-dispatches the same ticket under a new epoch — a new
+ * One grid job assigned under one lease epoch (parent = that lease).
+ * Migration re-dispatches the same job under a new epoch — a new
  * span, so both placements stay visible in the trace.
  */
 constexpr std::uint64_t
-dispatchSpanId(std::uint64_t trace_id, std::uint64_t ticket,
+dispatchSpanId(std::uint64_t trace_id, std::uint64_t job_index,
                std::uint64_t epoch)
 {
-    return detail::derive(trace_id, detail::FAMILY_DISPATCH, ticket,
+    return detail::derive(trace_id, detail::FAMILY_DISPATCH, job_index,
                           epoch);
 }
 

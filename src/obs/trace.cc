@@ -4,10 +4,10 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <sstream>
 
+#include "obs/flight.hh"
 #include "obs/ids.hh"
 #include "telemetry/json.hh"
 #include "telemetry/trace_event.hh"
@@ -228,42 +228,14 @@ parseSpanLine(std::string_view line, std::string *error)
 LoadedSpans
 loadSpanFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        util::raiseError(util::SimErrorCode::BadTrace,
-                         "cannot open span file '", path, "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
     LoadedSpans loaded;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        const bool torn_candidate = eol == std::string::npos;
-        const std::string_view line(
-            text.data() + pos,
-            (torn_candidate ? text.size() : eol) - pos);
-        const std::size_t line_start = pos;
-        pos = torn_candidate ? text.size() : eol + 1;
-        if (line.empty())
-            continue;
-        std::string error;
-        std::optional<Span> span = parseSpanLine(line, &error);
-        if (!span) {
-            // The journal's crash contract: an interrupted final
-            // append (no terminating newline) is dropped silently;
-            // damage anywhere else is real corruption.
-            if (torn_candidate) {
-                loaded.dropped_tail = true;
-                break;
-            }
-            util::raiseError(util::SimErrorCode::BadTrace, "'", path,
-                             "': bad span line at byte ", line_start,
-                             ": ", error);
-        }
-        loaded.spans.push_back(std::move(*span));
-    }
+    loaded.dropped_tail = readNdjsonFile(
+        path, "span", [&](std::string_view line, std::string &error) {
+            std::optional<Span> span = parseSpanLine(line, &error);
+            if (span)
+                loaded.spans.push_back(std::move(*span));
+            return span.has_value();
+        });
     return loaded;
 }
 

@@ -1,5 +1,6 @@
 #include "shard_journal.hh"
 
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -23,8 +24,7 @@ badJournal(const std::string &path, const std::string &what)
 LoadedShardJournal
 loadShardJournal(const std::string &path)
 {
-    const util::RecordFile file =
-        util::readRecordFile(path, "shard journal");
+    util::RecordFile file = util::readRecordFile(path, "shard journal");
     LoadedShardJournal loaded;
     loaded.dropped_tail = file.dropped_tail;
     loaded.valid_bytes = file.valid_bytes;
@@ -33,28 +33,22 @@ loadShardJournal(const std::string &path)
             file.payloads.front());
         loaded.slot = header.slot;
         loaded.epoch = header.epoch;
-        for (std::size_t k = 1; k < file.payloads.size(); ++k)
-            loaded.entries.push_back(
-                util::codec::decode<ShardJournalEntry>(
-                    file.payloads[k]));
     } catch (const util::SimError &e) {
         badJournal(path, e.message());
     }
+    loaded.records.assign(
+        std::make_move_iterator(file.payloads.begin() + 1),
+        std::make_move_iterator(file.payloads.end()));
     return loaded;
 }
 
-ShardJournalWriter::ShardJournalWriter(const std::string &path,
-                                       std::uint32_t slot,
-                                       std::uint64_t epoch)
-    : writer_(path, /*truncate=*/true)
+util::RecordFileWriter
+openShardJournal(const std::string &path, std::uint32_t slot,
+                 std::uint64_t epoch)
 {
-    writer_.append(util::codec::encode(ShardJournalHeader{slot, epoch}));
-}
-
-void
-ShardJournalWriter::append(const ShardJournalEntry &entry)
-{
-    writer_.append(util::codec::encode(entry));
+    util::RecordFileWriter writer(path, /*truncate=*/true);
+    writer.append(util::codec::encode(ShardJournalHeader{slot, epoch}));
+    return writer;
 }
 
 std::vector<harness::JournalRecord>
@@ -62,12 +56,11 @@ mergeShardJournals(const std::vector<ShardJournalRef> &journals,
                    const std::vector<CommitRef> &commits,
                    const std::set<std::uint64_t> &fenced_epochs)
 {
-    // Index every surviving entry of every incarnation's journal by
-    // (epoch, ticket) — the pair is unique because an epoch is
-    // granted once and a ticket is assigned to one shard at a time
-    // per epoch.
-    std::map<std::pair<std::uint64_t, std::uint64_t>,
-             const ShardJournalEntry *>
+    // Index every surviving record of every incarnation's journal by
+    // (epoch, grid index) — the pair is unique because an epoch is
+    // granted once and a job is assigned to one shard at a time per
+    // epoch.
+    std::map<std::pair<std::uint64_t, std::uint64_t>, const std::string *>
         by_key;
     std::map<std::uint64_t, std::uint32_t> slot_of_epoch;
     std::vector<LoadedShardJournal> loaded;
@@ -87,22 +80,19 @@ mergeShardJournals(const std::vector<ShardJournalRef> &journals,
             badJournal(ref.path, "AUR306: epoch " +
                                      std::to_string(ref.epoch) +
                                      " granted twice");
-        for (const ShardJournalEntry &entry : j.entries) {
-            if (entry.epoch != j.epoch)
-                badJournal(ref.path,
-                           "AUR306: entry stamped epoch " +
-                               std::to_string(entry.epoch) +
-                               " inside the epoch-" +
-                               std::to_string(j.epoch) + " journal");
-            if (!by_key.emplace(std::make_pair(entry.epoch,
-                                               entry.ticket),
-                                &entry)
+        for (const std::string &bytes : j.records) {
+            std::uint64_t job = 0;
+            try {
+                job = harness::decodeJournalRecord(bytes).job_index;
+            } catch (const util::SimError &e) {
+                badJournal(ref.path, e.message());
+            }
+            if (!by_key.emplace(std::make_pair(j.epoch, job), &bytes)
                      .second)
                 badJournal(ref.path,
-                           "AUR306: duplicate entry for epoch " +
-                               std::to_string(entry.epoch) +
-                               " ticket " +
-                               std::to_string(entry.ticket));
+                           "AUR306: duplicate record for epoch " +
+                               std::to_string(j.epoch) + " job " +
+                               std::to_string(job));
         }
     }
 
@@ -121,21 +111,6 @@ mergeShardJournals(const std::vector<ShardJournalRef> &journals,
                              " committed under epoch ", commit.epoch,
                              " slot ", commit.slot,
                              " but no such lease was granted");
-        const auto it =
-            by_key.find(std::make_pair(commit.epoch, commit.ticket));
-        if (it == by_key.end())
-            util::raiseError(util::SimErrorCode::BadJournal,
-                             "shard journal merge: AUR306: committed "
-                             "record for job ", commit.job_index,
-                             " (ticket ", commit.ticket, ", epoch ",
-                             commit.epoch,
-                             ") is missing from its shard journal — "
-                             "durable-before-visible was violated");
-        if (it->second->record != commit.record)
-            util::raiseError(util::SimErrorCode::BadJournal,
-                             "shard journal merge: AUR306: journaled "
-                             "bytes for job ", commit.job_index,
-                             " disagree with the committed record");
         harness::JournalRecord record =
             harness::decodeJournalRecord(commit.record);
         if (record.job_index != commit.job_index)
@@ -143,6 +118,20 @@ mergeShardJournals(const std::vector<ShardJournalRef> &journals,
                              "shard journal merge: AUR306: committed "
                              "record for job ", commit.job_index,
                              " carries grid index ", record.job_index);
+        const auto it =
+            by_key.find(std::make_pair(commit.epoch, commit.job_index));
+        if (it == by_key.end())
+            util::raiseError(util::SimErrorCode::BadJournal,
+                             "shard journal merge: AUR306: committed "
+                             "record for job ", commit.job_index,
+                             " (epoch ", commit.epoch,
+                             ") is missing from its shard journal — "
+                             "durable-before-visible was violated");
+        if (*it->second != commit.record)
+            util::raiseError(util::SimErrorCode::BadJournal,
+                             "shard journal merge: AUR306: journaled "
+                             "bytes for job ", commit.job_index,
+                             " disagree with the committed record");
         merged.push_back(std::move(record));
         by_key.erase(it);
     }
@@ -152,13 +141,12 @@ mergeShardJournals(const std::vector<ShardJournalRef> &journals,
     // the fence, or a shard that died between append and send. A
     // leftover under a *live* epoch means a result was offered and
     // lost, or a shard ran work it was never assigned.
-    for (const auto &[key, entry] : by_key) {
+    for (const auto &[key, bytes] : by_key) {
         if (fenced_epochs.count(key.first) == 0)
             util::raiseError(util::SimErrorCode::BadJournal,
                              "shard journal merge: AUR306: "
-                             "uncommitted entry for ticket ",
-                             entry->ticket, " under live epoch ",
-                             entry->epoch);
+                             "uncommitted record for job ", key.second,
+                             " under live epoch ", key.first);
     }
 
     return merged;

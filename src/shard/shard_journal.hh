@@ -5,17 +5,18 @@
  * Every shard persists each completed job locally *before* offering
  * the result to the coordinator — the same durable-before-visible
  * rule aurora_serve follows — using the journal's CRC record framing
- * (util/record_io) with one extra field per record: the **lease
- * epoch** the shard held when it ran the job.
+ * (util/record_io, written through util::RecordFileWriter like the
+ * grid journal).
  *
  * File layout:
  *
  *   record 0: header — shard journal version, slot index, epoch
- *   record k: entry  — epoch, coordinator ticket,
- *                      harness::encodeJournalRecord() bytes
+ *   record k: job    — harness::encodeJournalRecord() bytes, exactly
+ *                      the `record` of the Result the shard sent
  *
- * (the field lists of ShardJournalHeader and ShardJournalEntry below
- * are the normative layout, util/codec.hh).
+ * (ShardJournalHeader's field list below and harness::JournalRecord's
+ * are the normative layout, util/codec.hh). A job record names its
+ * job by grid index; the header's epoch stamps every record after it.
  *
  * One journal file belongs to one *incarnation* (one granted epoch),
  * never to a slot: a fenced zombie and the replacement shard respawned
@@ -26,15 +27,15 @@
  *
  * The epoch is what makes the merge auditable. A shard that lost its
  * lease (fenced) may keep appending — it cannot know it is dead — but
- * every byte it writes is stamped with an epoch the coordinator has
- * already fenced. At merge time mergeShardJournals() proves, for a
- * finished grid:
+ * every byte it writes lands in a file whose epoch the coordinator
+ * has already fenced. At merge time mergeShardJournals() proves, for
+ * a finished grid:
  *
  *   1. every committed job's record is present in its shard's journal
  *      under the committing epoch, byte-identical to what the
  *      coordinator accepted (durable-before-visible held), and
- *   2. every *other* entry carries a fenced epoch (no shard smuggled
- *      an uncommitted result past the fence).
+ *   2. every *other* record sits in a fenced epoch's journal (no
+ *      shard smuggled an uncommitted result past the fence).
  *
  * Any violation raises SimError(BadJournal) naming catalog ID AUR306
  * — the merge refuses to fabricate or double-count results.
@@ -59,21 +60,20 @@
 namespace aurora::shard
 {
 
-/** Shard journal format version (header record). */
-inline constexpr std::uint32_t SHARD_JOURNAL_VERSION = 1;
+/** Shard journal format version (header record). Version 2 follows
+ *  the header with plain harness journal records. */
+inline constexpr std::uint32_t SHARD_JOURNAL_VERSION = 2;
 
-/** Record type tags (payload byte 0). */
+/** Record type tag of the header (payload byte 0). */
 enum class ShardJournalTag : std::uint8_t
 {
     Header = 1,
-    Entry = 2,
 };
 
-inline constexpr util::codec::Format<ShardJournalTag, 2>
+inline constexpr util::codec::Format<ShardJournalTag, 1>
     SHARD_JOURNAL_FORMAT{util::SimErrorCode::BadJournal,
                          "shard journal record",
-                         {{{ShardJournalTag::Header, "header"},
-                           {ShardJournalTag::Entry, "entry"}}}};
+                         {{{ShardJournalTag::Header, "header"}}}};
 
 constexpr const auto &
 formatOf(ShardJournalTag)
@@ -98,25 +98,16 @@ struct ShardJournalHeader
     }
 };
 
-/** One epoch-stamped completion in a shard's local journal. */
-struct ShardJournalEntry
-{
-    static constexpr ShardJournalTag TAG = ShardJournalTag::Entry;
-
-    /** Lease epoch the shard held when it ran the job. */
-    std::uint64_t epoch = 0;
-    /** Coordinator-issued ticket the entry answers. */
-    std::uint64_t ticket = 0;
-    /** harness::encodeJournalRecord() bytes of the outcome. */
-    std::string record;
-
-    template <typename Io, typename Self>
-    static void
-    fields(Io &io, Self &e)
-    {
-        io(e.epoch, e.ticket, e.record);
-    }
-};
+/**
+ * Start the journal of incarnation (@p slot, @p epoch) at @p path:
+ * truncate the file and write its header. Each completed job's
+ * harness::encodeJournalRecord() bytes are appended after it; every
+ * append is flushed before it returns, so a SIGKILL tears at most the
+ * record being written.
+ */
+util::RecordFileWriter openShardJournal(const std::string &path,
+                                        std::uint32_t slot,
+                                        std::uint64_t epoch);
 
 /** Everything loadShardJournal() recovered from disk. */
 struct LoadedShardJournal
@@ -124,7 +115,8 @@ struct LoadedShardJournal
     std::uint32_t slot = 0;
     /** Lease epoch of the incarnation that owned the file. */
     std::uint64_t epoch = 0;
-    std::vector<ShardJournalEntry> entries;
+    /** harness::encodeJournalRecord() bytes, in append order. */
+    std::vector<std::string> records;
     /** A torn tail record was dropped (shard died mid-append). */
     bool dropped_tail = false;
     /** File length through the last good record (truncate-to-here
@@ -138,26 +130,6 @@ struct LoadedShardJournal
  * corruption; a torn tail is dropped with a warning.
  */
 LoadedShardJournal loadShardJournal(const std::string &path);
-
-/**
- * Append-side of a shard journal. Single-threaded (one shard process
- * owns one file); every entry is flushed before append() returns, so
- * a SIGKILL tears at most the entry being written.
- */
-class ShardJournalWriter
-{
-  public:
-    /** Start a fresh journal (truncates; writes the header). */
-    ShardJournalWriter(const std::string &path, std::uint32_t slot,
-                       std::uint64_t epoch);
-
-    void append(const ShardJournalEntry &entry);
-
-    const std::string &path() const { return writer_.path(); }
-
-  private:
-    util::RecordFileWriter writer_;
-};
 
 /** One incarnation's journal file, as the coordinator tracked it. */
 struct ShardJournalRef
@@ -180,8 +152,6 @@ struct CommitRef
     std::uint32_t slot = 0;
     /** Epoch the committing shard held (current at commit time). */
     std::uint64_t epoch = 0;
-    /** Ticket the coordinator issued for this job. */
-    std::uint64_t ticket = 0;
     /** The committed record bytes, as accepted off the wire. */
     std::string record;
 };

@@ -16,10 +16,11 @@
  *   Hello{version, pid}       -->
  *                             <--  Welcome{slot, epoch, lease_ms,
  *                                          beat_ms}
- *                             <--  Assign{epoch, jobs}*   (chunked)
+ *                             <--  Assign{epoch, jobs, trace_id,
+ *                                         policy}*  (one unit each)
  *   Beat{slot, epoch, done}   -->  (renews the lease)
  *   Result{slot, epoch,
- *          ticket, record}    -->  (one per completed job)
+ *          record}            -->  (one per completed job)
  *                             <--  Fenced{epoch}  (lease lost: exit)
  *                             <--  Shutdown{}     (grid done: exit)
  *
@@ -31,9 +32,11 @@
  * check lives in one place (Swarm::handleResult) and this header
  * keeps the token in every message shape.
  *
- * A Result's `record` field is exactly harness::encodeJournalRecord()
- * of the job's journal record, and the shard appends those same bytes
- * to its local journal *before* sending — what the coordinator
+ * A job has one id across the fabric: its grid index. An Assign names
+ * each job by it, and a Result names it through its `record`, which is
+ * exactly harness::encodeJournalRecord() of the job's journal record
+ * (whose first field is the grid index). The shard appends those same
+ * bytes to its local journal *before* sending — what the coordinator
  * commits is bit-identical to what the shard persisted, which is what
  * makes the final merge's byte-equality cross-check possible.
  */
@@ -57,10 +60,10 @@ inline constexpr std::uint32_t SHARD_MAGIC = 0x31575341u;
 /**
  * Protocol version carried in Hello/Welcome. The coordinator speaks
  * this one version; a Hello carrying any other is refused with
- * AUR305. Assign ends in an optional trailing trace id, written only
- * when nonzero.
+ * AUR305. Version 3 names jobs by grid index alone and sends the grid
+ * policy once per Assign.
  */
-inline constexpr std::uint32_t SHARD_PROTOCOL_VERSION = 2;
+inline constexpr std::uint32_t SHARD_PROTOCOL_VERSION = 3;
 
 /** Payload byte 0. Shard→coordinator types are low, replies high. */
 enum class MsgType : std::uint8_t
@@ -167,17 +170,15 @@ struct ResultMsg
     std::uint32_t slot = 0;
     /** Epoch the shard holds — the fencing token. */
     std::uint64_t epoch = 0;
-    /** Coordinator-issued job ticket this result answers. */
-    std::uint64_t ticket = 0;
     /** harness::encodeJournalRecord() bytes, already durable in the
-     *  shard's local journal. */
+     *  shard's local journal; their grid index names the job. */
     std::string record;
 
     template <typename Io, typename Self>
     static void
     fields(Io &io, Self &m)
     {
-        io(m.slot, m.epoch, m.ticket, m.record);
+        io(m.slot, m.epoch, m.record);
     }
 };
 
@@ -214,16 +215,26 @@ struct WelcomeMsg
  *  exactly as aurora_serve assumes). */
 struct JobSpec
 {
-    /** Coordinator-issued commit ticket (unique per assignment). */
-    std::uint64_t ticket = 0;
-    /** Submission-order index in the original grid. */
+    /** Submission-order index in the original grid: the job's id. */
     std::uint64_t job_index = 0;
     std::string machine_spec;
     std::string profile_name;
     std::uint64_t profile_seed = 0;
     std::uint64_t instructions = 0;
-    /** SweepOptions mirror (per job so mixed grids can share a
-     *  fabric in service mode). */
+
+    template <typename Io, typename Self>
+    static void
+    fields(Io &io, Self &job)
+    {
+        io(job.job_index, job.machine_spec, job.profile_name,
+           job.profile_seed, job.instructions);
+    }
+};
+
+/** The grid's execution policy: the harness::SweepOptions subset
+ *  every job of the grid runs under. */
+struct GridPolicy
+{
     bool has_base_seed = false;
     std::uint64_t base_seed = 0;
     std::uint64_t deadline_ms = 0;
@@ -232,14 +243,14 @@ struct JobSpec
 
     template <typename Io, typename Self>
     static void
-    fields(Io &io, Self &job)
+    fields(Io &io, Self &p)
     {
-        io(job.ticket, job.job_index, job.machine_spec, job.profile_name,
-           job.profile_seed, job.instructions, job.has_base_seed,
-           job.base_seed, job.deadline_ms, job.retries, job.backoff_ms);
+        io(p.has_base_seed, p.base_seed, p.deadline_ms, p.retries,
+           p.backoff_ms);
     }
 };
 
+/** One lockstep unit: jobs that replay one trace, run together. */
 struct AssignMsg
 {
     static constexpr MsgType TAG = MsgType::Assign;
@@ -251,16 +262,16 @@ struct AssignMsg
      * The grid's causal trace id (0 = untraced). The shard
      * derives its attempt-span identities from it (obs/ids.hh), so
      * the coordinator's merged trace parents them without any id
-     * exchange. Optional trailing field.
+     * exchange.
      */
     std::uint64_t trace_id = 0;
+    GridPolicy policy;
 
     template <typename Io, typename Self>
     static void
     fields(Io &io, Self &m)
     {
-        io(m.epoch, m.jobs);
-        io.trailing(m.trace_id);
+        io(m.epoch, m.jobs, m.trace_id, m.policy);
     }
 };
 

@@ -64,22 +64,20 @@ buildJob(const wire::JobSpec &spec)
  * only) receives the attempt spans.
  */
 std::vector<harness::JournalRecord>
-runAssignedUnit(const std::vector<wire::JobSpec> &unit, obs::SpanLog *spans)
+runAssignedUnit(const wire::AssignMsg &unit, obs::SpanLog *spans)
 {
     std::vector<harness::SweepJob> jobs;
     std::vector<std::size_t> indices;
-    for (const wire::JobSpec &spec : unit) {
+    for (const wire::JobSpec &spec : unit.jobs) {
         jobs.push_back(buildJob(spec));
         indices.push_back(static_cast<std::size_t>(spec.job_index));
     }
-    // The grid's policy rides on every spec of the unit alike.
-    const wire::JobSpec &lead = unit.front();
     harness::SweepOptions policy;
-    if (lead.has_base_seed)
-        policy.base_seed = lead.base_seed;
-    policy.retries = lead.retries;
-    policy.deadline_ms = lead.deadline_ms;
-    policy.backoff_ms = lead.backoff_ms;
+    if (unit.policy.has_base_seed)
+        policy.base_seed = unit.policy.base_seed;
+    policy.retries = unit.policy.retries;
+    policy.deadline_ms = unit.policy.deadline_ms;
+    policy.backoff_ms = unit.policy.backoff_ms;
     policy.span_log = spans;
     return harness::runJob(jobs, indices, std::move(policy));
 }
@@ -178,23 +176,22 @@ runShardWorker(const ShardWorkerConfig &config)
                 detail::concat("slot=", welcome.slot, " epoch=",
                                welcome.epoch, " v", welcome.version));
 
-    // Local durability first: every completed job lands here before
-    // its Result frame leaves the process.
-    std::optional<ShardJournalWriter> journal;
+    // Local durability first: every completed job's record lands here
+    // before its Result frame leaves the process.
+    std::optional<util::RecordFileWriter> journal;
     try {
-        journal.emplace(shardJournalPath(config.journal_dir,
-                                         welcome.epoch),
-                        welcome.slot, welcome.epoch);
+        journal.emplace(openShardJournal(
+            shardJournalPath(config.journal_dir, welcome.epoch),
+            welcome.slot, welcome.epoch));
     } catch (const util::SimError &e) {
         warn(detail::concat("shard worker: cannot open journal: ",
                             e.what()));
         return SHARD_EXIT_ERROR;
     }
 
-    std::deque<std::vector<wire::JobSpec>> units; // one per Assign
-    std::deque<wire::ResultMsg> results;          // simulated, unsent
+    std::deque<wire::AssignMsg> units;   // one unit per Assign
+    std::deque<wire::ResultMsg> results; // simulated, unsent
     std::uint64_t done = 0;
-    std::uint64_t trace_id = 0; // from Assign
     bool beats_enabled = true;
     bool fault_armed = config.fault.has_value();
     Clock::time_point last_beat = Clock::now();
@@ -212,18 +209,19 @@ runShardWorker(const ShardWorkerConfig &config)
      *  unit runs; it is joined before any Result is written, so the
      *  socket has one writer at a time. */
     const auto runFrontUnit = [&] {
-        const std::vector<wire::JobSpec> unit = std::move(units.front());
+        const wire::AssignMsg unit = std::move(units.front());
         units.pop_front();
+        const std::uint64_t trace_id = unit.trace_id;
         // Attempt spans parent to the coordinator's dispatch span for
-        // their ticket — both sides derive the same id from (trace,
-        // ticket, epoch), so no ids cross the wire.
+        // their job — both sides derive the same id from (trace, grid
+        // index, epoch), so no ids cross the wire.
         const auto dispatch = [&](const wire::JobSpec &spec) {
-            return obs::dispatchSpanId(trace_id, spec.ticket,
+            return obs::dispatchSpanId(trace_id, spec.job_index,
                                        welcome.epoch);
         };
         obs::SpanLog unit_spans(obs::TraceContext{
             trace_id, static_cast<std::uint32_t>(100 + welcome.epoch),
-            welcome.epoch, dispatch(unit.front())});
+            welcome.epoch, dispatch(unit.jobs.front())});
         const bool tracing = spans != nullptr && trace_id != 0;
         std::vector<harness::JournalRecord> records;
         std::exception_ptr beat_error;
@@ -251,15 +249,16 @@ runShardWorker(const ShardWorkerConfig &config)
             std::rethrow_exception(beat_error);
         const std::vector<obs::Span> attempts = unit_spans.spans();
         std::string jobs;
-        for (std::size_t k = 0; k < unit.size(); ++k) {
+        for (std::size_t k = 0; k < unit.jobs.size(); ++k) {
+            const wire::JobSpec &spec = unit.jobs[k];
             for (obs::Span span : attempts)
-                if (span.job == unit[k].job_index) {
-                    span.parent_id = dispatch(unit[k]);
+                if (span.job == spec.job_index) {
+                    span.parent_id = dispatch(spec);
                     spans->append(span);
                 }
-            results.push_back({welcome.slot, welcome.epoch, unit[k].ticket,
+            results.push_back({welcome.slot, welcome.epoch,
                                harness::encodeJournalRecord(records[k])});
-            jobs += detail::concat(k ? "," : "", unit[k].job_index);
+            jobs += detail::concat(k ? "," : "", spec.job_index);
         }
         flight.note("unit.done", {}, "jobs=" + jobs);
     };
@@ -270,7 +269,7 @@ runShardWorker(const ShardWorkerConfig &config)
     const auto sendFrontResult = [&] {
         const wire::ResultMsg result = std::move(results.front());
         results.pop_front();
-        journal->append({result.epoch, result.ticket, result.record});
+        journal->append(result.record);
         wire::sendFrame(fd.get(), wire::encode(result));
         ++done;
     };
@@ -317,10 +316,8 @@ runShardWorker(const ShardWorkerConfig &config)
                         wire::decodeAssign(payload);
                     if (assign.epoch != welcome.epoch)
                         return SHARD_EXIT_ERROR;
-                    if (assign.trace_id != 0)
-                        trace_id = assign.trace_id;
                     if (!assign.jobs.empty())
-                        units.push_back(std::move(assign.jobs));
+                        units.push_back(std::move(assign));
                     break;
                   }
                   case wire::MsgType::Fenced:

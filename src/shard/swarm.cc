@@ -183,9 +183,8 @@ Swarm::migrateAssigned(Slot &slot)
     std::size_t moved = 0;
     for (auto it = slot.assigned.rbegin(); it != slot.assigned.rend();
          ++it) {
-        for (const std::uint64_t t : *it)
-            obsDispatchEnd(tickets_.at(t), /*committed=*/false,
-                           "migrated");
+        for (const std::size_t i : *it)
+            obsDispatchEnd(jobs_[i], /*committed=*/false, "migrated");
         moved += it->size();
         pending_.push_front(std::move(*it));
     }
@@ -248,12 +247,12 @@ Swarm::assignPending()
             if (!slot.fd.valid() ||
                 slot.assigned.size() >= UNITS_IN_FLIGHT)
                 continue;
-            wire::AssignMsg assign{slot.epoch, {}, trace_id_};
-            for (const std::uint64_t ticket : pending_.front()) {
-                Ticket &state = tickets_.at(ticket);
-                state.assigned_us = obsNowUs();
-                state.assigned_epoch = slot.epoch;
-                assign.jobs.push_back(state.spec);
+            wire::AssignMsg assign{slot.epoch, {}, trace_id_, policy_};
+            for (const std::size_t index : pending_.front()) {
+                Job &job = jobs_[index];
+                job.assigned_us = obsNowUs();
+                job.assigned_epoch = slot.epoch;
+                assign.jobs.push_back(job.spec);
             }
             slot.assigned.push_back(std::move(pending_.front()));
             pending_.pop_front();
@@ -332,23 +331,6 @@ Swarm::handleSlotMessage(std::uint32_t slot_index,
                       /*keep_connection=*/true);
             return;
         }
-        const auto it = tickets_.find(result.ticket);
-        const auto unit_at = std::find_if(
-            slot.assigned.begin(), slot.assigned.end(),
-            [&](const Unit &unit) {
-                return std::find(unit.begin(), unit.end(),
-                                 result.ticket) != unit.end();
-            });
-        if (it == tickets_.end() || it->second.committed ||
-            unit_at == slot.assigned.end()) {
-            ++stats_.protocol_errors;
-            fenceSlot(slot_index,
-                      "AUR305: result for a ticket this incarnation "
-                      "does not hold",
-                      /*keep_connection=*/true);
-            return;
-        }
-        Ticket &ticket = it->second;
         harness::JournalRecord record;
         try {
             record = harness::decodeJournalRecord(result.record);
@@ -359,23 +341,30 @@ Swarm::handleSlotMessage(std::uint32_t slot_index,
                       /*keep_connection=*/true);
             return;
         }
-        if (record.job_index != ticket.spec.job_index) {
+        const std::uint64_t index = record.job_index;
+        const auto unit_at = std::find_if(
+            slot.assigned.begin(), slot.assigned.end(),
+            [&](const Unit &unit) {
+                return std::find(unit.begin(), unit.end(), index) !=
+                       unit.end();
+            });
+        if (unit_at == slot.assigned.end() || jobs_[index].commit) {
             ++stats_.protocol_errors;
             fenceSlot(slot_index,
-                      "AUR305: result names the wrong grid index",
+                      "AUR305: result for a job this incarnation "
+                      "does not hold",
                       /*keep_connection=*/true);
             return;
         }
         // Commit point: exactly-once is decided here and only here.
-        ticket.committed = true;
-        ticket.commit = CommitRef{ticket.spec.job_index, slot_index,
-                                  slot.epoch, result.ticket,
-                                  std::move(result.record)};
-        obsDispatchEnd(ticket, /*committed=*/true, nullptr);
-        std::erase(*unit_at, result.ticket);
+        Job &job = jobs_[index];
+        job.commit = CommitRef{index, slot_index, slot.epoch,
+                               std::move(result.record)};
+        obsDispatchEnd(job, /*committed=*/true, nullptr);
+        std::erase(*unit_at, index);
         if (unit_at->empty())
             slot.assigned.erase(unit_at);
-        --open_tickets_;
+        --open_jobs_;
         ++stats_.committed;
         if (commit_journal_)
             commit_journal_->append(record);
@@ -414,12 +403,10 @@ Swarm::handleLonerMessage(Loner &loner, const std::string &payload)
     if (type == wire::MsgType::Result) {
         const wire::ResultMsg result = wire::decodeResult(payload);
         ++stats_.fenced_results;
-        warn(detail::concat("swarm: AUR304: refused result for ticket ",
-                            result.ticket, " under fenced epoch ",
-                            result.epoch));
+        warn(detail::concat("swarm: AUR304: refused result under fenced "
+                            "epoch ", result.epoch));
         flight_.note("result.refused", "AUR304",
-                     detail::concat("ticket=", result.ticket,
-                                    " epoch=", result.epoch));
+                     detail::concat("epoch=", result.epoch));
         queueLonerFrame(loner, wire::encode(wire::FencedMsg{
                                    loner.epoch}));
         return loner.fd.valid();
@@ -723,30 +710,29 @@ Swarm::obsLeaseEnd(const Slot &slot, const char *how,
 }
 
 void
-Swarm::obsDispatchEnd(Ticket &ticket, bool committed, const char *error)
+Swarm::obsDispatchEnd(Job &job, bool committed, const char *error)
 {
-    if (ticket.assigned_us <= 0.0)
+    if (job.assigned_us <= 0.0)
         return;
     if (span_log_ != nullptr && trace_id_ != 0) {
         obs::Span span;
         span.trace_id = trace_id_;
-        span.span_id = obs::dispatchSpanId(trace_id_, ticket.spec.ticket,
-                                           ticket.assigned_epoch);
-        span.parent_id =
-            obs::leaseSpanId(trace_id_, ticket.assigned_epoch);
-        span.name = detail::concat("dispatch t", ticket.spec.ticket);
+        span.span_id = obs::dispatchSpanId(trace_id_, job.spec.job_index,
+                                           job.assigned_epoch);
+        span.parent_id = obs::leaseSpanId(trace_id_, job.assigned_epoch);
+        span.name = detail::concat("dispatch j", job.spec.job_index);
         span.cat = "dispatch";
         span.pid = 1;
-        span.ts_us = ticket.assigned_us;
-        span.dur_us = obsNowUs() - ticket.assigned_us;
-        span.job = ticket.spec.job_index;
+        span.ts_us = job.assigned_us;
+        span.dur_us = obsNowUs() - job.assigned_us;
+        span.job = job.spec.job_index;
         span.has_job = true;
         if (!committed)
             span.error = error != nullptr ? error : "abandoned";
         span_log_->add(std::move(span));
     }
-    ticket.assigned_us = 0.0;
-    ticket.assigned_epoch = 0;
+    job.assigned_us = 0.0;
+    job.assigned_epoch = 0;
 }
 
 std::vector<harness::SweepOutcome>
@@ -788,11 +774,13 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
                  detail::concat("fingerprint=", fingerprint,
                                 " jobs=", n));
 
-    // Issue tickets in submission order for every job not replayed,
-    // then deal them as the units a SweepRunner over one thread per
-    // shard would run.
+    // Deal every job not replayed as the units a SweepRunner over one
+    // thread per shard would run.
+    policy_ = {options.base_seed.has_value(),
+               options.base_seed.value_or(0), options.deadline_ms,
+               options.retries, options.backoff_ms};
+    jobs_.resize(n);
     std::vector<std::size_t> pending;
-    std::vector<std::uint64_t> ticket_of(n);
     for (std::size_t i = 0; i < n; ++i) {
         if (outcomes[i].resumed) {
             ++stats_.resumed;
@@ -800,36 +788,20 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
         }
         pending.push_back(i);
         const harness::SweepJob &job = grid[i];
-        wire::JobSpec spec;
-        spec.ticket = ++next_ticket_;
-        spec.job_index = i;
-        spec.machine_spec = core::describe(job.machine);
-        spec.profile_name = job.profile.name;
-        spec.profile_seed = job.profile.seed;
-        spec.instructions = job.instructions;
-        spec.has_base_seed = options.base_seed.has_value();
-        spec.base_seed = options.base_seed.value_or(0);
-        spec.deadline_ms = options.deadline_ms;
-        spec.retries = options.retries;
-        spec.backoff_ms = options.backoff_ms;
-        tickets_.emplace(spec.ticket, Ticket{spec, false, {}});
-        ticket_of[i] = spec.ticket;
+        jobs_[i].spec = {i, core::describe(job.machine), job.profile.name,
+                         job.profile.seed, job.instructions};
     }
-    open_tickets_ = pending.size();
-    for (const auto &unit : harness::planUnits(grid, pending,
-                                               options.base_seed,
-                                               config_.shards)) {
-        Unit &tickets = pending_.emplace_back();
-        for (const std::size_t i : unit)
-            tickets.push_back(ticket_of[i]);
-    }
+    open_jobs_ = pending.size();
+    for (auto &unit : harness::planUnits(grid, pending, options.base_seed,
+                                         config_.shards))
+        pending_.push_back(std::move(unit));
 
     // A fully-resumed grid needs no fleet at all.
-    if (open_tickets_ > 0)
+    if (open_jobs_ > 0)
         for (std::uint32_t i = 0; i < config_.shards; ++i)
             spawnWorker(config_.fault_plans[i]);
 
-    while (open_tickets_ > 0) {
+    while (open_jobs_ > 0) {
         assignPending();
         pollOnce(20);
         checkLeases();
@@ -862,7 +834,7 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
             stats_.respawns >= MAX_RESPAWNS)
             util::raiseError(util::SimErrorCode::Internal,
                              "swarm: shard fleet lost with ",
-                             open_tickets_,
+                             open_jobs_,
                              " job(s) open and the respawn budget (",
                              MAX_RESPAWNS, ") exhausted");
     }
@@ -876,10 +848,10 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     std::vector<ShardJournalRef> journals;
     journals.reserve(journal_refs_.size());
     std::vector<CommitRef> commits;
-    commits.reserve(tickets_.size());
-    for (const auto &[id, ticket] : tickets_)
-        if (ticket.committed)
-            commits.push_back(ticket.commit);
+    commits.reserve(stats_.committed);
+    for (const Job &job : jobs_)
+        if (job.commit)
+            commits.push_back(*job.commit);
     for (const ShardJournalRef &ref : journal_refs_) {
         if (std::filesystem::exists(ref.path)) {
             journals.push_back(ref);

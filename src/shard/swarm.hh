@@ -2,13 +2,13 @@
  * @file
  * Swarm coordinator: lease-fenced supervision of a shard fleet.
  *
- * The coordinator owns a sweep grid end to end: it partitions the
- * grid into coordinator-issued **tickets**, groups the tickets whose
- * jobs replay one trace into lockstep **units** (harness::planUnits
+ * The coordinator owns a sweep grid end to end: it groups the jobs
+ * that replay one trace into lockstep **units** (harness::planUnits
  * over the shard count), leases one unit per Assign to N shard
  * worker processes over the 'ASW1' wire protocol, and is the single
  * commit point — a job is done exactly when the coordinator accepts
- * its Result, and it can be accepted at most once.
+ * its Result, and it can be accepted at most once. A job's grid index
+ * is its only id, on the wire, in both journals and in span ids.
  *
  * Supervision model (docs/distributed.md has the failure matrix):
  *
@@ -48,7 +48,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -159,7 +158,7 @@ struct SwarmStats
     std::uint64_t fenced_results = 0;
     /** Protocol violations (AUR305). */
     std::uint64_t protocol_errors = 0;
-    /** Tickets migrated off fenced incarnations. */
+    /** Jobs migrated off fenced incarnations. */
     std::uint64_t migrated_jobs = 0;
     /** Replacement workers spawned. */
     std::uint64_t respawns = 0;
@@ -211,9 +210,9 @@ class Swarm
 
   private:
     using Clock = std::chrono::steady_clock;
-    /** Tickets of grid jobs that replay one trace, dealt in one
+    /** Grid indices of jobs that replay one trace, dealt in one
      *  Assign and run in lockstep (harness::planUnits). */
-    using Unit = std::vector<std::uint64_t>;
+    using Unit = harness::SweepRunner::Unit;
 
     /** One shard slot (current incarnation, if any). */
     struct Slot
@@ -224,7 +223,7 @@ class Swarm
         Clock::time_point last_beat{};
         Clock::time_point last_msg{};
         /** Units in flight on this incarnation, oldest first, each
-         *  down to its uncommitted tickets. */
+         *  down to its uncommitted jobs. */
         std::deque<Unit> assigned;
         /** Buffered unsent frames (a wedged shard must not block
          *  the coordinator in a blocking send). */
@@ -249,12 +248,12 @@ class Swarm
         Clock::time_point opened{};
     };
 
-    /** One grid job's coordination state. */
-    struct Ticket
+    /** One grid job's coordination state (jobs_[grid index]). */
+    struct Job
     {
-        wire::JobSpec spec; ///< spec.ticket is the id
-        bool committed = false;
-        CommitRef commit; ///< valid when committed
+        wire::JobSpec spec;
+        /** Set once the job's Result is accepted. */
+        std::optional<CommitRef> commit;
         /** Obs-clock timestamp of the live assignment (dispatch span
          *  start; 0 = not currently assigned). */
         double assigned_us = 0.0;
@@ -291,9 +290,8 @@ class Swarm
     /** Close the lease span + flight-note a fence/drain of @p slot. */
     void obsLeaseEnd(const Slot &slot, const char *how,
                      const char *diagnostic);
-    /** Close the dispatch span of @p ticket (commit or migration). */
-    void obsDispatchEnd(Ticket &ticket, bool committed,
-                        const char *error);
+    /** Close the dispatch span of @p job (commit or migration). */
+    void obsDispatchEnd(Job &job, bool committed, const char *error);
 
     SwarmConfig config_;
     util::Fd listener_;
@@ -302,10 +300,9 @@ class Swarm
     /** Unreaped pids of every spawned worker. */
     std::vector<long> children_;
     std::uint64_t next_epoch_ = 0;
-    std::uint64_t next_ticket_ = 0;
-    std::map<std::uint64_t, Ticket> tickets_;
+    std::vector<Job> jobs_;
     std::deque<Unit> pending_;
-    std::uint64_t open_tickets_ = 0;
+    std::uint64_t open_jobs_ = 0;
     /** runGrid() has been called (a Swarm runs one grid). */
     bool ran_ = false;
     std::set<std::uint64_t> fenced_epochs_;
@@ -320,8 +317,10 @@ class Swarm
     WallTimer obs_timer_;
     /** Coordinator flight recorder (spooled when flight_dir set). */
     obs::FlightRecorder flight_;
-    /** runGrid-local trace context (mirrors commit_journal_). */
+    /** runGrid-local trace context and policy (mirror
+     *  commit_journal_). */
     std::uint64_t trace_id_ = 0;
+    wire::GridPolicy policy_;
     obs::SpanLog *span_log_ = nullptr;
 };
 

@@ -145,7 +145,6 @@ TEST(CodecFuzz, ShardMessages)
     fuzz<asw::ResultMsg>("asw1.Result", WIRE);
     fuzz<asw::WelcomeMsg>("asw1.Welcome", WIRE);
     fuzz<asw::AssignMsg>("asw1.Assign", WIRE);
-    fuzz<asw::AssignMsg>("asw1.Assign.v2", WIRE);
     fuzz<asw::FencedMsg>("asw1.Fenced", WIRE);
     fuzz<asw::ShutdownMsg>("asw1.Shutdown", WIRE);
 }
@@ -157,7 +156,6 @@ TEST(CodecFuzz, DiskRecords)
     fuzz<harness::JournalRecord>("journal.job.failed", DISK);
     fuzz<RunResultBytes>("journal.run_result", DISK);
     fuzz<shard::ShardJournalHeader>("shard_journal.header", DISK);
-    fuzz<shard::ShardJournalEntry>("shard_journal.entry", DISK);
     fuzz<serve::ManifestSubmit>("manifest.submit", DISK);
     fuzz<serve::ManifestCancel>("manifest.cancel", DISK);
 }
@@ -165,7 +163,7 @@ TEST(CodecFuzz, DiskRecords)
 /** Every golden payload is fuzzed above (keep the lists in step). */
 TEST(CodecFuzz, CoversEveryGoldenPayload)
 {
-    EXPECT_EQ(std::size(test::GOLDEN_PAYLOADS), 18u + 8u + 8u);
+    EXPECT_EQ(std::size(test::GOLDEN_PAYLOADS), 18u + 7u + 7u);
 }
 
 /** Expect decode<M>(@p payload) to throw SimError(@p code). */
@@ -217,7 +215,7 @@ TEST(CodecChecks, ExpectedConstantsAreChecked)
     expectRefused<harness::JournalHeader>(
         patched("journal.header", 1, 1), DISK); // version 1
     expectRefused<shard::ShardJournalHeader>(
-        patched("shard_journal.header", 1, 2), DISK);
+        patched("shard_journal.header", 1, 1), DISK); // version 1
     expectRefused<serve::ManifestSubmit>(
         patched("manifest.submit", 1, 2), DISK);
     // RunResult: model (4 + 5), benchmark (4 + 8), 4 x u64, then the

@@ -2,10 +2,10 @@
  * @file
  * Golden bytes of every wire message and on-disk record: one payload
  * per AWP1 and ASW1 message type (with and without the v2 trailing
- * trace id where the message carries one), the spool manifest's
+ * trace id where an AWP1 message carries one), the spool manifest's
  * submit record and cancel marker, the sweep journal's header and
- * job records, the shard journal's header and entry, and
- * runResultBytes(). Round-trip tests cannot see a layout change that
+ * job records, the shard journal's header (its job records are the
+ * sweep journal's), and runResultBytes(). Round-trip tests cannot see a layout change that
  * the encoder and decoder make together; these can. The pinned hex
  * lives in codec_golden.hh, which test_codec_fuzz also reads.
  */
@@ -163,20 +163,14 @@ sampleSubmit()
 }
 
 asw::JobSpec
-sampleJob(std::uint64_t ticket)
+sampleJob(std::uint64_t job_index)
 {
     asw::JobSpec job;
-    job.ticket = ticket;
-    job.job_index = ticket - 1;
+    job.job_index = job_index;
     job.machine_spec = "model=small fp_policy=single";
     job.profile_name = "espresso";
     job.profile_seed = 0x9e3779b97f4a7c15ull;
     job.instructions = 400'000;
-    job.has_base_seed = true;
-    job.base_seed = 0xfeedfacecafebeefull;
-    job.deadline_ms = 30'000;
-    job.retries = 2;
-    job.backoff_ms = 125;
     return job;
 }
 
@@ -227,16 +221,15 @@ TEST(CodecGolden, ShardMessages)
 {
     expectGolden("asw1.Hello", asw::encode(asw::HelloMsg{2, 4242}));
     expectGolden("asw1.Beat", asw::encode(asw::BeatMsg{3, 7, 19}));
-    expectGolden("asw1.Result",
-                 asw::encode(asw::ResultMsg{3, 7, 11, "rec"}));
+    expectGolden("asw1.Result", asw::encode(asw::ResultMsg{3, 7, "rec"}));
     expectGolden("asw1.Welcome",
                  asw::encode(asw::WelcomeMsg{2, 3, 7, 400, 100}));
     asw::AssignMsg assign;
     assign.epoch = 7;
-    assign.jobs = {sampleJob(1), sampleJob(2)};
-    expectGolden("asw1.Assign", asw::encode(assign));
+    assign.jobs = {sampleJob(0), sampleJob(1)};
     assign.trace_id = TRACE;
-    expectGolden("asw1.Assign.v2", asw::encode(assign));
+    assign.policy = {true, 0xfeedfacecafebeefull, 30'000, 2, 125};
+    expectGolden("asw1.Assign", asw::encode(assign));
     expectGolden("asw1.Fenced", asw::encode(asw::FencedMsg{7}));
     expectGolden("asw1.Shutdown", asw::encode(asw::ShutdownMsg{}));
 }
@@ -262,15 +255,14 @@ TEST(CodecGolden, SweepJournalRecords)
 
 TEST(CodecGolden, ShardJournalRecords)
 {
+    // The header, then a sweep journal job record verbatim.
     const std::string path = tempPath("codec_golden.sjrn");
-    {
-        shard::ShardJournalWriter writer(path, /*slot=*/3, /*epoch=*/9);
-        writer.append({9, 17, std::string("\x02rec", 4)});
-    }
+    shard::openShardJournal(path, /*slot=*/3, /*epoch=*/9)
+        .append(harness::encodeJournalRecord(okRecord()));
     const std::vector<std::string> records = recordPayloads(path);
     ASSERT_EQ(records.size(), 2u);
     expectGolden("shard_journal.header", records[0]);
-    expectGolden("shard_journal.entry", records[1]);
+    expectGolden("journal.job.ok", records[1]);
 }
 
 /**

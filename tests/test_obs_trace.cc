@@ -57,7 +57,7 @@ TEST(ObsIds, AllDerivedIdsAreNonzeroAndDistinct)
         ids.insert(obs::leaseSpanId(trace, j));
         ids.insert(obs::dispatchSpanId(trace, j, 1));
     }
-    // Domain separation: job 5, lease epoch 5, dispatch ticket 5 all
+    // Domain separation: job 5, lease epoch 5, dispatch of job 5 all
     // hash apart; every id is distinct and none is the 0 sentinel.
     EXPECT_EQ(ids.size(), 4u + 8u * 6u);
     EXPECT_EQ(ids.count(0), 0u);

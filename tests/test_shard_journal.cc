@@ -2,20 +2,27 @@
  * @file
  * Shard journal tests: writer/loader round trip, the SIGKILL
  * torn-tail contract at every cut byte (the record_io fuzz pattern
- * applied to the shard format), and the merge's two invariants —
- * every commit byte-identical in its epoch's journal, every leftover
- * entry behind a fence (AUR306 otherwise).
+ * applied to the shard format), a live grid's shard journals holding
+ * exactly the committed Result bytes, and the merge's two invariants
+ * — every commit byte-identical in its epoch's journal, every
+ * leftover record behind a fence (AUR306 otherwise).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/config_io.hh"
 #include "harness/journal.hh"
+#include "harness/sweep.hh"
 #include "shard/shard_journal.hh"
+#include "shard/swarm.hh"
+#include "trace/spec_profiles.hh"
+#include "util/record_io.hh"
 #include "util/sim_error.hh"
 
 namespace
@@ -33,7 +40,7 @@ tempPath(const std::string &name)
     return (fs::path(::testing::TempDir()) / name).string();
 }
 
-/** A plausible encoded journal record for ticket @p ticket. */
+/** A plausible encoded journal record for grid job @p job_index. */
 std::string
 recordBytes(std::uint64_t job_index)
 {
@@ -48,23 +55,27 @@ recordBytes(std::uint64_t job_index)
     return harness::encodeJournalRecord(rec);
 }
 
-TEST(ShardJournal, RoundTripsHeaderAndEntries)
+/** Write incarnation (@p slot, @p epoch)'s journal holding the
+ *  records of @p jobs, in order. */
+void
+writeJournal(const std::string &path, std::uint32_t slot,
+             std::uint64_t epoch, const std::vector<std::uint64_t> &jobs)
+{
+    util::RecordFileWriter w = openShardJournal(path, slot, epoch);
+    for (const std::uint64_t job : jobs)
+        w.append(recordBytes(job));
+}
+
+TEST(ShardJournal, RoundTripsHeaderAndRecords)
 {
     const std::string path = tempPath("shard-rt.ajrn");
-    {
-        ShardJournalWriter w(path, /*slot=*/3, /*epoch=*/7);
-        w.append({7, 10, recordBytes(0)});
-        w.append({7, 11, recordBytes(1)});
-    }
+    writeJournal(path, /*slot=*/3, /*epoch=*/7, {0, 1});
     const LoadedShardJournal loaded = loadShardJournal(path);
     EXPECT_EQ(loaded.slot, 3u);
     EXPECT_EQ(loaded.epoch, 7u);
     EXPECT_FALSE(loaded.dropped_tail);
-    ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.entries[0].epoch, 7u);
-    EXPECT_EQ(loaded.entries[0].ticket, 10u);
-    EXPECT_EQ(loaded.entries[0].record, recordBytes(0));
-    EXPECT_EQ(loaded.entries[1].ticket, 11u);
+    EXPECT_EQ(loaded.records,
+              (std::vector<std::string>{recordBytes(0), recordBytes(1)}));
     EXPECT_EQ(loaded.valid_bytes, fs::file_size(path));
 }
 
@@ -81,16 +92,17 @@ TEST(ShardJournal, MissingFileIsBadJournal)
 TEST(ShardJournal, EveryKillDuringAppendCutIsATornTail)
 {
     // SIGKILL mid-append leaves a prefix of the last record. Cut the
-    // file at every byte past the first entry: each cut must load,
-    // drop exactly the torn entry, and report the good-bytes length —
-    // never misparse, never lose entry 0.
+    // file at every byte past the first record: each cut must load,
+    // drop exactly the torn record, and report the good-bytes length
+    // — never misparse, never lose record 0.
     const std::string path = tempPath("shard-torn.ajrn");
     std::uintmax_t first_end = 0;
     {
-        ShardJournalWriter w(path, /*slot=*/0, /*epoch=*/2);
-        w.append({2, 1, recordBytes(0)});
+        util::RecordFileWriter w =
+            openShardJournal(path, /*slot=*/0, /*epoch=*/2);
+        w.append(recordBytes(0));
         first_end = fs::file_size(path);
-        w.append({2, 2, recordBytes(1)});
+        w.append(recordBytes(1));
     }
     const std::uintmax_t full = fs::file_size(path);
     ASSERT_GT(full, first_end);
@@ -103,17 +115,15 @@ TEST(ShardJournal, EveryKillDuringAppendCutIsATornTail)
         const LoadedShardJournal loaded = loadShardJournal(victim);
         EXPECT_TRUE(loaded.dropped_tail);
         EXPECT_EQ(loaded.valid_bytes, first_end);
-        ASSERT_EQ(loaded.entries.size(), 1u);
-        EXPECT_EQ(loaded.entries[0].ticket, 1u);
+        EXPECT_EQ(loaded.records,
+                  std::vector<std::string>{recordBytes(0)});
     }
 }
 
 TEST(ShardJournal, TruncatedHeaderIsBadJournal)
 {
     const std::string path = tempPath("shard-hdr.ajrn");
-    {
-        ShardJournalWriter w(path, /*slot=*/0, /*epoch=*/1);
-    }
+    writeJournal(path, /*slot=*/0, /*epoch=*/1, {});
     fs::resize_file(path, fs::file_size(path) / 2);
     try {
         (void)loadShardJournal(path);
@@ -121,6 +131,45 @@ TEST(ShardJournal, TruncatedHeaderIsBadJournal)
     } catch (const SimError &e) {
         EXPECT_EQ(e.code(), SimErrorCode::BadJournal);
     }
+}
+
+/**
+ * A healthy two-shard grid: after each shard journal's header come
+ * exactly the bytes of the Results the coordinator committed, which
+ * its commit journal holds after its own header.
+ */
+TEST(ShardJournal, RecordsAreTheCommittedResultBytes)
+{
+    const auto grid = harness::suiteJobs(
+        core::parseMachineSpec("model=small"), trace::integerSuite(),
+        2000);
+    shard::SwarmConfig config;
+    config.socket_path = tempPath("shard-bytes.sock");
+    config.journal_dir = tempPath("shard-bytes.jd");
+    fs::remove(config.socket_path);
+    fs::remove_all(config.journal_dir);
+    shard::GridOptions options;
+    options.journal = tempPath("shard-bytes.ajrn");
+    fs::remove(options.journal);
+    {
+        shard::Swarm swarm(config);
+        (void)swarm.runGrid(grid, options);
+    }
+
+    std::vector<std::string> journaled;
+    for (const auto &entry : fs::directory_iterator(config.journal_dir)) {
+        const LoadedShardJournal j =
+            loadShardJournal(entry.path().string());
+        journaled.insert(journaled.end(), j.records.begin(),
+                         j.records.end());
+    }
+    std::vector<std::string> committed =
+        util::readRecordFile(options.journal, "journal").payloads;
+    committed.erase(committed.begin()); // the grid journal's header
+    ASSERT_EQ(committed.size(), grid.size());
+    std::sort(journaled.begin(), journaled.end());
+    std::sort(committed.begin(), committed.end());
+    EXPECT_EQ(journaled, committed);
 }
 
 /** Build journals+commits for a clean two-shard, two-epoch run. */
@@ -136,19 +185,12 @@ struct MergeFixture
             tempPath("merge-" + tag + "-e1.ajrn");
         const std::string p2 =
             tempPath("merge-" + tag + "-e2.ajrn");
-        {
-            ShardJournalWriter w(p1, /*slot=*/0, /*epoch=*/1);
-            w.append({1, 1, recordBytes(0)});
-            w.append({1, 3, recordBytes(2)});
-        }
-        {
-            ShardJournalWriter w(p2, /*slot=*/1, /*epoch=*/2);
-            w.append({2, 2, recordBytes(1)});
-        }
+        writeJournal(p1, /*slot=*/0, /*epoch=*/1, {0, 2});
+        writeJournal(p2, /*slot=*/1, /*epoch=*/2, {1});
         journals = {{1, 0, p1}, {2, 1, p2}};
-        commits = {{0, 0, 1, 1, recordBytes(0)},
-                   {1, 1, 2, 2, recordBytes(1)},
-                   {2, 0, 1, 3, recordBytes(2)}};
+        commits = {{0, 0, 1, recordBytes(0)},
+                   {1, 1, 2, recordBytes(1)},
+                   {2, 0, 1, recordBytes(2)}};
     }
 };
 
@@ -168,9 +210,9 @@ TEST(ShardMergeInvariants, CleanRunMergesInSubmissionOrder)
 TEST(ShardMergeInvariants, CommitMissingFromJournalIsAUR306)
 {
     MergeFixture fx("missing");
-    // Claim a commit (ticket 9) that no journal persisted: the
-    // durable-before-visible rule was violated somewhere.
-    fx.commits.push_back({3, 1, 2, 9, recordBytes(3)});
+    // Claim a commit (job 3 under epoch 2) that no journal persisted:
+    // the durable-before-visible rule was violated somewhere.
+    fx.commits.push_back({3, 1, 2, recordBytes(3)});
     try {
         (void)mergeShardJournals(fx.journals, fx.commits, fx.fenced);
         FAIL() << "unjournaled commit accepted";
@@ -184,9 +226,12 @@ TEST(ShardMergeInvariants, CommitMissingFromJournalIsAUR306)
 TEST(ShardMergeInvariants, CommitBytesMustMatchJournalBytes)
 {
     MergeFixture fx("bytes");
-    // Same ticket, different bytes: what the coordinator accepted is
-    // not what the shard persisted.
-    fx.commits[1].record = recordBytes(7);
+    // Same job, different bytes: what the coordinator accepted is not
+    // what the shard persisted.
+    harness::JournalRecord other =
+        harness::decodeJournalRecord(recordBytes(1));
+    other.seed += 1;
+    fx.commits[1].record = harness::encodeJournalRecord(other);
     try {
         (void)mergeShardJournals(fx.journals, fx.commits, fx.fenced);
         FAIL() << "byte mismatch accepted";
@@ -200,15 +245,10 @@ TEST(ShardMergeInvariants, CommitBytesMustMatchJournalBytes)
 TEST(ShardMergeInvariants, UncommittedEntryUnderLiveEpochIsAUR306)
 {
     MergeFixture fx("smuggle");
-    // Epoch 2's journal gains an entry the coordinator never
+    // Epoch 2's journal gains a record the coordinator never
     // committed, and epoch 2 was never fenced: a live shard smuggled
     // a result past the commit protocol.
-    {
-        ShardJournalWriter w(fx.journals[1].path, /*slot=*/1,
-                             /*epoch=*/2);
-        w.append({2, 2, recordBytes(1)});
-        w.append({2, 8, recordBytes(5)});
-    }
+    writeJournal(fx.journals[1].path, /*slot=*/1, /*epoch=*/2, {1, 5});
     try {
         (void)mergeShardJournals(fx.journals, fx.commits, fx.fenced);
         FAIL() << "smuggled entry accepted";
@@ -222,16 +262,11 @@ TEST(ShardMergeInvariants, UncommittedEntryUnderLiveEpochIsAUR306)
 TEST(ShardMergeInvariants, ZombieAppendBehindFenceMergesClean)
 {
     MergeFixture fx("zombie");
-    // The same extra entry is fine when its epoch is fenced: that is
+    // The same extra record is fine when its epoch is fenced: that is
     // exactly the refused zombie append, physically contained in a
     // dead incarnation's file.
-    {
-        ShardJournalWriter w(fx.journals[0].path, /*slot=*/0,
-                             /*epoch=*/1);
-        w.append({1, 1, recordBytes(0)});
-        w.append({1, 3, recordBytes(2)});
-        w.append({1, 8, recordBytes(5)});
-    }
+    writeJournal(fx.journals[0].path, /*slot=*/0, /*epoch=*/1,
+                 {0, 2, 5});
     fx.fenced.insert(1);
     const std::vector<harness::JournalRecord> records =
         mergeShardJournals(fx.journals, fx.commits, fx.fenced);
@@ -247,14 +282,10 @@ TEST(ShardMergeInvariants, ResumedRunMergesSparseCommits)
     // journal. The merge must accept the gap.
     const std::string p =
         tempPath("merge-sparse-e1.ajrn");
-    {
-        ShardJournalWriter w(p, /*slot=*/0, /*epoch=*/1);
-        w.append({1, 1, recordBytes(1)});
-        w.append({1, 2, recordBytes(3)});
-    }
+    writeJournal(p, /*slot=*/0, /*epoch=*/1, {1, 3});
     const std::vector<ShardJournalRef> journals = {{1, 0, p}};
-    const std::vector<CommitRef> commits = {
-        {1, 0, 1, 1, recordBytes(1)}, {3, 0, 1, 2, recordBytes(3)}};
+    const std::vector<CommitRef> commits = {{1, 0, 1, recordBytes(1)},
+                                            {3, 0, 1, recordBytes(3)}};
     const std::vector<harness::JournalRecord> records =
         mergeShardJournals(journals, commits, {});
     ASSERT_EQ(records.size(), 2u);

@@ -5,10 +5,14 @@
  * shard running a trace group as one lockstep unit, one grid per
  * Swarm, the commit journal's resume path, configuration
  * rejection, a fleet lost once its respawn budget is spent, and the
- * refusal of a foreign protocol version (AUR305).
+ * refusals of AUR305: a foreign protocol version, and each bad Result
+ * a leased dialer can send.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -19,7 +23,9 @@
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "obs/flight.hh"
+#include "shard/shard_journal.hh"
 #include "shard/shard_wire.hh"
+#include "shard/shardd.hh"
 #include "shard/swarm.hh"
 #include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
@@ -269,25 +275,178 @@ TEST(SwarmSupervision, ExecFleetWithoutABinaryIsLost)
     EXPECT_EQ(swarm.stats().granted_leases, 0u);
 }
 
-TEST(SwarmSupervision, V1HelloIsRefusedWithAur305)
+TEST(SwarmSupervision, OlderHellosAreRefusedWithAur305)
 {
-    // A dialer speaking protocol v1 gets no lease: the coordinator
-    // closes the connection without a Welcome and counts a protocol
-    // error, while its own fleet runs the grid. The listener is bound
-    // at construction, so the dialer's Hello waits in the socket until
-    // runGrid starts polling.
+    // Dialers speaking protocols v1 and v2 get no lease: the
+    // coordinator closes each connection without a Welcome and counts
+    // a protocol error, while its own fleet runs the grid. The
+    // listener is bound at construction, so the dialers' Hellos wait
+    // in the socket until runGrid starts polling.
     shard::SwarmConfig config = baseConfig("v1");
     shard::Swarm swarm(config);
-    const util::Fd fd = util::connectUnix(config.socket_path);
-    shard::wire::sendFrame(fd.get(),
-                           shard::wire::encode(shard::wire::HelloMsg{1, 7}));
+    std::vector<util::Fd> dialers;
+    for (const std::uint32_t version : {1u, 2u}) {
+        dialers.push_back(util::connectUnix(config.socket_path));
+        shard::wire::sendFrame(
+            dialers.back().get(),
+            shard::wire::encode(shard::wire::HelloMsg{version, 7}));
+    }
 
     const auto grid = testGrid();
     expectAllOk(swarm.runGrid(grid, {}), grid.size());
-    EXPECT_EQ(swarm.stats().protocol_errors, 1u);
+    EXPECT_EQ(swarm.stats().protocol_errors, 2u);
     EXPECT_EQ(swarm.stats().granted_leases, 2u);
-    shard::wire::FrameDecoder decoder;
-    EXPECT_FALSE(util::recvFrame(fd.get(), decoder, 60'000).has_value());
+    for (const util::Fd &fd : dialers) {
+        shard::wire::FrameDecoder decoder;
+        EXPECT_FALSE(util::recvFrame(fd.get(), decoder, 60'000).has_value());
+    }
 }
+
+/** The bad Result a hand-driven dialer sends once it holds a lease. */
+enum class BadResult
+{
+    /** A real record for a grid index dealt to no unit it holds. */
+    UnassignedJob,
+    /** A legitimate commit of its first job, then the same again. */
+    SecondCommit,
+    /** Record bytes that are no journal record. */
+    Undecodable,
+};
+
+/**
+ * The dialer's side, in a forked child: read Welcome and the first
+ * Assign from @p fd (whose Hello is already sent), send the Results of
+ * @p bad, and exit 0 once the coordinator answers Fenced for its
+ * epoch. Every record it sends that decodes is journaled first, as a
+ * real shard does.
+ */
+[[noreturn]] void
+runBadDialer(int fd, BadResult bad,
+             const std::vector<harness::SweepJob> &grid,
+             const std::string &journal_dir)
+{
+    namespace wire = shard::wire;
+    try {
+        wire::FrameDecoder decoder;
+        const auto recv = [&] {
+            const auto payload = util::recvFrame(fd, decoder, 60'000);
+            if (!payload)
+                ::_exit(10);
+            return *payload;
+        };
+        const wire::WelcomeMsg welcome = wire::decodeWelcome(recv());
+        const wire::AssignMsg assign = wire::decodeAssign(recv());
+        util::RecordFileWriter journal = shard::openShardJournal(
+            shard::shardJournalPath(journal_dir, welcome.epoch),
+            welcome.slot, welcome.epoch);
+        const auto send = [&](const std::string &record) {
+            wire::sendFrame(fd, wire::encode(wire::ResultMsg{
+                                    welcome.slot, welcome.epoch, record}));
+        };
+        const auto runAndJournal = [&](std::size_t index) {
+            const std::string record = harness::encodeJournalRecord(
+                harness::runJob(grid[index], index, {}));
+            journal.append(record);
+            return record;
+        };
+        switch (bad) {
+          case BadResult::UnassignedJob:
+            // The last unit: two units in flight never reach it.
+            send(runAndJournal(grid.size() - 1));
+            break;
+          case BadResult::SecondCommit: {
+            const std::string record = runAndJournal(
+                static_cast<std::size_t>(assign.jobs.front().job_index));
+            send(record);
+            send(record);
+            break;
+          }
+          case BadResult::Undecodable:
+            send("not a journal record");
+            break;
+        }
+        for (;;) {
+            const std::string payload = recv();
+            if (wire::peekType(payload) == wire::MsgType::Fenced &&
+                wire::decodeFenced(payload).epoch == welcome.epoch)
+                ::_exit(0);
+        }
+    } catch (...) {
+        ::_exit(11);
+    }
+}
+
+class ResultRefusal : public ::testing::TestWithParam<BadResult>
+{
+};
+
+TEST_P(ResultRefusal, DialerIsFencedAndItsUnitsMigrate)
+{
+    // Two machines per trace: six units of two jobs. The dialer's
+    // Hello is queued before runGrid, so it takes the one slot ahead
+    // of the forked worker (dismissed as surplus) and is dealt two
+    // units; once it is fenced, a respawned worker runs the rest.
+    std::vector<harness::SweepJob> grid;
+    for (const char *spec : {"model=small", "model=baseline"}) {
+        const auto row = harness::suiteJobs(core::parseMachineSpec(spec),
+                                            trace::integerSuite(), 2000);
+        grid.insert(grid.end(), row.begin(), row.end());
+    }
+    const BadResult bad = GetParam();
+    shard::SwarmConfig config =
+        baseConfig("refusal" + std::to_string(static_cast<int>(bad)));
+    config.shards = 1;
+    config.lease_ms = 5000; // a refusal, never a lease expiry
+    shard::Swarm swarm(config);
+    util::Fd fd = util::connectUnix(config.socket_path);
+    shard::wire::sendFrame(fd.get(),
+                           shard::wire::encode(shard::wire::HelloMsg{}));
+    const pid_t dialer = ::fork();
+    ASSERT_GE(dialer, 0);
+    if (dialer == 0)
+        runBadDialer(fd.get(), bad, grid, config.journal_dir);
+    fd.reset();
+
+    const auto outcomes = swarm.runGrid(grid, {});
+    int status = 0;
+    ASSERT_EQ(::waitpid(dialer, &status, 0), dialer);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "the dialer was not fenced (status " << status << ")";
+
+    const shard::SwarmStats &stats = swarm.stats();
+    EXPECT_EQ(stats.protocol_errors, 1u);
+    EXPECT_EQ(stats.lease_expiries, 0u);
+    EXPECT_EQ(swarm.fencedEpochs(), std::set<std::uint64_t>{1});
+    // Both units move on, less the job the dialer committed.
+    EXPECT_EQ(stats.migrated_jobs, bad == BadResult::SecondCommit ? 3u : 4u);
+    EXPECT_EQ(stats.committed, grid.size());
+
+    harness::SweepOptions serial;
+    serial.workers = 1;
+    const auto want = harness::SweepRunner(serial).runOutcomes(grid);
+    ASSERT_EQ(outcomes.size(), want.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+        EXPECT_EQ(harness::runResultBytes(outcomes[i].result),
+                  harness::runResultBytes(want[i].result))
+            << "job " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SwarmSupervision, ResultRefusal,
+    ::testing::Values(BadResult::UnassignedJob, BadResult::SecondCommit,
+                      BadResult::Undecodable),
+    [](const ::testing::TestParamInfo<BadResult> &param) {
+        switch (param.param) {
+          case BadResult::UnassignedJob:
+            return "UnassignedJob";
+          case BadResult::SecondCommit:
+            return "SecondCommit";
+          case BadResult::Undecodable:
+            return "Undecodable";
+        }
+        return "Unknown";
+    });
 
 } // namespace

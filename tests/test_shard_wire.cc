@@ -22,20 +22,14 @@ using aurora::util::SimError;
 using aurora::util::SimErrorCode;
 
 JobSpec
-sampleJob(std::uint64_t ticket)
+sampleJob(std::uint64_t job_index)
 {
     JobSpec job;
-    job.ticket = ticket;
-    job.job_index = ticket - 1;
+    job.job_index = job_index;
     job.machine_spec = "model=small fp_policy=single";
     job.profile_name = "espresso";
     job.profile_seed = 0x9e3779b97f4a7c15ull;
     job.instructions = 400'000;
-    job.has_base_seed = true;
-    job.base_seed = 0xfeedfacecafebeefull;
-    job.deadline_ms = 30'000;
-    job.retries = 2;
-    job.backoff_ms = 125;
     return job;
 }
 
@@ -67,14 +61,12 @@ TEST(ShardWire, ResultRoundTripsOpaqueRecordBytes)
     ResultMsg m;
     m.slot = 1;
     m.epoch = 5;
-    m.ticket = 11;
     // The record field is opaque bytes; embedded NULs and high bytes
     // must survive — it is a CRC-framed journal record, not text.
     m.record = std::string("\x00\xff\x7f journal", 11);
     const ResultMsg back = decodeResult(encode(m));
     EXPECT_EQ(back.slot, 1u);
     EXPECT_EQ(back.epoch, 5u);
-    EXPECT_EQ(back.ticket, 11u);
     EXPECT_EQ(back.record, m.record);
 }
 
@@ -93,50 +85,52 @@ TEST(ShardWire, WelcomeRoundTrips)
     EXPECT_EQ(back.beat_ms, 2'500u);
 }
 
-TEST(ShardWire, AssignRoundTripsEveryJobField)
+TEST(ShardWire, AssignRoundTripsEveryJobAndPolicyField)
 {
     AssignMsg m;
     m.epoch = 9;
+    m.jobs.push_back(sampleJob(0));
     m.jobs.push_back(sampleJob(1));
-    m.jobs.push_back(sampleJob(2));
-    m.jobs[1].has_base_seed = false;
     m.jobs[1].profile_name = "tomcatv";
+    m.trace_id = 0xfeedface12345678ull;
+    m.policy = {true, 0xfeedfacecafebeefull, 30'000, 2, 125};
     const AssignMsg back = decodeAssign(encode(m));
     EXPECT_EQ(back.epoch, 9u);
     ASSERT_EQ(back.jobs.size(), 2u);
     for (std::size_t i = 0; i < m.jobs.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
-        EXPECT_EQ(back.jobs[i].ticket, m.jobs[i].ticket);
         EXPECT_EQ(back.jobs[i].job_index, m.jobs[i].job_index);
         EXPECT_EQ(back.jobs[i].machine_spec, m.jobs[i].machine_spec);
         EXPECT_EQ(back.jobs[i].profile_name, m.jobs[i].profile_name);
         EXPECT_EQ(back.jobs[i].profile_seed, m.jobs[i].profile_seed);
         EXPECT_EQ(back.jobs[i].instructions, m.jobs[i].instructions);
-        EXPECT_EQ(back.jobs[i].has_base_seed, m.jobs[i].has_base_seed);
-        EXPECT_EQ(back.jobs[i].base_seed, m.jobs[i].base_seed);
-        EXPECT_EQ(back.jobs[i].deadline_ms, m.jobs[i].deadline_ms);
-        EXPECT_EQ(back.jobs[i].retries, m.jobs[i].retries);
-        EXPECT_EQ(back.jobs[i].backoff_ms, m.jobs[i].backoff_ms);
     }
+    EXPECT_EQ(back.trace_id, 0xfeedface12345678ull);
+    EXPECT_TRUE(back.policy.has_base_seed);
+    EXPECT_EQ(back.policy.base_seed, 0xfeedfacecafebeefull);
+    EXPECT_EQ(back.policy.deadline_ms, 30'000u);
+    EXPECT_EQ(back.policy.retries, 2u);
+    EXPECT_EQ(back.policy.backoff_ms, 125u);
 }
 
-TEST(ShardWire, V2AssignTraceIdRoundTripsAndV1BytesDecodeAsZero)
+TEST(ShardWire, AssignTraceIdAndPolicyArePlainFields)
 {
+    // An untraced Assign under the default policy still carries both:
+    // dropping the last byte is an underrun, not an older layout.
     AssignMsg m;
     m.epoch = 4;
-    m.jobs.push_back(sampleJob(1));
-    m.trace_id = 0xfeedface12345678ull;
-    EXPECT_EQ(decodeAssign(encode(m)).trace_id,
-              0xfeedface12345678ull);
-
-    // trace_id == 0 encodes as the v1 layout (no trailing field), so
-    // an old coordinator's bytes decode with the untraced sentinel.
-    AssignMsg v1;
-    v1.epoch = 4;
-    v1.jobs.push_back(sampleJob(1));
-    const AssignMsg back = decodeAssign(encode(v1));
+    m.jobs.push_back(sampleJob(0));
+    std::string payload = encode(m);
+    const AssignMsg back = decodeAssign(payload);
     EXPECT_EQ(back.trace_id, 0u);
-    EXPECT_EQ(back.epoch, 4u);
+    EXPECT_FALSE(back.policy.has_base_seed);
+    payload.pop_back();
+    try {
+        (void)decodeAssign(payload);
+        FAIL() << "truncated Assign accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), SimErrorCode::BadWire);
+    }
 }
 
 TEST(ShardWire, FencedAndShutdownRoundTrip)
@@ -202,7 +196,7 @@ TEST(ShardWire, DecoderRejectsForeignMagic)
 
 TEST(ShardWire, DecoderFlagsPayloadCorruption)
 {
-    std::string framed = frame(encode(ResultMsg{0, 1, 2, "bytes"}));
+    std::string framed = frame(encode(ResultMsg{0, 1, "bytes"}));
     framed[framed.size() - 3] ^= 0x40; // damage inside the payload
     FrameDecoder decoder;
     decoder.feed(framed);
