@@ -45,11 +45,7 @@ renderU64(std::uint64_t value, char *out)
 
 } // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity ? capacity : 1), epoch_ns_(monotonicNs())
-{
-    ring_.resize(capacity_);
-}
+FlightRecorder::FlightRecorder() : epoch_ns_(monotonicNs()) {}
 
 FlightRecorder::~FlightRecorder()
 {
@@ -68,9 +64,13 @@ void
 FlightRecorder::note(std::string_view event, std::string_view code,
                      std::string_view detail)
 {
+    if (fd_.load(std::memory_order_relaxed) < 0) {
+        seq_.fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
     std::ostringstream os;
-    // seq is claimed under the mutex below so ring order, file order,
-    // and the numbering all agree; render with a placeholder first.
+    // seq is claimed under the mutex below so file order and the
+    // numbering agree; render with a placeholder first.
     os << "\"ms\": " << elapsedMs() << ", \"event\": \""
        << telemetry::jsonEscape(event) << '"';
     if (!code.empty())
@@ -83,16 +83,13 @@ FlightRecorder::note(std::string_view event, std::string_view code,
     const std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t seq = seq_.fetch_add(1,
                                              std::memory_order_relaxed);
-    std::string line = "{\"schema\": \"aurora.flight.v1\", \"seq\": " +
-                       std::to_string(seq) + ", " + tail + "}";
-    const int fd = fd_.load(std::memory_order_relaxed);
-    if (fd >= 0) {
-        std::string framed = line + "\n";
-        // One write() per event: a SIGKILL between events never tears
-        // more than the line in flight (the reader's tail contract).
-        (void)!::write(fd, framed.data(), framed.size());
-    }
-    ring_[seq % capacity_] = std::move(line);
+    const std::string line = "{\"schema\": \"aurora.flight.v1\", "
+                             "\"seq\": " +
+                             std::to_string(seq) + ", " + tail + "}\n";
+    // One write() per event: a SIGKILL between events never tears
+    // more than the line in flight (the reader's tail contract).
+    (void)!::write(fd_.load(std::memory_order_relaxed), line.data(),
+                   line.size());
 }
 
 void
@@ -107,16 +104,6 @@ FlightRecorder::spoolTo(const std::string &path)
                          "cannot open flight spool '", path,
                          "': ", std::strerror(errno));
     const std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t next = seq_.load(std::memory_order_relaxed);
-    const std::uint64_t first =
-        next > capacity_ ? next - capacity_ : 0;
-    for (std::uint64_t s = first; s < next; ++s) {
-        const std::string &line = ring_[s % capacity_];
-        if (line.empty())
-            continue;
-        std::string framed = line + "\n";
-        (void)!::write(fd, framed.data(), framed.size());
-    }
     const int old = fd_.exchange(fd, std::memory_order_relaxed);
     if (old >= 0)
         ::close(old);
@@ -158,21 +145,6 @@ FlightRecorder::dump(const char *reason) noexcept
     put("\"}\n");
     (void)!::write(fd, buf, n);
     dumping_ = 0;
-}
-
-std::vector<std::string>
-FlightRecorder::lines() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t next = seq_.load(std::memory_order_relaxed);
-    const std::uint64_t first =
-        next > capacity_ ? next - capacity_ : 0;
-    std::vector<std::string> out;
-    out.reserve(static_cast<std::size_t>(next - first));
-    for (std::uint64_t s = first; s < next; ++s)
-        if (!ring_[s % capacity_].empty())
-            out.push_back(ring_[s % capacity_]);
-    return out;
 }
 
 namespace

@@ -3,13 +3,15 @@
  * Crash-durable flight recorder: the last-moments black box.
  *
  * Every fleet process (aurora_serve, the aurora_swarm coordinator,
- * each aurora_shardd worker) keeps a fixed-size ring of structured
- * NDJSON events — schema `aurora.flight.v1`, a process-monotonic
- * sequence number, and reason codes reusing the AURxxx catalog. Once
- * spoolTo() attaches a file, every event is also written through to
- * disk as it is recorded (one write() per line), so even a SIGKILL —
- * which no handler can observe — leaves the complete event history
- * on disk for the post-mortem reader.
+ * each aurora_shardd worker) records structured NDJSON events —
+ * schema `aurora.flight.v1`, a process-monotonic sequence number, and
+ * reason codes reusing the AURxxx catalog — straight to the spool
+ * file spoolTo() attaches, one write() per line as each event is
+ * recorded, so even a SIGKILL — which no handler can observe — leaves
+ * the complete event history on disk for the post-mortem reader.
+ * Nothing is kept in memory: an event noted before spoolTo() (or
+ * without one) is counted and dropped, so each process attaches its
+ * spool before its first note().
  *
  * dump() is the signal-safe epilogue for the deaths that *can* be
  * observed (SIGTERM drain, fatal SimError, atexit): it appends a
@@ -51,28 +53,28 @@ struct FlightEvent
     std::string detail;
 };
 
-/** Fixed-capacity event ring with write-through spooling. */
+/** Write-through event recorder. */
 class FlightRecorder
 {
   public:
-    explicit FlightRecorder(std::size_t capacity = 256);
+    FlightRecorder();
     ~FlightRecorder();
 
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
 
     /**
-     * Record one event: rendered once, stored in the ring (evicting
-     * the oldest when full), and — when a spool file is attached —
-     * written through with a single write() call. Thread-safe.
+     * Record one event: claim the next sequence number and, when a
+     * spool file is attached, render it and write it through with a
+     * single write() call. Thread-safe.
      */
     void note(std::string_view event, std::string_view code = {},
               std::string_view detail = {});
 
     /**
-     * Attach the crash-durable spool file at @p path (truncating),
-     * flush every buffered ring event to it, and write every later
-     * note() through. Raises SimError(BadTrace) on open failure.
+     * Attach the crash-durable spool file at @p path (truncating) and
+     * write every later note() through. Raises SimError(BadTrace) on
+     * open failure.
      */
     void spoolTo(const std::string &path);
 
@@ -82,13 +84,10 @@ class FlightRecorder
      * allocation; reentry (a signal landing inside dump) is dropped
      * by a sig_atomic_t guard. No-op when no spool file is attached.
      * The marker cannot claim a sequence number (that would need the
-     * ring mutex), so it carries the seq of the *next* event — file
+     * note mutex), so it carries the seq of the *next* event — file
      * seqs are monotone non-decreasing, not unique, across a dump.
      */
     void dump(const char *reason) noexcept;
-
-    /** Ring snapshot, oldest first. */
-    std::vector<std::string> lines() const;
 
     /** Next sequence number (== events recorded so far). */
     std::uint64_t seq() const
@@ -103,23 +102,19 @@ class FlightRecorder
         return fd_.load(std::memory_order_relaxed);
     }
 
-    std::size_t capacity() const { return capacity_; }
-
   private:
     /** Milliseconds since construction via clock_gettime (usable from
      *  both the locked path and, being syscall-only, dump()). */
     std::uint64_t elapsedMs() const;
 
-    const std::size_t capacity_;
     /** CLOCK_MONOTONIC at construction, in nanoseconds. */
     std::uint64_t epoch_ns_ = 0;
     std::atomic<std::uint64_t> seq_{0};
     std::atomic<int> fd_{-1};
     /** Reentrancy guard for the signal-path dump(). */
     volatile std::sig_atomic_t dumping_ = 0;
-    mutable std::mutex mutex_;
-    /** Ring slot i holds the line of seq s where s % capacity == i. */
-    std::vector<std::string> ring_;
+    /** Orders seq claims with spool writes. */
+    std::mutex mutex_;
 };
 
 /** loadFlightFile() result. */

@@ -542,7 +542,7 @@ Server::beginDrain()
         "are persisted in the spool and resume on restart"});
     for (const auto &session : sessions_)
         if (!session->dead())
-            session->queueFrame(notice);
+            session->conn().send(notice);
     if (config_.verbose)
         inform("aurora_serve: drain requested; refusing new work");
 }
@@ -567,11 +567,11 @@ Server::run()
         const auto deadline = std::chrono::steady_clock::now() +
                               std::chrono::milliseconds(500);
         while (!session->dead()) {
-            if (!session->flush()) {
+            if (!session->conn().flush()) {
                 session->markDead();
                 break;
             }
-            if (!session->wantsWrite())
+            if (!session->conn().wantsWrite())
                 break;
             const auto left = std::chrono::duration_cast<
                                   std::chrono::milliseconds>(
@@ -580,7 +580,7 @@ Server::run()
                                   .count();
             if (left <= 0)
                 break;
-            pollfd pfd{session->fd(), POLLOUT, 0};
+            pollfd pfd{session->conn().fd(), POLLOUT, 0};
             if (::poll(&pfd, 1, static_cast<int>(left)) <= 0)
                 break;
         }
@@ -608,9 +608,9 @@ Server::pollCycle()
     const std::size_t polled = sessions_.size();
     for (const auto &session : sessions_) {
         short events = POLLIN;
-        if (session->wantsWrite())
+        if (session->conn().wantsWrite())
             events |= POLLOUT;
-        fds.push_back(pollfd{session->fd(), events, 0});
+        fds.push_back(pollfd{session->conn().fd(), events, 0});
     }
 
     const int rc = ::poll(fds.data(),
@@ -638,7 +638,7 @@ Server::pollCycle()
             readSession(session);
     }
     for (const auto &session : sessions_)
-        if (!session->dead() && !session->flush())
+        if (!session->dead() && !session->conn().flush())
             session->markDead();
     reapDeadSessions();
 }
@@ -659,32 +659,17 @@ Server::acceptPending()
 void
 Server::readSession(Session &session)
 {
-    std::string bytes;
-    const long n = util::readAvailable(session.fd(), bytes);
-    if (n == 0) {
-        session.markDead();
-        return;
-    }
-    if (n < 0)
-        return;
-    session.decoder().feed(bytes);
-    std::string payload;
-    for (;;) {
-        switch (session.decoder().next(payload)) {
-          case wire::FrameStatus::Ok:
+    const util::ConnStatus status =
+        session.conn().receive([&](const std::string &payload) {
             handlePayload(session, payload);
-            if (session.dead())
-                return;
-            continue;
-          case wire::FrameStatus::NeedMore:
-            return;
-          case wire::FrameStatus::Corrupt:
-            reject(session, "AUR207", util::SimErrorCode::BadWire,
-                   "corrupt wire frame (bad magic, length, or CRC)",
-                   /*fatal=*/true);
-            return;
-        }
-    }
+            return !session.dead();
+        });
+    if (status == util::ConnStatus::Closed)
+        session.markDead();
+    else if (status == util::ConnStatus::Corrupt)
+        reject(session, "AUR207", util::SimErrorCode::BadWire,
+               "corrupt wire frame (bad magic, length, or CRC)",
+               /*fatal=*/true);
 }
 
 void
@@ -745,7 +730,7 @@ Server::handleHello(Session &session, const std::string &payload)
         return;
     }
     session.setTenant(hello.tenant);
-    session.queueFrame(wire::encode(
+    session.conn().send(wire::encode(
         wire::WelcomeMsg{wire::PROTOCOL_VERSION, draining_}));
 }
 
@@ -866,7 +851,7 @@ Server::handleSubmit(Session &session, const std::string &payload)
 
     session.watch(fp);
     session.submitted().push_back(fp);
-    session.queueFrame(wire::encode(
+    session.conn().send(wire::encode(
         wire::AcceptedMsg{fp, total, 0, /*attached=*/false, trace}));
     if (config_.verbose)
         inform(detail::concat("aurora_serve: accepted grid ",
@@ -896,18 +881,18 @@ Server::handleAttach(Session &session, const std::string &payload)
     }
     Grid &grid = *it->second;
     session.watch(grid.fingerprint);
-    session.queueFrame(wire::encode(
+    session.conn().send(wire::encode(
         wire::AcceptedMsg{grid.fingerprint, grid.jobs.size(), grid.done,
                           /*attached=*/true, grid.trace_id}));
     // Replay every terminal outcome in job order — byte-identical to
     // what a continuously-connected client received.
     for (std::size_t i = 0; i < grid.jobs.size(); ++i)
         if (grid.state[i] == Grid::JobState::Done)
-            session.queueFrame(wire::encode(wire::ResultMsg{
+            session.conn().send(wire::encode(wire::ResultMsg{
                 grid.fingerprint,
                 harness::encodeJournalRecord(grid.records[i])}));
     if (grid.complete())
-        session.queueFrame(wire::encode(wire::GridDoneMsg{
+        session.conn().send(wire::encode(wire::GridDoneMsg{
             grid.fingerprint, grid.ok, grid.failed, grid.timed_out,
             grid.cancelled_jobs, grid.resumed}));
 }
@@ -935,7 +920,7 @@ Server::handleCancel(Session &session, const std::string &payload)
     const std::size_t before = grid.cancelled_jobs;
     if (!grid.complete())
         cancelGrid(grid);
-    session.queueFrame(wire::encode(wire::CancelOkMsg{
+    session.conn().send(wire::encode(wire::CancelOkMsg{
         grid.fingerprint, grid.cancelled_jobs - before}));
 }
 
@@ -952,7 +937,7 @@ Server::handleStatus(Session &session)
         report.running_jobs = running_jobs_;
         report.done_jobs = done_jobs_;
     }
-    session.queueFrame(wire::encode(report));
+    session.conn().send(wire::encode(report));
 }
 
 void
@@ -967,7 +952,7 @@ Server::handleMetrics(Session &session, const std::string &payload)
     wire::MetricsReportMsg report;
     report.format = msg.format;
     report.body = renderMetrics(msg.format);
-    session.queueFrame(wire::encode(report));
+    session.conn().send(wire::encode(report));
 }
 
 std::string
@@ -1026,7 +1011,7 @@ Server::reject(Session &session, const std::string &id,
             .add();
     }
     flight_.note("reject", id, message);
-    session.queueFrame(
+    session.conn().send(
         wire::encode(wire::RejectedMsg{id, code, message}));
     if (fatal)
         session.markDead();
@@ -1203,7 +1188,7 @@ Server::broadcast(std::uint64_t fingerprint,
 {
     for (const auto &session : sessions_)
         if (!session->dead() && session->isWatching(fingerprint))
-            session->queueFrame(payload);
+            session->conn().send(payload);
 }
 
 void
@@ -1211,7 +1196,7 @@ Server::reapDeadSessions()
 {
     for (const auto &session : sessions_)
         if (session->dead()) {
-            session->flush(); // best-effort final Rejected/Draining
+            session->conn().flush(); // best-effort final Rejected/Draining
             sessionClosed(*session);
         }
     sessions_.erase(

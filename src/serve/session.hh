@@ -1,7 +1,7 @@
 /**
  * @file
- * One client connection of aurora_serve: socket + frame decoder +
- * buffered outbound frames.
+ * One client connection of aurora_serve: a util::FramedConn plus the
+ * tenant and watch state of the client behind it.
  *
  * Sessions are owned by the server's poll loop and touched by no
  * other thread. A session is transport state only — tenant identity,
@@ -13,11 +13,12 @@
 #ifndef AURORA_SERVE_SESSION_HH
 #define AURORA_SERVE_SESSION_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "util/socket.hh"
+#include "util/frame.hh"
 #include "wire.hh"
 
 namespace aurora::serve
@@ -26,24 +27,12 @@ namespace aurora::serve
 class Session
 {
   public:
-    explicit Session(util::Fd fd);
+    explicit Session(util::Fd fd) : conn_(std::move(fd), wire::WIRE_MAGIC)
+    {
+    }
 
-    int fd() const { return fd_.get(); }
-
-    /** Inbound: raw socket bytes → framed payloads. */
-    wire::FrameDecoder &decoder() { return decoder_; }
-
-    /** Queue one payload for asynchronous delivery. */
-    void queueFrame(const std::string &payload);
-
-    /**
-     * Push buffered bytes to the socket (non-blocking). Returns false
-     * when the peer is gone; true otherwise. wantsWrite() tells the
-     * poll loop whether POLLOUT should stay armed.
-     */
-    bool flush();
-
-    bool wantsWrite() const { return out_pos_ < out_.size(); }
+    /** The client's socket, inbound decoder and outbound frames. */
+    util::FramedConn &conn() { return conn_; }
 
     /** Tenant from the Hello handshake; empty until greeted. */
     const std::string &tenant() const { return tenant_; }
@@ -56,18 +45,25 @@ class Session
      *  cancel_on_disconnect applies only to a grid's submitter). */
     std::vector<std::uint64_t> &submitted() { return submitted_; }
 
-    void watch(std::uint64_t fingerprint);
-    bool isWatching(std::uint64_t fingerprint) const;
+    void
+    watch(std::uint64_t fingerprint)
+    {
+        if (!isWatching(fingerprint))
+            watching_.push_back(fingerprint);
+    }
+    bool
+    isWatching(std::uint64_t fingerprint) const
+    {
+        return std::find(watching_.begin(), watching_.end(),
+                         fingerprint) != watching_.end();
+    }
 
     /** Marked for teardown at the end of the current poll cycle. */
     bool dead() const { return dead_; }
     void markDead() { dead_ = true; }
 
   private:
-    util::Fd fd_;
-    wire::FrameDecoder decoder_;
-    std::string out_;
-    std::size_t out_pos_ = 0;
+    util::FramedConn conn_;
     std::string tenant_;
     std::vector<std::uint64_t> watching_;
     std::vector<std::uint64_t> submitted_;

@@ -126,18 +126,23 @@ runShardWorker(const ShardWorkerConfig &config)
             }
         }
     }
+    // Sends stay blocking (sendFrame waits out a full socket); only
+    // the reads of the main loop below are non-blocking.
+    util::FramedConn conn(std::move(fd), wire::SHARD_MAGIC);
 
-    wire::FrameDecoder decoder;
     wire::WelcomeMsg welcome;
     try {
-        wire::sendFrame(fd.get(),
+        wire::sendFrame(conn.fd(),
                         wire::encode(wire::HelloMsg{
                             wire::SHARD_PROTOCOL_VERSION,
                             static_cast<std::uint64_t>(::getpid())}));
         const std::optional<std::string> payload =
-            util::recvFrame(fd.get(), decoder, 10'000);
+            util::recvFrame(conn.fd(), conn.decoder(), 10'000);
         if (!payload)
             return SHARD_EXIT_ERROR;
+        // A full (or draining) fleet dismisses a surplus worker.
+        if (wire::peekType(*payload) == wire::MsgType::Shutdown)
+            return SHARD_EXIT_OK;
         welcome = wire::decodeWelcome(*payload);
     } catch (const util::SimError &e) {
         warn(detail::concat("shard worker: handshake failed: ",
@@ -197,7 +202,7 @@ runShardWorker(const ShardWorkerConfig &config)
     Clock::time_point last_beat = Clock::now();
 
     const auto sendBeat = [&] {
-        wire::sendFrame(fd.get(),
+        wire::sendFrame(conn.fd(),
                         wire::encode(wire::BeatMsg{welcome.slot,
                                                    welcome.epoch,
                                                    done}));
@@ -270,76 +275,64 @@ runShardWorker(const ShardWorkerConfig &config)
         const wire::ResultMsg result = std::move(results.front());
         results.pop_front();
         journal->append(result.record);
-        wire::sendFrame(fd.get(), wire::encode(result));
+        wire::sendFrame(conn.fd(), wire::encode(result));
         ++done;
+    };
+
+    /** One coordinator message: queue an Assign, or set the exit
+     *  code and stop reading. */
+    std::optional<int> exit_code;
+    const auto handle = [&](const std::string &payload) {
+        switch (wire::peekType(payload)) {
+          case wire::MsgType::Assign: {
+            wire::AssignMsg assign = wire::decodeAssign(payload);
+            if (assign.epoch != welcome.epoch)
+                exit_code = SHARD_EXIT_ERROR;
+            else if (!assign.jobs.empty())
+                units.push_back(std::move(assign));
+            break;
+          }
+          case wire::MsgType::Fenced:
+            // The precise AUR30x reason lives in the coordinator's
+            // flight file; this side only knows its lease died.
+            flight.note("fenced", {},
+                        detail::concat("epoch=", welcome.epoch));
+            exit_code = SHARD_EXIT_FENCED;
+            break;
+          case wire::MsgType::Shutdown:
+            flight.note("shutdown", {}, detail::concat("done=", done));
+            exit_code = SHARD_EXIT_OK;
+            break;
+          default:
+            warn(detail::concat(
+                "shard worker: unexpected ",
+                wire::msgTypeName(wire::peekType(payload)),
+                " message"));
+            exit_code = SHARD_EXIT_ERROR;
+            break;
+        }
+        return !exit_code;
     };
 
     try {
         sendBeat();
         for (;;) {
-            // Pull anything the kernel already holds for us into the
-            // decoder: assignments race the handshake read, and the
-            // idle poll below never runs while work is queued.
-            {
-                struct pollfd pfd = {fd.get(), POLLIN, 0};
-                if (::poll(&pfd, 1, 0) > 0 &&
-                    (pfd.revents & (POLLIN | POLLHUP | POLLERR)) !=
-                        0) {
-                    std::string chunk;
-                    const long n =
-                        util::readAvailable(fd.get(), chunk);
-                    if (n > 0)
-                        decoder.feed(chunk);
-                    else if (n == 0)
-                        return SHARD_EXIT_ERROR;
-                }
+            // Read what the kernel already holds and handle every
+            // buffered frame BEFORE the fault check and BEFORE
+            // sleeping in poll(): the handshake's recvFrame() may have
+            // pulled the first Assign into the decoder along with
+            // Welcome, and poll() cannot see decoded bytes.
+            switch (conn.receive(handle)) {
+              case util::ConnStatus::Open:
+                break;
+              case util::ConnStatus::Closed:
+                return SHARD_EXIT_ERROR; // coordinator vanished
+              case util::ConnStatus::Corrupt:
+                warn("shard worker: corrupt frame from coordinator");
+                return SHARD_EXIT_ERROR;
             }
-
-            // Drain every frame already buffered in the decoder
-            // BEFORE the fault check and BEFORE sleeping in poll():
-            // the handshake's recvFrame() may have pulled the first
-            // Assign into the buffer along with Welcome, and poll()
-            // cannot see buffered bytes.
-            std::string payload;
-            for (;;) {
-                const util::FrameStatus status = decoder.next(payload);
-                if (status == util::FrameStatus::NeedMore)
-                    break;
-                if (status == util::FrameStatus::Corrupt) {
-                    warn("shard worker: corrupt frame from "
-                         "coordinator");
-                    return SHARD_EXIT_ERROR;
-                }
-                switch (wire::peekType(payload)) {
-                  case wire::MsgType::Assign: {
-                    wire::AssignMsg assign =
-                        wire::decodeAssign(payload);
-                    if (assign.epoch != welcome.epoch)
-                        return SHARD_EXIT_ERROR;
-                    if (!assign.jobs.empty())
-                        units.push_back(std::move(assign));
-                    break;
-                  }
-                  case wire::MsgType::Fenced:
-                    // The precise AUR30x reason lives in the
-                    // coordinator's flight file; this side only knows
-                    // its lease died.
-                    flight.note("fenced", {},
-                                detail::concat("epoch=",
-                                               welcome.epoch));
-                    return SHARD_EXIT_FENCED;
-                  case wire::MsgType::Shutdown:
-                    flight.note("shutdown", {},
-                                detail::concat("done=", done));
-                    return SHARD_EXIT_OK;
-                  default:
-                    warn(detail::concat(
-                        "shard worker: unexpected ",
-                        wire::msgTypeName(wire::peekType(payload)),
-                        " message"));
-                    return SHARD_EXIT_ERROR;
-                }
-            }
+            if (exit_code)
+                return *exit_code;
 
             // Scripted sabotage fires once, after `after_jobs`
             // Results (see faultinject::ShardFault) — mid-unit when
@@ -405,16 +398,8 @@ runShardWorker(const ShardWorkerConfig &config)
                               : std::min<std::uint64_t>(
                                     50, welcome.beat_ms - since);
             }
-            struct pollfd pfd = {fd.get(), POLLIN, 0};
+            struct pollfd pfd = {conn.fd(), POLLIN, 0};
             ::poll(&pfd, 1, static_cast<int>(wait_ms));
-            if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-                std::string chunk;
-                const long n = util::readAvailable(fd.get(), chunk);
-                if (n > 0)
-                    decoder.feed(chunk);
-                else if (n == 0)
-                    return SHARD_EXIT_ERROR; // coordinator vanished
-            }
         }
     } catch (const util::SimError &e) {
         // A send to a coordinator that already fenced us (and closed

@@ -94,6 +94,16 @@ Swarm::spawnWorker(const std::optional<faultinject::ShardFaultPlan> &fault)
     worker.fault = fault;
     worker.flight_dir = config_.flight_dir;
 
+    // The exec argv is built before fork(): the child only execs.
+    std::vector<const char *> argv = {
+        "aurora_shardd", "--socket", config_.socket_path.c_str(),
+        "--journal-dir", config_.journal_dir.c_str()};
+    if (!config_.flight_dir.empty()) {
+        argv.push_back("--flight-dir");
+        argv.push_back(config_.flight_dir.c_str());
+    }
+    argv.push_back(nullptr);
+
     const pid_t pid = ::fork();
     if (pid < 0)
         util::raiseError(util::SimErrorCode::Internal,
@@ -106,17 +116,8 @@ Swarm::spawnWorker(const std::optional<faultinject::ShardFaultPlan> &fault)
                          faultinject::formatShardFaultPlan(*fault)
                              .c_str(),
                          1);
-            if (config_.flight_dir.empty())
-                ::execl(config_.shardd_path.c_str(), "aurora_shardd",
-                        "--socket", config_.socket_path.c_str(),
-                        "--journal-dir", config_.journal_dir.c_str(),
-                        static_cast<char *>(nullptr));
-            else
-                ::execl(config_.shardd_path.c_str(), "aurora_shardd",
-                        "--socket", config_.socket_path.c_str(),
-                        "--journal-dir", config_.journal_dir.c_str(),
-                        "--flight-dir", config_.flight_dir.c_str(),
-                        static_cast<char *>(nullptr));
+            ::execv(config_.shardd_path.c_str(),
+                    const_cast<char *const *>(argv.data()));
             ::_exit(127); // exec failed; the parent sees the reap
         }
         ::_exit(runShardWorker(worker));
@@ -131,7 +132,7 @@ Swarm::grantLease(Loner &&dialer, std::uint64_t pid)
 {
     std::uint32_t index = config_.shards;
     for (std::uint32_t i = 0; i < config_.shards; ++i)
-        if (!slots_[i].fd.valid()) {
+        if (!slots_[i].conn.open()) {
             index = i;
             break;
         }
@@ -139,19 +140,17 @@ Swarm::grantLease(Loner &&dialer, std::uint64_t pid)
         // A full fleet (or a draining one) needs no extra hands:
         // dismiss the surplus worker cleanly rather than leaving it
         // waiting forever.
-        queueLonerFrame(dialer, wire::encode(wire::ShutdownMsg{}));
-        dialer.fd.reset();
+        dialer.conn.send(wire::encode(wire::ShutdownMsg{}));
+        dialer.conn.flush();
+        dialer.conn.close();
         return;
     }
 
     Slot &slot = slots_[index];
-    slot.fd = std::move(dialer.fd);
-    slot.decoder = std::move(dialer.decoder);
+    slot.conn = std::move(dialer.conn);
     slot.epoch = ++next_epoch_;
     slot.last_beat = slot.last_msg = Clock::now();
     slot.assigned.clear();
-    slot.outbuf = std::move(dialer.outbuf);
-    slot.outpos = dialer.outpos;
     slot.pid = static_cast<long>(pid);
     slot.lease_start_us = obsNowUs();
     ++stats_.granted_leases;
@@ -167,7 +166,7 @@ Swarm::grantLease(Loner &&dialer, std::uint64_t pid)
                  detail::concat("slot=", index, " epoch=", slot.epoch,
                                 " pid=", pid, " v",
                                 wire::SHARD_PROTOCOL_VERSION));
-    queueFrame(index,
+    sendToSlot(index,
                wire::encode(wire::WelcomeMsg{
                    wire::SHARD_PROTOCOL_VERSION, index, slot.epoch,
                    config_.lease_ms,
@@ -209,27 +208,17 @@ Swarm::fenceSlot(std::uint32_t slot_index, const char *diagnostic,
     obsLeaseEnd(slot, "fence", diagnostic);
     migrateAssigned(slot);
 
-    if (keep_connection && slot.fd.valid()) {
+    if (keep_connection && slot.conn.open()) {
         // Keep the dead incarnation's connection open as a zombie
         // observer: its late Results must be *refused*, not merely
         // unread — AUR304 counts each refusal.
-        Loner zombie;
-        zombie.fd = std::move(slot.fd);
-        zombie.decoder = std::move(slot.decoder);
-        zombie.epoch = slot.epoch;
-        zombie.outbuf = std::move(slot.outbuf);
-        zombie.outpos = slot.outpos;
-        zombie.opened = Clock::now();
-        queueLonerFrame(zombie, wire::encode(wire::FencedMsg{
-                                    zombie.epoch}));
-        if (zombie.fd.valid())
+        Loner zombie{std::move(slot.conn), slot.epoch};
+        zombie.conn.send(wire::encode(wire::FencedMsg{zombie.epoch}));
+        if (zombie.conn.flush())
             loners_.push_back(std::move(zombie));
     }
-    slot.fd.reset();
-    slot.decoder = wire::FrameDecoder{};
+    slot.conn.close();
     slot.epoch = 0;
-    slot.outbuf.clear();
-    slot.outpos = 0;
     slot.pid = -1;
 }
 
@@ -244,7 +233,7 @@ Swarm::assignPending()
         for (std::uint32_t i = 0;
              i < config_.shards && !pending_.empty(); ++i) {
             Slot &slot = slots_[i];
-            if (!slot.fd.valid() ||
+            if (!slot.conn.open() ||
                 slot.assigned.size() >= UNITS_IN_FLIGHT)
                 continue;
             wire::AssignMsg assign{slot.epoch, {}, trace_id_, policy_};
@@ -256,336 +245,236 @@ Swarm::assignPending()
             }
             slot.assigned.push_back(std::move(pending_.front()));
             pending_.pop_front();
-            queueFrame(i, wire::encode(assign));
+            sendToSlot(i, wire::encode(assign));
             progress = true;
         }
     }
 }
 
 void
-Swarm::queueFrame(std::uint32_t slot_index, const std::string &payload)
+Swarm::sendToSlot(std::uint32_t slot_index, const std::string &payload)
 {
-    Slot &slot = slots_[slot_index];
-    if (!slot.fd.valid())
+    util::FramedConn &conn = slots_[slot_index].conn;
+    if (!conn.open())
         return;
-    if (!payload.empty()) // empty = flush-only (POLLOUT service)
-        slot.outbuf.append(wire::frame(payload));
+    conn.send(payload);
     // Opportunistic flush; leftovers wait for POLLOUT. Never a
     // blocking write: a wedged shard that stopped reading must not
     // wedge the coordinator with it.
-    if (!util::writeSome(slot.fd.get(), slot.outbuf, slot.outpos)) {
-        ++stats_.shard_exits;
-        fenceSlot(slot_index, "AUR302: shard connection dropped",
-                  /*keep_connection=*/false);
-        return;
-    }
-    if (slot.outpos == slot.outbuf.size()) {
-        slot.outbuf.clear();
-        slot.outpos = 0;
-    }
+    if (!conn.flush())
+        dropSlot(slot_index, util::ConnStatus::Closed);
 }
 
 void
-Swarm::queueLonerFrame(Loner &loner, const std::string &payload)
+Swarm::dropSlot(std::uint32_t slot_index, util::ConnStatus status)
 {
-    if (!loner.fd.valid())
-        return;
-    if (!payload.empty()) // empty = flush-only (POLLOUT service)
-        loner.outbuf.append(wire::frame(payload));
-    if (!util::writeSome(loner.fd.get(), loner.outbuf, loner.outpos)) {
-        loner.fd.reset();
-        return;
-    }
-    if (loner.outpos == loner.outbuf.size()) {
-        loner.outbuf.clear();
-        loner.outpos = 0;
+    if (status == util::ConnStatus::Corrupt) {
+        ++stats_.protocol_errors;
+        fenceSlot(slot_index, "AUR305: corrupt frame from shard",
+                  /*keep_connection=*/false);
+    } else {
+        ++stats_.shard_exits;
+        fenceSlot(slot_index, "AUR302: shard connection closed",
+                  /*keep_connection=*/false);
     }
 }
 
-void
+bool
 Swarm::handleSlotMessage(std::uint32_t slot_index,
                          const std::string &payload)
 {
     Slot &slot = slots_[slot_index];
     slot.last_msg = Clock::now();
-    const wire::MsgType type = wire::peekType(payload);
-    switch (type) {
-      case wire::MsgType::Beat: {
-        const wire::BeatMsg beat = wire::decodeBeat(payload);
-        if (beat.slot != slot_index || beat.epoch != slot.epoch) {
-            ++stats_.protocol_errors;
-            fenceSlot(slot_index,
-                      "AUR305: beat carries a foreign slot/epoch",
-                      /*keep_connection=*/true);
-            return;
-        }
-        slot.last_beat = Clock::now();
-        return;
-      }
-      case wire::MsgType::Result: {
-        wire::ResultMsg result = wire::decodeResult(payload);
-        if (result.slot != slot_index || result.epoch != slot.epoch) {
-            ++stats_.protocol_errors;
-            fenceSlot(slot_index,
-                      "AUR305: result carries a foreign slot/epoch",
-                      /*keep_connection=*/true);
-            return;
-        }
-        harness::JournalRecord record;
-        try {
-            record = harness::decodeJournalRecord(result.record);
-        } catch (const util::SimError &) {
-            ++stats_.protocol_errors;
-            fenceSlot(slot_index,
-                      "AUR305: result record bytes do not decode",
-                      /*keep_connection=*/true);
-            return;
-        }
-        const std::uint64_t index = record.job_index;
-        const auto unit_at = std::find_if(
-            slot.assigned.begin(), slot.assigned.end(),
-            [&](const Unit &unit) {
-                return std::find(unit.begin(), unit.end(), index) !=
-                       unit.end();
-            });
-        if (unit_at == slot.assigned.end() || jobs_[index].commit) {
-            ++stats_.protocol_errors;
-            fenceSlot(slot_index,
-                      "AUR305: result for a job this incarnation "
-                      "does not hold",
-                      /*keep_connection=*/true);
-            return;
-        }
-        // Commit point: exactly-once is decided here and only here.
-        Job &job = jobs_[index];
-        job.commit = CommitRef{index, slot_index, slot.epoch,
-                               std::move(result.record)};
-        obsDispatchEnd(job, /*committed=*/true, nullptr);
-        std::erase(*unit_at, index);
-        if (unit_at->empty())
-            slot.assigned.erase(unit_at);
-        --open_jobs_;
-        ++stats_.committed;
-        if (commit_journal_)
-            commit_journal_->append(record);
-        return;
-      }
-      default:
+    // A refused message fences the lease but keeps the connection,
+    // so whatever the incarnation sends next is refused too.
+    const auto refuse = [&](const char *diagnostic) {
         ++stats_.protocol_errors;
-        fenceSlot(slot_index,
-                  "AUR305: unexpected message from a leased shard",
-                  /*keep_connection=*/true);
-        return;
+        fenceSlot(slot_index, diagnostic, /*keep_connection=*/true);
+        return false;
+    };
+    try {
+        switch (wire::peekType(payload)) {
+          case wire::MsgType::Beat: {
+            const wire::BeatMsg beat = wire::decodeBeat(payload);
+            if (beat.slot != slot_index || beat.epoch != slot.epoch)
+                return refuse(
+                    "AUR305: beat carries a foreign slot/epoch");
+            slot.last_beat = Clock::now();
+            return true;
+          }
+          case wire::MsgType::Result: {
+            wire::ResultMsg result = wire::decodeResult(payload);
+            if (result.slot != slot_index || result.epoch != slot.epoch)
+                return refuse(
+                    "AUR305: result carries a foreign slot/epoch");
+            harness::JournalRecord record;
+            try {
+                record = harness::decodeJournalRecord(result.record);
+            } catch (const util::SimError &) {
+                return refuse(
+                    "AUR305: result record bytes do not decode");
+            }
+            const std::uint64_t index = record.job_index;
+            const auto unit_at = std::find_if(
+                slot.assigned.begin(), slot.assigned.end(),
+                [&](const Unit &unit) {
+                    return std::find(unit.begin(), unit.end(), index) !=
+                           unit.end();
+                });
+            if (unit_at == slot.assigned.end() || jobs_[index].commit)
+                return refuse("AUR305: result for a job this "
+                              "incarnation does not hold");
+            // Commit point: exactly-once is decided here and only
+            // here.
+            Job &job = jobs_[index];
+            job.commit = CommitRef{index, slot_index, slot.epoch,
+                                   std::move(result.record)};
+            obsDispatchEnd(job, /*committed=*/true, nullptr);
+            std::erase(*unit_at, index);
+            if (unit_at->empty())
+                slot.assigned.erase(unit_at);
+            --open_jobs_;
+            ++stats_.committed;
+            if (commit_journal_)
+                commit_journal_->append(record);
+            return true;
+          }
+          default:
+            return refuse(
+                "AUR305: unexpected message from a leased shard");
+        }
+    } catch (const util::SimError &e) {
+        ++stats_.protocol_errors;
+        warn(detail::concat("swarm: AUR305: ", e.what()));
+        fenceSlot(slot_index, "AUR305: undecodable message",
+                  /*keep_connection=*/false);
+        return false;
     }
 }
 
 bool
 Swarm::handleLonerMessage(Loner &loner, const std::string &payload)
 {
-    const wire::MsgType type = wire::peekType(payload);
-    if (loner.epoch == 0) {
-        // Not yet welcomed: the only legal opening move is Hello.
-        if (type != wire::MsgType::Hello)
-            return false;
-        const wire::HelloMsg hello = wire::decodeHello(payload);
-        if (hello.version != wire::SHARD_PROTOCOL_VERSION) {
-            warn(detail::concat("swarm: AUR305: dialer speaks "
-                                "protocol v", hello.version,
-                                "; refusing"));
-            ++stats_.protocol_errors;
-            return false;
+    try {
+        const wire::MsgType type = wire::peekType(payload);
+        if (loner.epoch == 0) {
+            // Not yet welcomed: the only legal opening move is Hello.
+            if (type == wire::MsgType::Hello) {
+                const wire::HelloMsg hello = wire::decodeHello(payload);
+                if (hello.version == wire::SHARD_PROTOCOL_VERSION) {
+                    // The connection moves into the slot (or closes).
+                    grantLease(std::move(loner), hello.pid);
+                    return false;
+                }
+                warn(detail::concat("swarm: AUR305: dialer speaks "
+                                    "protocol v", hello.version,
+                                    "; refusing"));
+                ++stats_.protocol_errors;
+            }
+        } else if (type == wire::MsgType::Result) {
+            // Fenced zombie traffic. A late Result is the whole point
+            // of keeping the connection: refuse it explicitly.
+            const wire::ResultMsg result = wire::decodeResult(payload);
+            ++stats_.fenced_results;
+            warn(detail::concat("swarm: AUR304: refused result under "
+                                "fenced epoch ", result.epoch));
+            flight_.note("result.refused", "AUR304",
+                         detail::concat("epoch=", result.epoch));
+            loner.conn.send(wire::encode(wire::FencedMsg{loner.epoch}));
+            if (loner.conn.flush())
+                return true;
+        } else {
+            // Beats and anything else from behind the fence are noise.
+            return true;
         }
-        grantLease(std::move(loner), hello.pid);
-        return false; // fd moved into the slot (or closed)
+    } catch (const util::SimError &) {
     }
-    // Fenced zombie traffic. A late Result is the whole point of
-    // keeping the connection: refuse it explicitly.
-    if (type == wire::MsgType::Result) {
-        const wire::ResultMsg result = wire::decodeResult(payload);
-        ++stats_.fenced_results;
-        warn(detail::concat("swarm: AUR304: refused result under fenced "
-                            "epoch ", result.epoch));
-        flight_.note("result.refused", "AUR304",
-                     detail::concat("epoch=", result.epoch));
-        queueLonerFrame(loner, wire::encode(wire::FencedMsg{
-                                   loner.epoch}));
-        return loner.fd.valid();
-    }
-    // Beats and anything else from behind the fence are noise.
-    return true;
+    loner.conn.close();
+    return false;
 }
 
 void
 Swarm::pollOnce(int timeout_ms)
 {
+    /** A polled connection: a slot's, or a loner's (by index). */
     struct Entry
     {
-        enum Kind
-        {
-            Listener,
-            SlotFd,
-            LonerFd
-        } kind;
+        bool leased;
         std::size_t index;
     };
-    std::vector<struct pollfd> pfds;
-    std::vector<Entry> entries;
-    pfds.push_back({listener_.get(), POLLIN, 0});
-    entries.push_back({Entry::Listener, 0});
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].fd.valid())
-            continue;
-        short events = POLLIN;
-        if (slots_[i].outpos < slots_[i].outbuf.size())
-            events |= POLLOUT;
-        pfds.push_back({slots_[i].fd.get(), events, 0});
-        entries.push_back({Entry::SlotFd, i});
-    }
-    const std::size_t loner_count = loners_.size();
-    for (std::size_t i = 0; i < loner_count; ++i) {
-        if (!loners_[i].fd.valid())
-            continue;
-        short events = POLLIN;
-        if (loners_[i].outpos < loners_[i].outbuf.size())
-            events |= POLLOUT;
-        pfds.push_back({loners_[i].fd.get(), events, 0});
-        entries.push_back({Entry::LonerFd, i});
-    }
+    std::vector<struct pollfd> pfds{{listener_.get(), POLLIN, 0}};
+    std::vector<Entry> entries{{false, 0}}; // the listener's place
+    const auto watch = [&](const util::FramedConn &conn, Entry entry) {
+        if (!conn.open())
+            return;
+        pfds.push_back({conn.fd(),
+                        static_cast<short>(conn.wantsWrite()
+                                               ? POLLIN | POLLOUT
+                                               : POLLIN),
+                        0});
+        entries.push_back(entry);
+    };
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        watch(slots_[i].conn, {true, i});
+    for (std::size_t i = 0; i < loners_.size(); ++i)
+        watch(loners_[i].conn, {false, i});
 
     if (::poll(pfds.data(), pfds.size(), timeout_ms) < 0)
         return; // EINTR: the main loop re-evaluates and re-polls
 
-    bool accept_ready = false;
-    for (std::size_t p = 0; p < pfds.size(); ++p) {
-        if (pfds[p].revents == 0)
+    for (std::size_t p = 1; p < pfds.size(); ++p) {
+        const bool leased = entries[p].leased;
+        const std::size_t i = entries[p].index;
+        const auto slot_index = static_cast<std::uint32_t>(i);
+        util::FramedConn &conn =
+            leased ? slots_[i].conn : loners_[i].conn;
+        const short revents = pfds[p].revents;
+        if (revents == 0 || !conn.open())
+            continue; // idle, or fenced or handed on this cycle
+        if ((revents & POLLOUT) != 0 && !conn.flush()) {
+            if (leased)
+                dropSlot(slot_index, util::ConnStatus::Closed);
+            else
+                conn.close();
             continue;
-        const Entry entry = entries[p];
-        switch (entry.kind) {
-          case Entry::Listener:
-            accept_ready = true;
-            break;
-          case Entry::SlotFd: {
-            const auto i = static_cast<std::uint32_t>(entry.index);
+        }
+        if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0)
+            continue;
+        const util::ConnStatus status =
+            conn.receive([&](const std::string &payload) {
+                return leased ? handleSlotMessage(slot_index, payload)
+                              : handleLonerMessage(loners_[i], payload);
+            });
+        if (status == util::ConnStatus::Open)
+            continue;
+        if (!leased) {
+            conn.close();
+        } else if (draining_ && status == util::ConnStatus::Closed) {
+            // Expected: the worker honoured Shutdown and hung up. Not
+            // a fence — its epoch stays clean.
             Slot &slot = slots_[i];
-            if (!slot.fd.valid())
-                break; // fenced earlier this same cycle
-            if ((pfds[p].revents & POLLOUT) != 0)
-                queueFrame(i, std::string()); // flush-only
-            if (!slot.fd.valid())
-                break;
-            if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) ==
-                0)
-                break;
-            std::string chunk;
-            const long n = util::readAvailable(slot.fd.get(), chunk);
-            if (n > 0)
-                slot.decoder.feed(chunk);
-            std::string payload;
-            for (;;) {
-                if (!slot.fd.valid())
-                    break;
-                const util::FrameStatus status =
-                    slot.decoder.next(payload);
-                if (status == util::FrameStatus::NeedMore)
-                    break;
-                if (status == util::FrameStatus::Corrupt) {
-                    ++stats_.protocol_errors;
-                    fenceSlot(i, "AUR305: corrupt frame from shard",
-                              /*keep_connection=*/false);
-                    break;
-                }
-                try {
-                    handleSlotMessage(i, payload);
-                } catch (const util::SimError &e) {
-                    ++stats_.protocol_errors;
-                    warn(detail::concat("swarm: AUR305: ", e.what()));
-                    fenceSlot(i, "AUR305: undecodable message",
-                              /*keep_connection=*/false);
-                }
-            }
-            if (n == 0 && slot.fd.valid()) {
-                if (draining_) {
-                    // Expected: the worker honoured Shutdown and hung
-                    // up. Not a fence — its epoch stays clean.
-                    obsLeaseEnd(slot, "drain", nullptr);
-                    slot.fd.reset();
-                    slot.epoch = 0;
-                    slot.pid = -1;
-                } else {
-                    // EOF with a live lease: the shard process is
-                    // gone (SIGKILL, crash, or clean exit without
-                    // Shutdown).
-                    ++stats_.shard_exits;
-                    fenceSlot(i, "AUR302: shard connection closed",
-                              /*keep_connection=*/false);
-                }
-            }
-            break;
-          }
-          case Entry::LonerFd: {
-            Loner &loner = loners_[entry.index];
-            if (!loner.fd.valid())
-                break;
-            if ((pfds[p].revents & POLLOUT) != 0)
-                queueLonerFrame(loner, std::string());
-            if (!loner.fd.valid())
-                break;
-            if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) ==
-                0)
-                break;
-            std::string chunk;
-            const long n = util::readAvailable(loner.fd.get(), chunk);
-            if (n > 0)
-                loner.decoder.feed(chunk);
-            std::string payload;
-            bool keep = true;
-            for (;;) {
-                if (!loner.fd.valid())
-                    break;
-                const util::FrameStatus status =
-                    loner.decoder.next(payload);
-                if (status == util::FrameStatus::NeedMore)
-                    break;
-                if (status == util::FrameStatus::Corrupt) {
-                    keep = false;
-                    break;
-                }
-                try {
-                    keep = handleLonerMessage(loner, payload);
-                } catch (const util::SimError &) {
-                    keep = false;
-                }
-                if (!keep)
-                    break;
-            }
-            if (n == 0)
-                keep = false;
-            if (!keep)
-                loner.fd.reset();
-            break;
-          }
+            obsLeaseEnd(slot, "drain", nullptr);
+            slot.conn.close();
+            slot.epoch = 0;
+            slot.pid = -1;
+        } else {
+            // EOF with a live lease: the shard process is gone
+            // (SIGKILL, crash, or clean exit without Shutdown).
+            dropSlot(slot_index, status);
         }
     }
 
     // Compact departed loners, then admit new dialers (push_back
     // last — indices captured above must stay stable).
-    loners_.erase(std::remove_if(loners_.begin(), loners_.end(),
-                                 [](const Loner &l) {
-                                     return !l.fd.valid();
-                                 }),
-                  loners_.end());
-    if (accept_ready) {
+    std::erase_if(loners_, [](const Loner &l) { return !l.conn.open(); });
+    if (pfds[0].revents != 0)
         for (;;) {
             util::Fd conn = util::acceptConn(listener_.get());
             if (!conn.valid())
                 break;
-            util::setNonBlocking(conn.get());
-            Loner dialer;
-            dialer.fd = std::move(conn);
-            dialer.opened = Clock::now();
-            loners_.push_back(std::move(dialer));
+            loners_.push_back(
+                {util::FramedConn(std::move(conn), wire::SHARD_MAGIC)});
         }
-    }
 }
 
 void
@@ -593,7 +482,7 @@ Swarm::checkLeases()
 {
     for (std::uint32_t i = 0; i < config_.shards; ++i) {
         Slot &slot = slots_[i];
-        if (!slot.fd.valid())
+        if (!slot.conn.open())
             continue;
         if (msSince(slot.last_beat) <= config_.lease_ms)
             continue;
@@ -629,8 +518,8 @@ Swarm::shutdownFleet()
 {
     draining_ = true;
     for (std::uint32_t i = 0; i < config_.shards; ++i)
-        if (slots_[i].fd.valid())
-            queueFrame(i, wire::encode(wire::ShutdownMsg{}));
+        if (slots_[i].conn.open())
+            sendToSlot(i, wire::encode(wire::ShutdownMsg{}));
     // Give spawned workers a moment to exit on their own; then the
     // fence becomes literal. Wedged zombies (HangShard) only ever go
     // this way. The drain keeps *polling*: a ZombieAppend shard that
@@ -654,11 +543,9 @@ Swarm::shutdownFleet()
     children_.clear();
     for (Slot &slot : slots_) {
         obsLeaseEnd(slot, "shutdown", nullptr);
-        slot.fd.reset();
+        slot.conn.close();
         slot.epoch = 0;
         slot.assigned.clear();
-        slot.outbuf.clear();
-        slot.outpos = 0;
     }
     loners_.clear();
 }
@@ -755,21 +642,9 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     // journal tool read it unchanged.
     const std::uint64_t fingerprint =
         harness::gridFingerprint(grid, options.base_seed);
-    std::unique_ptr<harness::JournalWriter> writer;
     if (!options.journal.empty())
-        writer = harness::openGridJournal(options.journal, options.resume,
-                                          fingerprint, outcomes);
-    commit_journal_ = writer.get();
-    struct ClearGridState
-    {
-        Swarm *swarm;
-        ~ClearGridState()
-        {
-            swarm->commit_journal_ = nullptr;
-            swarm->trace_id_ = 0;
-            swarm->span_log_ = nullptr;
-        }
-    } clear_grid_state{this};
+        commit_journal_ = harness::openGridJournal(
+            options.journal, options.resume, fingerprint, outcomes);
     flight_.note("grid.start", {},
                  detail::concat("fingerprint=", fingerprint,
                                 " jobs=", n));
@@ -809,14 +684,14 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
 
         const bool any_live =
             std::any_of(slots_.begin(), slots_.end(),
-                        [](const Slot &s) { return s.fd.valid(); });
+                        [](const Slot &s) { return s.conn.open(); });
         const bool any_dialer =
             std::any_of(loners_.begin(), loners_.end(),
                         [](const Loner &l) { return l.epoch == 0; });
         const bool need = !any_live || !pending_.empty();
         const bool vacant =
             std::any_of(slots_.begin(), slots_.end(),
-                        [](const Slot &s) { return !s.fd.valid(); });
+                        [](const Slot &s) { return !s.conn.open(); });
         if (need && vacant && !any_dialer &&
             stats_.respawns < MAX_RESPAWNS &&
             msSince(last_spawn_) >= 250) {

@@ -60,7 +60,7 @@
 #include "obs/flight.hh"
 #include "shard_journal.hh"
 #include "shard_wire.hh"
-#include "util/socket.hh"
+#include "util/frame.hh"
 #include "util/stats.hh"
 
 namespace aurora::obs
@@ -217,18 +217,15 @@ class Swarm
     /** One shard slot (current incarnation, if any). */
     struct Slot
     {
-        util::Fd fd; ///< invalid = vacant
-        wire::FrameDecoder decoder;
+        /** Closed = vacant. Unsent frames wait in its buffer: a
+         *  wedged shard must not block the coordinator in a send. */
+        util::FramedConn conn{wire::SHARD_MAGIC};
         std::uint64_t epoch = 0;
         Clock::time_point last_beat{};
         Clock::time_point last_msg{};
         /** Units in flight on this incarnation, oldest first, each
          *  down to its uncommitted jobs. */
         std::deque<Unit> assigned;
-        /** Buffered unsent frames (a wedged shard must not block
-         *  the coordinator in a blocking send). */
-        std::string outbuf;
-        std::size_t outpos = 0;
         /** Pid the worker reported in its Hello (-1 = vacant). */
         long pid = -1;
         /** Lease-grant timestamp on the obs clock (lease span start). */
@@ -240,12 +237,8 @@ class Swarm
      *  epoch 0). */
     struct Loner
     {
-        util::Fd fd;
-        wire::FrameDecoder decoder;
+        util::FramedConn conn{wire::SHARD_MAGIC};
         std::uint64_t epoch = 0; ///< 0 = awaiting Hello
-        std::string outbuf;
-        std::size_t outpos = 0;
-        Clock::time_point opened{};
     };
 
     /** One grid job's coordination state (jobs_[grid index]). */
@@ -268,13 +261,15 @@ class Swarm
                    bool keep_connection);
     void migrateAssigned(Slot &slot);
     void assignPending();
-    void queueFrame(std::uint32_t slot_index,
-                    const std::string &payload);
-    void queueLonerFrame(Loner &loner, const std::string &payload);
+    /** Queue @p payload to a leased slot and flush what its socket
+     *  takes (a vacant slot drops it). */
+    void sendToSlot(std::uint32_t slot_index, const std::string &payload);
+    /** Fence a slot whose connection failed with @p status. */
+    void dropSlot(std::uint32_t slot_index, util::ConnStatus status);
     void pollOnce(int timeout_ms);
-    void handleSlotMessage(std::uint32_t slot_index,
+    /** Each returns whether to keep reading the connection. */
+    bool handleSlotMessage(std::uint32_t slot_index,
                            const std::string &payload);
-    /** Returns whether the loner's connection should stay open. */
     bool handleLonerMessage(Loner &loner, const std::string &payload);
     void checkLeases();
     void reapChildren();
@@ -307,7 +302,8 @@ class Swarm
     bool ran_ = false;
     std::set<std::uint64_t> fenced_epochs_;
     std::vector<ShardJournalRef> journal_refs_;
-    harness::JournalWriter *commit_journal_ = nullptr; // runGrid-local
+    /** The grid's commit journal (null = none requested). */
+    std::unique_ptr<harness::JournalWriter> commit_journal_;
     Clock::time_point last_spawn_{};
     /** Set while shutdownFleet() drains: slot EOFs are clean exits
      *  (not AUR302) and late dialers get Shutdown, not a lease. */
@@ -317,8 +313,7 @@ class Swarm
     WallTimer obs_timer_;
     /** Coordinator flight recorder (spooled when flight_dir set). */
     obs::FlightRecorder flight_;
-    /** runGrid-local trace context and policy (mirror
-     *  commit_journal_). */
+    /** The grid's trace context and policy. */
     std::uint64_t trace_id_ = 0;
     wire::GridPolicy policy_;
     obs::SpanLog *span_log_ = nullptr;

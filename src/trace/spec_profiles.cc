@@ -418,4 +418,20 @@ profileByName(const std::string &name)
                      "' (known profiles: ", known, ")");
 }
 
+std::vector<WorkloadProfile>
+suiteByName(const std::string &name)
+{
+    if (name == "int")
+        return integerSuite();
+    if (name == "fp")
+        return floatSuite();
+    if (name == "all") {
+        std::vector<WorkloadProfile> suite = integerSuite();
+        for (const WorkloadProfile &p : floatSuite())
+            suite.push_back(p);
+        return suite;
+    }
+    return {profileByName(name)};
+}
+
 } // namespace aurora::trace

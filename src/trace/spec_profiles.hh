@@ -56,6 +56,13 @@ std::vector<WorkloadProfile> floatSuite();
  */
 WorkloadProfile profileByName(const std::string &name);
 
+/**
+ * Resolve a suite name: "int" (integerSuite), "fp" (floatSuite),
+ * "all" (both, integer first), or one benchmark's name
+ * (profileByName, which throws on an unknown one).
+ */
+std::vector<WorkloadProfile> suiteByName(const std::string &name);
+
 } // namespace aurora::trace
 
 #endif // AURORA_TRACE_SPEC_PROFILES_HH

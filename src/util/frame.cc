@@ -86,6 +86,49 @@ FrameDecoder::next(std::string &payload)
     return FrameStatus::Ok;
 }
 
+FramedConn::FramedConn(Fd fd, std::uint32_t magic)
+    : fd_(std::move(fd)), decoder_(magic)
+{
+    setNonBlocking(fd_.get());
+}
+
+void
+FramedConn::close()
+{
+    fd_.reset();
+    decoder_ = FrameDecoder(decoder_.magic());
+    out_.clear();
+    out_pos_ = 0;
+}
+
+void
+FramedConn::send(const std::string &payload)
+{
+    // Reclaim the flushed prefix once it dominates the buffer, so a
+    // slow reader of a long stream doesn't pin every frame ever sent
+    // to it.
+    if (out_pos_ > 4096 && out_pos_ * 2 > out_.size()) {
+        out_.erase(0, out_pos_);
+        out_pos_ = 0;
+    }
+    out_ += frame(decoder_.magic(), payload);
+}
+
+bool
+FramedConn::flush()
+{
+    return !wantsWrite() || writeSome(fd_.get(), out_, out_pos_);
+}
+
+bool
+FramedConn::fill()
+{
+    std::string bytes;
+    const long n = readAvailable(fd_.get(), bytes);
+    decoder_.feed(bytes);
+    return n != 0;
+}
+
 void
 sendFrame(int fd, std::uint32_t magic, const std::string &payload)
 {

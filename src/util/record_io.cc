@@ -28,15 +28,6 @@ crcTable()
     return table;
 }
 
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    out.push_back(static_cast<char>(v & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
-    out.push_back(static_cast<char>((v >> 16) & 0xff));
-    out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
 } // namespace
 
 std::uint32_t
@@ -69,7 +60,8 @@ fnv1a64(const std::string &bytes, std::uint64_t h)
 void
 ByteWriter::u32(std::uint32_t v)
 {
-    putU32(bytes_, v);
+    for (int k = 0; k < 4; ++k)
+        bytes_.push_back(static_cast<char>((v >> (8 * k)) & 0xff));
 }
 
 void
@@ -181,16 +173,11 @@ RecordFileWriter::append(const std::string &payload)
         raiseError(SimErrorCode::BadJournal, "record of ",
                    payload.size(), " bytes exceeds the ",
                    MAX_RECORD_BYTES, "-byte frame limit");
-    std::string frame;
-    frame.reserve(12 + payload.size());
-    putU32(frame, RECORD_MAGIC);
-    putU32(frame, static_cast<std::uint32_t>(payload.size()));
-    putU32(frame, crc32(payload));
-    frame.append(payload);
+    const std::string framed = frame(RECORD_MAGIC, payload);
     // One write + flush per record: a kill between appends loses
     // nothing, a kill mid-append tears at most this record's tail.
-    out_.write(frame.data(),
-               static_cast<std::streamsize>(frame.size()));
+    out_.write(framed.data(),
+               static_cast<std::streamsize>(framed.size()));
     out_.flush();
     if (!out_)
         raiseError(SimErrorCode::BadJournal, "write to '", path_,
@@ -198,7 +185,7 @@ RecordFileWriter::append(const std::string &payload)
 }
 
 RecordFileReader::RecordFileReader(const std::string &path)
-    : path_(path), in_(path, std::ios::binary)
+    : path_(path), in_(path, std::ios::binary), decoder_(RECORD_MAGIC)
 {
     if (!in_)
         raiseError(SimErrorCode::BadJournal, "cannot open '", path,
@@ -208,36 +195,26 @@ RecordFileReader::RecordFileReader(const std::string &path)
 RecordStatus
 RecordFileReader::next(std::string &payload)
 {
-    std::array<char, 12> header;
-    in_.read(header.data(), header.size());
-    const std::streamsize got = in_.gcount();
-    if (got == 0)
-        return RecordStatus::EndOfFile;
-    if (got < static_cast<std::streamsize>(header.size()))
-        return RecordStatus::TruncatedTail;
-
-    const auto u32At = [&header](std::size_t off) {
-        std::uint32_t v = 0;
-        for (int k = 0; k < 4; ++k)
-            v |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-                     header[off + static_cast<std::size_t>(k)]))
-                 << (8 * k);
-        return v;
-    };
-    const std::uint32_t magic = u32At(0);
-    const std::uint32_t len = u32At(4);
-    const std::uint32_t crc = u32At(8);
-    if (magic != RECORD_MAGIC || len > MAX_RECORD_BYTES)
-        return RecordStatus::Corrupt;
-
-    payload.resize(len);
-    in_.read(payload.data(), static_cast<std::streamsize>(len));
-    if (in_.gcount() < static_cast<std::streamsize>(len))
-        return RecordStatus::TruncatedTail;
-    if (crc32(payload) != crc)
-        return RecordStatus::Corrupt;
-    good_bytes_ += header.size() + len;
-    return RecordStatus::Ok;
+    for (;;) {
+        switch (decoder_.next(payload)) {
+          case FrameStatus::Ok:
+            good_bytes_ += FRAME_HEADER_BYTES + payload.size();
+            return RecordStatus::Ok;
+          case FrameStatus::Corrupt:
+            return RecordStatus::Corrupt;
+          case FrameStatus::NeedMore:
+            break;
+        }
+        // A frame the file cannot complete is a torn tail.
+        char chunk[64 * 1024];
+        in_.read(chunk, sizeof(chunk));
+        const std::streamsize got = in_.gcount();
+        if (got == 0)
+            return decoder_.atFrameBoundary()
+                       ? RecordStatus::EndOfFile
+                       : RecordStatus::TruncatedTail;
+        decoder_.feed(chunk, static_cast<std::size_t>(got));
+    }
 }
 
 RecordFile

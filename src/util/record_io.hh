@@ -5,7 +5,8 @@
  * A journal must survive the process that writes it being SIGKILLed
  * mid-append: everything already flushed stays readable, and the one
  * record that may have been torn is detected and dropped rather than
- * poisoning the file. Each record is therefore framed independently:
+ * poisoning the file. Each record is therefore framed independently,
+ * by util/frame's frame() and FrameDecoder under magic 'AJRN':
  *
  *     [u32 magic 'AJRN'] [u32 payload_len] [u32 crc32(payload)] [payload]
  *
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "frame.hh"
 #include "sim_error.hh"
 
 namespace aurora::util
@@ -163,6 +165,7 @@ class RecordFileReader
   private:
     std::string path_;
     std::ifstream in_;
+    FrameDecoder decoder_;
     std::uint64_t good_bytes_ = 0;
 };
 

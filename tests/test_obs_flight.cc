@@ -1,7 +1,7 @@
 /**
  * @file
- * Flight-recorder tests: ring wraparound eviction, write-through
- * spooling (every note() is on disk before any crash), the
+ * Flight-recorder tests: write-through spooling (every note() is on
+ * disk before any crash), dense sequence numbers, the
  * async-signal-safe dump() path and its reentrancy guard, and the
  * tolerant reader's torn-tail / mid-file-corruption contract.
  */
@@ -32,48 +32,12 @@ tempPath(const std::string &name)
     return (fs::path(::testing::TempDir()) / name).string();
 }
 
-TEST(FlightRecorder, RingEvictsOldestOnWraparound)
-{
-    obs::FlightRecorder rec(4);
-    for (int i = 0; i < 10; ++i)
-        rec.note("event." + std::to_string(i));
-    EXPECT_EQ(rec.seq(), 10u);
-    const auto lines = rec.lines();
-    ASSERT_EQ(lines.size(), 4u);
-    // Oldest first: events 6..9 survive, 0..5 were evicted.
-    EXPECT_NE(lines[0].find("event.6"), std::string::npos);
-    EXPECT_NE(lines[3].find("event.9"), std::string::npos);
-    for (const auto &line : lines)
-        EXPECT_EQ(line.find("event.5"), std::string::npos);
-}
-
-TEST(FlightRecorder, SpoolKeepsEveryEventDespiteRingEviction)
-{
-    const std::string path = tempPath("flight_spool.ndjson");
-    obs::FlightRecorder rec(2);
-    rec.note("before.spool", "AUR100", "buffered only");
-    rec.spoolTo(path);
-    for (int i = 0; i < 8; ++i)
-        rec.note("after." + std::to_string(i));
-
-    // The ring holds 2 events but the spool holds all 9: spoolTo()
-    // flushes the buffered history and note() writes through.
-    const auto loaded = obs::loadFlightFile(path);
-    EXPECT_FALSE(loaded.dropped_tail);
-    ASSERT_EQ(loaded.events.size(), 9u);
-    EXPECT_EQ(loaded.events.front().event, "before.spool");
-    EXPECT_EQ(loaded.events.front().code, "AUR100");
-    EXPECT_EQ(loaded.events.back().event, "after.7");
-    for (std::size_t i = 0; i < loaded.events.size(); ++i)
-        EXPECT_EQ(loaded.events[i].seq, i);
-}
-
 TEST(FlightRecorder, WriteThroughLandsOnDiskWithoutDump)
 {
     // The SIGKILL contract: after note() returns the line is already
     // on disk — no dump(), flush, or destructor required.
     const std::string path = tempPath("flight_kill.ndjson");
-    obs::FlightRecorder rec(8);
+    obs::FlightRecorder rec;
     rec.spoolTo(path);
     ASSERT_GE(rec.spoolFd(), 0);
     rec.note("last.words", "AUR301", "epoch=3");
@@ -89,7 +53,7 @@ TEST(FlightRecorder, WriteThroughLandsOnDiskWithoutDump)
 TEST(FlightRecorder, NoteIsThreadSafeAndSeqIsDense)
 {
     const std::string path = tempPath("flight_mt.ndjson");
-    obs::FlightRecorder rec(16);
+    obs::FlightRecorder rec;
     rec.spoolTo(path);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t)
@@ -113,7 +77,7 @@ TEST(FlightRecorder, NoteIsThreadSafeAndSeqIsDense)
 TEST(FlightRecorder, DumpAppendsMarkerAndGuardsReentry)
 {
     const std::string path = tempPath("flight_dump.ndjson");
-    obs::FlightRecorder rec(8);
+    obs::FlightRecorder rec;
     rec.spoolTo(path);
     rec.note("steady");
     // Signal-handler shape: dump() twice in a row must both land
@@ -132,7 +96,7 @@ TEST(FlightRecorder, DumpAppendsMarkerAndGuardsReentry)
 
 TEST(FlightRecorder, DumpWithoutSpoolIsNoop)
 {
-    obs::FlightRecorder rec(4);
+    obs::FlightRecorder rec;
     rec.note("unspooled");
     rec.dump("nowhere"); // must not crash, allocate, or write
     EXPECT_EQ(rec.spoolFd(), -1);
@@ -145,7 +109,7 @@ TEST(FlightRecorder, DumpFromRealSignalHandler)
     // that only calls dump(), as the daemons' SIGTERM paths do.
     static obs::FlightRecorder *handler_rec = nullptr;
     const std::string path = tempPath("flight_signal.ndjson");
-    obs::FlightRecorder rec(8);
+    obs::FlightRecorder rec;
     rec.spoolTo(path);
     rec.note("pre.signal");
     handler_rec = &rec;
@@ -163,7 +127,7 @@ TEST(FlightRecorder, DumpFromRealSignalHandler)
 TEST(FlightReader, TornTailIsDroppedNotFatal)
 {
     const std::string path = tempPath("flight_torn.ndjson");
-    obs::FlightRecorder rec(8);
+    obs::FlightRecorder rec;
     rec.spoolTo(path);
     rec.note("kept.one");
     rec.note("kept.two");
@@ -182,7 +146,7 @@ TEST(FlightReader, TornTailIsDroppedNotFatal)
 TEST(FlightReader, MidFileCorruptionNamesTheOffset)
 {
     const std::string path = tempPath("flight_corrupt.ndjson");
-    obs::FlightRecorder rec(8);
+    obs::FlightRecorder rec;
     rec.spoolTo(path);
     rec.note("good");
     {

@@ -3,16 +3,22 @@
  * Wire-protocol tests: message codec round trips, torn-frame
  * classification at every cut byte, CRC-flip fuzz, and the
  * corruptWireFrame() fault-injector contract — the socket-side twin
- * of test_util_record_io.
+ * of test_util_record_io — and util::FramedConn over a socketpair:
+ * ordered delivery through a full send buffer, pipelined frames that
+ * survive a move, EOF and corruption.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faultinject/faultinject.hh"
 #include "serve/wire.hh"
+#include "util/frame.hh"
 #include "util/sim_error.hh"
 
 namespace
@@ -343,6 +349,120 @@ TEST(FrameDecoder, RecoveryNotAttemptedAfterCorrupt)
     std::string out;
     EXPECT_EQ(decoder.next(out), FrameStatus::Corrupt);
     EXPECT_EQ(decoder.next(out), FrameStatus::Corrupt);
+}
+
+/** Two connected FramedConns speaking the serve magic. */
+std::pair<util::FramedConn, util::FramedConn>
+connPair()
+{
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    return {util::FramedConn(util::Fd(fds[0]), WIRE_MAGIC),
+            util::FramedConn(util::Fd(fds[1]), WIRE_MAGIC)};
+}
+
+/** receive() into @p got until it stops reporting Open or the read
+ *  returns nothing new. */
+util::ConnStatus
+drain(util::FramedConn &conn, std::vector<std::string> &got)
+{
+    for (;;) {
+        const std::size_t before = got.size();
+        const util::ConnStatus status =
+            conn.receive([&](const std::string &payload) {
+                got.push_back(payload);
+                return true;
+            });
+        if (status != util::ConnStatus::Open || got.size() == before)
+            return status;
+    }
+}
+
+TEST(FramedConn, SlowReaderGetsEveryFrameInOrderThroughAFullBuffer)
+{
+    auto [writer, reader] = connPair();
+    const int small = 4096;
+    ASSERT_EQ(::setsockopt(writer.fd(), SOL_SOCKET, SO_SNDBUF, &small,
+                           sizeof(small)),
+              0);
+    std::vector<std::string> sent;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        sent.push_back(encode(HelloMsg{
+            PROTOCOL_VERSION,
+            std::to_string(i) + std::string(1000, 'x')}));
+        writer.send(sent.back());
+    }
+    ASSERT_TRUE(writer.flush());
+    ASSERT_TRUE(writer.wantsWrite()) << "200 KB fit a 4 KB buffer";
+
+    // One read per round: wantsWrite() holds while any byte is still
+    // unsent, and once it drops the reader gets the rest unaided.
+    std::vector<std::string> got;
+    int rounds = 0;
+    while (writer.wantsWrite()) {
+        ASSERT_LT(++rounds, 100'000);
+        ASSERT_LT(got.size(), sent.size());
+        ASSERT_EQ(reader.receive([&](const std::string &payload) {
+            got.push_back(payload);
+            return true;
+        }),
+                  util::ConnStatus::Open);
+        ASSERT_TRUE(writer.flush());
+    }
+    EXPECT_GT(rounds, 1);
+    EXPECT_EQ(drain(reader, got), util::ConnStatus::Open);
+    EXPECT_EQ(got, sent);
+}
+
+TEST(FramedConn, PipelinedFramesSurviveAMove)
+{
+    // A dialer's Hello arrives with later frames behind it; the
+    // handler of the first hands the connection to a new owner, as a
+    // coordinator does when it grants a lease.
+    auto [writer, reader] = connPair();
+    const std::vector<std::string> sent = {encode(StatusMsg{}),
+                                           encode(CancelMsg{7}),
+                                           encode(CancelMsg{8})};
+    for (const std::string &payload : sent)
+        writer.send(payload);
+    ASSERT_TRUE(writer.flush());
+
+    util::FramedConn owner(WIRE_MAGIC);
+    std::vector<std::string> got;
+    EXPECT_EQ(reader.receive([&](const std::string &payload) {
+        got.push_back(payload);
+        owner = std::move(reader);
+        return false;
+    }),
+              util::ConnStatus::Open);
+    EXPECT_FALSE(reader.open());
+    ASSERT_TRUE(owner.open());
+    EXPECT_EQ(drain(owner, got), util::ConnStatus::Open);
+    EXPECT_EQ(got, sent);
+}
+
+TEST(FramedConn, PeerCloseReportsClosedAfterTheLastFrame)
+{
+    auto [writer, reader] = connPair();
+    writer.send(encode(StatusMsg{}));
+    ASSERT_TRUE(writer.flush());
+    writer.close();
+    std::vector<std::string> got;
+    EXPECT_EQ(drain(reader, got), util::ConnStatus::Closed);
+    EXPECT_EQ(got, std::vector<std::string>{encode(StatusMsg{})});
+}
+
+TEST(FramedConn, CorruptBytesReportCorruptAndDeliverNothingAfter)
+{
+    auto [writer, reader] = connPair();
+    const std::string good = frame(encode(StatusMsg{}));
+    std::string bad = frame(encode(CancelMsg{9}));
+    bad.back() = static_cast<char>(bad.back() ^ 0x01); // CRC mismatch
+    util::writeAll(writer.fd(), good + bad + good);
+    std::vector<std::string> got;
+    EXPECT_EQ(drain(reader, got), util::ConnStatus::Corrupt);
+    EXPECT_EQ(drain(reader, got), util::ConnStatus::Corrupt);
+    EXPECT_EQ(got, std::vector<std::string>{encode(StatusMsg{})});
 }
 
 TEST(WireFaults, TruncateFrameStarvesTheDecoder)

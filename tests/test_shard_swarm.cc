@@ -6,15 +6,17 @@
  * Swarm, the commit journal's resume path, configuration
  * rejection, a fleet lost once its respawn budget is spent, and the
  * refusals of AUR305: a foreign protocol version, and each bad Result
- * a leased dialer can send.
+ * a leased dialer can send; and a worker dismissed by a full fleet.
  */
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -147,9 +149,11 @@ TEST(SwarmSupervision, DropHeartbeatsIsFencedWhileResultsFlow)
     shard::SwarmConfig config = baseConfig("partition");
     config.fault_plans = {
         ShardFaultPlan{ShardFault::DropHeartbeats, 0}, std::nullopt};
+    // An unloaded host runs longGrid() in ~0.3 s: a lease well under
+    // that keeps the silent shard from draining the grid inside one
+    // lease, so the fence must catch it mid-flight.
+    config.lease_ms = 150;
     shard::Swarm swarm(config);
-    // A grid long enough that the silent shard cannot drain it inside
-    // one lease — the fence must catch it mid-flight.
     const auto grid = longGrid();
     expectAllOk(swarm.runGrid(grid, {}), grid.size());
     EXPECT_GE(swarm.stats().lease_expiries, 1u);
@@ -300,6 +304,37 @@ TEST(SwarmSupervision, OlderHellosAreRefusedWithAur305)
         shard::wire::FrameDecoder decoder;
         EXPECT_FALSE(util::recvFrame(fd.get(), decoder, 60'000).has_value());
     }
+}
+
+TEST(ShardWorker, DismissedByAFullFleetExitsOk)
+{
+    // A fleet with no free slot answers a worker's Hello with
+    // Shutdown in place of Welcome; the worker leaves cleanly and
+    // quietly.
+    const std::string socket_path = tempPath("dismiss.sock");
+    fs::remove(socket_path);
+    const util::Fd listener = util::listenUnix(socket_path);
+    shard::ShardWorkerConfig worker;
+    worker.socket_path = socket_path;
+    worker.journal_dir = tempPath("dismiss.jd");
+    ::testing::internal::CaptureStderr();
+    std::future<int> exit_code = std::async(
+        std::launch::async, [&] { return shard::runShardWorker(worker); });
+
+    pollfd pfd{listener.get(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 60'000), 1);
+    const util::Fd conn = util::acceptConn(listener.get());
+    ASSERT_TRUE(conn.valid());
+    shard::wire::FrameDecoder decoder;
+    const auto hello = util::recvFrame(conn.get(), decoder, 60'000);
+    ASSERT_TRUE(hello.has_value());
+    EXPECT_EQ(shard::wire::peekType(*hello), shard::wire::MsgType::Hello);
+    shard::wire::sendFrame(conn.get(),
+                           shard::wire::encode(shard::wire::ShutdownMsg{}));
+
+    EXPECT_EQ(exit_code.get(), shard::SHARD_EXIT_OK);
+    const std::string errors = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(errors.find("handshake failed"), std::string::npos) << errors;
 }
 
 /** The bad Result a hand-driven dialer sends once it holds a lease. */

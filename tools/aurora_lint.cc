@@ -125,19 +125,7 @@ report(std::vector<analyze::Diagnostic> findings, bool json)
 std::vector<trace::WorkloadProfile>
 resolveProfiles(const std::string &name)
 {
-    std::vector<trace::WorkloadProfile> profiles;
-    if (name.empty() || name == "all") {
-        profiles = trace::integerSuite();
-        for (const trace::WorkloadProfile &p : trace::floatSuite())
-            profiles.push_back(p);
-    } else if (name == "int") {
-        profiles = trace::integerSuite();
-    } else if (name == "fp") {
-        profiles = trace::floatSuite();
-    } else {
-        profiles.push_back(trace::profileByName(name));
-    }
-    return profiles;
+    return trace::suiteByName(name.empty() ? "all" : name);
 }
 
 std::string

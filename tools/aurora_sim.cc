@@ -286,18 +286,8 @@ run(int argc, char **argv)
         return 0;
     }
 
-    std::vector<trace::WorkloadProfile> suite;
-    if (bench == "int") {
-        suite = trace::integerSuite();
-    } else if (bench == "fp") {
-        suite = trace::floatSuite();
-    } else if (bench == "all") {
-        suite = trace::integerSuite();
-        const auto fp = trace::floatSuite();
-        suite.insert(suite.end(), fp.begin(), fp.end());
-    } else {
-        suite.push_back(trace::profileByName(bench));
-    }
+    const std::vector<trace::WorkloadProfile> suite =
+        trace::suiteByName(bench);
     if (!request.trace_events.empty() && (suite.size() != 1 || csv))
         util::raiseError(util::SimErrorCode::BadConfig,
                          "--trace-events renders one pipeline: pick a "

@@ -289,18 +289,8 @@ doSubmit(int fd, wire::FrameDecoder &decoder, const Options &opt)
     const core::MachineConfig machine = core::parseMachineSpec(opt.spec);
     const std::string machine_spec = core::describe(machine);
 
-    std::vector<trace::WorkloadProfile> suite;
-    if (opt.bench == "int") {
-        suite = trace::integerSuite();
-    } else if (opt.bench == "fp") {
-        suite = trace::floatSuite();
-    } else if (opt.bench == "all") {
-        suite = trace::integerSuite();
-        const auto fp = trace::floatSuite();
-        suite.insert(suite.end(), fp.begin(), fp.end());
-    } else {
-        suite.push_back(trace::profileByName(opt.bench));
-    }
+    const std::vector<trace::WorkloadProfile> suite =
+        trace::suiteByName(opt.bench);
 
     wire::SubmitMsg submit;
     submit.label = opt.label;

@@ -187,18 +187,8 @@ run(int argc, char **argv)
     }
 
     const MachineConfig machine = parseMachineSpec(spec);
-    std::vector<trace::WorkloadProfile> suite;
-    if (bench == "int") {
-        suite = trace::integerSuite();
-    } else if (bench == "fp") {
-        suite = trace::floatSuite();
-    } else if (bench == "all") {
-        suite = trace::integerSuite();
-        const auto fp = trace::floatSuite();
-        suite.insert(suite.end(), fp.begin(), fp.end());
-    } else {
-        suite.push_back(trace::profileByName(bench));
-    }
+    const std::vector<trace::WorkloadProfile> suite =
+        trace::suiteByName(bench);
 
     const std::vector<harness::SweepJob> jobs =
         harness::suiteJobs(machine, suite, insts);
