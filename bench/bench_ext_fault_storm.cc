@@ -204,11 +204,9 @@ void
 preflightStorm(Count insts)
 {
     // The same poisoned 18-job grid the runtime storm grinds
-    // through, presented to a runner with the preflight pinned ON
-    // (explicitly, so an AURORA_PREFLIGHT=0 environment — the obs
-    // drill uses it — cannot disarm this section): the launch must
-    // be rejected before any worker starts, with the report showing
-    // zero jobs executed.
+    // through, presented to a runner with the preflight on: the
+    // launch must be rejected before any worker starts, with the
+    // report showing zero jobs executed.
     std::vector<SweepJob> grid = healthyGrid(insts);
     std::size_t planted = 0;
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -225,7 +223,6 @@ preflightStorm(Count insts)
 
     SweepOptions opts;
     opts.base_seed = STORM_SEED;
-    opts.preflight = true;
     SweepRunner runner(opts);
     bool rejected = false;
     std::string message;

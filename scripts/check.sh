@@ -144,7 +144,7 @@ run_obs() {
     "${check}" trace "${dir}/sweep.json" | grep -q 'parentage closed'
 
     # Fault-storm trace artifact with retry/timeout/resume spans.
-    AURORA_BENCH_INSTS=20000 AURORA_PREFLIGHT=0 \
+    AURORA_BENCH_INSTS=20000 \
         AURORA_TIMELINE_OUT="${dir}/fault_storm.json" \
         build/bench/bench_ext_fault_storm > /dev/null
     "${check}" trace "${dir}/fault_storm.json" |

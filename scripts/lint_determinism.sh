@@ -8,6 +8,11 @@
 #   - libc randomness:  rand(, std::random_device
 #   - environment reads: getenv (env access belongs in util/env, so
 #     every knob is named, typed, defaulted and logged in one place)
+#   - util/env reads (envCount, envFlag, envString) anywhere but
+#     src/core/audit.cc: sweep and simulation policy is a plain value
+#     in code, so no environment variable can change a result.
+#     AURORA_AUDIT only adds checks; AURORA_JOBS (util/parallel)
+#     picks a thread count, not an outcome
 #   - thread_local, here and in util/rng: a per-thread memo (say, of
 #     a per-profile constant) would make one job's trace depend on
 #     which jobs ran before it on the same pool worker
@@ -73,6 +78,14 @@ check 'std::random_device' \
       'nondeterministic seed source in the simulation core'
 check '(^|[^a-zA-Z0-9_:])getenv' \
       'raw environment read outside util/env'
+# util/env reads: only the auditor's switch is allowed.
+if hits=$(grep -RInE '(^|[^a-zA-Z0-9_])env(Count|Flag|String)\(' \
+              "${DIRS[@]}" --include='*.cc' --include='*.hh' |
+              grep -v '^src/core/audit\.cc:'); then
+    echo "determinism lint: environment read that could change a result:"
+    echo "${hits}" | sed 's/^/  /'
+    STATUS=1
+fi
 check '(^|[^a-zA-Z0-9_])thread_local([^a-zA-Z0-9_]|$)' \
       'per-thread state in the simulation core' src/util/rng.hh src/util/rng.cc
 

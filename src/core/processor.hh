@@ -179,7 +179,7 @@ class Processor
   public:
     /**
      * @param watchdog forward-progress policy enforced by advance();
-     *        defaults to the AURORA_WATCHDOG_CYCLES-derived policy.
+     *        defaults to defaultWatchdog().
      */
     Processor(const MachineConfig &config, trace::TraceSource &source,
               WatchdogConfig watchdog = defaultWatchdog());

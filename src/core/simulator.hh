@@ -32,9 +32,9 @@ inline constexpr Count DEFAULT_RUN_INSTS = 400'000;
  * instructions (the paper truncates benchmarks the same way, §4.1).
  *
  * @param watchdog forward-progress policy (see watchdog.hh); the
- *        default derives from AURORA_WATCHDOG_CYCLES. A run that
- *        trips it throws WatchdogError; an invalid @p machine throws
- *        util::SimError (BadConfig).
+ *        default is defaultWatchdog(). A run that trips it throws
+ *        WatchdogError; an invalid @p machine throws util::SimError
+ *        (BadConfig).
  * @param observer optional pipeline observer attached for the run
  *        (telemetry samplers, tracers). Observers only read machine
  *        state: results are bit-identical with or without one.

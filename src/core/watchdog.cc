@@ -2,19 +2,8 @@
 
 #include <sstream>
 
-#include "util/env.hh"
-
 namespace aurora::core
 {
-
-WatchdogConfig
-defaultWatchdog()
-{
-    WatchdogConfig wd;
-    wd.stall_limit = envCount("AURORA_WATCHDOG_CYCLES",
-                              DEFAULT_WATCHDOG_CYCLES, /*min=*/0);
-    return wd;
-}
 
 std::string
 WatchdogDiagnostic::toString() const

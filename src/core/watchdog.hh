@@ -72,11 +72,14 @@ struct WatchdogConfig
 };
 
 /**
- * The process-wide default policy: stall_limit from the
- * AURORA_WATCHDOG_CYCLES environment variable (0 disables) falling
- * back to DEFAULT_WATCHDOG_CYCLES, unlimited cycle budget.
+ * The default policy: a DEFAULT_WATCHDOG_CYCLES stall limit, no
+ * cycle budget, no wall-clock deadline.
  */
-WatchdogConfig defaultWatchdog();
+constexpr WatchdogConfig
+defaultWatchdog()
+{
+    return {DEFAULT_WATCHDOG_CYCLES, 0};
+}
 
 /** State of the machine at the moment a watchdog fired. */
 struct WatchdogDiagnostic

@@ -38,17 +38,6 @@ writeByte(std::FILE *f, long off, unsigned char value)
 
 } // namespace
 
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
-
 bool
 poisoned(std::uint64_t seed, std::size_t index, double fraction)
 {

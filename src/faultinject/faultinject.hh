@@ -25,12 +25,13 @@
 
 #include "core/machine_config.hh"
 #include "core/processor.hh"
+#include "util/hash.hh"
 
 namespace aurora::faultinject
 {
 
 /** splitmix64 finalizer — the module's only source of "randomness". */
-std::uint64_t mix64(std::uint64_t x);
+using util::mix64;
 
 /**
  * Deterministic Bernoulli draw: should grid slot @p index be poisoned

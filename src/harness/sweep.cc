@@ -15,56 +15,29 @@
 #include "core/config_io.hh"
 #include "journal.hh"
 #include "obs/trace.hh"
-#include "util/env.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 
 namespace aurora::harness
 {
 
-namespace
-{
-
-/** FNV-1a over a byte string. */
-std::uint64_t
-fnv1a(const std::string &bytes, std::uint64_t h = 0xcbf29ce484222325ull)
-{
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** splitmix64 finalizer — full-avalanche 64-bit mix. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
-
-} // namespace
-
 std::uint64_t
 machineHash(const core::MachineConfig &machine)
 {
     // describe() serializes every knob; the name distinguishes models
     // that happen to share a parameterization.
-    return fnv1a(machine.name, fnv1a(core::describe(machine)));
+    return util::fnv1a64(machine.name,
+                         util::fnv1a64(core::describe(machine)));
 }
 
 std::uint64_t
 deriveJobSeed(std::uint64_t base_seed, std::uint64_t machine_hash,
               const std::string &profile_name)
 {
-    std::uint64_t h = mix(base_seed + 0x9e3779b97f4a7c15ull);
-    h = mix(h ^ machine_hash);
-    h = mix(h ^ fnv1a(profile_name));
+    std::uint64_t h = util::mix64(base_seed + 0x9e3779b97f4a7c15ull);
+    h = util::mix64(h ^ machine_hash);
+    h = util::mix64(h ^ util::fnv1a64(profile_name));
     return h ? h : 1;
 }
 
@@ -143,47 +116,6 @@ SweepRunner::workers() const
     return options_.workers ? options_.workers : defaultWorkers();
 }
 
-unsigned
-SweepRunner::retries() const
-{
-    if (options_.retries)
-        return *options_.retries;
-    return static_cast<unsigned>(
-        envCount("AURORA_SWEEP_RETRIES", 0, /*min=*/0));
-}
-
-std::uint64_t
-SweepRunner::deadlineMs() const
-{
-    if (options_.deadline_ms)
-        return *options_.deadline_ms;
-    return envCount("AURORA_SWEEP_DEADLINE_MS", 0, /*min=*/0);
-}
-
-std::uint64_t
-SweepRunner::backoffMs() const
-{
-    if (options_.backoff_ms)
-        return *options_.backoff_ms;
-    return envCount("AURORA_SWEEP_BACKOFF_MS", 0, /*min=*/0);
-}
-
-bool
-SweepRunner::preflightEnabled() const
-{
-    if (options_.preflight)
-        return *options_.preflight;
-    return envFlag("AURORA_PREFLIGHT", true);
-}
-
-bool
-SweepRunner::modelAdviceEnabled() const
-{
-    if (options_.model_advice)
-        return *options_.model_advice;
-    return envFlag("AURORA_PREFLIGHT_MODEL", false);
-}
-
 /**
  * Lint every machine in @p grid before any worker launches. Errors
  * (not warnings) abort the launch: one BadConfig naming every bad
@@ -220,8 +152,7 @@ preflightGrid(const std::vector<SweepJob> &grid)
         util::SimErrorCode::BadConfig, "sweep preflight rejected ",
         bad_jobs, " of ", grid.size(),
         " jobs before any worker started (aurora_lint explain <ID> "
-        "describes each diagnostic; AURORA_PREFLIGHT=0 disables the "
-        "check):", lines);
+        "describes each diagnostic):", lines);
 }
 
 void
@@ -281,17 +212,15 @@ using UnitAttempt = SweepRunner::UnitAttempt;
  * one core::simulateShared() call. Seed derivation and watchdog policy
  * resolve once here, so run() and runOutcomes() simulate each job
  * identically (healthy results stay bit-comparable between the two).
- * @p deadline_ms fills the watchdog's wall-clock deadline only where
- * an explicit watchdog policy left it unset.
+ * SweepOptions::deadline_ms fills the watchdog's wall-clock deadline
+ * only where the watchdog policy left it unset.
  */
 UnitAttempt
-gridAttempt(const std::vector<SweepJob> &grid, const SweepOptions &options,
-            std::uint64_t deadline_ms)
+gridAttempt(const std::vector<SweepJob> &grid, const SweepOptions &options)
 {
-    core::WatchdogConfig watchdog =
-        options.watchdog ? *options.watchdog : core::defaultWatchdog();
+    core::WatchdogConfig watchdog = options.watchdog;
     if (watchdog.deadline_ms == 0)
-        watchdog.deadline_ms = deadline_ms;
+        watchdog.deadline_ms = options.deadline_ms;
     return [&grid, &options, watchdog](std::span<const std::size_t> members) {
         const SweepJob &lead = grid[members.front()];
         trace::WorkloadProfile profile = lead.profile;
@@ -401,8 +330,7 @@ class ProgressMeter
           every_(options.progress_every
                      ? options.progress_every
                      : std::max<std::size_t>(1, total / 20)),
-          callback_(options.on_progress),
-          log_(envFlag("AURORA_PROGRESS", false))
+          callback_(options.on_progress)
     {
         progress_.total = total;
         progress_.done = already_done;
@@ -411,7 +339,7 @@ class ProgressMeter
         executedBase_ = already_done;
     }
 
-    bool enabled() const { return callback_ || log_; }
+    bool enabled() const { return static_cast<bool>(callback_); }
 
     /** Record one completed job. */
     void
@@ -444,10 +372,7 @@ class ProgressMeter
                            static_cast<double>(executed) *
                            static_cast<double>(remaining)
                      : 0.0;
-        if (callback_)
-            callback_(progress_);
-        if (log_)
-            inform(progress_.toString());
+        callback_(progress_);
     }
 
     std::mutex mutex_;
@@ -459,7 +384,6 @@ class ProgressMeter
      *  rate so resumed sweeps do not extrapolate from free jobs). */
     std::size_t executedBase_ = 0;
     std::function<void(const SweepProgress &)> callback_;
-    bool log_;
 };
 
 } // namespace
@@ -514,28 +438,24 @@ planUnits(const std::vector<SweepJob> &grid,
 std::vector<core::RunResult>
 SweepRunner::run(const std::vector<SweepJob> &grid)
 {
-    if (preflightEnabled())
+    if (options_.preflight)
         preflightGrid(grid);
-    if (modelAdviceEnabled())
-        adviseGrid(grid, options_.watchdog
-                             ? *options_.watchdog
-                             : core::defaultWatchdog());
+    if (options_.model_advice)
+        adviseGrid(grid, options_.watchdog);
     std::vector<std::size_t> all(grid.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
     return runFailFast(grid.size(),
                        planUnits(grid, all, options_.base_seed, workers()),
-                       gridAttempt(grid, options_, deadlineMs()));
+                       gridAttempt(grid, options_));
 }
 
 std::vector<SweepOutcome>
 SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
 {
-    if (preflightEnabled())
+    if (options_.preflight)
         preflightGrid(grid);
-    if (modelAdviceEnabled())
-        adviseGrid(grid, options_.watchdog
-                             ? *options_.watchdog
-                             : core::defaultWatchdog());
+    if (options_.model_advice)
+        adviseGrid(grid, options_.watchdog);
 
     const std::size_t n = grid.size();
     std::vector<SweepOutcome> outcomes(n);
@@ -568,7 +488,7 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
         };
     executeOutcomes(outcomes,
                     planUnits(grid, pending, options_.base_seed, workers()),
-                    gridAttempt(grid, options_, deadlineMs()), on_complete);
+                    gridAttempt(grid, options_), on_complete);
     return outcomes;
 }
 
@@ -621,8 +541,8 @@ SweepRunner::executeOutcomes(
 
     const WallTimer wall;
     const unsigned pool = workers();
-    const unsigned max_attempts = first_error ? 1 : retries() + 1;
-    const std::uint64_t backoff = backoffMs();
+    const unsigned max_attempts = first_error ? 1 : options_.retries + 1;
+    const std::uint64_t backoff = options_.backoff_ms;
     obs::SpanLog *span_log = options_.span_log;
     const auto now_us = [span_log] {
         return span_log ? span_log->nowUs() : 0.0;

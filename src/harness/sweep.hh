@@ -63,9 +63,9 @@ namespace aurora::harness
 
 /**
  * One heartbeat of a sweep in flight, delivered through
- * SweepOptions::on_progress (and logged when AURORA_PROGRESS=1).
- * Counts cover the whole grid, replayed jobs included; ETA is a
- * straight-line extrapolation from the executed jobs' elapsed time.
+ * SweepOptions::on_progress. Counts cover the whole grid, replayed
+ * jobs included; ETA is a straight-line extrapolation from the
+ * executed jobs' elapsed time.
  */
 struct SweepProgress
 {
@@ -112,20 +112,18 @@ struct SweepOptions
     /**
      * Retry budget per job for the outcome-isolating entry points
      * (runOutcomes / runTaskOutcomes): a failing job is re-attempted
-     * up to this many extra times with the same derived seed. Unset
-     * reads AURORA_SWEEP_RETRIES (default 0 — no retries). The
+     * up to this many extra times with the same derived seed. The
      * fail-fast run()/runTasks() paths never retry.
      */
-    std::optional<unsigned> retries;
+    unsigned retries = 0;
 
     /**
      * Watchdog policy applied to every simulation job launched by
-     * run()/runOutcomes(). Unset uses core::defaultWatchdog() (the
-     * AURORA_WATCHDOG_CYCLES stall limit, no cycle budget). Kept out
-     * of MachineConfig deliberately: execution policy must not
-     * perturb machineHash() and hence derived seeds.
+     * run()/runOutcomes(). Kept out of MachineConfig deliberately:
+     * execution policy must not perturb machineHash() and hence
+     * derived seeds.
      */
-    std::optional<core::WatchdogConfig> watchdog;
+    core::WatchdogConfig watchdog = core::defaultWatchdog();
 
     /**
      * Per-job wall-clock deadline in milliseconds, applied on top of
@@ -134,17 +132,17 @@ struct SweepOptions
      * without blocking the rest of the grid; Timeout jobs are never
      * retried — a deterministic simulation that hung once will hang
      * again, and retrying would double the worst-case wall time.
-     * Unset reads AURORA_SWEEP_DEADLINE_MS (default 0 = unlimited).
+     * 0 = unlimited.
      */
-    std::optional<std::uint64_t> deadline_ms;
+    std::uint64_t deadline_ms = 0;
 
     /**
      * Base delay in milliseconds for the deterministic exponential
      * backoff between retry attempts of one job: attempt k (k >= 2)
-     * waits base << (k - 2) ms first, capped at 10 s. Unset reads
-     * AURORA_SWEEP_BACKOFF_MS (default 0 = retry immediately).
+     * waits base << (k - 2) ms first, capped at 10 s. 0 = retry
+     * immediately.
      */
-    std::optional<std::uint64_t> backoff_ms;
+    std::uint64_t backoff_ms = 0;
 
     /**
      * Crash-safe journal file for runOutcomes(): every completed
@@ -169,11 +167,11 @@ struct SweepOptions
      * the whole launch with BadConfig listing job, machine, and
      * diagnostic IDs. Catching a wedged configuration here costs
      * microseconds; catching it in a worker costs the full watchdog
-     * budget. Unset reads AURORA_PREFLIGHT (default on). Applies to
-     * run()/runOutcomes(); the task-based entry points carry no
-     * configs to inspect. Warnings never block a launch.
+     * budget. Applies to run()/runOutcomes(); the task-based entry
+     * points carry no configs to inspect. Warnings never block a
+     * launch.
      */
-    std::optional<bool> preflight;
+    bool preflight = true;
 
     /**
      * Opt-in preflight advisor: after the lint preflight admits the
@@ -184,11 +182,10 @@ struct SweepOptions
      * needs at least instructions/bound cycles; docs/model.md).
      * Log-only and provably inert: admission, seeds, scheduling, and
      * results are bit-identical with the advisor on or off
-     * (test_harness_outcomes holds this). Unset reads
-     * AURORA_PREFLIGHT_MODEL (default off — a 10k-point grid does
-     * not want 10k log lines unasked).
+     * (test_harness_outcomes holds this). Off by default: a
+     * 10k-point grid does not want 10k log lines unasked.
      */
-    std::optional<bool> model_advice;
+    bool model_advice = false;
 
     /**
      * Progress heartbeat: invoked (from worker threads, serialized)
@@ -197,8 +194,6 @@ struct SweepOptions
      * journaled job's heartbeat follows its journal append. The
      * emission points depend only on job counts, so a given grid
      * heartbeats at the same `done` values at any worker count.
-     * AURORA_PROGRESS=1 additionally logs each heartbeat through
-     * util::inform() even when no callback is installed.
      */
     std::function<void(const SweepProgress &)> on_progress;
 
@@ -350,9 +345,9 @@ class SweepRunner
 
     /**
      * Fault-isolating variant of run(): every job executes inside a
-     * try/catch, a failing job is retried up to retries() extra times
-     * with the same derived seed, and the grid always runs to
-     * completion. Healthy jobs return results bit-identical to run()'s
+     * try/catch, a failing job is retried up to SweepOptions::retries
+     * extra times with the same derived seed, and the grid always runs
+     * to completion. Healthy jobs return results bit-identical to run()'s
      * at any worker count; failed jobs carry the error class and
      * message instead of aborting the sweep.
      *
@@ -374,21 +369,6 @@ class SweepRunner
 
     /** Resolved worker count a run() will use for a large grid. */
     unsigned workers() const;
-
-    /** Resolved retry budget runOutcomes() grants each job. */
-    unsigned retries() const;
-
-    /** Resolved per-job wall-clock deadline (ms; 0 = unlimited). */
-    std::uint64_t deadlineMs() const;
-
-    /** Resolved retry-backoff base delay (ms; 0 = immediate). */
-    std::uint64_t backoffMs() const;
-
-    /** Resolved preflight policy (options override, else env). */
-    bool preflightEnabled() const;
-
-    /** Resolved model-advisor policy (options override, else env). */
-    bool modelAdviceEnabled() const;
 
     /** Job indices that run together in one first attempt. */
     using Unit = std::vector<std::size_t>;

@@ -33,17 +33,17 @@
 #include <string>
 #include <string_view>
 
+#include "util/hash.hh"
+
 namespace aurora::obs
 {
 
-/** splitmix64 finalizer — the repo-standard bit mixer. */
+/** One splitmix64 step: the golden-ratio increment, then
+ *  util::mix64's finalizer. */
 constexpr std::uint64_t
 mix64(std::uint64_t x)
 {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
+    return util::mix64(x + 0x9e3779b97f4a7c15ull);
 }
 
 namespace detail
@@ -68,17 +68,6 @@ derive(std::uint64_t trace, std::uint64_t family, std::uint64_t a,
     x = mix64(x ^ a);
     x = mix64(x ^ b);
     return x ? x : 1;
-}
-
-constexpr std::uint64_t
-fnv1a64(std::string_view text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 } // namespace detail
@@ -107,7 +96,7 @@ constexpr std::uint64_t
 stageSpanId(std::uint64_t trace_id, std::string_view stage)
 {
     return detail::derive(trace_id, detail::FAMILY_STAGE,
-                          detail::fnv1a64(stage));
+                          util::fnv1a64(stage));
 }
 
 /** Queue-to-completion span of one grid job (parent = root). */

@@ -9,17 +9,6 @@
 namespace aurora::obs
 {
 
-Gauge
-gauge(std::string_view name, std::string_view description,
-      double value)
-{
-    Gauge g;
-    g.name = std::string(name);
-    g.description = std::string(description);
-    g.values.push_back(GaugeValue{std::string(), value});
-    return g;
-}
-
 std::string
 prometheusName(std::string_view name)
 {
@@ -65,8 +54,7 @@ promLabelEscape(std::string_view text)
 } // namespace
 
 std::string
-renderPrometheus(const telemetry::Registry &registry,
-                 const std::vector<Gauge> &gauges)
+renderPrometheus(const telemetry::Registry &registry)
 {
     std::ostringstream os;
     for (const auto &entry : registry.counters()) {
@@ -89,14 +77,14 @@ renderPrometheus(const telemetry::Registry &registry,
         os << name << "_sum " << h.sum() << '\n';
         os << name << "_count " << h.count() << '\n';
     }
-    for (const Gauge &g : gauges) {
-        const std::string name = prometheusName(g.name);
-        os << "# HELP " << name << ' ' << g.description << '\n';
+    for (const auto &entry : registry.gauges()) {
+        const std::string name = prometheusName(entry.name);
+        os << "# HELP " << name << ' ' << entry.description << '\n';
         os << "# TYPE " << name << " gauge\n";
-        for (const GaugeValue &v : g.values) {
+        for (const telemetry::Gauge::Sample &v : entry.gauge.samples()) {
             os << name;
-            if (!g.label_key.empty())
-                os << '{' << g.label_key << "=\""
+            if (!entry.label_key.empty())
+                os << '{' << entry.label_key << "=\""
                    << promLabelEscape(v.label) << "\"}";
             os << ' ' << promValue(v.value) << '\n';
         }
@@ -105,8 +93,7 @@ renderPrometheus(const telemetry::Registry &registry,
 }
 
 std::string
-renderMetricsJson(const telemetry::Registry &registry,
-                  const std::vector<Gauge> &gauges)
+renderMetricsJson(const telemetry::Registry &registry)
 {
     std::ostringstream os;
     telemetry::JsonWriter w(os);
@@ -137,12 +124,12 @@ renderMetricsJson(const telemetry::Registry &registry,
     }
     w.endArray();
     w.key("gauges").beginArray();
-    for (const Gauge &g : gauges)
-        for (const GaugeValue &v : g.values) {
+    for (const auto &entry : registry.gauges())
+        for (const telemetry::Gauge::Sample &v : entry.gauge.samples()) {
             w.beginObject();
-            w.key("name").value(g.name);
-            if (!g.label_key.empty()) {
-                w.key(g.label_key).value(v.label);
+            w.key("name").value(entry.name);
+            if (!entry.label_key.empty()) {
+                w.key(entry.label_key).value(v.label);
             }
             w.key("value").value(v.value);
             w.endObject();

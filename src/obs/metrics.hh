@@ -1,16 +1,15 @@
 /**
  * @file
  * Metrics exposition: Prometheus text + JSON renderings of a
- * telemetry Registry plus point-in-time gauges.
+ * telemetry Registry.
  *
- * The registry holds the monotonic half of the service's metrics
- * (admission verdicts, streamed results, latency histograms); gauges
- * are sampled by the caller at exposition time (queue depth,
- * per-tenant inflight, sessions). Both renderings are deterministic
- * in the registry's registration order and the gauge vector's order,
- * so two scrapes of an idle server are byte-identical — which is
- * what lets aurora_top render a stable fleet view and lets tests
- * diff scrapes directly.
+ * The registry holds the service's monotonic metrics (admission
+ * verdicts, streamed results, latency histograms) and its gauges,
+ * which the owner sets at exposition time (queue depth, per-tenant
+ * inflight, sessions). Both renderings are deterministic in the
+ * registry's registration order, so two scrapes of an idle server
+ * are byte-identical — which is what lets aurora_top render a stable
+ * fleet view and lets tests diff scrapes directly.
  *
  * Metric names keep their dotted registry form in JSON and are
  * mangled to `aurora_<dots-to-underscores>` for Prometheus.
@@ -24,7 +23,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace aurora::telemetry
 {
@@ -34,39 +32,14 @@ class Registry;
 namespace aurora::obs
 {
 
-/** One sample of a (possibly labeled) gauge. */
-struct GaugeValue
-{
-    /** Label value (tenant name, ...); empty = unlabeled. */
-    std::string label;
-    double value = 0.0;
-};
-
-/** A point-in-time gauge sampled by the caller at exposition. */
-struct Gauge
-{
-    /** Dotted stable name ("serve.queue_depth", ...). */
-    std::string name;
-    std::string description;
-    /** Label key for the samples ("tenant"); empty = unlabeled. */
-    std::string label_key;
-    std::vector<GaugeValue> values;
-};
-
-/** Convenience: an unlabeled single-sample gauge. */
-Gauge gauge(std::string_view name, std::string_view description,
-            double value);
-
 /** Prometheus metric name: "serve.queue_depth" → "aurora_serve_queue_depth". */
 std::string prometheusName(std::string_view name);
 
 /** Prometheus text-format exposition (text/plain; version=0.0.4). */
-std::string renderPrometheus(const telemetry::Registry &registry,
-                             const std::vector<Gauge> &gauges);
+std::string renderPrometheus(const telemetry::Registry &registry);
 
 /** `aurora.metrics.v1` JSON exposition. */
-std::string renderMetricsJson(const telemetry::Registry &registry,
-                              const std::vector<Gauge> &gauges);
+std::string renderMetricsJson(const telemetry::Registry &registry);
 
 } // namespace aurora::obs
 

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "analyze/lint_config.hh"
+#include "core/audit.hh"
 #include "core/config_io.hh"
 #include "core/simulator.hh"
 #include "harness/journal.hh"
@@ -375,10 +376,16 @@ Server::loadSpool()
                         util::SimErrorCode::BadJournal, "journal '",
                         journal_path,
                         "' does not match its manifest");
+                // A replayed result is only as trustworthy as its
+                // record: re-audit it like a fresh run, and a failed
+                // audit reruns the grid.
+                const bool audit = core::auditEnabled();
                 for (const harness::JournalRecord &rec :
                      loaded.records)
                     if (grid->state[rec.job_index] !=
                         Grid::JobState::Done) {
+                        if (audit && rec.outcome.ok)
+                            core::auditRun(rec.outcome.result);
                         applyRecord(*grid, rec,
                                     /*from_journal=*/true);
                         ++resumed_jobs_;
@@ -958,42 +965,35 @@ Server::handleMetrics(Session &session, const std::string &payload)
 std::string
 Server::renderMetrics(wire::MetricsFormat format)
 {
-    std::vector<obs::Gauge> gauges;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        gauges.push_back(obs::gauge(
-            "serve.queued_jobs", "jobs waiting in the scheduler",
-            static_cast<double>(scheduler_.queuedJobs())));
-        gauges.push_back(obs::gauge(
-            "serve.running_jobs", "jobs executing right now",
-            static_cast<double>(running_jobs_)));
-        gauges.push_back(obs::gauge(
-            "serve.grids_resident", "grids resident in memory",
-            static_cast<double>(grids_.size())));
-        gauges.push_back(obs::gauge(
-            "serve.sessions", "connected client sessions",
-            static_cast<double>(session_count_.load())));
-        gauges.push_back(obs::gauge("serve.draining",
-                                    "1 while the daemon is draining",
-                                    draining_ ? 1.0 : 0.0));
-        obs::Gauge tenants_gauge;
-        tenants_gauge.name = "serve.tenant_inflight";
-        tenants_gauge.description =
-            "admitted-but-unfinished jobs per tenant";
-        tenants_gauge.label_key = "tenant";
-        std::set<std::string> tenants;
-        for (const auto &[fp, grid] : grids_)
-            tenants.insert(grid->tenant);
-        for (const std::string &tenant : tenants)
-            tenants_gauge.values.push_back(obs::GaugeValue{
-                tenant,
-                static_cast<double>(scheduler_.tenantJobs(tenant))});
-        gauges.push_back(std::move(tenants_gauge));
-    }
+    // metrics_mutex_ is a leaf lock, so it nests inside mutex_;
+    // mutex_ is held only while the gauges are set, not to render.
+    std::unique_lock<std::mutex> lock(mutex_);
     const std::lock_guard<std::mutex> mlock(metrics_mutex_);
+    metrics_.gauge("serve.queued_jobs", "jobs waiting in the scheduler")
+        .set(static_cast<double>(scheduler_.queuedJobs()));
+    metrics_.gauge("serve.running_jobs", "jobs executing right now")
+        .set(static_cast<double>(running_jobs_));
+    metrics_.gauge("serve.grids_resident", "grids resident in memory")
+        .set(static_cast<double>(grids_.size()));
+    metrics_.gauge("serve.sessions", "connected client sessions")
+        .set(static_cast<double>(session_count_.load()));
+    metrics_.gauge("serve.draining", "1 while the daemon is draining")
+        .set(draining_ ? 1.0 : 0.0);
+    std::set<std::string> tenants;
+    for (const auto &[fp, grid] : grids_)
+        tenants.insert(grid->tenant);
+    std::vector<telemetry::Gauge::Sample> inflight;
+    for (const std::string &tenant : tenants)
+        inflight.push_back(
+            {tenant, static_cast<double>(scheduler_.tenantJobs(tenant))});
+    metrics_
+        .gauge("serve.tenant_inflight",
+               "admitted-but-unfinished jobs per tenant", "tenant")
+        .set(std::move(inflight));
+    lock.unlock();
     return format == wire::MetricsFormat::Json
-               ? obs::renderMetricsJson(metrics_, gauges)
-               : obs::renderPrometheus(metrics_, gauges);
+               ? obs::renderMetricsJson(metrics_)
+               : obs::renderPrometheus(metrics_);
 }
 
 void

@@ -229,9 +229,9 @@ class Server
     void handleCancel(Session &session, const std::string &payload);
     void handleStatus(Session &session);
     void handleMetrics(Session &session, const std::string &payload);
-    /** Render one metrics exposition (Prometheus or JSON). Takes its
-     *  own locks (mutex_ for the gauge snapshot, then
-     *  metrics_mutex_); call with neither held. */
+    /** Set the gauges and render one metrics exposition (Prometheus
+     *  or JSON). Takes its own locks (mutex_, then metrics_mutex_);
+     *  call with neither held. */
     std::string renderMetrics(wire::MetricsFormat format);
     /** Write the grid's merged Chrome trace next to its spool pair;
      *  mutex_ held (once per grid, at completion). */
@@ -264,10 +264,11 @@ class Server
     std::mutex mutex_;
     std::condition_variable cv_;
     Scheduler scheduler_;
-    /** Service metrics (counters + latency histograms), exposed via
-     *  the wire Metrics request. Guarded by metrics_mutex_ — a leaf
-     *  lock (mutex_ may be held when taking it, never the reverse),
-     *  because reject() runs both with and without mutex_ held. */
+    /** Service metrics (counters, latency histograms, and the gauges
+     *  renderMetrics() sets), exposed via the wire Metrics request.
+     *  Guarded by metrics_mutex_ — a leaf lock (mutex_ may be held
+     *  when taking it, never the reverse), because reject() runs both
+     *  with and without mutex_ held. */
     std::mutex metrics_mutex_;
     telemetry::Registry metrics_;
     /** Crash-durable event ring, spooled to spool_dir/serve.flight;

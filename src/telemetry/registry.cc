@@ -34,6 +34,22 @@ Registry::histogram(std::string_view name, std::string_view description,
     return histograms_.back().histogram;
 }
 
+Gauge &
+Registry::gauge(std::string_view name, std::string_view description,
+                std::string_view label_key)
+{
+    for (GaugeEntry &entry : gauges_)
+        if (entry.name == name) {
+            AURORA_ASSERT(entry.label_key == label_key, "gauge '",
+                          entry.name, "' re-registered with label key '",
+                          label_key, "' (was '", entry.label_key, "')");
+            return entry.gauge;
+        }
+    gauges_.push_back({std::string(name), std::string(description),
+                       std::string(label_key), Gauge{}});
+    return gauges_.back().gauge;
+}
+
 const Counter *
 Registry::findCounter(std::string_view name) const
 {

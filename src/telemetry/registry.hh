@@ -1,6 +1,7 @@
 /**
  * @file
- * Metrics registry: named counters and fixed-bucket histograms.
+ * Metrics registry: named counters, fixed-bucket histograms, and
+ * point-in-time gauges.
  *
  * A Registry is the collection point for one run's metrics, in the
  * spirit of gem5's stats framework: every metric is registered with a
@@ -22,6 +23,7 @@
 #include <deque>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/stats.hh"
 #include "util/types.hh"
@@ -41,7 +43,32 @@ class Counter
     Count value_ = 0;
 };
 
-/** Ordered collection of named counters and histograms. */
+/**
+ * One named point-in-time gauge. Its owner samples it at exposition
+ * time; each set() replaces every sample, so a label that is not set
+ * again (a departed tenant) disappears from the next scrape.
+ */
+class Gauge
+{
+  public:
+    struct Sample
+    {
+        /** Label value (tenant name, ...); empty = unlabeled. */
+        std::string label;
+        double value = 0.0;
+    };
+
+    /** One unlabeled sample. */
+    void set(double value) { samples_.assign(1, Sample{{}, value}); }
+    /** One sample per label value, in the order given. */
+    void set(std::vector<Sample> samples) { samples_ = std::move(samples); }
+    const std::vector<Sample> &samples() const { return samples_; }
+
+  private:
+    std::vector<Sample> samples_;
+};
+
+/** Ordered collection of named counters, histograms and gauges. */
 class Registry
 {
   public:
@@ -65,6 +92,15 @@ class Registry
         Histogram histogram;
     };
 
+    struct GaugeEntry
+    {
+        std::string name;
+        std::string description;
+        /** Key of the samples' labels ("tenant"); empty = unlabeled. */
+        std::string label_key;
+        Gauge gauge;
+    };
+
     /**
      * Find-or-create the counter @p name. The description is recorded
      * on first registration; later calls return the existing counter.
@@ -82,6 +118,14 @@ class Registry
                          std::string_view description,
                          std::size_t num_buckets);
 
+    /**
+     * Find-or-create the gauge @p name whose samples are labeled by
+     * @p label_key (empty = unlabeled). Re-registering an existing
+     * name must agree on the label key (panics otherwise).
+     */
+    Gauge &gauge(std::string_view name, std::string_view description,
+                 std::string_view label_key = {});
+
     /** Registered counters, in registration order. */
     const std::deque<CounterEntry> &counters() const
     {
@@ -92,6 +136,8 @@ class Registry
     {
         return histograms_;
     }
+    /** Registered gauges, in registration order. */
+    const std::deque<GaugeEntry> &gauges() const { return gauges_; }
 
     /** Lookup without creating; nullptr when absent. */
     const Counter *findCounter(std::string_view name) const;
@@ -103,6 +149,7 @@ class Registry
     // sampler can hold references while later metrics are added.
     std::deque<CounterEntry> counters_;
     std::deque<HistogramEntry> histograms_;
+    std::deque<GaugeEntry> gauges_;
 };
 
 } // namespace aurora::telemetry

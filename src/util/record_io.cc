@@ -47,16 +47,6 @@ crc32(const std::string &bytes)
     return crc32(bytes.data(), bytes.size());
 }
 
-std::uint64_t
-fnv1a64(const std::string &bytes, std::uint64_t h)
-{
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 void
 ByteWriter::u32(std::uint32_t v)
 {

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "frame.hh"
+#include "hash.hh"
 #include "sim_error.hh"
 
 namespace aurora::util
@@ -44,10 +45,6 @@ std::uint32_t crc32(const void *data, std::size_t len);
 
 /** crc32 over a byte string. */
 std::uint32_t crc32(const std::string &bytes);
-
-/** FNV-1a 64-bit digest of a byte string (fingerprints, hashes). */
-std::uint64_t fnv1a64(const std::string &bytes,
-                      std::uint64_t h = 0xcbf29ce484222325ull);
 
 /** Little-endian append-only payload encoder. */
 class ByteWriter

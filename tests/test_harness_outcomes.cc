@@ -12,8 +12,10 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "faultinject/faultinject.hh"
+#include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
 
@@ -410,8 +412,8 @@ TEST(SweepPreflight, CleanGridPassesAndWarningsDoNotBlock)
 {
     SweepOptions opts;
     opts.workers = 2;
+    ASSERT_TRUE(opts.preflight);
     SweepRunner runner(opts);
-    ASSERT_TRUE(runner.preflightEnabled());
 
     // A warning-only machine (write cache narrower than the issue
     // width) must still launch: only errors gate.
@@ -422,21 +424,6 @@ TEST(SweepPreflight, CleanGridPassesAndWarningsDoNotBlock)
     const auto outcomes = runner.runOutcomes(grid);
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-}
-
-TEST(SweepPreflight, EnvironmentVariableDisablesIt)
-{
-    ASSERT_EQ(setenv("AURORA_PREFLIGHT", "0", 1), 0);
-    SweepOptions opts;
-    SweepRunner env_off(opts);
-    EXPECT_FALSE(env_off.preflightEnabled());
-    // An explicit option always beats the environment.
-    opts.preflight = true;
-    SweepRunner opt_on(opts);
-    EXPECT_TRUE(opt_on.preflightEnabled());
-    ASSERT_EQ(unsetenv("AURORA_PREFLIGHT"), 0);
-    SweepRunner fresh;
-    EXPECT_TRUE(fresh.preflightEnabled());
 }
 
 TEST(SweepPreflight, ModelAdvisorIsProvablyInert)
@@ -460,7 +447,6 @@ TEST(SweepPreflight, ModelAdvisorIsProvablyInert)
     SweepOptions on = off;
     on.model_advice = true;
     SweepRunner advised(on);
-    ASSERT_TRUE(advised.modelAdviceEnabled());
     const auto outcomes = advised.runOutcomes(grid);
 
     ASSERT_EQ(outcomes.size(), baseline.size());
@@ -490,20 +476,96 @@ TEST(SweepPreflight, ModelAdvisorIsProvablyInert)
     }
 }
 
-TEST(SweepPreflight, ModelAdvisorDefaultsOffAndEnvEnablesIt)
+TEST(SweepPreflight, ModelAdvisorDefaultsOff)
 {
-    SweepRunner fresh;
-    EXPECT_FALSE(fresh.modelAdviceEnabled());
+    EXPECT_FALSE(SweepOptions{}.model_advice);
+}
 
-    ASSERT_EQ(setenv("AURORA_PREFLIGHT_MODEL", "1", 1), 0);
-    SweepRunner env_on;
-    EXPECT_TRUE(env_on.modelAdviceEnabled());
-    // An explicit option always beats the environment.
-    SweepOptions opts;
-    opts.model_advice = false;
-    SweepRunner opt_off(opts);
-    EXPECT_FALSE(opt_off.modelAdviceEnabled());
-    ASSERT_EQ(unsetenv("AURORA_PREFLIGHT_MODEL"), 0);
+/**
+ * Sets hostile values for every environment variable that once
+ * overrode sweep policy, and unsets them all on scope exit.
+ */
+class HostileSweepEnvironment
+{
+  public:
+    HostileSweepEnvironment()
+    {
+        for (const auto &[name, value] : VARS)
+            EXPECT_EQ(setenv(name, value, 1), 0) << name;
+    }
+
+    ~HostileSweepEnvironment()
+    {
+        for (const auto &[name, value] : VARS)
+            unsetenv(name);
+    }
+
+  private:
+    static constexpr std::pair<const char *, const char *> VARS[] = {
+        {"AURORA_WATCHDOG_CYCLES", "1"},
+        {"AURORA_SWEEP_DEADLINE_MS", "1"},
+        {"AURORA_SWEEP_RETRIES", "3"},
+        {"AURORA_SWEEP_BACKOFF_MS", "1"},
+        {"AURORA_PREFLIGHT", "0"},
+        {"AURORA_PREFLIGHT_MODEL", "1"},
+        {"AURORA_PROGRESS", "1"},
+    };
+};
+
+/** Outcome fields the environment once changed, job by job. */
+void
+expectSameOutcome(const SweepOutcome &a, const SweepOutcome &b)
+{
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.attempts, b.attempts);
+    if (!a.ok || !b.ok) {
+        EXPECT_EQ(a.code, b.code);
+        return;
+    }
+    expectRunEq(a.result, b.result);
+}
+
+TEST(SweepPolicy, EnvironmentNoLongerChangesAGrid)
+{
+    // Sweep policy is SweepOptions and nothing else: a grid run with
+    // default options gives the same outcomes and attempts whatever
+    // the environment says.
+    std::vector<SweepJob> grid;
+    for (const auto &name : {"espresso", "li", "nasa7"})
+        grid.push_back(
+            {baselineModel(), trace::profileByName(name), 5000});
+    // runJob skips the preflight, so an invalid machine reaches a
+    // worker and fails there: its attempt count shows the retry
+    // policy in force.
+    std::vector<SweepJob> sub_grid = grid;
+    sub_grid.push_back({fi::poisonConfig(baselineModel(),
+                                         fi::ConfigFault::ZeroRob),
+                        trace::gcc(), 5000});
+    const std::vector<std::size_t> indices = {0, 1, 2, 3};
+
+    const auto plain = SweepRunner().runOutcomes(grid);
+    const auto plain_records = runJob(sub_grid, indices, {});
+    ASSERT_FALSE(plain_records.back().outcome.ok);
+
+    const HostileSweepEnvironment hostile;
+    const auto outcomes = SweepRunner().runOutcomes(grid);
+    ASSERT_EQ(outcomes.size(), plain.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        SCOPED_TRACE("runOutcomes job " + std::to_string(i));
+        EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
+        expectSameOutcome(outcomes[i], plain[i]);
+    }
+    const auto records = runJob(sub_grid, indices, {});
+    ASSERT_EQ(records.size(), plain_records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        SCOPED_TRACE("runJob job " + std::to_string(i));
+        expectSameOutcome(records[i].outcome, plain_records[i].outcome);
+    }
+
+    // The preflight still rejects a lint-error grid.
+    SweepRunner gated;
+    EXPECT_THROW(gated.runOutcomes(poisonedGrid().jobs), util::SimError);
+    EXPECT_EQ(gated.report().jobs, 0u);
 }
 
 TEST(SweepOutcomes, RetryBackoffDelaysTheSecondAttempt)

@@ -43,19 +43,14 @@ sampleRegistry()
 
 TEST(RenderPrometheus, EmitsCountersHistogramsAndGauges)
 {
-    const auto registry = sampleRegistry();
-    std::vector<obs::Gauge> gauges;
-    gauges.push_back(
-        obs::gauge("serve.queued_jobs", "jobs waiting", 7));
-    obs::Gauge tenants;
-    tenants.name = "serve.tenant_inflight";
-    tenants.description = "inflight jobs per tenant";
-    tenants.label_key = "tenant";
-    tenants.values.push_back({"alice", 2});
-    tenants.values.push_back({"bo\"b", 1});
-    gauges.push_back(tenants);
+    auto registry = sampleRegistry();
+    registry.gauge("serve.queued_jobs", "jobs waiting").set(7);
+    registry
+        .gauge("serve.tenant_inflight", "inflight jobs per tenant",
+               "tenant")
+        .set({{"alice", 2}, {"bo\"b", 1}});
 
-    const std::string text = obs::renderPrometheus(registry, gauges);
+    const std::string text = obs::renderPrometheus(registry);
     EXPECT_NE(text.find("# TYPE aurora_serve_submits counter"),
               std::string::npos);
     EXPECT_NE(text.find("aurora_serve_submits 3"), std::string::npos);
@@ -80,22 +75,41 @@ TEST(RenderPrometheus, EmitsCountersHistogramsAndGauges)
         std::string::npos);
 }
 
+TEST(RenderPrometheus, GaugeSetReplacesEverySample)
+{
+    telemetry::Registry registry;
+    auto &inflight = registry.gauge("serve.tenant_inflight",
+                                    "inflight jobs per tenant", "tenant");
+    inflight.set({{"alice", 2}, {"bob", 1}});
+    EXPECT_NE(obs::renderPrometheus(registry).find("tenant=\"bob\""),
+              std::string::npos);
+    // A departed tenant's series disappears from the next scrape.
+    inflight.set({{"alice", 1}});
+    const std::string text = obs::renderPrometheus(registry);
+    EXPECT_EQ(text.find("tenant=\"bob\""), std::string::npos) << text;
+    EXPECT_NE(
+        text.find("aurora_serve_tenant_inflight{tenant=\"alice\"} 1"),
+        std::string::npos)
+        << text;
+    EXPECT_EQ(&registry.gauge("serve.tenant_inflight", "", "tenant"),
+              &inflight);
+}
+
 TEST(RenderPrometheus, TwoScrapesOfIdleStateAreByteIdentical)
 {
-    const auto registry = sampleRegistry();
-    const std::vector<obs::Gauge> gauges{
-        obs::gauge("serve.sessions", "connected sessions", 0)};
-    EXPECT_EQ(obs::renderPrometheus(registry, gauges),
-              obs::renderPrometheus(registry, gauges));
-    EXPECT_EQ(obs::renderMetricsJson(registry, gauges),
-              obs::renderMetricsJson(registry, gauges));
+    auto registry = sampleRegistry();
+    registry.gauge("serve.sessions", "connected sessions").set(0);
+    EXPECT_EQ(obs::renderPrometheus(registry),
+              obs::renderPrometheus(registry));
+    EXPECT_EQ(obs::renderMetricsJson(registry),
+              obs::renderMetricsJson(registry));
 }
 
 TEST(RenderMetricsJson, CarriesSchemaTagAndValues)
 {
-    const auto registry = sampleRegistry();
-    const std::string json = obs::renderMetricsJson(
-        registry, {obs::gauge("serve.queued_jobs", "queue", 4)});
+    auto registry = sampleRegistry();
+    registry.gauge("serve.queued_jobs", "queue").set(4);
+    const std::string json = obs::renderMetricsJson(registry);
     EXPECT_NE(json.find("\"aurora.metrics.v1\""), std::string::npos);
     EXPECT_NE(json.find("\"serve.submits\""), std::string::npos);
     EXPECT_NE(json.find("\"serve.queued_jobs\""), std::string::npos);

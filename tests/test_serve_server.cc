@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/config_io.hh"
+#include "faultinject/faultinject.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "serve/server.hh"
@@ -573,6 +575,74 @@ TEST(ServeServer, SigkillMidGridResumesBitIdentical)
     EXPECT_EQ(stream.done.ok, profiles.size());
     EXPECT_GE(stream.done.resumed, 1u);
     expectBitIdentical(stream, runSerial(profiles, 150'000, 77));
+}
+
+TEST(ServeServer, ResumeReauditsJournaledResults)
+{
+    auto config = baseConfig("serve_audit_resume");
+    const auto socket_path = config.socket_path;
+    const auto spool_dir = config.spool_dir;
+    const std::vector<std::string> profiles = {"espresso", "li",
+                                               "eqntott"};
+
+    std::uint64_t fingerprint = 0;
+    {
+        TestDaemon daemon(std::move(config));
+        Client client(socket_path, "alice");
+        client.send(wire::encode(smallSubmit(profiles, 3000, 61)));
+        fingerprint = wire::decodeAccepted(mustRecv(client)).fingerprint;
+        ASSERT_EQ(streamToDone(client, fingerprint).done.ok,
+                  profiles.size());
+    }
+
+    // Rot one journaled result: a miscounted stall, re-encoded so its
+    // record is CRC-valid and only the audit can tell.
+    char name[32];
+    std::snprintf(name, sizeof name, "%016llx",
+                  static_cast<unsigned long long>(fingerprint));
+    const std::string journal_path =
+        spool_dir + "/" + name + ".ajrn";
+    harness::LoadedJournal loaded = harness::loadJournal(journal_path);
+    ASSERT_EQ(loaded.records.size(), profiles.size());
+    faultinject::miscountStall(loaded.records[1].outcome.result, 7);
+    {
+        harness::JournalWriter rewrite(journal_path, loaded.fingerprint,
+                                       loaded.jobs);
+        for (const harness::JournalRecord &rec : loaded.records)
+            rewrite.append(rec);
+    }
+
+    // Under AURORA_AUDIT the restarted daemon must reject the record
+    // and rerun the grid, not replay the bad result. The suite's own
+    // AURORA_AUDIT setting comes back on scope exit.
+    struct RestoreAudit
+    {
+        const char *old = std::getenv("AURORA_AUDIT");
+        std::string saved = old ? old : "";
+        ~RestoreAudit()
+        {
+            if (old)
+                setenv("AURORA_AUDIT", saved.c_str(), 1);
+            else
+                unsetenv("AURORA_AUDIT");
+        }
+    } restore_audit;
+    ASSERT_EQ(setenv("AURORA_AUDIT", "1", 1), 0);
+    serve::ServerConfig next;
+    next.socket_path = socket_path;
+    next.spool_dir = spool_dir;
+    next.workers = 2;
+    TestDaemon daemon(std::move(next));
+    EXPECT_EQ(daemon.server().resumedGrids(), 1u);
+    EXPECT_EQ(daemon.server().resumedJobs(), 0u);
+
+    Client client(socket_path, "alice");
+    client.send(wire::encode(wire::AttachMsg{fingerprint}));
+    ASSERT_EQ(wire::peekType(mustRecv(client)), wire::MsgType::Accepted);
+    const GridStream stream = streamToDone(client, fingerprint);
+    EXPECT_EQ(stream.done.ok, profiles.size());
+    EXPECT_EQ(stream.done.resumed, 0u);
+    expectBitIdentical(stream, runSerial(profiles, 3000, 61));
 }
 
 TEST(ServeServer, StatusReportCountsWork)
