@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -205,33 +208,71 @@ namespace
 
 using Unit = SweepRunner::Unit;
 using UnitAttempt = SweepRunner::UnitAttempt;
+using UnitStart = SweepRunner::UnitStart;
+
+/** What grid jobs @p members replay, and on which machines. */
+struct UnitInputs
+{
+    trace::WorkloadProfile profile;
+    std::vector<core::MachineConfig> machines;
+    Count instructions;
+};
 
 /**
- * The attempt that runs grid jobs. Its members replay one trace (a
- * unit from planUnits, or one job retried alone), so they run through
- * one core::simulateShared() call. Seed derivation and watchdog policy
- * resolve once here, so run() and runOutcomes() simulate each job
+ * Resolve a unit of grid jobs (a group from planUnits, or one job
+ * retried alone): its members replay one trace. Seed derivation
+ * resolves once here, so run() and runOutcomes() simulate each job
  * identically (healthy results stay bit-comparable between the two).
- * SweepOptions::deadline_ms fills the watchdog's wall-clock deadline
- * only where the watchdog policy left it unset.
  */
-UnitAttempt
-gridAttempt(const std::vector<SweepJob> &grid, const SweepOptions &options)
+UnitInputs
+unitInputs(const std::vector<SweepJob> &grid,
+           std::span<const std::size_t> members,
+           const std::optional<std::uint64_t> &base_seed)
+{
+    const SweepJob &lead = grid[members.front()];
+    UnitInputs in{lead.profile, {}, lead.instructions};
+    in.profile.seed = jobSeed(lead, base_seed);
+    in.machines.reserve(members.size());
+    for (const std::size_t i : members)
+        in.machines.push_back(grid[i].machine);
+    return in;
+}
+
+/**
+ * The watchdog grid jobs run under: SweepOptions::deadline_ms fills
+ * its wall-clock deadline only where the policy left it unset.
+ */
+core::WatchdogConfig
+gridWatchdog(const SweepOptions &options)
 {
     core::WatchdogConfig watchdog = options.watchdog;
     if (watchdog.deadline_ms == 0)
         watchdog.deadline_ms = options.deadline_ms;
-    return [&grid, &options, watchdog](std::span<const std::size_t> members) {
-        const SweepJob &lead = grid[members.front()];
-        trace::WorkloadProfile profile = lead.profile;
-        profile.seed = jobSeed(lead, options.base_seed);
-        std::vector<core::MachineConfig> machines;
-        machines.reserve(members.size());
-        for (const std::size_t i : members)
-            machines.push_back(grid[i].machine);
+    return watchdog;
+}
+
+/** A first attempt of grid jobs: one lockstep unit the pool steps. */
+UnitStart
+gridStart(const std::vector<SweepJob> &grid, const SweepOptions &options)
+{
+    return [&grid, &options, watchdog = gridWatchdog(options)](
+               std::span<const std::size_t> members) {
+        const UnitInputs in = unitInputs(grid, members, options.base_seed);
+        return std::make_unique<core::LockstepUnit>(
+            in.machines, in.profile, in.instructions, watchdog);
+    };
+}
+
+/** A whole attempt of grid jobs (a retry): core::simulateShared(). */
+UnitAttempt
+gridAttempt(const std::vector<SweepJob> &grid, const SweepOptions &options)
+{
+    return [&grid, &options, watchdog = gridWatchdog(options)](
+               std::span<const std::size_t> members) {
+        const UnitInputs in = unitInputs(grid, members, options.base_seed);
         try {
-            return core::simulateShared(machines, profile,
-                                        lead.instructions, watchdog);
+            return core::simulateShared(in.machines, in.profile,
+                                        in.instructions, watchdog);
         } catch (...) {
             // The shared trace itself failed: so did every member.
             core::SharedRun run;
@@ -386,6 +427,195 @@ class ProgressMeter
     std::function<void(const SweepProgress &)> callback_;
 };
 
+/**
+ * Hands out a grid's units, then lockstep machines, to idle workers.
+ * A worker first takes the next unstarted unit. Once none is left it
+ * asks the running piece with the most machine-instructions left, and
+ * at least two live machines, to split at its next round boundary, and
+ * runs the half it gets. A worker leaves once nothing is left to start
+ * and nothing can be split.
+ */
+class StealPool
+{
+  public:
+    /** A part of one unit's first attempt, run on one worker. */
+    struct Piece
+    {
+        std::size_t unit = 0;
+        /** When the unit's first attempt began (span clock). */
+        double start_us = 0.0;
+        /** Null for a unit not yet started. */
+        std::unique_ptr<core::LockstepUnit> lockstep;
+    };
+
+    /** A thief's ask: answered with a piece, or with nothing. */
+    struct Ask
+    {
+        std::optional<Piece> piece;
+        bool answered = false;
+    };
+
+    /**
+     * A lockstep piece while its worker steps it, stealable from
+     * construction to destruction. The worker calls poll() before
+     * every round; a destroyed piece answers a late ask with nothing.
+     */
+    class Running
+    {
+      public:
+        /** @p fresh: @p piece runs a unit next() handed out. */
+        Running(StealPool &pool, const Piece &piece, bool fresh)
+            : pool_(pool), piece_(piece)
+        {
+            publish();
+            const std::lock_guard lock(pool_.mutex_);
+            pool_.running_.push_back(this);
+            pool_.starting_ -= fresh ? 1 : 0;
+            pool_.changed_.notify_all();
+        }
+
+        ~Running()
+        {
+            const std::lock_guard lock(pool_.mutex_);
+            if (ask_)
+                reply(std::nullopt);
+            std::erase(pool_.running_, this);
+            pool_.changed_.notify_all();
+        }
+
+        Running(const Running &) = delete;
+        Running &operator=(const Running &) = delete;
+
+        /** Between rounds: publish the counts and answer an ask,
+         *  splitting if two machines are live. */
+        void
+        poll()
+        {
+            publish();
+            if (!asked_.load(std::memory_order_relaxed))
+                return;
+            const std::lock_guard lock(pool_.mutex_);
+            std::optional<Piece> half;
+            if (piece_.lockstep->live() >= 2) {
+                half = Piece{piece_.unit, piece_.start_us,
+                             piece_.lockstep->split()};
+                ++pool_.splits_;
+                publish();
+            }
+            reply(std::move(half));
+        }
+
+      private:
+        friend class StealPool;
+
+        void
+        publish()
+        {
+            live_.store(piece_.lockstep->live(), std::memory_order_relaxed);
+            remaining_.store(piece_.lockstep->remaining(),
+                             std::memory_order_relaxed);
+        }
+
+        /** Under the pool mutex. */
+        void
+        reply(std::optional<Piece> half)
+        {
+            ask_->piece = std::move(half);
+            ask_->answered = true;
+            ask_ = nullptr;
+            asked_.store(false, std::memory_order_relaxed);
+            pool_.changed_.notify_all();
+        }
+
+        StealPool &pool_;
+        const Piece &piece_;
+        std::atomic<std::size_t> live_{0};
+        std::atomic<Count> remaining_{0};
+        /** A thief's pending ask (under the pool mutex). */
+        Ask *ask_ = nullptr;
+        /** Set with ask_, read lock-free between rounds. */
+        std::atomic<bool> asked_{false};
+    };
+
+    explicit StealPool(std::size_t units) : units_(units) {}
+
+    /**
+     * Block until there is work: an unstarted unit, or a split-off
+     * piece. Empty once nothing is left (or after stop()).
+     */
+    std::optional<Piece>
+    next()
+    {
+        std::unique_lock lock(mutex_);
+        for (;;) {
+            if (stopped_)
+                return std::nullopt;
+            if (next_unit_ < units_) {
+                ++starting_;
+                return Piece{next_unit_++, 0.0, nullptr};
+            }
+            Running *victim = nullptr;
+            bool waiting = false;
+            for (Running *r : running_) {
+                waiting |= r->ask_ != nullptr;
+                if (r->ask_ ||
+                    r->live_.load(std::memory_order_relaxed) < 2)
+                    continue;
+                if (!victim ||
+                    r->remaining_.load(std::memory_order_relaxed) >
+                        victim->remaining_.load(std::memory_order_relaxed))
+                    victim = r;
+            }
+            if (victim) {
+                Ask ask;
+                victim->ask_ = &ask;
+                victim->asked_.store(true, std::memory_order_relaxed);
+                changed_.wait(lock, [&] { return ask.answered; });
+                if (ask.piece)
+                    return std::move(ask.piece);
+                continue;
+            }
+            // A unit being built, or a split in flight, may leave a
+            // piece worth splitting.
+            if (!waiting && starting_ == 0)
+                return std::nullopt;
+            changed_.wait(lock);
+        }
+    }
+
+    /** A unit next() handed out will not become a lockstep piece. */
+    void
+    started()
+    {
+        const std::lock_guard lock(mutex_);
+        --starting_;
+        changed_.notify_all();
+    }
+
+    /** Start nothing more (a worker failed outside any job). */
+    void
+    stop()
+    {
+        const std::lock_guard lock(mutex_);
+        stopped_ = true;
+        changed_.notify_all();
+    }
+
+    /** Pieces split off so far. */
+    std::size_t splits() const { return splits_; }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable changed_;
+    const std::size_t units_;
+    std::size_t next_unit_ = 0;
+    /** Units handed out that may yet become lockstep pieces. */
+    std::size_t starting_ = 0;
+    std::vector<Running *> running_;
+    std::size_t splits_ = 0;
+    bool stopped_ = false;
+};
+
 } // namespace
 
 std::vector<SweepRunner::Unit>
@@ -444,9 +674,8 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
         adviseGrid(grid, options_.watchdog);
     std::vector<std::size_t> all(grid.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
-    return runFailFast(grid.size(),
-                       planUnits(grid, all, options_.base_seed, workers()),
-                       gridAttempt(grid, options_));
+    return runFailFast(grid.size(), planUnits(grid, all, options_.base_seed, 1),
+                       gridAttempt(grid, options_), gridStart(grid, options_));
 }
 
 std::vector<SweepOutcome>
@@ -486,9 +715,9 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
         on_complete = [&](std::size_t i, const SweepOutcome &out) {
             writer->append(jobRecord(grid[i], i, options_.base_seed, out));
         };
-    executeOutcomes(outcomes,
-                    planUnits(grid, pending, options_.base_seed, workers()),
-                    gridAttempt(grid, options_), on_complete);
+    executeOutcomes(outcomes, planUnits(grid, pending, options_.base_seed, 1),
+                    gridAttempt(grid, options_), gridStart(grid, options_),
+                    on_complete);
     return outcomes;
 }
 
@@ -497,7 +726,7 @@ SweepRunner::runTasks(
     const std::vector<std::function<core::RunResult()>> &tasks)
 {
     return runFailFast(tasks.size(), singletons(tasks.size()),
-                       taskAttempt(tasks));
+                       taskAttempt(tasks), {});
 }
 
 std::vector<SweepOutcome>
@@ -506,17 +735,18 @@ SweepRunner::runTaskOutcomes(
 {
     std::vector<SweepOutcome> outcomes(tasks.size());
     executeOutcomes(outcomes, singletons(tasks.size()), taskAttempt(tasks),
-                    {});
+                    {}, {});
     return outcomes;
 }
 
 std::vector<core::RunResult>
 SweepRunner::runFailFast(std::size_t n, const std::vector<Unit> &units,
-                         const UnitAttempt &attempt)
+                         const UnitAttempt &attempt,
+                         const UnitStart &lockstep)
 {
     std::vector<SweepOutcome> outcomes(n);
     std::exception_ptr first_error;
-    executeOutcomes(outcomes, units, attempt, {}, &first_error);
+    executeOutcomes(outcomes, units, attempt, lockstep, {}, &first_error);
     if (first_error)
         std::rethrow_exception(first_error);
     std::vector<core::RunResult> results;
@@ -529,7 +759,7 @@ SweepRunner::runFailFast(std::size_t n, const std::vector<Unit> &units,
 void
 SweepRunner::executeOutcomes(
     std::vector<SweepOutcome> &outcomes, const std::vector<Unit> &units,
-    const UnitAttempt &attempt,
+    const UnitAttempt &attempt, const UnitStart &lockstep,
     const std::function<void(std::size_t, const SweepOutcome &)>
         &on_complete,
     std::exception_ptr *first_error)
@@ -572,74 +802,132 @@ SweepRunner::executeOutcomes(
                              out.ok ? std::string() : out.error);
     };
 
-    // The body never throws: every failure is captured into its
-    // outcome slot, so one poisoned job cannot abort the grid and
-    // parallelFor's fail-fast path stays untouched.
-    parallelFor(units.size(), pool, [&](std::size_t u) {
-        const Unit &unit = units[u];
-        const double unit_start = now_us();
-        const bool started = !cancelled();
-        core::SharedRun first;
-        if (started)
-            first = attempt(unit);
-        synthesized += first.synthesized;
-        for (std::size_t k = 0; k < unit.size(); ++k) {
-            const std::size_t i = unit[k];
-            SweepOutcome &out = outcomes[i];
-            std::string label;
-            if (!started) {
-                out.ok = false;
+    // Close job @p i's first attempt @p first (null: never started),
+    // begun at @p start, and retry it alone while it fails. Never
+    // throws but for on_complete and the progress callback.
+    const auto complete = [&](std::size_t i, core::SharedMachineRun *first,
+                              double start) {
+        SweepOutcome &out = outcomes[i];
+        std::string label;
+        if (!first) {
+            out.ok = false;
+            out.code = util::SimErrorCode::Cancelled;
+            out.error = "cancelled before execution";
+            out.attempts = 0;
+            if (first_error)
+                return; // skipped: never done, never reported
+        } else {
+            recordAttempt(out, *first);
+            out.attempts = 1;
+            out.seconds = first->seconds;
+            close_attempt(i, 1, start, label);
+            // The first failure of a fail-fast run keeps its original
+            // exception and stops the grid.
+            if (first_error && !out.ok && !stop.exchange(true))
+                *first_error = first->error;
+        }
+        // Retry a failed member alone. A deadline expiry is
+        // deterministic for a hung simulation: retrying would only
+        // re-spend the whole deadline.
+        for (unsigned attempt_no = 2;
+             first && !out.ok && out.code != util::SimErrorCode::Timeout &&
+             attempt_no <= max_attempts;
+             ++attempt_no) {
+            if (cancelled()) {
                 out.code = util::SimErrorCode::Cancelled;
-                out.error = "cancelled before execution";
-                out.attempts = 0;
-                if (first_error)
-                    continue; // skipped: never done, never reported
-            } else {
-                recordAttempt(out, first.machines[k]);
-                out.attempts = 1;
-                out.seconds = first.machines[k].seconds;
-                close_attempt(i, 1, unit_start, label);
-                // The first failure of a fail-fast run keeps its
-                // original exception and stops the grid.
-                if (first_error && !out.ok && !stop.exchange(true))
-                    *first_error = first.machines[k].error;
+                out.error = "cancelled before retry";
+                break;
             }
-            // Retry a failed member alone. A deadline expiry is
-            // deterministic for a hung simulation: retrying would
-            // only re-spend the whole deadline.
-            for (unsigned attempt_no = 2;
-                 started && !out.ok &&
-                 out.code != util::SimErrorCode::Timeout &&
-                 attempt_no <= max_attempts;
-                 ++attempt_no) {
-                if (cancelled()) {
-                    out.code = util::SimErrorCode::Cancelled;
-                    out.error = "cancelled before retry";
-                    break;
+            const WallTimer retry_timer;
+            if (backoff)
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    backoffDelayMs(backoff, attempt_no)));
+            out.attempts = attempt_no;
+            const double retry_start = now_us();
+            core::SharedRun again = attempt(std::span(&i, 1));
+            synthesized += again.synthesized;
+            recordAttempt(out, again.machines.front());
+            out.seconds += retry_timer.seconds();
+            close_attempt(i, attempt_no, retry_start, label);
+        }
+        if (span_log && out.attempts > 0)
+            span_log->addJob(spanJob(i), label, start, now_us());
+        if (on_complete)
+            on_complete(i, out);
+        if (meter.enabled())
+            meter.onOutcome(out);
+    };
+
+    // Step a lockstep piece to its end, splitting it for thieves
+    // between rounds, then close its members.
+    StealPool steal(units.size());
+    const auto run_piece = [&](StealPool::Piece &piece, bool fresh) {
+        {
+            StealPool::Running running(steal, piece, fresh);
+            for (bool more = true; more; more = piece.lockstep->step())
+                running.poll();
+        }
+        synthesized += piece.lockstep->synthesized();
+        const Unit &unit = units[piece.unit];
+        for (auto &[k, run] : piece.lockstep->take())
+            complete(unit[k], &run, piece.start_us);
+    };
+
+    // Start a unit's first attempt: a lockstep unit when the jobs
+    // share a trace, else the whole attempt at once.
+    const auto run_unit = [&](StealPool::Piece &piece) {
+        const Unit &unit = units[piece.unit];
+        piece.start_us = now_us();
+        if (lockstep && !cancelled()) {
+            try {
+                piece.lockstep = lockstep(unit);
+            } catch (...) {
+                // The shared trace itself failed: so did every member.
+                steal.started();
+                core::SharedMachineRun failed;
+                failed.error = std::current_exception();
+                for (const std::size_t i : unit) {
+                    core::SharedMachineRun run = failed;
+                    complete(i, &run, piece.start_us);
                 }
-                const WallTimer retry_timer;
-                if (backoff)
-                    std::this_thread::sleep_for(std::chrono::milliseconds(
-                        backoffDelayMs(backoff, attempt_no)));
-                out.attempts = attempt_no;
-                const double start = now_us();
-                core::SharedRun again = attempt(std::span(&i, 1));
-                synthesized += again.synthesized;
-                recordAttempt(out, again.machines.front());
-                out.seconds += retry_timer.seconds();
-                close_attempt(i, attempt_no, start, label);
+                return;
             }
-            if (span_log && out.attempts > 0)
-                span_log->addJob(spanJob(i), label,
-                                 unit_start, now_us());
-            if (on_complete)
-                on_complete(i, out);
-            if (meter.enabled())
-                meter.onOutcome(out);
+            run_piece(piece, true);
+            return;
+        }
+        steal.started();
+        if (cancelled()) {
+            for (const std::size_t i : unit)
+                complete(i, nullptr, piece.start_us);
+            return;
+        }
+        core::SharedRun first = attempt(unit);
+        synthesized += first.synthesized;
+        for (std::size_t k = 0; k < unit.size(); ++k)
+            complete(unit[k], &first.machines[k], piece.start_us);
+    };
+
+    // One loop per worker. Failures are captured into outcome slots;
+    // only a journal or progress callback can throw, which stops the
+    // pool and propagates through parallelFor.
+    const unsigned threads = static_cast<unsigned>(
+        std::min<std::size_t>(pool, std::max<std::size_t>(n, 1)));
+    parallelFor(threads, threads, [&](std::size_t) {
+        try {
+            while (std::optional<StealPool::Piece> piece = steal.next()) {
+                if (piece->lockstep)
+                    run_piece(*piece, false);
+                else
+                    run_unit(*piece);
+            }
+        } catch (...) {
+            steal.stop();
+            throw;
         }
     });
     accountOutcomes(outcomes, wall.seconds(), synthesized.load(),
                     first_error != nullptr);
+    report_.splits += steal.splits();
 }
 
 std::size_t

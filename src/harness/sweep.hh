@@ -22,8 +22,9 @@
  * the profiles' own seeds are kept, which keeps traces identical
  * across machine variants (paired comparisons, the paper's
  * methodology). run() and runOutcomes() then run the jobs that replay
- * one trace as lockstep units over a single synthesized stream
- * (core::simulateShared; docs/harness.md, "Shared-trace lockstep").
+ * one trace as lockstep units over a single synthesized stream, which
+ * idle workers split (core::LockstepUnit; docs/harness.md,
+ * "Shared-trace lockstep").
  *
  * Fault isolation: every entry point runs through one executor that
  * captures each job's error into a SweepOutcome. runOutcomes()/
@@ -41,6 +42,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -255,8 +257,8 @@ struct SweepOutcome
     unsigned attempts = 1;
     /**
      * Host seconds across all attempts of this job. An attempt in a
-     * lockstep unit counts the job's own stepping plus an equal share
-     * of the unit's trace synthesis; a retry counts its wall time.
+     * lockstep unit counts the job's own stepping plus its share of
+     * the trace synthesis it read; a retry counts its wall time.
      */
     double seconds = 0.0;
     /**
@@ -303,6 +305,8 @@ struct SweepReport
     /** Jobs never attempted: units not yet started when a fail-fast
      *  run stopped on its first failure. */
     std::size_t skipped_jobs = 0;
+    /** Lockstep units split to feed an idle worker (cumulative). */
+    std::size_t splits = 0;
     /** Jobs cancelled through SweepOptions::cancel before executing
      *  (subset of neither ok nor failed; the balance becomes
      *  jobs == ok + failed + timed_out + skipped + cancelled). */
@@ -380,16 +384,27 @@ class SweepRunner
     using UnitAttempt =
         std::function<core::SharedRun(std::span<const std::size_t>)>;
 
+    /**
+     * Start the first attempt of jobs @p members that replay one
+     * trace, as a lockstep unit the pool steps and may split.
+     */
+    using UnitStart = std::function<std::unique_ptr<core::LockstepUnit>(
+        std::span<const std::size_t>)>;
+
   private:
     /**
-     * The one executor behind every entry point: runs each unit
-     * through the pool with per-job isolation, then retries each
-     * failed member alone with deterministic backoff, except Timeouts,
-     * and folds the grid into report_. Writes the outcome of every job
-     * in @p units to its slot of @p outcomes; jobs outside @p units
-     * (journal replays) count as already done for the heartbeat.
-     * @p on_complete (when set) observes each finished outcome from
-     * its worker thread — the journal write-through hook.
+     * The one executor behind every entry point: runs the units on
+     * the pool with per-job isolation, then retries each failed
+     * member alone through @p attempt with deterministic backoff,
+     * except Timeouts, and folds the grid into report_. With
+     * @p lockstep set, a unit's first attempt is a lockstep unit that an
+     * idle worker may split once no unit is left to start
+     * (docs/harness.md, "Inside a unit"); without, @p attempt runs it
+     * whole. Writes the outcome of every job in @p units to its slot
+     * of @p outcomes; jobs outside @p units (journal replays) count
+     * as already done for the heartbeat. @p on_complete (when set)
+     * observes each finished outcome from its worker thread — the
+     * journal write-through hook.
      *
      * Fail-fast when @p first_error is set: one attempt per job, and
      * the first member failure stores its exception there and stops
@@ -398,7 +413,7 @@ class SweepRunner
      */
     void executeOutcomes(
         std::vector<SweepOutcome> &outcomes, const std::vector<Unit> &units,
-        const UnitAttempt &attempt,
+        const UnitAttempt &attempt, const UnitStart &lockstep,
         const std::function<void(std::size_t, const SweepOutcome &)>
             &on_complete,
         std::exception_ptr *first_error = nullptr);
@@ -407,7 +422,8 @@ class SweepRunner
      *  the first failure's exception. */
     std::vector<core::RunResult> runFailFast(std::size_t n,
                                              const std::vector<Unit> &units,
-                                             const UnitAttempt &attempt);
+                                             const UnitAttempt &attempt,
+                                             const UnitStart &lockstep);
 
     /** Fold a grid-ordered outcome vector into report_; a job that
      *  never started counts as skipped when @p fail_fast, else as
@@ -424,13 +440,15 @@ class SweepRunner
 };
 
 /**
- * Shared-trace lockstep (docs/harness.md, "Unit rule"): group the
- * @p pending grid jobs that replay one trace (equal effective profile,
- * job seed included, and instruction count). At one worker a group is
- * one unit; otherwise it is cut into ceil(min(pending, 3 x workers) /
- * groups) near-equal units, at most one per job. Groups keep their
- * first job's grid order, units keep job order. SweepRunner plans over
- * its threads, shard::Swarm over its shards.
+ * Shared-trace lockstep: group the @p pending grid jobs that replay
+ * one trace (equal effective profile, job seed included, and
+ * instruction count). At one worker a group is one unit; otherwise it
+ * is cut into ceil(min(pending, 3 x workers) / groups) near-equal
+ * units, at most one per job (docs/distributed.md, "Units"). Groups
+ * keep their first job's grid order, units keep job order. SweepRunner
+ * plans at one worker and splits running units for idle threads
+ * instead (docs/harness.md, "Unit rule"); shard::Swarm plans over its
+ * shards.
  */
 std::vector<SweepRunner::Unit>
 planUnits(const std::vector<SweepJob> &grid,

@@ -19,6 +19,7 @@
 #include "trace/synthetic_workload.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -30,11 +31,7 @@ using analyze::TraceReport;
 using analyze::verifyTrace;
 namespace fi = aurora::faultinject;
 
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
+using aurora::test::tempPath;
 
 std::size_t
 countId(const TraceReport &report, const std::string &id)

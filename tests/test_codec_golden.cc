@@ -26,6 +26,7 @@
 #include "shard/shard_wire.hh"
 #include "util/record_io.hh"
 #include "util/socket.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -37,11 +38,7 @@ using aurora::test::toHex;
 namespace awp = serve::wire;
 namespace asw = shard::wire;
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 /** Every complete record payload of a record file, in order. */
 std::vector<std::string>

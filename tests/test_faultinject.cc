@@ -23,6 +23,7 @@
 #include "trace/synthetic_workload.hh"
 #include "trace/trace_io.hh"
 #include "util/sim_error.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -108,15 +109,13 @@ TEST(FaultInject, EveryTraceFaultIsCaught)
     namespace fs = std::filesystem;
     trace::SyntheticWorkload w(trace::espresso());
     const auto insts = trace::collect(w, 64);
-    const std::string pristine =
-        std::string(::testing::TempDir()) + "fi_pristine.aur3";
+    const std::string pristine = test::tempPath("fi_pristine.aur3");
     trace::writeTrace(pristine, insts);
 
     for (std::size_t k = 0; k < fi::NUM_TRACE_FAULTS; ++k) {
         const auto fault = static_cast<fi::TraceFault>(k);
         SCOPED_TRACE(fi::traceFaultName(fault));
-        const std::string victim = std::string(::testing::TempDir()) +
-                                   "fi_victim.aur3";
+        const std::string victim = test::tempPath("fi_victim.aur3");
         fs::copy_file(pristine, victim,
                       fs::copy_options::overwrite_existing);
         fi::corruptTraceFile(victim, fault, /*seed=*/k);
@@ -191,14 +190,12 @@ TEST(FaultInject, EveryTraceFaultHasAStableVerifierDiagnostic)
 
     trace::SyntheticWorkload w(trace::espresso());
     const auto insts = trace::collect(w, 64);
-    const std::string pristine =
-        std::string(::testing::TempDir()) + "fi_lint_pristine.aur3";
+    const std::string pristine = test::tempPath("fi_lint_pristine.aur3");
     trace::writeTrace(pristine, insts);
 
     for (const auto &c : expected) {
         SCOPED_TRACE(fi::traceFaultName(c.fault));
-        const std::string victim = std::string(::testing::TempDir()) +
-                                   "fi_lint_victim.aur3";
+        const std::string victim = test::tempPath("fi_lint_victim.aur3");
         fs::copy_file(pristine, victim,
                       fs::copy_options::overwrite_existing);
         fi::corruptTraceFile(victim, c.fault, /*seed=*/3);
@@ -218,10 +215,8 @@ TEST(FaultInject, OpClassCorruptionPicksVictimBySeed)
     namespace fs = std::filesystem;
     trace::SyntheticWorkload w(trace::espresso());
     const auto insts = trace::collect(w, 64);
-    const std::string a =
-        std::string(::testing::TempDir()) + "fi_seed_a.aur3";
-    const std::string b =
-        std::string(::testing::TempDir()) + "fi_seed_b.aur3";
+    const std::string a = test::tempPath("fi_seed_a.aur3");
+    const std::string b = test::tempPath("fi_seed_b.aur3");
     trace::writeTrace(a, insts);
     fs::copy_file(a, b, fs::copy_options::overwrite_existing);
 

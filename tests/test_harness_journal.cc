@@ -17,6 +17,7 @@
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -31,11 +32,7 @@ using util::SimErrorCode;
 constexpr Count N = 5000;
 constexpr std::uint64_t BASE_SEED = 0x10ad;
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 /** A 6-job grid: 2 models x 3 benchmarks. */
 std::vector<SweepJob>

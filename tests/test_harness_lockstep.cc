@@ -2,15 +2,17 @@
  * @file
  * Shared-trace lockstep sweeps. SweepRunner runs the pending grid jobs
  * that replay one trace as units over a single synthesized stream
- * (core::simulateShared). Every result must equal a per-job
- * core::simulate() byte for byte at any worker count, a failing
- * member must fail alone, and a journal resume regroups only the jobs
- * that are left.
+ * (core::LockstepUnit), which idle workers split once no unit is left
+ * to start. Every result must equal a per-job core::simulate() byte
+ * for byte at any worker count and under any split, a failing member
+ * must fail alone, and a journal resume regroups only the jobs that
+ * are left.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "trace/spec_profiles.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -31,18 +34,27 @@ using util::SimErrorCode;
 
 constexpr Count N = 20'000;
 
-/** Figure 4: study models x issue {1,2} x latency {17,35} x int suite. */
+/** Figure 4's machines: study models x issue {1,2} x latency {17,35}. */
+std::vector<MachineConfig>
+fig4Machines()
+{
+    std::vector<MachineConfig> machines;
+    for (const MachineConfig &model : studyModels())
+        for (const unsigned issue : {1u, 2u})
+            for (const Cycle latency : {17u, 35u})
+                machines.push_back(
+                    model.withIssueWidth(issue).withLatency(latency));
+    return machines;
+}
+
+/** Figure 4: fig4Machines() x int suite. */
 std::vector<SweepJob>
 fig4Grid()
 {
     std::vector<SweepJob> grid;
-    for (const MachineConfig &model : studyModels())
-        for (const unsigned issue : {1u, 2u})
-            for (const Cycle latency : {17u, 35u})
-                for (const auto &profile : trace::integerSuite())
-                    grid.push_back(
-                        {model.withIssueWidth(issue).withLatency(latency),
-                         profile, N});
+    for (const MachineConfig &machine : fig4Machines())
+        for (const auto &profile : trace::integerSuite())
+            grid.push_back({machine, profile, N});
     return grid;
 }
 
@@ -73,15 +85,36 @@ wedged()
     return m;
 }
 
+/**
+ * Synthesis of @p groups traces of N instructions. At one worker each
+ * group runs as one unit over one synthesis. At more, when an idle
+ * worker splits a running unit depends on timing: each split-off unit
+ * synthesizes on from its split point, at most N more per split.
+ */
+void
+expectSynthesized(const SweepReport &rep, unsigned workers, Count groups)
+{
+    if (workers == 1) {
+        EXPECT_EQ(rep.splits, 0u);
+        EXPECT_EQ(rep.synthesized_instructions, groups * N);
+    } else {
+        EXPECT_GE(rep.synthesized_instructions, groups * N);
+        EXPECT_LE(rep.synthesized_instructions, (groups + rep.splits) * N)
+            << rep.splits << " splits at " << workers << " workers";
+    }
+    EXPECT_NE(rep.summary().find(std::to_string(
+                  rep.synthesized_instructions) + " synthesized"),
+              std::string::npos)
+        << rep.summary();
+}
+
 TEST(Lockstep, Fig4GridMatchesPerJobSimulate)
 {
     const std::vector<SweepJob> grid = fig4Grid();
     const std::vector<std::string> solo = soloBytes(grid);
-    // Six traces, each replayed by twelve machines. The unit rule
-    // targets min(72, 3 x workers) units: one per trace at one worker
-    // (units of 12), two per trace at three or four (units of 6).
-    const std::pair<unsigned, Count> cases[] = {{1, 6}, {3, 12}, {4, 12}};
-    for (const auto &[workers, units] : cases) {
+    // Six traces, each replayed by twelve machines: six units of
+    // twelve, which idle workers split once none is left to start.
+    for (const unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
         SweepOptions opts;
         opts.workers = workers;
         SweepRunner runner(opts);
@@ -93,19 +126,90 @@ TEST(Lockstep, Fig4GridMatchesPerJobSimulate)
         }
         const SweepReport &rep = runner.report();
         EXPECT_EQ(rep.total_instructions, grid.size() * N);
-        EXPECT_EQ(rep.synthesized_instructions, units * N)
-            << workers << " workers";
-        EXPECT_NE(rep.summary().find(std::to_string(units * N) +
-                                     " synthesized"),
-                  std::string::npos)
-            << rep.summary();
+        expectSynthesized(rep, workers, 6);
 
         // The fail-fast entry point groups the same way.
         SweepRunner fast(opts);
         const auto results = fast.run(grid);
         for (std::size_t i = 0; i < grid.size(); ++i)
             EXPECT_EQ(runResultBytes(results[i]), solo[i]) << "job " << i;
-        EXPECT_EQ(fast.report().synthesized_instructions, units * N);
+        expectSynthesized(fast.report(), workers, 6);
+    }
+}
+
+TEST(Lockstep, SwarmPlanStillCutsFig4IntoTwelveUnitsOfSix)
+{
+    // Nothing is stolen across processes, so the swarm keeps its cut:
+    // min(72, 3 x 4 shards) units, two per trace. The in-process pool
+    // plans at one worker: one unit per trace.
+    const std::vector<SweepJob> grid = fig4Grid();
+    std::vector<std::size_t> all(grid.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const std::vector<SweepRunner::Unit> cut =
+        planUnits(grid, all, std::nullopt, 4);
+    ASSERT_EQ(cut.size(), 12u);
+    for (const SweepRunner::Unit &unit : cut)
+        EXPECT_EQ(unit.size(), 6u);
+    const std::vector<SweepRunner::Unit> whole =
+        planUnits(grid, all, std::nullopt, 1);
+    ASSERT_EQ(whole.size(), 6u);
+    for (const SweepRunner::Unit &unit : whole)
+        EXPECT_EQ(unit.size(), 12u);
+}
+
+TEST(Lockstep, UnevenGroupsAtEightWorkersRunEveryJobOnce)
+{
+    // Groups of 12, 7, 5, 2 and 1 jobs on eight workers: the big
+    // groups are split, some more than once, while the small ones
+    // finish. Every job must be completed, journaled and reported
+    // exactly once, with its solo result, on every repetition.
+    constexpr Count SHORT = 10000;
+    const std::vector<MachineConfig> machines = fig4Machines();
+    std::vector<SweepJob> grid;
+    const std::pair<trace::WorkloadProfile, std::size_t> groups[] = {
+        {trace::li(), 12}, {trace::nasa7(), 7}, {trace::gcc(), 5},
+        {trace::espresso(), 2}, {trace::compress(), 1}};
+    for (const auto &[profile, count] : groups)
+        for (std::size_t k = 0; k < count; ++k)
+            grid.push_back({machines[k], profile, SHORT});
+    const std::vector<std::string> solo = soloBytes(grid);
+    const std::string journal = test::tempPath("uneven.ajrn");
+
+    std::vector<std::size_t> every(grid.size());
+    std::iota(every.begin(), every.end(), std::size_t{1});
+    for (int repetition = 0; repetition < 8; ++repetition) {
+        SCOPED_TRACE("repetition " + std::to_string(repetition));
+        SweepOptions opts;
+        opts.workers = 8;
+        opts.journal = journal;
+        opts.progress_every = 1;
+        std::vector<std::size_t> done;
+        opts.on_progress = [&done](const SweepProgress &p) {
+            done.push_back(p.done);
+        };
+        SweepRunner runner(opts);
+        const auto outcomes = runner.runOutcomes(grid);
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+            EXPECT_EQ(outcomes[i].attempts, 1u);
+            EXPECT_EQ(runResultBytes(outcomes[i].result), solo[i])
+                << "job " << i;
+        }
+        EXPECT_EQ(done, every);
+
+        const LoadedJournal loaded = loadJournal(journal);
+        std::multiset<std::size_t> journaled;
+        for (const JournalRecord &rec : loaded.records)
+            journaled.insert(rec.job_index);
+        EXPECT_EQ(journaled.size(), grid.size());
+        for (std::size_t i = 0; i < grid.size(); ++i)
+            EXPECT_EQ(journaled.count(i), 1u) << "job " << i;
+
+        const SweepReport &rep = runner.report();
+        EXPECT_EQ(rep.ok_jobs, grid.size());
+        EXPECT_EQ(rep.total_instructions, grid.size() * SHORT);
+        EXPECT_GE(rep.synthesized_instructions, 5 * SHORT);
+        EXPECT_LE(rep.synthesized_instructions, (5 + rep.splits) * SHORT);
     }
 }
 
@@ -291,9 +395,8 @@ TEST(Lockstep, ResumeRegroupsWhatIsLeftOfAGroup)
                 grid.push_back({model.withIssueWidth(issue), profile, N});
     const std::vector<std::string> solo = soloBytes(grid);
 
-    const fs::path dir = fs::path(::testing::TempDir());
-    const std::string full = (dir / "lockstep-full.ajrn").string();
-    const std::string partial = (dir / "lockstep-partial.ajrn").string();
+    const std::string full = test::tempPath("lockstep-full.ajrn");
+    const std::string partial = test::tempPath("lockstep-partial.ajrn");
     fs::remove(full);
     fs::remove(partial);
     SweepOptions opts;
@@ -322,8 +425,8 @@ TEST(Lockstep, ResumeRegroupsWhatIsLeftOfAGroup)
     }
     const SweepReport &rep = resumer.report();
     EXPECT_EQ(rep.resumed_jobs, kept.size());
-    // Nine pending jobs at two workers: six units over two traces.
-    EXPECT_EQ(rep.synthesized_instructions, 6 * N);
+    // Nine pending jobs over two traces: two units, split by timing.
+    expectSynthesized(rep, opts.workers, 2);
     EXPECT_EQ(loadJournal(partial).records.size(), grid.size());
 }
 

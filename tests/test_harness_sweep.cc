@@ -215,7 +215,7 @@ TEST(SweepRunner, FigureGridMatchesSerialSimulate)
         for (auto &job : suiteJobs(m, suite, N))
             grid.push_back(std::move(job));
     }
-    // Three workers want 9 units: exactly one per distinct trace.
+    // One unit per distinct trace; idle workers split them at the end.
     SweepOptions opts;
     opts.workers = 3;
     SweepRunner runner(opts);
@@ -228,7 +228,9 @@ TEST(SweepRunner, FigureGridMatchesSerialSimulate)
                                                grid[i].profile, N));
     }
     EXPECT_EQ(runner.report().total_instructions, grid.size() * N);
-    EXPECT_EQ(runner.report().synthesized_instructions, suite.size() * N);
+    const SweepReport &rep = runner.report();
+    EXPECT_GE(rep.synthesized_instructions, suite.size() * N);
+    EXPECT_LE(rep.synthesized_instructions, (suite.size() + rep.splits) * N);
 }
 
 TEST(SeedDerivation, StableAndDiscriminating)

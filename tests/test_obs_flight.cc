@@ -18,6 +18,7 @@
 
 #include "obs/flight.hh"
 #include "util/sim_error.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -26,11 +27,7 @@ namespace fs = std::filesystem;
 using namespace aurora;
 using aurora::util::SimError;
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 TEST(FlightRecorder, WriteThroughLandsOnDiskWithoutDump)
 {

@@ -26,6 +26,7 @@
 #include "obs/trace.hh"
 #include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -34,11 +35,7 @@ namespace fs = std::filesystem;
 using namespace aurora;
 using aurora::util::SimError;
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 TEST(ObsIds, AllDerivedIdsAreNonzeroAndDistinct)
 {

@@ -35,6 +35,7 @@
 #include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
 #include "util/socket.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -45,11 +46,7 @@ namespace wire = serve::wire;
 
 constexpr std::uint64_t RECV_TIMEOUT_MS = 120'000;
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 /** In-process daemon: Server on its own thread, drained on stop(). */
 class TestDaemon

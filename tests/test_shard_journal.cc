@@ -24,6 +24,7 @@
 #include "trace/spec_profiles.hh"
 #include "util/record_io.hh"
 #include "util/sim_error.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -34,11 +35,7 @@ using namespace aurora::shard;
 using aurora::util::SimError;
 using aurora::util::SimErrorCode;
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 /** A plausible encoded journal record for grid job @p job_index. */
 std::string

@@ -20,6 +20,7 @@
 #include "harness/sweep.hh"
 #include "shard/swarm.hh"
 #include "trace/spec_profiles.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -39,11 +40,7 @@ mix(std::uint64_t x)
     return x;
 }
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 /** Two machines per trace, so every unit has two members at one and
  *  two shards and a fault after one Result lands mid-unit. */

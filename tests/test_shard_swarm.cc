@@ -32,6 +32,7 @@
 #include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
 #include "util/socket.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -43,11 +44,7 @@ using aurora::util::SimErrorCode;
 using faultinject::ShardFault;
 using faultinject::ShardFaultPlan;
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 std::vector<harness::SweepJob>
 testGrid(Count insts = 2000)

@@ -14,6 +14,7 @@
 #include "trace/synthetic_workload.hh"
 #include "trace/trace_io.hh"
 #include "util/sim_error.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -23,11 +24,7 @@ using namespace aurora::trace;
 using util::SimError;
 using util::SimErrorCode;
 
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
+using aurora::test::tempPath;
 
 std::vector<Inst>
 sampleInsts(std::size_t n)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/record_io.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -23,11 +24,7 @@ namespace
 using namespace aurora::util;
 namespace fs = std::filesystem;
 
-std::string
-tempPath(const std::string &name)
-{
-    return (fs::path(::testing::TempDir()) / name).string();
-}
+using aurora::test::tempPath;
 
 std::uintmax_t
 fileSize(const std::string &path)
